@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -213,6 +214,10 @@ def ks_family(beta: float) -> GrowthFunction:
     return replace(u, name=f"ks(beta={beta:g})", family="ks", params={"beta": beta})
 
 
+# the largest v with math.exp(v) finite; exp of anything above overflows
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def iterated_exp(k: int) -> GrowthFunction:
     """u = exp_k, the k-fold iterated exponential; phi(x) = exp_{k-1}(e^x).
 
@@ -226,7 +231,7 @@ def iterated_exp(k: int) -> GrowthFunction:
     def phi(x: float, _k: int = k) -> float:
         v = math.exp(x) if x < RANGE_CAP else math.inf
         for _ in range(_k - 1):
-            if v > RANGE_CAP + 10:
+            if v > _LOG_FLOAT_MAX:
                 return math.inf
             v = math.exp(v)
         return v

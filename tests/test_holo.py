@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from growthcalc import from_phi, make_growth_function
+from growthcalc.growthfn import iterated_exp
 from growthcalc.holo import (
     BoundParams,
     ChaosPolynomial,
@@ -248,6 +249,54 @@ class TestNormG:
         g0 = norm_g(F, EXP, SCALE, 0, seed=1).lower_bound
         g2 = norm_g(F, EXP, SCALE, 2, seed=1).lower_bound
         assert g2 >= g0
+
+    # (polynomial seed, weight, level, lower_bound, argsup), recorded
+    # when the scan still evaluated one direction at a time
+    PINNED = [
+        (1017, EXP, 2, 191468.54596554718,
+         (complex(-0.6110569255993538, 1.2197554953460432),
+          complex(31.43409355071056, -0.0015155502040115352))),
+        (3, KS05, 1, 1521.202174314024,
+         (complex(-1.0562927252253518, 1.9097754872552273),
+          complex(10.300460207618208, -1.7669240768319723))),
+        (1001, EXP, 0, 9.683101744717396,
+         (complex(0.9697829317787294, -0.2855323577927471),
+          complex(1.4236470584464873, 0.8047758002660521))),
+        (6, KS05, 2, 287079.36429634684,
+         (complex(0.1860801604328321, 1.658550017465883),
+          complex(44.6991316183481, 1.131650596301649))),
+        (1005, EXP, 1, 819.1675486735302,
+         (complex(-1.7051082999992657, -1.7380009481276446),
+          complex(3.5427471956010486, -5.075140796100809))),
+    ]
+
+    @pytest.mark.parametrize("seed, u, p, lower_bound, argsup", PINNED)
+    def test_pinned_results(self, seed, u, p, lower_bound, argsup):
+        # the one-shot scan picks the same cell: the same direction, and
+        # the polished radius and value agree.  The golden polish maximizes
+        # a flat function, so rounding-level changes in F's values move its
+        # radius by up to ~sqrt(machine epsilon); the value moves ~1e-15.
+        res = norm_g(random_chaos(2, 4, seed=seed), u, SCALE, p, seed=seed)
+        assert math.isclose(res.lower_bound, lower_bound, rel_tol=1e-12)
+        got, want = np.array(res.argsup), np.array(argsup)
+        s_got, s_want = SCALE.weighted_norm(got, -p), SCALE.weighted_norm(want, -p)
+        assert np.allclose(got / s_got, want / s_want, rtol=0.0, atol=1e-12)
+        assert math.isclose(s_got, s_want, rel_tol=1e-6)
+
+    def test_overflowing_scores_count_as_minus_infinity(self):
+        # |F| = 1e300 |xi_1|^4 overflows at large radii where exp_2(s^2)
+        # does too (score inf - inf = NaN), and F vanishes along xi_2
+        # (score -inf); the sup sits on xi_1 at s^2 = W(4), W the
+        # Lambert function, with log value log 1e300 + 2 log W - 2/W
+        F = ChaosPolynomial(2, 4, {(0, 0, 0, 0): 1e300})
+        res = norm_g(F, iterated_exp(2), SCALE, 0, seed=0)
+        w = 1.2
+        for _ in range(50):
+            w -= (w * math.exp(w) - 4.0) / (math.exp(w) * (1.0 + w))
+        truth = math.exp(math.log(1e300) + 2.0 * math.log(w) - 2.0 / w)
+        assert math.isclose(res.lower_bound, truth, rel_tol=1e-9)
+        assert math.isclose(abs(res.argsup[0]) ** 2, w, rel_tol=1e-6)
+        assert res.argsup[1] == 0j
 
 
 class TestCoeffBoundCheck:

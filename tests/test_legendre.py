@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import growthcalc as gc
+from growthcalc import legendre
 from growthcalc.growthfn import (
     bump_example,
     exponential,
@@ -24,7 +26,9 @@ from growthcalc.numerics import (
     NoDecayCertificate,
     NotBracketable,
     PreconditionViolated,
+    default_rel_tol,
 )
+from growthcalc.sequences import sum_stored_series
 
 
 def power_exp_log_ell(a, t):
@@ -409,6 +413,117 @@ class TestSeries:
             oracle = float(np.log1p(np.sum(np.exp(log_coeff + ns * math.log(r)))))
             got = gc.l_sharp(u, math.log(r)).log
             assert abs(got - oracle) <= 1e-8
+
+
+def stored_sum(u, log_r, tag, n):
+    """The per-radius path the batched kernel replaces: sum_stored_series
+    on the stored window of n + 1 profile terms, doubled up to 4096
+    until it certifies; the head coefficient at r = 0."""
+    while True:
+        logs = [gc.ell(u, float(k)).log_ell.log for k in range(n + 1)]
+        if tag == "sharp":
+            logs = [-le - 2.0 * math.lgamma(k + 1.0) for k, le in enumerate(logs)]
+        if log_r == LOG_ZERO:
+            return logs[0]
+        try:
+            return sum_stored_series([c + k * log_r for k, c in enumerate(logs)]).value.log
+        except NoDecayCertificate:
+            if n >= 4096:
+                raise
+            n = min(2 * n, 4096)
+
+
+def window_start(u, tag):
+    return max(64, legendre._SERIES_N_HINT.get(u, {}).get(tag, 0))
+
+
+KERNEL_EXP = exponential()
+KERNEL_KS1 = ks_family(1.0)
+radii = st.lists(
+    st.one_of(st.floats(min_value=-40.0, max_value=5.5), st.just(LOG_ZERO)),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestSeriesKernel:
+    """The batched kernel gives, radius by radius, exactly what
+    sum_stored_series gives on the same stored window."""
+
+    @given(radii)
+    @settings(max_examples=40, deadline=None)
+    def test_l_function_matches_stored_sum(self, log_rs):
+        u = KERNEL_EXP
+        for log_r in log_rs:
+            n = window_start(u, "l")
+            assert gc.l_function(u, log_r).log == stored_sum(u, log_r, "l", n)
+        n = window_start(u, "l")
+        got = legendre._series_logs(u, log_rs, "l")
+        assert list(got) == [stored_sum(u, lr, "l", n) for lr in log_rs]
+
+    @given(radii)
+    @settings(max_examples=40, deadline=None)
+    def test_l_sharp_matches_stored_sum(self, log_rs):
+        # L# of the beta = 1 family has radius 1: keep inside it
+        log_rs = [min(lr, -0.05) for lr in log_rs]
+        for u in (KERNEL_EXP, KERNEL_KS1):
+            for log_r in log_rs:
+                n = window_start(u, "sharp")
+                assert gc.l_sharp(u, log_r).log == stored_sum(u, log_r, "sharp", n)
+            n = window_start(u, "sharp")
+            got = legendre._series_logs(u, log_rs, "sharp")
+            assert list(got) == [stored_sum(u, lr, "sharp", n) for lr in log_rs]
+
+    def test_rows_that_do_not_certify_move_to_a_doubled_window(self):
+        u = exponential()
+        log_rs = [0.0, 5.0, LOG_ZERO, 1.0]
+        got = legendre._series_logs(u, log_rs, "l")
+        assert legendre._SERIES_N_HINT[u]["l"] > 64
+        assert list(got) == [stored_sum(u, lr, "l", 64) for lr in log_rs]
+
+    def test_divergent_sharp_series_keeps_its_refusal(self):
+        u = ks_family(1.0)
+        msg = "series for ks(beta=1) at log r = 0 showed no certified decay within 4096 terms"
+        with pytest.raises(NoDecayCertificate, match=re.escape(msg)):
+            gc.l_sharp(u, 0.0)
+        # in a batch the first radius that does not certify is named
+        with pytest.raises(NoDecayCertificate, match=re.escape(msg)):
+            legendre._series_logs(u, [-1.0, 0.0, 0.5], "sharp")
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(min_value=-50.0, max_value=5.0), st.just(LOG_ZERO)),
+            min_size=2,
+            max_size=12,
+        ),
+        st.floats(min_value=-5.0, max_value=3.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_zero_coefficients_keep_their_meaning(self, logs, log_r):
+        c = np.array(logs)
+        terms = [ck + k * log_r for k, ck in enumerate(logs)]
+        try:
+            want = sum_stored_series(terms).value.log
+        except NoDecayCertificate:
+            want = None
+        sums, done = legendre._certified_sums(
+            c, legendre._ratio_bounds(c), np.array([log_r]), math.log(default_rel_tol())
+        )
+        if want is None:
+            assert not done[0]
+        else:
+            assert done[0] and sums[0] == want
+
+    def test_zero_coefficient_between_terms(self):
+        # 1 + 0 r + r^2/4 + r^3/64 + ...: the zero ratio after the head
+        # certifies nothing, the ratio out of the zero is infinite
+        logs = [0.0, LOG_ZERO] + [-k * k * math.log(2.0) for k in range(2, 12)]
+        c = np.array(logs)
+        terms = [ck + k * 0.5 for k, ck in enumerate(logs)]
+        sums, done = legendre._certified_sums(
+            c, legendre._ratio_bounds(c), np.array([0.5]), math.log(default_rel_tol())
+        )
+        assert done[0] and sums[0] == sum_stored_series(terms).value.log
 
 
 class TestDual:
