@@ -581,8 +581,7 @@ def pointwise_bound_check(
     sigmas = np.array([0.3, 1.0, 3.0])[np.arange(n_samples) % 3]
     xis = rng.normal(size=(n_samples, 2 * F.dim)).view(complex) * sigmas[:, None]
     vals = np.abs(chaos_eval_batch(F, xis))
-    w = scale.weights(-p)
-    arg = 2.0 * a * a * np.sum((np.abs(xis) * w) ** 2, axis=1)
+    arg = 2.0 * a * a * scale.weighted_norms(xis, -p) ** 2
     log_k = math.log(K)
     with np.errstate(divide="ignore"):
         lhs = np.log(vals)

@@ -38,13 +38,12 @@ from .numerics import (
     NotBracketable,
     PreconditionViolated,
     _golden_min,
-    default_rel_tol,
     geometric_grid,
     maximize_concave_1d,
     minimize_convex_1d,
     safe_exp,
 )
-from .sequences import sum_stored_series
+from .sequences import stored_ratio_bounds, sum_stored_series, sum_stored_series_batch
 
 __all__ = [
     "FunctionEquivalenceCounterexample",
@@ -425,13 +424,6 @@ def theta_function(
 
 _SERIES_START = 64
 _SERIES_CAP = 4096
-# cells (radii x stored terms) summed at once: 64 radii of the usual
-# 65-term window, fewer for longer windows.  Each chunk holds about ten
-# temporaries of this size; 256 radii raised a 37 MB worker's peak RSS
-# by 1.3 MB, 64 radii by 0.5 MB, at about 2% more time per check
-# (2-vCPU x86-64 guest, numpy 2.4).
-_SERIES_CHUNK_CELLS = 64 * 65
-
 _SERIES_N_HINT: "weakref.WeakKeyDictionary[GrowthFunction, dict]" = (
     weakref.WeakKeyDictionary()
 )
@@ -447,17 +439,6 @@ def _coeff_logs(pts: Sequence[LegendrePoint], tag: str) -> list[float]:
     return [-p.log_ell.log - 2.0 * math.lgamma(k + 1.0) for k, p in enumerate(pts)]
 
 
-def _ratio_bounds(c: np.ndarray) -> np.ndarray:
-    """At every index m, the log of the largest coefficient ratio
-    c_{k+1}/c_k over k >= m; the last index repeats the last gap's.
-    Adding log r gives sum_stored_series' tail certificate at radius r."""
-    with np.errstate(invalid="ignore"):
-        gaps = c[1:] - c[:-1]
-    gaps[np.isnan(gaps)] = LOG_ZERO  # a zero after a zero: ratio 0
-    suffix = np.maximum.accumulate(gaps[::-1])[::-1]
-    return np.append(suffix, suffix[-1])
-
-
 def _series_window(u: GrowthFunction, tag: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient logs c_0..c_n and their ratio bounds, built once per
     (function, series, stored length).  The profile only grows, so an
@@ -466,37 +447,8 @@ def _series_window(u: GrowthFunction, tag: str, n: int) -> tuple[np.ndarray, np.
     got = windows.get((tag, n))
     if got is None:
         c = np.array(_coeff_logs(_integer_profile(u, n), tag))
-        got = windows[(tag, n)] = (c, _ratio_bounds(c))
+        got = windows[(tag, n)] = (c, stored_ratio_bounds(c))
     return got
-
-
-def _certified_sums(
-    c: np.ndarray, cert: np.ndarray, log_rs: np.ndarray, log_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """sum_stored_series of c_k + k log r for every radius, row by row:
-    log-sum-exp partial sums, stopped at the first index whose ratio
-    bound q < 1 makes the geometric tail at most rel_tol times the
-    running sum (or whose term is zero).  Returns the sums and which
-    rows certified."""
-    k = np.arange(len(c), dtype=float)
-    rows = max(1, _SERIES_CHUNK_CELLS // len(c))
-    sums_out = np.empty(len(log_rs))
-    done = np.empty(len(log_rs), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, len(log_rs), rows):
-            lr = log_rs[lo : lo + rows, None]
-            terms = c + k * lr
-            sums = np.logaddexp.accumulate(terms, axis=1)
-            q = np.exp(np.minimum(cert + lr, 700.0))
-            tail = terms + np.log(q) - np.log1p(-q)
-            stop = (q < 1.0) & (
-                (terms == LOG_ZERO) | ((sums > LOG_ZERO) & (tail <= log_tol + sums))
-            )
-            first = stop.argmax(axis=1)
-            at = np.arange(len(lr))
-            sums_out[lo : lo + rows] = sums[at, first]
-            done[lo : lo + rows] = stop[at, first]
-    return sums_out, done
 
 
 def _series_logs(
@@ -508,14 +460,14 @@ def _series_logs(
 ) -> np.ndarray:
     """Certified logs of L_u ("l") or L#_u ("sharp") at every log r.
 
-    Each radius gets the value sum_stored_series gives on the stored
+    Each radius is summed by sum_stored_series_batch on the stored
     window of 65 integer-profile terms (or the window earlier calls
-    needed); radii that do not certify there move on to the doubled
-    window, up to ``cap`` terms, past which NoDecayCertificate is
-    raised.  LOG_ZERO radii give the head coefficient.
+    needed), with the ratio bounds built once per window; radii that do
+    not certify there move on to the doubled window, up to ``cap``
+    terms, past which NoDecayCertificate is raised.  LOG_ZERO radii
+    give the head coefficient.
     """
     log_rs = np.asarray(log_rs, dtype=float)
-    log_tol = math.log(default_rel_tol() if rel_tol is None else rel_tol)
     out = np.empty(len(log_rs))
     zero = log_rs == LOG_ZERO
     if zero.any():
@@ -524,8 +476,8 @@ def _series_logs(
     hints = _SERIES_N_HINT.setdefault(u, {})
     n = max(_SERIES_START, hints.get(tag, 0))
     while pending.size:
-        c, cert = _series_window(u, tag, n)
-        sums, done = _certified_sums(c, cert, log_rs[pending], log_tol)
+        c, bounds = _series_window(u, tag, n)
+        sums, _, done = sum_stored_series_batch(c, bounds, log_rs[pending], rel_tol)
         out[pending[done]] = sums[done]
         if done.any():
             hints[tag] = max(hints.get(tag, 0), n)

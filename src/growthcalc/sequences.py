@@ -32,13 +32,14 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .numerics import (
     LOG_ZERO,
     LogScalar,
     NoDecayCertificate,
     SeriesSum,
     default_rel_tol,
-    log_sum_exp_series,
 )
 
 SEQ_SCHEMA = "growthcalc.seq/1"
@@ -207,19 +208,69 @@ def from_legendre(u, n_max: int) -> PositiveSequence:
     return PositiveSequence("from-legendre", {"source": getattr(u, "name", "?")}, log_alpha)
 
 
-def _suffix_max_ratios(log_terms: Sequence[float]) -> list[float]:
-    """suffix_max[n] bounds every stored term ratio a_{m+1}/a_m for m >= n."""
-    n = len(log_terms)
-    out = [math.inf] * n
-    running = -math.inf
-    for m in range(n - 2, -1, -1):
-        if log_terms[m] == LOG_ZERO:
-            ratio = math.inf if log_terms[m + 1] > LOG_ZERO else 0.0
-        else:
-            ratio = math.exp(min(log_terms[m + 1] - log_terms[m], 700.0))
-        running = max(running, ratio)
-        out[m] = running
-    return out
+# cells (radii x stored terms) summed at once: 64 radii of a 65-term
+# window, fewer for longer windows.  Each chunk holds about ten
+# temporaries of this size; 256 radii raised a 37 MB worker's peak RSS
+# by 1.3 MB, 64 radii by 0.5 MB, at about 2% more time per check
+# (2-vCPU x86-64 guest, numpy 2.4).
+_SERIES_CHUNK_CELLS = 64 * 65
+
+
+def stored_ratio_bounds(log_c: np.ndarray) -> np.ndarray:
+    """At every index m, the log of the largest stored ratio
+    c_{k+1}/c_k over k >= m.  Past the last stored gap the assumed
+    nonincreasing ratios are bounded by the final observed one, so the
+    last index repeats it; a lone coefficient bounds nothing.  Adding
+    log r gives the tail certificate of sum c_k r^k."""
+    if len(log_c) < 2:
+        return np.full(len(log_c), math.inf)
+    with np.errstate(invalid="ignore"):
+        gaps = log_c[1:] - log_c[:-1]
+    gaps[np.isnan(gaps)] = LOG_ZERO  # a zero after a zero: ratio 0
+    suffix = np.maximum.accumulate(gaps[::-1])[::-1]
+    return np.append(suffix, suffix[-1])
+
+
+def sum_stored_series_batch(
+    log_c: np.ndarray,
+    ratio_bounds: np.ndarray,
+    log_rs: np.ndarray,
+    rel_tol: Optional[float] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified sums of c_k r^k at every log r (not LOG_ZERO), with
+    ``ratio_bounds`` from stored_ratio_bounds(log_c).
+
+    Row by row: log-sum-exp partial sums, stopped at the first index
+    whose certificate q = ratio bound * r < 1 makes the geometric tail
+    at most rel_tol times the running sum (or whose term is zero).
+    Returns the sums, the terms used and which rows certified; a row
+    that did not certify used every stored term."""
+    log_rs = np.asarray(log_rs, dtype=float)
+    log_tol = math.log(default_rel_tol() if rel_tol is None else rel_tol)
+    sums_out = np.full(len(log_rs), LOG_ZERO)
+    used = np.full(len(log_rs), len(log_c))
+    done = np.zeros(len(log_rs), dtype=bool)
+    if not len(log_c):
+        return sums_out, used, done
+    k = np.arange(len(log_c), dtype=float)
+    rows = max(1, _SERIES_CHUNK_CELLS // len(log_c))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, len(log_rs), rows):
+            lr = log_rs[lo : lo + rows, None]
+            terms = log_c + k * lr
+            sums = np.logaddexp.accumulate(terms, axis=1)
+            q = np.exp(np.minimum(ratio_bounds + lr, 700.0))
+            tail = terms + np.log(q) - np.log1p(-q)
+            stop = (q < 1.0) & (
+                (terms == LOG_ZERO) | ((sums > LOG_ZERO) & (tail <= log_tol + sums))
+            )
+            first = stop.argmax(axis=1)
+            at = np.arange(len(lr))
+            hit = stop[at, first]
+            sums_out[lo : lo + rows] = sums[at, first]
+            used[lo : lo + rows] = np.where(hit, first + 1, len(log_c))
+            done[lo : lo + rows] = hit
+    return sums_out, used, done
 
 
 def sum_stored_series(log_terms: Sequence[float], rel_tol: Optional[float] = None) -> SeriesSum:
@@ -229,22 +280,16 @@ def sum_stored_series(log_terms: Sequence[float], rel_tol: Optional[float] = Non
     from n on; with eventually nonincreasing ratios (log-concave decay,
     which the generating function preconditions assert) this also bounds
     the unstored tail.  Raises NoDecayCertificate when the stored terms
-    end before the bound certifies convergence.
+    end before the bound certifies convergence.  The one-row case of
+    sum_stored_series_batch (at r = 1).
     """
-    suffix = _suffix_max_ratios(log_terms)
-
-    def cert(n: int) -> Optional[float]:
-        if n >= len(log_terms) - 1:
-            # past the last stored gap the assumed nonincreasing ratios
-            # are bounded by the final observed one
-            if len(log_terms) < 2:
-                return None
-            q = suffix[len(log_terms) - 2]
-        else:
-            q = suffix[n]
-        return q if q < 1.0 else None
-
-    return log_sum_exp_series(iter(log_terms), rel_tol=rel_tol, tail_certificate=cert)
+    c = np.asarray(log_terms, dtype=float)
+    sums, used, done = sum_stored_series_batch(c, stored_ratio_bounds(c), [0.0], rel_tol)
+    if not done[0]:
+        raise NoDecayCertificate(
+            f"series ended at index {len(c) - 1} before its tail was certified"
+        )
+    return SeriesSum(LogScalar(float(sums[0])), int(used[0]))
 
 
 def egf(

@@ -28,7 +28,11 @@ from growthcalc.numerics import (
     PreconditionViolated,
     default_rel_tol,
 )
-from growthcalc.sequences import sum_stored_series
+from growthcalc.sequences import (
+    stored_ratio_bounds,
+    sum_stored_series,
+    sum_stored_series_batch,
+)
 
 
 def power_exp_log_ell(a, t):
@@ -416,21 +420,46 @@ class TestSeries:
 
 
 def stored_sum(u, log_r, tag, n):
-    """The per-radius path the batched kernel replaces: sum_stored_series
-    on the stored window of n + 1 profile terms, doubled up to 4096
-    until it certifies; the head coefficient at r = 0."""
+    """The per-radius reference: sum_stored_series on the terms
+    c_k + k log r of the stored window of n + 1 profile coefficients,
+    doubled up to 4096 until it certifies.  Returns the sum, the terms
+    it used and the window; the head coefficient at r = 0."""
     while True:
         logs = [gc.ell(u, float(k)).log_ell.log for k in range(n + 1)]
         if tag == "sharp":
             logs = [-le - 2.0 * math.lgamma(k + 1.0) for k, le in enumerate(logs)]
         if log_r == LOG_ZERO:
-            return logs[0]
+            return logs[0], 1, n
         try:
-            return sum_stored_series([c + k * log_r for k, c in enumerate(logs)]).value.log
+            got = sum_stored_series([c + k * log_r for k, c in enumerate(logs)])
+            return got.value.log, got.terms_used, n
         except NoDecayCertificate:
             if n >= 4096:
                 raise
             n = min(2 * n, 4096)
+
+
+def assert_same_sum(got, used, want, want_used):
+    """The kernel certifies with the coefficient ratio bound plus log r,
+    the reference with the ratio bound of the terms c_k + k log r.  The
+    two are the same bound rounded differently (by about 1e-12 at large
+    |k log r|), so the sums are equal exactly when both stop at the same
+    index; on a near tie where they stop at different indices both are
+    still certified to rel_tol of the full sum."""
+    if used == want_used:
+        assert got == want
+    else:
+        assert abs(got - want) <= 2.0 * default_rel_tol(), (got, want)
+
+
+def assert_kernel_matches(got, u, log_r, tag, n):
+    want, want_used, n_ref = stored_sum(u, log_r, tag, n)
+    if log_r == LOG_ZERO:
+        assert got == want
+        return
+    c, bounds = legendre._series_window(u, tag, n_ref)
+    _, used, _ = sum_stored_series_batch(c, bounds, [log_r])
+    assert_same_sum(got, used[0], want, want_used)
 
 
 def window_start(u, tag):
@@ -447,8 +476,9 @@ radii = st.lists(
 
 
 class TestSeriesKernel:
-    """The batched kernel gives, radius by radius, exactly what
-    sum_stored_series gives on the same stored window."""
+    """The batched kernel gives, radius by radius, what sum_stored_series
+    gives on the same stored window: the same value whenever the two stop
+    at the same index (see assert_same_sum)."""
 
     @given(radii)
     @settings(max_examples=40, deadline=None)
@@ -456,10 +486,11 @@ class TestSeriesKernel:
         u = KERNEL_EXP
         for log_r in log_rs:
             n = window_start(u, "l")
-            assert gc.l_function(u, log_r).log == stored_sum(u, log_r, "l", n)
+            assert_kernel_matches(gc.l_function(u, log_r).log, u, log_r, "l", n)
         n = window_start(u, "l")
         got = legendre._series_logs(u, log_rs, "l")
-        assert list(got) == [stored_sum(u, lr, "l", n) for lr in log_rs]
+        for g, lr in zip(got, log_rs):
+            assert_kernel_matches(g, u, lr, "l", n)
 
     @given(radii)
     @settings(max_examples=40, deadline=None)
@@ -469,17 +500,19 @@ class TestSeriesKernel:
         for u in (KERNEL_EXP, KERNEL_KS1):
             for log_r in log_rs:
                 n = window_start(u, "sharp")
-                assert gc.l_sharp(u, log_r).log == stored_sum(u, log_r, "sharp", n)
+                assert_kernel_matches(gc.l_sharp(u, log_r).log, u, log_r, "sharp", n)
             n = window_start(u, "sharp")
             got = legendre._series_logs(u, log_rs, "sharp")
-            assert list(got) == [stored_sum(u, lr, "sharp", n) for lr in log_rs]
+            for g, lr in zip(got, log_rs):
+                assert_kernel_matches(g, u, lr, "sharp", n)
 
     def test_rows_that_do_not_certify_move_to_a_doubled_window(self):
         u = exponential()
         log_rs = [0.0, 5.0, LOG_ZERO, 1.0]
         got = legendre._series_logs(u, log_rs, "l")
         assert legendre._SERIES_N_HINT[u]["l"] > 64
-        assert list(got) == [stored_sum(u, lr, "l", 64) for lr in log_rs]
+        for g, lr in zip(got, log_rs):
+            assert_kernel_matches(g, u, lr, "l", 64)
 
     def test_divergent_sharp_series_keeps_its_refusal(self):
         u = ks_family(1.0)
@@ -502,17 +535,14 @@ class TestSeriesKernel:
     def test_zero_coefficients_keep_their_meaning(self, logs, log_r):
         c = np.array(logs)
         terms = [ck + k * log_r for k, ck in enumerate(logs)]
+        sums, used, done = sum_stored_series_batch(c, stored_ratio_bounds(c), [log_r])
         try:
-            want = sum_stored_series(terms).value.log
+            want = sum_stored_series(terms)
         except NoDecayCertificate:
-            want = None
-        sums, done = legendre._certified_sums(
-            c, legendre._ratio_bounds(c), np.array([log_r]), math.log(default_rel_tol())
-        )
-        if want is None:
             assert not done[0]
-        else:
-            assert done[0] and sums[0] == want
+            return
+        assert done[0]
+        assert_same_sum(sums[0], used[0], want.value.log, want.terms_used)
 
     def test_zero_coefficient_between_terms(self):
         # 1 + 0 r + r^2/4 + r^3/64 + ...: the zero ratio after the head
@@ -520,10 +550,9 @@ class TestSeriesKernel:
         logs = [0.0, LOG_ZERO] + [-k * k * math.log(2.0) for k in range(2, 12)]
         c = np.array(logs)
         terms = [ck + k * 0.5 for k, ck in enumerate(logs)]
-        sums, done = legendre._certified_sums(
-            c, legendre._ratio_bounds(c), np.array([0.5]), math.log(default_rel_tol())
-        )
-        assert done[0] and sums[0] == sum_stored_series(terms).value.log
+        sums, used, done = sum_stored_series_batch(c, stored_ratio_bounds(c), [0.5])
+        want = sum_stored_series(terms)
+        assert done[0] and used[0] == want.terms_used and sums[0] == want.value.log
 
 
 class TestDual:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthcalc.numerics import LOG_ZERO, NoDecayCertificate
+from growthcalc.numerics import LOG_ZERO, NoDecayCertificate, log_sum_exp_series
 from growthcalc.sequences import (
     ConditionVerdict,
     EquivalenceCounterexample,
@@ -121,6 +121,29 @@ def bell_by_tower(order, n_max):
         return [
             float(coeffs[n] * math.factorial(n)) for n in range(n_max + 1)
         ]
+
+
+def streamed_stored_sum(log_terms):
+    """The stored-series rule streamed term by term: the certificate at
+    index n is the largest stored ratio a_{m+1}/a_m over m >= n (a ratio
+    out of a zero term is infinite, between zeros 0), the last gap's past
+    the end of the stored terms."""
+    ratios = []
+    for a, b in zip(log_terms, log_terms[1:]):
+        if a == LOG_ZERO:
+            ratios.append(math.inf if b > LOG_ZERO else 0.0)
+        else:
+            ratios.append(math.exp(min(b - a, 700.0)))
+    for m in range(len(ratios) - 2, -1, -1):
+        ratios[m] = max(ratios[m], ratios[m + 1])
+
+    def cert(n):
+        if not ratios:
+            return None
+        q = ratios[min(n, len(ratios) - 1)]
+        return q if q < 1.0 else None
+
+    return log_sum_exp_series(iter(log_terms), tail_certificate=cert)
 
 
 def manual_seq(log_alpha, family="manual", **params):
@@ -255,6 +278,24 @@ class TestEgf:
         got = sum_stored_series(terms, rel_tol=1e-11)
         assert math.isclose(got.value.log, direct, abs_tol=1e-9)
         assert got.terms_used < 80
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(min_value=-60.0, max_value=5.0), st.just(LOG_ZERO)),
+            max_size=30,
+        ),
+        st.sampled_from([0.0, 0.5, 3.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stored_series_matches_streamed_rule(self, logs, decay):
+        terms = [v - decay * n * n for n, v in enumerate(logs)]
+        try:
+            want = streamed_stored_sum(terms)
+        except NoDecayCertificate as exc:
+            with pytest.raises(NoDecayCertificate, match=str(exc)):
+                sum_stored_series(terms)
+            return
+        assert sum_stored_series(terms) == want
 
 
 # --------------------------------------------------------------------------
