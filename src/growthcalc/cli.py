@@ -58,9 +58,11 @@ from .legendre import (
 )
 from .numerics import (
     LOG_ZERO,
+    BadTolerance,
     NoDecayCertificate,
     NotBracketable,
     PreconditionViolated,
+    env_rel_tol,
 )
 from .sequences import (
     CONDITIONS,
@@ -559,8 +561,6 @@ def _common(parser):
                         help="seed for any randomized search or sampling")
     parser.add_argument(
         "--tol", type=float,
-        default=float(os.environ["GROWTHCALC_TOL"])
-        if "GROWTHCALC_TOL" in os.environ else None,
         help="tolerance override for verdicts (env GROWTHCALC_TOL)",
     )
     parser.add_argument("--registry", help="function registry file (JSON)")
@@ -741,10 +741,13 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        env_tol = env_rel_tol()
+        if "tol" in vars(args) and args.tol is None:
+            args.tol = env_tol
         if getattr(args, "tol", None) is not None and args.tol <= 0:
             raise _UsageError("--tol must be positive")
         output, code = _run_with_cache(args)
-    except _UsageError as exc:
+    except (_UsageError, BadTolerance) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _KERNEL_ERRORS as exc:

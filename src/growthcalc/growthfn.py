@@ -29,7 +29,14 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .numerics import LOG_ZERO, RANGE_CAP, PreconditionViolated, default_rel_tol
+from .numerics import (
+    LOG_ZERO,
+    RANGE_CAP,
+    NoDecayCertificate,
+    NotBracketable,
+    PreconditionViolated,
+    default_rel_tol,
+)
 from .sequences import PositiveSequence, sum_stored_series
 
 __all__ = [
@@ -82,6 +89,13 @@ class GrowthFunction:
     exponentials overflow the double range long before x = 700).  The
     convexity/monotonicity flags are trusted hints set by constructors;
     classify_convexity and check_increasing never consult them.
+
+    phi_vec, when set, is phi over a whole numpy array: the closed-form
+    constructors set it (equal to phi within a few ulp, saturating to
+    +inf where phi does) and scaled() composes it; functions that run a
+    search or a series per value (from_phi, from_series, duals, thetas,
+    L-series) leave it unset.  phi_many and log_many use it, and fall
+    back to a phi_at loop without it.
     """
 
     phi: Callable[[float], float]
@@ -94,6 +108,7 @@ class GrowthFunction:
     log_exp_convex: Optional[bool] = None
     log_x2_convex: Optional[bool] = None
     in_c_plus_log: Optional[bool] = None
+    phi_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __repr__(self):
         return f"GrowthFunction({self.name})"
@@ -105,6 +120,15 @@ class GrowthFunction:
     def phi_at(self, x: float) -> float:
         """log u(e^x); +inf past the representable range."""
         return float(self.phi(float(x)))
+
+    def phi_many(self, xs) -> np.ndarray:
+        """phi at every x of an array: one vectorised call when phi_vec
+        is set, else a phi_at loop."""
+        xs = np.asarray(xs, dtype=float)
+        if self.phi_vec is None:
+            return np.array([self.phi_at(x) for x in xs.ravel()], dtype=float).reshape(xs.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.asarray(self.phi_vec(xs), dtype=float)
 
     def log_value(self, log_r: float) -> float:
         """log u(r) given log r; accepts LOG_ZERO for r = 0."""
@@ -120,15 +144,28 @@ class GrowthFunction:
             raise ValueError("growth functions live on r >= 0")
         return self.log_value(LOG_ZERO if r == 0.0 else math.log(r))
 
+    def log_many(self, rs) -> np.ndarray:
+        """log u(r) at every r >= 0 of an array, through phi_many;
+        r = 0 gives log u(0) as in log_at."""
+        rs = np.asarray(rs, dtype=float)
+        if (rs < 0).any():
+            raise ValueError("growth functions live on r >= 0")
+        zero = rs == 0.0
+        out = self.phi_many(np.log(np.where(zero, 1.0, rs)))
+        if zero.any():
+            out[zero] = self.log_value(LOG_ZERO)
+        return out
+
     def scaled(self, c: float = 1.0, a: float = 1.0) -> "GrowthFunction":
         """The function r |-> c * u(a r)."""
         if c <= 0 or a <= 0:
             raise ValueError("scaling constants must be positive")
         log_c, log_a = math.log(c), math.log(a)
-        base = self.phi
+        base, base_vec = self.phi, self.phi_vec
         return replace(
             self,
             phi=lambda x: log_c + base(x + log_a),
+            phi_vec=None if base_vec is None else (lambda xs: log_c + base_vec(xs + log_a)),
             name=f"{c:g}*{self.name}({a:g}r)",
             family="scaled",
             params={"c": c, "a": a, "base": self.name},
@@ -185,6 +222,7 @@ def power_exp(a: float) -> GrowthFunction:
         raise ValueError("power_exp needs a > 0")
     return GrowthFunction(
         phi=lambda x, _a=a: _a * math.exp(min(x / _a, RANGE_CAP)),
+        phi_vec=lambda xs, _a=a: _a * np.exp(np.minimum(xs / _a, RANGE_CAP)),
         name=f"exp[{a:g}r^(1/{a:g})]",
         family="power-exp",
         params={"a": a},
@@ -236,6 +274,15 @@ def iterated_exp(k: int) -> GrowthFunction:
             v = math.exp(v)
         return v
 
+    def phi_vec(xs: np.ndarray, _k: int = k) -> np.ndarray:
+        v = np.where(xs < RANGE_CAP, xs, math.inf)
+        for _ in range(_k - 1):
+            # the levels under the last one round exactly as phi's do:
+            # the next exp multiplies their rounding error by their size
+            inner = [math.inf if w > _LOG_FLOAT_MAX else math.exp(w) for w in v.ravel().tolist()]
+            v = np.array(inner, dtype=float).reshape(v.shape)
+        return np.where(v > _LOG_FLOAT_MAX, math.inf, np.exp(v))
+
     x_cap = 709.0
     for _ in range(k - 1):
         x_cap = math.log(x_cap)
@@ -246,6 +293,7 @@ def iterated_exp(k: int) -> GrowthFunction:
         log_u0 = 0.0
     return GrowthFunction(
         phi=phi,
+        phi_vec=phi_vec,
         name=f"exp_{k}",
         family="expk",
         params={"k": k},
@@ -262,6 +310,7 @@ def gaussian() -> GrowthFunction:
     """u(r) = exp(r^2), so phi(x) = e^(2x)."""
     return GrowthFunction(
         phi=lambda x: math.exp(min(2.0 * x, RANGE_CAP)),
+        phi_vec=lambda xs: np.exp(np.minimum(2.0 * xs, RANGE_CAP)),
         name="exp[r^2]",
         family="gaussian",
         params={},
@@ -283,8 +332,13 @@ def bump_example() -> GrowthFunction:
         e2, e3, e4 = math.exp(2 * x), math.exp(3 * x), math.exp(4 * x)
         return e2 - e3 + e4
 
+    def phi_vec(xs: np.ndarray) -> np.ndarray:
+        e2, e3, e4 = np.exp(2 * xs), np.exp(3 * xs), np.exp(4 * xs)
+        return np.where(xs > RANGE_CAP / 4, math.inf, e2 - e3 + e4)
+
     return GrowthFunction(
         phi=phi,
+        phi_vec=phi_vec,
         name="exp[r^2-r^3+r^4]",
         family="bump",
         params={},
@@ -301,6 +355,7 @@ def log_square_example() -> GrowthFunction:
     (phi(x) = x^2 - 2x) yet not increasing, and not defined at r = 0."""
     return GrowthFunction(
         phi=lambda x: x * x - 2.0 * x,
+        phi_vec=lambda xs: xs * xs - 2.0 * xs,
         name="exp[(log r)^2-2log r]",
         family="log-square",
         params={},
@@ -322,8 +377,12 @@ def polynomial(p: float) -> GrowthFunction:
             return _p * x
         return _p * math.log1p(math.exp(x))
 
+    def phi_vec(xs: np.ndarray, _p: float = p) -> np.ndarray:
+        return np.where(xs > 50.0, _p * xs, _p * np.log1p(np.exp(np.minimum(xs, 50.0))))
+
     return GrowthFunction(
         phi=phi,
+        phi_vec=phi_vec,
         name=f"(1+r)^{p:g}",
         family="polynomial",
         params={"p": p},
@@ -447,10 +506,19 @@ def classify_convexity(
     triples double as central second differences, plus wide pairs) and
     seeded random (pair, lam) draws -- at least 200 triples in range.
     Non-finite evaluations are skipped: they are out of numeric range,
-    not counterexamples.
+    not counterexamples.  So are refused ones (a series whose tail does
+    not certify there, a search that escapes the range); with fewer
+    than 200 triples left the probe raises PreconditionViolated.
     """
     probe = probe or ProbeSpec()
-    f, positive_domain = _composed_view(u, kind, k)
+    view, positive_domain = _composed_view(u, kind, k)
+
+    def f(s: float) -> float:
+        try:
+            return view(s)
+        except (NoDecayCertificate, NotBracketable):
+            return math.nan
+
     if positive_domain:
         lo = probe.lo if kind != "log-xk-convex" else probe.lo ** (1.0 / k)
         hi = probe.hi if kind != "log-xk-convex" else probe.hi ** (1.0 / k)

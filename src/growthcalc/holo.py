@@ -317,7 +317,7 @@ def norm_g(
 
     radii = np.geomspace(1e-3, 1e3, _RADIUS_POINTS)
     # one shared weight column: |s * dir|_{-p} = s for normalized dir
-    half_log_u = np.array([0.5 * u.log_at(float(s) ** 2) for s in radii])
+    half_log_u = 0.5 * u.log_many(radii ** 2)
 
     def scan(dirs: np.ndarray) -> tuple[float, np.ndarray, float]:
         # every (direction, radius) cell in one evaluation; the flat
@@ -586,7 +586,7 @@ def pointwise_bound_check(
     with np.errstate(divide="ignore"):
         lhs = np.log(vals)
         log_l = _series_logs(u, np.log(arg), "l")
-    log_u = np.array([u.log_at(math.e * float(x)) for x in arg])
+    log_u = u.log_many(math.e * arg)
     bound_u = 0.5 * math.log(2.0) + 1.0 + log_k + 0.5 * log_u
     bound_series = 0.5 * math.log(2.0) + log_k + 0.5 * log_l
     worst_u = float(np.max(lhs - bound_u, initial=-math.inf))
@@ -629,7 +629,7 @@ def series_chain_check(
         first, mid = _series_logs(
             u, np.log(np.concatenate([r_lo, rho ** 2 * r_hi])), "l"
         ).reshape(2, -1)
-    last = const + np.array([u.log_at(float(r)) for r in r_hi])
+    last = const + u.log_many(r_hi)
     worst_shift = float(np.max(first - mid, initial=-math.inf))
     worst_u = float(np.max(mid - last, initial=-math.inf))
     return {

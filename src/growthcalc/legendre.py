@@ -38,6 +38,7 @@ from .numerics import (
     NotBracketable,
     PreconditionViolated,
     _golden_min,
+    _golden_min_rows,
     geometric_grid,
     maximize_concave_1d,
     minimize_convex_1d,
@@ -169,20 +170,76 @@ _PROFILE_CACHE: "weakref.WeakKeyDictionary[GrowthFunction, list]" = (
 )
 
 
+def _profile_block(u: GrowthFunction, ts: np.ndarray) -> list[Optional[LegendrePoint]]:
+    """Transform values at the orders ts from one sample of phi, for a
+    (log, exp)-convex u with a vectorised phi.
+
+    phi is sampled once on the _SCAN_POINTS grid; the running maximum
+    of its chord slopes, searched for t, gives the interior grid point
+    x_i where g(x) = phi(x) - t x stops falling.  An order keeps
+    [x_{i-1}, x_{i+1}] only under Bracket's certificate (the three
+    values finite, g(x_i) <= g(x_{i-1}) and g(x_i) <= g(x_{i+1}));
+    _golden_min_rows then runs _golden_min's search on every kept order
+    in lockstep, one phi_many call per step, and minimize_convex_1d's
+    inner-point rule picks the result.  Orders without the certificate
+    come back as None.  No (order x grid) matrix is formed.
+    """
+    xs = np.linspace(-RANGE_CAP, min(u.x_max, RANGE_CAP), _SCAN_POINTS)
+    ph = u.phi_many(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.fmax.accumulate(np.diff(ph) / np.diff(xs))
+    i = np.clip(np.searchsorted(slopes, ts), 1, len(xs) - 2)
+    g_in = ph[i] - ts * xs[i]
+    kept = (
+        np.isfinite(ph[i - 1]) & np.isfinite(ph[i]) & np.isfinite(ph[i + 1])
+        & (g_in <= ph[i - 1] - ts * xs[i - 1])
+        & (g_in <= ph[i + 1] - ts * xs[i + 1])
+    )
+    rows = np.flatnonzero(kept)
+    t = ts[rows]
+    x, fx = _golden_min_rows(
+        lambda k, x: u.phi_many(x) - t[k] * x, xs[i[rows] - 1], xs[i[rows] + 1]
+    )
+    inner = g_in[rows] < fx
+    x = np.where(inner, xs[i[rows]], x)
+    fx = np.where(inner, g_in[rows], fx)
+    out: list[Optional[LegendrePoint]] = [None] * len(ts)
+    for k, row in enumerate(rows):
+        out[row] = LegendrePoint(LogScalar(float(fx[k])), math.exp(float(x[k])), None)
+    return out
+
+
+def _warm_seed(pts: Sequence[LegendrePoint]) -> float:
+    """log of the last minimizer: rho is increasing in t."""
+    if pts and pts[-1].rho > 0.0 and math.isfinite(pts[-1].rho):
+        return math.log(pts[-1].rho)
+    return 0.0
+
+
 def _integer_profile(u: GrowthFunction, n_max: int) -> list[LegendrePoint]:
     """Transform values at integer t, grown on demand and cached per
-    function instance; each new point warm-starts at the previous
-    minimizer (rho is increasing in t)."""
+    function instance.
+
+    The first new point of a growth goes through _ell_at, warm-started
+    at the previous minimizer.  When u has a vectorised phi and is
+    flagged (log, exp)-convex, the rest of the new orders come from one
+    _profile_block; an order the block cannot certify, and every order
+    of any other u, goes through _ell_at in turn, so boundary flags,
+    refusals and the points cached before a refusal are those of the
+    point-by-point walk.
+    """
     pts = _PROFILE_CACHE.get(u)
     if pts is None:
         pts = []
         _PROFILE_CACHE[u] = pts
-    while len(pts) <= n_max:
-        n = len(pts)
-        seed = 0.0
-        if pts and pts[-1].rho > 0.0 and math.isfinite(pts[-1].rho):
-            seed = math.log(pts[-1].rho)
-        pts.append(_ell_at(u, float(n), seed))
+    if len(pts) <= n_max:
+        pts.append(_ell_at(u, float(len(pts)), _warm_seed(pts)))
+        orders = range(len(pts), n_max + 1)
+        block: Sequence[Optional[LegendrePoint]] = [None] * len(orders)
+        if orders and u.phi_vec is not None and u.log_exp_convex:
+            block = _profile_block(u, np.array(orders, dtype=float))
+        for n, p in zip(orders, block):
+            pts.append(p if p is not None else _ell_at(u, float(n), _warm_seed(pts)))
     return pts[: n_max + 1]
 
 
@@ -192,7 +249,10 @@ def ell(u: GrowthFunction, t: float) -> LegendrePoint:
     Returns the log of the infimum, the minimizer rho(t) = e^x, and a
     flag when the infimum was attained or approached on a boundary.
     Integer t values are cached per function, since the series builders
-    walk them densely.
+    walk them densely; _integer_profile grows that cache in vectorised
+    blocks for closed-form (log, exp)-convex functions, which agree with
+    the point search to roundoff in log ell (rho, the argmin of a flat
+    minimum, only to about the square root of machine epsilon).
     """
     t = float(t)
     if t < 0:
@@ -811,7 +871,9 @@ class SuiteReport:
 
     ``rows`` retains the per-point comparisons (coordinate, lhs, rhs,
     slack, all log scale; slack is the margin, negative on violation)
-    for tabular export; the JSON dict stays summary-sized.
+    for tabular export; the JSON dict stays summary-sized.  The verdict
+    is "pass", "fail", or "inconclusive" when the grid checked nothing;
+    a non-finite max_violation renders as null.
     """
 
     suite: str
@@ -831,7 +893,7 @@ class SuiteReport:
             "suite": self.suite,
             "params": self.params,
             "grid": self.grid,
-            "max_violation": self.max_violation,
+            "max_violation": self.max_violation if math.isfinite(self.max_violation) else None,
             "witness": self.witness,
             "verdict": self.verdict,
         }
@@ -841,7 +903,11 @@ class SuiteReport:
 
 
 def _report(suite, params, grid, max_violation, witness, tol, rows=()) -> SuiteReport:
-    verdict = "pass" if max_violation <= tol else "fail"
+    # a worst violation still at -inf means the grid checked nothing
+    if max_violation == -math.inf:
+        verdict = "inconclusive"
+    else:
+        verdict = "pass" if max_violation <= tol else "fail"
     return SuiteReport(
         suite, params, grid, float(max_violation), witness, verdict, tuple(rows)
     )

@@ -25,6 +25,8 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
+import numpy as np
+
 LOG_ZERO = float("-inf")
 
 RANGE_CAP = 700.0
@@ -56,12 +58,35 @@ class PreconditionViolated(GrowthCalcError):
     """A documented caller-side precondition failed a cheap runtime check."""
 
 
-_DEFAULT_REL_TOL = float(os.environ.get("GROWTHCALC_TOL", "1e-9"))
+class BadTolerance(GrowthCalcError):
+    """The GROWTHCALC_TOL environment variable is not a positive number."""
+
+
+_DEFAULT_REL_TOL: Optional[float] = None  # set_default_rel_tol's override
+
+
+def env_rel_tol() -> Optional[float]:
+    """GROWTHCALC_TOL as a float, None when unset; BadTolerance unless
+    it is a finite positive number."""
+    raw = os.environ.get("GROWTHCALC_TOL")
+    if raw is None:
+        return None
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise BadTolerance(f"GROWTHCALC_TOL must be a positive number, got {raw!r}")
+    return value
 
 
 def default_rel_tol() -> float:
-    """Library-wide relative tolerance (env var GROWTHCALC_TOL overrides)."""
-    return _DEFAULT_REL_TOL
+    """Library-wide relative tolerance: the set_default_rel_tol value,
+    else GROWTHCALC_TOL (read at the call, not at import), else 1e-9."""
+    if _DEFAULT_REL_TOL is not None:
+        return _DEFAULT_REL_TOL
+    env = env_rel_tol()
+    return 1e-9 if env is None else env
 
 
 def set_default_rel_tol(value: float) -> None:
@@ -273,12 +298,61 @@ def _golden_min(
     return best_x, best_f
 
 
+def _golden_min_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    width: float = GOLDEN_WIDTH,
+    max_iter: int = GOLDEN_MAX_ITER,
+) -> tuple[np.ndarray, np.ndarray]:
+    """_golden_min on many rows in lockstep: row k searches [a_k, b_k]
+    with _golden_min's steps, stop rule and best-point tracking, so it
+    takes the path the scalar search takes on the same values.
+    ``f(rows, xs)`` evaluates row rows[j] at xs[j], once per step for
+    every row still wider than ``width``."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    x1 = b - _INV_PHI * (b - a)
+    x2 = a + _INV_PHI * (b - a)
+    every = np.arange(len(a))
+    f1, f2 = np.split(f(np.concatenate([every, every]), np.concatenate([x1, x2])), 2)
+    first = f1 <= f2
+    best_x, best_f = np.where(first, x1, x2), np.where(first, f1, f2)
+    live = every
+    for _ in range(max_iter):
+        live = live[(b[live] - a[live]) > width]
+        if not live.size:
+            break
+        left = f1[live] <= f2[live]
+        lo, hi = live[left], live[~left]
+        b[lo], x2[lo], f2[lo] = x2[lo], x1[lo], f1[lo]
+        x1[lo] = b[lo] - _INV_PHI * (b[lo] - a[lo])
+        a[hi], x1[hi], f1[hi] = x1[hi], x2[hi], f2[hi]
+        x2[hi] = a[hi] + _INV_PHI * (b[hi] - a[hi])
+        got = f(np.concatenate([lo, hi]), np.concatenate([x1[lo], x2[hi]]))
+        f1[lo], f2[hi] = got[: lo.size], got[lo.size :]
+        for xk, fk in ((x1, f1), (x2, f2)):
+            better = live[fk[live] < best_f[live]]
+            best_x[better], best_f[better] = xk[better], fk[better]
+    return best_x, best_f
+
+
 def _boundary_converged(f_prev: float, f_last: float) -> bool:
     # the march reached the range cap; decide between a finite limit
     # (values flattened out) and genuine escape to -inf
     if math.isinf(f_last):
         return False
     return abs(f_last - f_prev) <= 1e-8 * (1.0 + abs(f_last))
+
+
+def _on_cap(side: str, is_range: bool, x_cap: float, f_before: float, f_cap: float) -> OptResult:
+    """A descent reached a cap: an attainable domain edge holds the
+    minimum, the range cap holds it only once f has flattened out."""
+    if not is_range or _boundary_converged(f_before, f_cap):
+        return OptResult(x_cap, f_cap, side)
+    raise NotBracketable(
+        f"descent still active at range cap x={x_cap:+.6g} "
+        f"(f went {f_before:.6g} -> {f_cap:.6g})"
+    )
 
 
 def bracket_minimum(
@@ -294,7 +368,9 @@ def bracket_minimum(
     one, the clamped point is returned as a boundary OptResult.  Without
     clamps the search is capped at +-RANGE_CAP; hitting the cap returns a
     flagged boundary value when f has flattened out there and raises
-    :class:`NotBracketable` when it is still falling.
+    :class:`NotBracketable` when it is still falling.  A seed on the
+    range cap, or a first step clipped to it, is a descent that reached
+    the cap, so no bracket reaches past the representable range.
     """
     cap_lo = -RANGE_CAP if lo is None else lo
     cap_hi = RANGE_CAP if hi is None else hi
@@ -309,40 +385,35 @@ def bracket_minimum(
     fl = f(xl) if xl < x0 else math.inf
 
     if f0 <= fr and f0 <= fl:
+        # a seed on the range cap has nothing past it to rise
+        if x0 == cap_hi and hi_is_cap:
+            return _on_cap("hi", True, x0, fl, f0)
+        if x0 == cap_lo and lo_is_cap:
+            return _on_cap("lo", True, x0, fr, f0)
         a, b = (xl if xl < x0 else x0 - step), (xr if xr > x0 else x0 + step)
         return Bracket(a, b, fl, fr, x0, f0)
 
     if fr < fl:
         direction, x_prev, f_prev, x_cur, f_cur = 1.0, x0, f0, xr, fr
-        cap, cap_is_range = cap_hi, hi_is_cap
+        cap, cap_is_range, side = cap_hi, hi_is_cap, "hi"
     else:
         direction, x_prev, f_prev, x_cur, f_cur = -1.0, x0, f0, xl, fl
-        cap, cap_is_range = cap_lo, lo_is_cap
+        cap, cap_is_range, side = cap_lo, lo_is_cap, "lo"
+    if x_cur == cap and cap_is_range:
+        # the first step was clipped to the range cap, still descending
+        return _on_cap(side, True, x_cur, f_prev, f_cur)
 
     while True:
         step *= 2.0
         x_next = x_cur + direction * step
-        at_cap = False
-        if direction > 0 and x_next >= cap:
-            x_next, at_cap = cap, True
-        elif direction < 0 and x_next <= cap:
-            x_next, at_cap = cap, True
+        x_next = min(x_next, cap) if direction > 0 else max(x_next, cap)
         f_next = f(x_next) if x_next != x_cur else f_cur
         if f_next >= f_cur:
             a, b = (x_prev, x_next) if direction > 0 else (x_next, x_prev)
             fa, fb = (f_prev, f_next) if direction > 0 else (f_next, f_prev)
             return Bracket(a, b, fa, fb, x_cur, f_cur)
-        if at_cap:
-            side = "hi" if direction > 0 else "lo"
-            if not cap_is_range:
-                # attainable domain edge: the minimum sits on it
-                return OptResult(x_next, f_next, side)
-            if _boundary_converged(f_cur, f_next):
-                return OptResult(x_next, f_next, side)
-            raise NotBracketable(
-                f"descent still active at range cap x={x_next:+.6g} "
-                f"(f went {f_cur:.6g} -> {f_next:.6g})"
-            )
+        if x_next == cap:
+            return _on_cap(side, cap_is_range, x_next, f_cur, f_next)
         x_prev, f_prev, x_cur, f_cur = x_cur, f_cur, x_next, f_next
 
 

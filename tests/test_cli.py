@@ -279,6 +279,24 @@ class TestVerify:
         assert code == 1
         assert report["params"]["tol"] == 1e-20
 
+    def test_bad_env_tolerance_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("GROWTHCALC_TOL", "abc")
+        code, out, err = run(capsys, "verify", "--suite", "a4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: GROWTHCALC_TOL")
+
+    def test_empty_grid_is_not_a_pass(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "a4", "--nmax", "-1")
+        assert code == 1
+
+        def refuse(name):
+            raise ValueError(f"non-RFC JSON constant {name}")
+
+        report = json.loads(out, parse_constant=refuse)
+        assert report["verdict"] == "inconclusive"
+        assert report["max_violation"] is None
+
     def test_nonpositive_tolerance_rejected(self, capsys):
         code, _, err = run(
             capsys, "verify", "--suite", "thm42", "--tol", "-1"

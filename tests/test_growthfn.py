@@ -9,13 +9,19 @@ triple is re-verified by hand at the reported point.
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthcalc.numerics import LOG_ZERO, NoDecayCertificate, PreconditionViolated
+from growthcalc.numerics import (
+    LOG_ZERO,
+    NoDecayCertificate,
+    PreconditionViolated,
+    default_rel_tol,
+)
 from growthcalc.growthfn import (
     GrowthFunction,
     ProbeSpec,
@@ -122,6 +128,85 @@ class TestEvalLog:
             polynomial(0.0)
 
 
+# every constructor that sets the vectorised evaluator, scaled() included
+VECTORISED = [
+    exponential(),
+    ks_family(0.5),
+    ks_family(1.0),
+    ks_family(-0.5),
+    power_exp(3.0),
+    gaussian(),
+    iterated_exp(1),
+    iterated_exp(2),
+    iterated_exp(3),
+    bump_example(),
+    polynomial(5.0),
+    log_square_example(),
+    ks_family(0.5).scaled(c=3.0, a=2.0),
+]
+
+
+def _edges(u):
+    """Points on and next to where each family's phi switches branch or
+    saturates to +inf."""
+    lfm = math.log(sys.float_info.max)
+    marks = [0.0, 50.0, 175.0, 700.0, u.x_max, lfm, math.log(lfm), math.log(math.log(lfm))]
+    marks += [a * 700.0 for a in (0.5, 1.0, 3.0)]  # power-exp's cap at x / a = 700
+    out = []
+    for m in marks:
+        out += [m, np.nextafter(m, -np.inf), np.nextafter(m, np.inf)]
+    return np.array(out)
+
+
+class TestPhiMany:
+    @pytest.mark.parametrize("u", VECTORISED, ids=lambda u: u.name)
+    def test_matches_phi_at(self, u):
+        rng = np.random.default_rng(0)
+        xs = np.concatenate(
+            [np.linspace(-800.0, 800.0, 16001), rng.uniform(-700.0, 700.0, 20000),
+             np.linspace(-5.0, 5.0, 4001), _edges(u)]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = u.phi_many(xs)
+        want = np.array([u.phi_at(x) for x in xs])
+        assert np.array_equal(got == math.inf, want == math.inf)
+        assert not np.isnan(got).any() and not np.isnan(want).any()
+        fin = np.isfinite(want)
+        ulps = np.abs(got[fin] - want[fin]) / np.spacing(np.abs(want[fin]))
+        if u.family == "bump":
+            # phi = e^2x - e^3x + e^4x cancels, so phi_at itself is only
+            # exact to the ulp of its largest term: count in that unit
+            x = xs[fin]
+            big = np.maximum(np.exp(2 * x), np.exp(4 * x))
+            ulps = np.abs(got[fin] - want[fin]) / np.spacing(big)
+        assert ulps.max() <= 2.0
+
+    def test_fallback_is_a_phi_at_loop(self):
+        u = from_phi(lambda x: x * x + 1.0, name="sq")
+        assert u.phi_vec is None
+        xs = np.array([[-2.0, 0.5], [3.0, 7.0]])
+        assert np.array_equal(u.phi_many(xs), [[5.0, 1.25], [10.0, 50.0]])
+        assert from_series([0.0, -1.0, -5.0]).phi_vec is None
+        assert u.scaled(c=2.0).phi_vec is None
+
+    def test_scaled_composes(self):
+        u = exponential().scaled(c=2.0, a=3.0)
+        xs = np.linspace(-10.0, 10.0, 41)
+        want = math.log(2.0) + exponential().phi_many(xs + math.log(3.0))
+        assert np.array_equal(u.phi_many(xs), want)
+
+    def test_log_many_matches_log_at(self):
+        rs = np.array([0.0, 1e-300, 0.3, 1.0, 17.0, 1e300])
+        for u in (exponential(), ks_family(0.5), from_phi(lambda x: 2.0 * x, "lin", log_u0=-1.0)):
+            want = [u.log_at(float(r)) for r in rs]
+            np.testing.assert_allclose(u.log_many(rs), want, rtol=4.5e-16, atol=0.0)
+        with pytest.raises(ValueError):
+            exponential().log_many([1.0, -1.0])
+        with pytest.raises(PreconditionViolated):
+            log_square_example().log_many([0.0, 1.0])
+
+
 class TestClassifier:
     def test_exponential_is_log_convex(self):
         assert classify_convexity(exponential(), "log-convex").passes
@@ -177,6 +262,23 @@ class TestClassifier:
         with pytest.raises(PreconditionViolated):
             classify_convexity(u, "log-exp-convex")
 
+    def test_refused_evaluations_are_skipped(self):
+        # the tail of this series certifies only below r ~ e^2, so the
+        # top of the probe refuses; the verdict rests on the rest
+        u = from_series([0.0, -38.0, -40.0])
+        probe = ProbeSpec(lo=1e-4, hi=10.0, points=64)
+        v = classify_convexity(u, "log-exp-convex", probe=probe)
+        assert v.passes
+        assert v.checked_triples == 249
+
+    def test_mostly_refused_probe_raises(self):
+        # logs [3, -30, 3] under -10 n^2 decay certify only below
+        # r = e^-3, which leaves 84 triples of the probe
+        lc = [v - 10.0 * n * n for n, v in enumerate([3.0, -30.0, 3.0])]
+        probe = ProbeSpec(lo=1e-4, hi=10.0, points=64)
+        with pytest.raises(PreconditionViolated, match="only 84 finite triples"):
+            classify_convexity(from_series(lc), "log-exp-convex", probe=probe)
+
     def test_probe_validation(self):
         with pytest.raises(ValueError):
             ProbeSpec(lo=1.0, hi=0.5)
@@ -217,10 +319,20 @@ class TestImplicationChain:
     )
     @settings(max_examples=20, deadline=None)
     def test_series_backed_always_log_exp_convex(self, logs):
-        # superimpose fast decay so the tail certifies on the whole probe
+        # superimpose fast decay, and cap the probe where the last stored
+        # ratio q = r c_N / c_(N-1), which bounds the unstored tail, still
+        # certifies it at index N: q <= 1/2 and 2 q t_N <= tol t_0, i.e.
+        # r^(N+1) <= (tol / 2) c_0 c_(N-1) / c_N^2, so the tail
+        # certifies on the whole probe
         lc = [v - 10.0 * n * n for n, v in enumerate(logs)]
         u = from_series(lc, name="random-series")
-        probe = ProbeSpec(lo=1e-4, hi=10.0, points=64)
+        n = len(lc) - 1
+        log_hi = min(
+            math.log(10.0),
+            math.log(0.5) + lc[-2] - lc[-1],
+            (math.log(0.5 * default_rel_tol()) + lc[0] + lc[-2] - 2.0 * lc[-1]) / (n + 1),
+        )
+        probe = ProbeSpec(lo=1e-4, hi=math.exp(log_hi), points=64)
         assert classify_convexity(u, "log-exp-convex", probe=probe).passes
 
     def test_series_with_zero_coefficient(self):

@@ -18,6 +18,7 @@ from growthcalc.growthfn import (
     gaussian,
     iterated_exp,
     ks_family,
+    log_square_example,
     make_growth_function,
     power_exp,
 )
@@ -241,6 +242,98 @@ class TestLegendreProfile:
             gc.LegendreProfile.from_function(exponential(), [2.0, 1.0])
         with pytest.raises(ValueError):
             gc.LegendreProfile.from_function(exponential(), [-1.0, 1.0])
+
+
+def _scalar_walk(u, n_max):
+    """The point-by-point integer profile: one warm-started _ell_at per
+    order.  Returns the points and the refusal that ended the walk."""
+    pts = []
+    try:
+        for n in range(n_max + 1):
+            pts.append(legendre._ell_at(u, float(n), legendre._warm_seed(pts)))
+    except (NotBracketable, PreconditionViolated) as exc:
+        return pts, exc
+    return pts, None
+
+
+# fresh instances of every family with a vectorised phi (the profile is
+# cached per instance)
+BLOCK_FAMILIES = [
+    ("exp", exponential),
+    ("ks0.5", lambda: ks_family(0.5)),
+    ("ks1", lambda: ks_family(1.0)),
+    ("ks-0.5", lambda: ks_family(-0.5)),
+    ("power-exp3", lambda: power_exp(3.0)),
+    ("gaussian", gaussian),
+    ("expk2", lambda: iterated_exp(2)),
+    ("expk3", lambda: iterated_exp(3)),
+    ("bump", bump_example),
+    ("scaled", lambda: ks_family(0.5).scaled(c=3.0, a=2.0)),
+]
+
+
+def _assert_same_profile(got, want, rho_rel=1e-6):
+    assert len(got) == len(want)
+    for n, (p, q) in enumerate(zip(got, want)):
+        a, b = p.log_ell.log, q.log_ell.log
+        assert abs(a - b) <= 1e-13 * max(1.0, abs(b)), n
+        assert abs(p.rho - q.rho) <= rho_rel * q.rho, n
+        assert p.boundary == q.boundary, n
+
+
+class TestProfileBlock:
+    """The integer profile built in vectorised blocks against the
+    point-by-point walk it replaces."""
+
+    @pytest.mark.parametrize("make", [m for _, m in BLOCK_FAMILIES],
+                             ids=[k for k, _ in BLOCK_FAMILIES])
+    def test_matches_scalar_walk(self, make):
+        u = make()
+        want, exc = _scalar_walk(make(), 1024)
+        assert exc is None
+        _assert_same_profile(legendre._integer_profile(u, 1024), want)
+
+    @pytest.mark.parametrize("make", [m for _, m in BLOCK_FAMILIES],
+                             ids=[k for k, _ in BLOCK_FAMILIES])
+    def test_every_order_certified(self, make):
+        # the block, not the scalar fallback, built these profiles
+        block = legendre._profile_block(make(), np.arange(1.0, 1025.0))
+        assert all(p is not None for p in block)
+
+    def test_grown_in_blocks_equals_grown_at_once(self):
+        u, v = ks_family(0.5), ks_family(0.5)
+        for n in (0, 1, 2, 9, 64, 65, 300, 1024):
+            legendre._integer_profile(u, n)
+        _assert_same_profile(
+            legendre._integer_profile(u, 1024), legendre._integer_profile(v, 1024)
+        )
+
+    def test_log_square_past_its_range(self):
+        # x^2 - (2 + t) x has its minimizer (2 + t)/2 past the range cap
+        # from t = 1398 on: both paths refuse there, alike
+        u = log_square_example()
+        with pytest.raises(NotBracketable) as got:
+            legendre._integer_profile(u, 2000)
+        want, exc = _scalar_walk(log_square_example(), 2000)
+        assert str(got.value) == str(exc)
+        cached = legendre._PROFILE_CACHE[u]
+        assert len(cached) == len(want) == 1398
+        # the minimum of x^2 - (2 + t) x has curvature 2 while its value
+        # grows as t^2 / 4, so its minimizer is fixed only to about the
+        # square root of the value's ulp
+        for p, q in zip(cached, want):
+            assert abs(p.log_ell.log - q.log_ell.log) <= 1e-13 * max(1.0, abs(q.log_ell.log))
+            x_tol = 4.0 * math.sqrt(np.spacing(abs(q.log_ell.log)))
+            assert abs(math.log(p.rho) - math.log(q.rho)) <= max(1e-6, x_tol)
+            assert p.boundary == q.boundary
+
+    def test_outside_the_class_refused_alike(self):
+        u = make_growth_function("polynomial", {"p": 5.0})
+        with pytest.raises(PreconditionViolated) as got:
+            legendre._integer_profile(u, 100)
+        _, exc = _scalar_walk(make_growth_function("polynomial", {"p": 5.0}), 100)
+        assert str(got.value) == str(exc)
+        assert legendre._PROFILE_CACHE[u] == []
 
 
 class TestInverseTransform:
@@ -742,6 +835,12 @@ class TestVerifySuites:
         assert rep.passed
         case = rep.witness["cases"][0]
         assert case["agree"] and not case["xk_convex"]
+
+    @pytest.mark.parametrize("tag", ["a4", "stirling", "lem-a1"])
+    def test_empty_grid_is_inconclusive(self, tag):
+        rep = gc.verify_suite(tag, {"n_max": -1})
+        assert rep.verdict == "inconclusive" and not rep.passed
+        assert rep.to_json_dict()["max_violation"] is None
 
     def test_sandwich_tight_at_beta_zero(self):
         rep = gc.verify_suite("ks-sandwich", {"beta": 0.0})

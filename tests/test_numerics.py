@@ -6,21 +6,31 @@ kernels under test.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growthcalc import numerics
 from growthcalc.numerics import (
     LOG_ZERO,
+    RANGE_CAP,
+    BadTolerance,
     Bracket,
+    OptResult,
     LogScalar,
     NoDecayCertificate,
     NotBracketable,
     TargetOutOfRange,
+    _golden_min,
+    _golden_min_rows,
     bisect_monotone,
     bracket_minimum,
+    default_rel_tol,
     geometric_grid,
     log_sum_exp_series,
     logaddexp,
@@ -236,6 +246,84 @@ class TestMinimizeConvex1d:
         assert got.lo < got.inner < got.hi
         assert got.f_inner <= min(got.f_lo, got.f_hi)
         assert got.lo <= 9.3 <= got.hi
+
+
+class TestRangeCap:
+    """No bracket reaches past the range cap, whatever the seed."""
+
+    def test_seed_on_the_cap_still_descending_raises(self):
+        with pytest.raises(NotBracketable, match=r"x=\+700"):
+            bracket_minimum(lambda x: -x, seed=RANGE_CAP)
+        with pytest.raises(NotBracketable, match=r"x=-700"):
+            bracket_minimum(lambda x: x, seed=-2.0 * RANGE_CAP)
+
+    def test_first_step_clipped_to_the_cap_still_descending_raises(self):
+        # the minimizer 705 sits past the cap; the old search returned
+        # a bracket ending at the cap and a value at x = 700
+        with pytest.raises(NotBracketable):
+            minimize_convex_1d(lambda x: (x - 705.0) ** 2, seed=699.5)
+
+    def test_flat_at_the_cap_is_a_flagged_limit(self):
+        got = bracket_minimum(lambda x: math.exp(-x), seed=RANGE_CAP - 0.5)
+        assert isinstance(got, OptResult)
+        assert got.boundary == "hi" and got.x == RANGE_CAP
+
+    def test_interior_minimum_next_to_the_cap_still_found(self):
+        res = minimize_convex_1d(lambda x: (x - 698.7) ** 2, seed=699.5)
+        assert res.boundary is None
+        assert abs(res.x - 698.7) <= 1e-6
+
+
+class TestGoldenMinRows:
+    def test_each_row_takes_the_scalar_path(self):
+        # bit-for-bit the scalar search, flat and kinked rows included
+        fs = [
+            lambda x: (x - 0.3) ** 2,
+            lambda x: math.exp(x) - 3.0 * x,
+            lambda x: abs(x - 1.0),
+            lambda x: 5.0,
+            lambda x: math.cosh(x - 0.7) + 0.1 * x * x,
+        ]
+        a = np.array([-1.0, 0.0, -4.0, -1.0, -3.0])
+        b = np.array([1.0, 2.0, 9.0, 1.0, 3.0])
+
+        def f(rows, xs):
+            return np.array([fs[r](x) for r, x in zip(rows, xs)])
+
+        xs, fx = _golden_min_rows(f, a, b)
+        for k, fk in enumerate(fs):
+            assert (xs[k], fx[k]) == _golden_min(fk, a[k], b[k])
+
+    def test_evaluates_only_rows_still_shrinking(self):
+        seen = []
+
+        def f(rows, xs):
+            seen.append(len(rows))
+            return (xs - 0.5) ** 2
+
+        _golden_min_rows(f, np.array([0.0, 0.0]), np.array([1.0, 1e-12]))
+        assert seen[0] == 4 and set(seen[1:]) == {1}
+
+
+class TestToleranceEnv:
+    def test_bad_value_does_not_break_the_import(self):
+        env = dict(os.environ, GROWTHCALC_TOL="abc")
+        done = subprocess.run(
+            [sys.executable, "-c", "import growthcalc"], env=env, capture_output=True
+        )
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-1e-9", "inf", "nan", ""])
+    def test_bad_value_is_a_named_error_at_use(self, raw, monkeypatch):
+        monkeypatch.setenv("GROWTHCALC_TOL", raw)
+        with pytest.raises(BadTolerance, match="GROWTHCALC_TOL"):
+            default_rel_tol()
+
+    def test_good_value_and_override(self, monkeypatch):
+        monkeypatch.setenv("GROWTHCALC_TOL", "1e-6")
+        assert default_rel_tol() == 1e-6
+        monkeypatch.setattr(numerics, "_DEFAULT_REL_TOL", 1e-4)
+        assert default_rel_tol() == 1e-4
 
 
 class TestMaximizeConcave1d:
