@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -245,22 +246,6 @@ def _cmd_seq_equiv(args) -> _Result:
     return _Result(report, 1)
 
 
-def _cmd_fn_eval(args) -> _Result:
-    u = _build_function(args)
-    r = args.r
-    if r < 0:
-        raise _UsageError("--r must be nonnegative")
-    log_u = u.log_at(r)
-    report = {
-        "name": u.name,
-        "family": u.family,
-        "r": r,
-        "log_u": log_u,
-        "u": math.exp(log_u) if log_u < _EXP_CAP else None,
-    }
-    return _Result(report, 0, [{"x": r, "lhs": log_u, "rhs": "", "slack": ""}])
-
-
 def _cmd_fn_classify(args) -> _Result:
     u = _build_function(args)
     if args.kind is not None:
@@ -307,67 +292,74 @@ def _cmd_fn_classify(args) -> _Result:
     return _Result(report, 0)
 
 
-def _cmd_ell(args) -> _Result:
-    u = _build_function(args)
-    if args.t < 0:
-        raise _UsageError("--t must be nonnegative")
-    point = ell(u, args.t)
+def _exp_or_none(log_v: float) -> Optional[float]:
+    return math.exp(log_v) if log_v < _EXP_CAP else None
+
+
+def _log_r(r: float) -> float:
+    return math.log(r) if r > 0 else LOG_ZERO
+
+
+def _at_fn_eval(u, r, args):
+    log_u = u.log_at(r)
+    report = {"name": u.name, "family": u.family, "r": r, "log_u": log_u,
+              "u": _exp_or_none(log_u)}
+    return report, log_u, "", ""
+
+
+def _at_ell(u, t, args):
+    point = ell(u, t)
     report = {"log_ell": point.log_ell.log, "rho": point.rho}
     if point.boundary is not None:
         report["boundary"] = point.boundary
-    rows = [{"x": args.t, "lhs": report["log_ell"], "rhs": "", "slack": ""}]
-    return _Result(report, 0, rows)
+    return report, point.log_ell.log, "", ""
 
 
-def _cmd_dual(args) -> _Result:
+def _at_dual(u, r, args):
+    log_dual = dual(u, r).log
+    return {"r": r, "log_dual": log_dual, "dual": _exp_or_none(log_dual)}, log_dual, "", ""
+
+
+def _at_lfn(u, r, args):
+    log_l = l_function(u, _log_r(r), rel_tol=args.rel_tol).log
+    return {"r": r, "log_l": log_l}, log_l, "", ""
+
+
+def _at_lsharp(u, r, args):
+    log_lsharp = l_sharp(u, _log_r(r), rel_tol=args.rel_tol).log
+    return {"r": r, "log_lsharp": log_lsharp}, log_lsharp, "", ""
+
+
+def _at_theta(u, r, args):
+    log_theta = inverse_legendre(ell_profile(u), r).log
+    log_u = u.log_at(r)
+    report = {"r": r, "log_theta": log_theta, "log_u": log_u,
+              "residual": log_theta - log_u}
+    return report, log_theta, log_u, -abs(log_theta - log_u)
+
+
+# one-point commands: (group, name, help, argument, takes --rel-tol,
+# evaluation returning the report and the CSV row's lhs, rhs, slack)
+_ONE_POINT = (
+    ("fn", "eval", "evaluate u(r) in log scale", "r", False, _at_fn_eval),
+    (None, "ell", "Legendre transform ell_u(t) = inf_r u(r)/r^t with its minimizer"
+     " rho(t)", "t", False, _at_ell),
+    (None, "dual", "dual function u*(r) = sup_s exp(2 sqrt(rs))/u(s)", "r", False,
+     _at_dual),
+    (None, "lfn", "L-function L_u(r) = sum_n ell_u(n) r^n", "r", True, _at_lfn),
+    (None, "lsharp", "L#-function: sum_n r^n/(ell_u(n) (n!)^2)", "r", True, _at_lsharp),
+    (None, "theta", "inverse transform theta at the transform of u: sup_t ell_u(t) r^t,"
+     " which recovers u(r)", "r", False, _at_theta),
+)
+
+
+def _cmd_one_point(point: str, evaluate, args) -> _Result:
     u = _build_function(args)
-    if args.r < 0:
-        raise _UsageError("--r must be nonnegative")
-    value = dual(u, args.r)
-    report = {
-        "r": args.r,
-        "log_dual": value.log,
-        "dual": math.exp(value.log) if value.log < _EXP_CAP else None,
-    }
-    return _Result(report, 0, [{"x": args.r, "lhs": value.log, "rhs": "", "slack": ""}])
-
-
-def _cmd_lfn(args) -> _Result:
-    u = _build_function(args)
-    if args.r < 0:
-        raise _UsageError("--r must be nonnegative")
-    log_r = math.log(args.r) if args.r > 0 else LOG_ZERO
-    value = l_function(u, log_r, rel_tol=args.rel_tol)
-    report = {"r": args.r, "log_l": value.log}
-    return _Result(report, 0, [{"x": args.r, "lhs": value.log, "rhs": "", "slack": ""}])
-
-
-def _cmd_lsharp(args) -> _Result:
-    u = _build_function(args)
-    if args.r < 0:
-        raise _UsageError("--r must be nonnegative")
-    log_r = math.log(args.r) if args.r > 0 else LOG_ZERO
-    value = l_sharp(u, log_r, rel_tol=args.rel_tol)
-    report = {"r": args.r, "log_lsharp": value.log}
-    return _Result(report, 0, [{"x": args.r, "lhs": value.log, "rhs": "", "slack": ""}])
-
-
-def _cmd_theta(args) -> _Result:
-    u = _build_function(args)
-    if args.r < 0:
-        raise _UsageError("--r must be nonnegative")
-    profile = ell_profile(u)
-    log_theta = inverse_legendre(profile, args.r).log
-    log_u = u.log_at(args.r)
-    report = {
-        "r": args.r,
-        "log_theta": log_theta,
-        "log_u": log_u,
-        "residual": log_theta - log_u,
-    }
-    rows = [{"x": args.r, "lhs": log_theta, "rhs": log_u,
-             "slack": -abs(log_theta - log_u)}]
-    return _Result(report, 0, rows)
+    x = getattr(args, point)
+    if x < 0:
+        raise _UsageError(f"--{point} must be nonnegative")
+    report, lhs, rhs, slack = evaluate(u, x, args)
+    return _Result(report, 0, [{"x": x, "lhs": lhs, "rhs": rhs, "slack": slack}])
 
 
 def _cmd_equiv(args) -> _Result:
@@ -499,9 +491,25 @@ def _cmd_holo_check(args) -> _Result:
 # rendering, caching, dispatch
 
 
+def _finite(obj):
+    """obj with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def _dumps(obj) -> str:
+    """Strict RFC 8259 JSON, sorted keys: non-finite floats become null."""
+    return json.dumps(_finite(obj), sort_keys=True, allow_nan=False)
+
+
 def _render(result: _Result, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(result.report, sort_keys=True) + "\n"
+        return _dumps(result.report) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -511,14 +519,13 @@ def _render(result: _Result, fmt: str) -> str:
                 writer.writerow([row["x"], row["lhs"], row["rhs"], row["slack"]])
         else:
             for key in sorted(result.report):
-                writer.writerow([key, json.dumps(result.report[key],
-                                                 sort_keys=True), "", ""])
+                writer.writerow([key, _dumps(result.report[key]), "", ""])
         return buf.getvalue()
     lines = []
     for key in sorted(result.report):
         val = result.report[key]
         if isinstance(val, (dict, list)):
-            val = json.dumps(val, sort_keys=True)
+            val = _dumps(val)
         lines.append(f"{key}: {val}")
     return "\n".join(lines) + "\n"
 
@@ -615,11 +622,14 @@ def build_parser() -> argparse.ArgumentParser:
     fn = _sub(sub, "fn", "growth functions u(r)")
     fn_sub = fn.add_subparsers(dest="subcommand", required=True)
 
-    p = _sub(fn_sub, "eval", "evaluate u(r) in log scale")
-    _add_function_flags(p)
-    p.add_argument("--r", type=float, required=True)
-    _common(p)
-    p.set_defaults(func=_cmd_fn_eval)
+    for group, name, text, point, rel_tol, evaluate in _ONE_POINT:
+        p = _sub(fn_sub if group == "fn" else sub, name, text)
+        _add_function_flags(p)
+        p.add_argument(f"--{point}", type=float, required=True)
+        if rel_tol:
+            p.add_argument("--rel-tol", type=float, help="series tail tolerance")
+        _common(p)
+        p.set_defaults(func=functools.partial(_cmd_one_point, point, evaluate))
 
     p = _sub(
         fn_sub, "classify",
@@ -638,46 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=float, default=1.0, help="j for c-plus-j")
     _common(p)
     p.set_defaults(func=_cmd_fn_classify)
-
-    p = _sub(
-        sub, "ell",
-        "Legendre transform ell_u(t) = inf_r u(r)/r^t with its minimizer"
-        " rho(t)",
-    )
-    _add_function_flags(p)
-    p.add_argument("--t", type=float, required=True)
-    _common(p)
-    p.set_defaults(func=_cmd_ell)
-
-    p = _sub(sub, "dual", "dual function u*(r) = sup_s exp(2 sqrt(rs))/u(s)")
-    _add_function_flags(p)
-    p.add_argument("--r", type=float, required=True)
-    _common(p)
-    p.set_defaults(func=_cmd_dual)
-
-    p = _sub(sub, "lfn", "L-function L_u(r) = sum_n ell_u(n) r^n")
-    _add_function_flags(p)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--rel-tol", type=float, help="series tail tolerance")
-    _common(p)
-    p.set_defaults(func=_cmd_lfn)
-
-    p = _sub(sub, "lsharp", "L#-function: sum_n r^n/(ell_u(n) (n!)^2)")
-    _add_function_flags(p)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--rel-tol", type=float, help="series tail tolerance")
-    _common(p)
-    p.set_defaults(func=_cmd_lsharp)
-
-    p = _sub(
-        sub, "theta",
-        "inverse transform theta at the transform of u: sup_t ell_u(t) r^t,"
-        " which recovers u(r)",
-    )
-    _add_function_flags(p)
-    p.add_argument("--r", type=float, required=True)
-    _common(p)
-    p.set_defaults(func=_cmd_theta)
 
     p = _sub(
         sub, "equiv",
@@ -752,7 +722,7 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     except _KERNEL_ERRORS as exc:
         report = {"error": type(exc).__name__, "detail": str(exc)}
-        print(json.dumps(report, sort_keys=True))
+        print(_dumps(report))
         return 1
     sys.stdout.write(output)
     return code

@@ -47,7 +47,6 @@ __all__ = [
     "bump_example",
     "check_increasing",
     "classify_convexity",
-    "eval_log",
     "exponential",
     "from_phi",
     "from_series",
@@ -172,11 +171,6 @@ class GrowthFunction:
             log_u0=None if self.log_u0 is None else log_c + self.log_u0,
             x_max=self.x_max - log_a,
         )
-
-
-def eval_log(u: GrowthFunction, x: float) -> float:
-    """phi(x) = log u(e^x) for the given growth function."""
-    return u.phi_at(x)
 
 
 # --------------------------------------------------------------------------

@@ -305,13 +305,9 @@ class LegendreProfile:
         ts = [float(t) for t in t_grid]
         if any(t < 0 for t in ts) or any(b < a for a, b in zip(ts, ts[1:])):
             raise ValueError("t grid must be nondecreasing and nonnegative")
-        pts = []
-        seed = 0.0
+        pts: list[LegendrePoint] = []
         for t in ts:
-            p = _ell_at(u, t, seed)
-            if p.rho > 0.0 and math.isfinite(p.rho):
-                seed = math.log(p.rho)
-            pts.append(p)
+            pts.append(_ell_at(u, t, _warm_seed(pts)))
         return cls(
             tuple(ts),
             tuple(p.log_ell.log for p in pts),
@@ -333,18 +329,6 @@ class LegendreProfile:
             scale = max(1.0, abs(f0), abs(f1), abs(f2))
             worst = max(worst, (chord - f1) / scale)
         return worst
-
-    def root_decay_values(self) -> list[tuple[float, float]]:
-        """(t, log ell / t) pairs over the positive part of the grid."""
-        return [
-            (t, v / t) for t, v in zip(self.t_grid, self.log_ell) if t > 0.0
-        ]
-
-    def root_decay_decreasing(self) -> bool:
-        """Whether (1/t) log ell is nonincreasing over the tail half."""
-        roots = [v for _, v in self.root_decay_values()]
-        tail = roots[len(roots) // 2 :]
-        return all(b <= a + 1e-9 for a, b in zip(tail, tail[1:]))
 
 
 # --------------------------------------------------------------------------
@@ -406,16 +390,22 @@ def admissibility_report(
     }
 
 
+def _detect_n0(logs: Sequence[float]) -> int:
+    """Smallest integer from which the stored transform values only
+    fall (the last index where they still rise); recorded in reports
+    because no a-priori bound exists for it."""
+    n0 = 0
+    for i in range(1, len(logs)):
+        if logs[i] > logs[i - 1] + 1e-12:
+            n0 = i
+    return n0
+
+
 def ell_profile(u: GrowthFunction, name: Optional[str] = None) -> LogConcaveProfile:
     """The transform of u as an inverse-transform input, with t0
     detected from the integer profile (the last index where the values
     still rise)."""
-    pts = _integer_profile(u, 60)
-    logs = [p.log_ell.log for p in pts]
-    t0 = 0
-    for i in range(1, len(logs)):
-        if logs[i] > logs[i - 1] + 1e-12:
-            t0 = i
+    t0 = _detect_n0([p.log_ell.log for p in _integer_profile(u, 60)])
     return LogConcaveProfile(
         log_f=lambda t: ell(u, t).log_ell.log,
         t0=float(t0),
@@ -573,6 +563,30 @@ def l_sharp(u: GrowthFunction, log_r: float, rel_tol: Optional[float] = None) ->
     return LogScalar(float(_series_logs(u, [float(log_r)], "sharp", rel_tol)[0]))
 
 
+_SERIES_NAMES = {"l": ("L", "l-function"), "sharp": ("Lsharp", "l-sharp")}
+
+
+def _series_growth_function(
+    u: GrowthFunction, tag: str, rel_tol: Optional[float], name: Optional[str], terms_cap: int
+) -> GrowthFunction:
+    """L_u ("l") or L#_u ("sharp") as a growth function; log u(0) is the
+    head coefficient."""
+    prefix, family = _SERIES_NAMES[tag]
+
+    def phi(x: float) -> float:
+        return float(_series_logs(u, [x], tag, rel_tol, cap=terms_cap)[0])
+
+    return from_phi(
+        phi,
+        name=name or f"{prefix}[{u.name}]",
+        family=family,
+        params={"base": u.name},
+        log_u0=float(_series_logs(u, [LOG_ZERO], tag)[0]),
+        increasing=True,
+        log_exp_convex=True,
+    )
+
+
 def l_growth_function(
     u: GrowthFunction,
     rel_tol: Optional[float] = None,
@@ -584,20 +598,7 @@ def l_growth_function(
     Evaluation certifies its own tail, so arguments far past the stored
     horizon raise NoDecayCertificate instead of returning a truncation.
     """
-    p0 = ell(u, 0.0)
-
-    def phi(x: float) -> float:
-        return float(_series_logs(u, [x], "l", rel_tol, cap=terms_cap)[0])
-
-    return from_phi(
-        phi,
-        name=name or f"L[{u.name}]",
-        family="l-function",
-        params={"base": u.name},
-        log_u0=p0.log_ell.log,
-        increasing=True,
-        log_exp_convex=True,
-    )
+    return _series_growth_function(u, "l", rel_tol, name, terms_cap)
 
 
 def l_sharp_growth_function(
@@ -607,20 +608,7 @@ def l_sharp_growth_function(
     terms_cap: int = 512,
 ) -> GrowthFunction:
     """The sharp series of u wrapped as a growth function."""
-    p0 = ell(u, 0.0)
-
-    def phi(x: float) -> float:
-        return float(_series_logs(u, [x], "sharp", rel_tol, cap=terms_cap)[0])
-
-    return from_phi(
-        phi,
-        name=name or f"Lsharp[{u.name}]",
-        family="l-sharp",
-        params={"base": u.name},
-        log_u0=-p0.log_ell.log,
-        increasing=True,
-        log_exp_convex=True,
-    )
+    return _series_growth_function(u, "sharp", rel_tol, name, terms_cap)
 
 
 # --------------------------------------------------------------------------
@@ -913,6 +901,28 @@ def _report(suite, params, grid, max_violation, witness, tol, rows=()) -> SuiteR
     )
 
 
+class _Rows:
+    """The rows of a suite with its worst violation: every row is
+    {x, lhs, rhs, slack} with slack = -v, and the first row with the
+    largest v names the witness."""
+
+    def __init__(self):
+        self.worst, self.witness, self.rows = -math.inf, {}, []
+
+    def add(self, x, lhs: float, rhs: float, v: float, /, **witness) -> None:
+        self.rows.append({"x": x, "lhs": lhs, "rhs": rhs, "slack": -v})
+        if v > self.worst:
+            self.worst, self.witness = v, witness
+
+    def ineq(self, x, lhs: float, rhs: float, /, **witness) -> None:
+        """The row lhs <= rhs; its witness also records the slack."""
+        v = lhs - rhs
+        self.add(x, lhs, rhs, v, **witness, slack=-v)
+
+    def report(self, suite: str, params: dict, grid: dict, tol: float) -> SuiteReport:
+        return _report(suite, params, grid, self.worst, self.witness, tol, self.rows)
+
+
 def _suite_u(params: Mapping, default_family: str, default_params: Mapping) -> GrowthFunction:
     family = params.get("family", default_family)
     kw = dict(default_params) if family == default_family else {}
@@ -931,40 +941,24 @@ def _xlogx(n: float) -> float:
 def _suite_a4(params: dict) -> SuiteReport:
     n_max = int(params.get("n_max", 50))
     tol = float(params.get("tol", _TOL_INEQ))
-    worst, wit, rows = -math.inf, {}, []
+    acc = _Rows()
     for n in range(n_max + 1):
         for m in range(n_max + 1):
-            lhs = _xlogx(n + m)
             rhs = _xlogx(n) + _xlogx(m) + (n + m) * LOG2
-            v = lhs - rhs
-            rows.append({"x": f"{n}:{m}", "lhs": lhs, "rhs": rhs, "slack": -v})
-            if v > worst:
-                worst, wit = v, {"n": n, "m": m, "slack": -v}
-    return _report(
-        "a4", {"n_max": n_max, "tol": tol}, {"n_max": n_max}, worst, wit, tol, rows
-    )
+            acc.ineq(f"{n}:{m}", _xlogx(n + m), rhs, n=n, m=m)
+    return acc.report("a4", {"n_max": n_max, "tol": tol}, {"n_max": n_max}, tol)
 
 
 def _suite_stirling(params: dict) -> SuiteReport:
     n_max = int(params.get("n_max", 100))
     tol = float(params.get("tol", _TOL_INEQ))
-    worst, wit, rows = -math.inf, {}, []
+    acc = _Rows()
     for n in range(n_max + 1):
         mid = n - _xlogx(n)  # log (e/n)^n with 0^0 = 1
         lg = math.lgamma(n + 1.0)
-        sides = (
-            ("lower", -lg, mid),
-            ("upper", mid, 1.0 + 0.5 * n * LOG2 - lg),
-        )
-        for side, lhs, rhs in sides:
-            v = lhs - rhs
-            rows.append({"x": f"{n}/{side}", "lhs": lhs, "rhs": rhs, "slack": -v})
-            if v > worst:
-                worst, wit = v, {"n": n, "side": side, "slack": -v}
-    return _report(
-        "stirling", {"n_max": n_max, "tol": tol}, {"n_max": n_max}, worst, wit, tol,
-        rows,
-    )
+        acc.ineq(f"{n}/lower", -lg, mid, n=n, side="lower")
+        acc.ineq(f"{n}/upper", mid, 1.0 + 0.5 * n * LOG2 - lg, n=n, side="upper")
+    return acc.report("stirling", {"n_max": n_max, "tol": tol}, {"n_max": n_max}, tol)
 
 
 def _suite_lem_a1(params: dict) -> SuiteReport:
@@ -973,29 +967,20 @@ def _suite_lem_a1(params: dict) -> SuiteReport:
     n_max = int(params.get("n_max", 25))
     tol = float(params.get("tol", _TOL_INEQ))
     logs = [p.log_ell.log for p in _integer_profile(u, 2 * n_max)]
-    worst, wit, rows = -math.inf, {}, []
+    acc = _Rows()
     for n in range(n_max + 1):
         for m in range(n_max + 1):
-            sides = (
-                ("doubling-upper", logs[n] + logs[m],
-                 logs[0] + k * (n + m) * LOG2 + logs[n + m]),
-                ("superadditive", logs[0] + logs[n + m], logs[n] + logs[m]),
-            )
-            for side, lhs, rhs in sides:
-                v = lhs - rhs
-                rows.append(
-                    {"x": f"{n}:{m}/{side}", "lhs": lhs, "rhs": rhs, "slack": -v}
-                )
-                if v > worst:
-                    worst, wit = v, {"n": n, "m": m, "side": side, "slack": -v}
-    return _report(
+            nm = logs[n] + logs[m]
+            acc.ineq(f"{n}:{m}/doubling-upper", nm,
+                     logs[0] + k * (n + m) * LOG2 + logs[n + m],
+                     n=n, m=m, side="doubling-upper")
+            acc.ineq(f"{n}:{m}/superadditive", logs[0] + logs[n + m], nm,
+                     n=n, m=m, side="superadditive")
+    return acc.report(
         "lem-a1",
         {"family": u.family, "name": u.name, "k": k, "n_max": n_max, "tol": tol},
         {"n_max": n_max},
-        worst,
-        wit,
         tol,
-        rows,
     )
 
 
@@ -1013,23 +998,14 @@ def _suite_lem_a2(params: dict) -> SuiteReport:
     grid, gdesc = _geom_grid_params(params, 1e-3, 100.0, 21)
     logs = [p.log_ell.log for p in _integer_profile(u, 1)]
     shift = k * LOG2
-    worst, wit, rows = -math.inf, {}, []
+    acc = _Rows()
     for r in grid:
         log_r = math.log(r)
         lhs = log_r + l_function(u, log_r).log
         rhs = logs[0] - logs[1] + l_function(u, log_r + shift).log
-        v = lhs - rhs
-        rows.append({"x": r, "lhs": lhs, "rhs": rhs, "slack": -v})
-        if v > worst:
-            worst, wit = v, {"r": r, "slack": -v}
-    return _report(
-        "lem-a2",
-        {"family": u.family, "name": u.name, "k": k, "tol": tol},
-        gdesc,
-        worst,
-        wit,
-        tol,
-        rows,
+        acc.ineq(r, lhs, rhs, r=r)
+    return acc.report(
+        "lem-a2", {"family": u.family, "name": u.name, "k": k, "tol": tol}, gdesc, tol
     )
 
 
@@ -1038,35 +1014,18 @@ def _suite_thm31_upper(params: dict) -> SuiteReport:
     tol = float(params.get("tol", _TOL_INEQ))
     a_list = [float(params["a"])] if "a" in params else [2.0, math.e, 4.0]
     grid, gdesc = _geom_grid_params(params, 1e-3, 50.0, 25)
-    worst, wit, rows = -math.inf, {}, []
+    acc = _Rows()
     for a in a_list:
         const = math.log(math.e * a / math.log(a))
         for r in [0.0] + grid:
             lhs = l_function(u, LOG_ZERO if r == 0.0 else math.log(r)).log
-            rhs = const + u.log_at(a * r)
-            v = lhs - rhs
-            rows.append({"x": f"{r}/a={a}", "lhs": lhs, "rhs": rhs, "slack": -v})
-            if v > worst:
-                worst, wit = v, {"r": r, "a": a, "slack": -v}
-    return _report(
+            acc.ineq(f"{r}/a={a}", lhs, const + u.log_at(a * r), r=r, a=a)
+    return acc.report(
         "thm31-upper",
         {"family": u.family, "name": u.name, "a": a_list, "tol": tol},
         gdesc,
-        worst,
-        wit,
         tol,
-        rows,
     )
-
-
-def _detect_n0(logs: Sequence[float]) -> int:
-    """Smallest integer from which the stored transform values only
-    fall; recorded in reports because no a-priori bound exists for it."""
-    n0 = 0
-    for i in range(1, len(logs)):
-        if logs[i] > logs[i - 1] + 1e-12:
-            n0 = i
-    return n0
 
 
 def _suite_thm31_lower(params: dict) -> SuiteReport:
@@ -1079,24 +1038,13 @@ def _suite_thm31_lower(params: dict) -> SuiteReport:
     log_u1 = u.log_at(1.0)
     log_c = max(log_u1 - logs[0], logs[0] - logs[1], log_u1 - logs[n0 + 1])
     shift = k * LOG2
-    worst, wit, rows = -math.inf, {}, []
+    acc = _Rows()
     for r in [0.0] + grid:
-        log_arg = shift if r == 0.0 else math.log(r) + shift
-        lhs = u.log_at(r)
-        rhs = log_c + l_function(u, LOG_ZERO if r == 0.0 else log_arg).log
-        v = lhs - rhs
-        rows.append({"x": r, "lhs": lhs, "rhs": rhs, "slack": -v})
-        if v > worst:
-            worst, wit = v, {"r": r, "slack": -v}
-    wit.update({"n0": n0, "C": math.exp(log_c)})
-    return _report(
-        "thm31-lower",
-        {"family": u.family, "name": u.name, "k": k, "tol": tol},
-        gdesc,
-        worst,
-        wit,
-        tol,
-        rows,
+        log_arg = LOG_ZERO if r == 0.0 else math.log(r) + shift
+        acc.ineq(r, u.log_at(r), log_c + l_function(u, log_arg).log, r=r)
+    acc.witness.update({"n0": n0, "C": math.exp(log_c)})
+    return acc.report(
+        "thm31-lower", {"family": u.family, "name": u.name, "k": k, "tol": tol}, gdesc, tol
     )
 
 
@@ -1107,23 +1055,17 @@ def _suite_thm42(params: dict) -> SuiteReport:
     t_max = int(params.get("t_max", 30))
     tol = float(params.get("tol", _TOL_IDENTITY))
     us = dual_function(u)
-    worst, wit, rows = -math.inf, {}, []
+    acc = _Rows()
     ts = list(range(t_max + 1))
     for t in ts:
         lhs = ell(us, float(t)).log_ell.log
         rhs = 2.0 * t - ell(u, float(t)).log_ell.log - 2.0 * _xlogx(float(t))
-        v = abs(lhs - rhs)
-        rows.append({"x": t, "lhs": lhs, "rhs": rhs, "slack": -v})
-        if v > worst:
-            worst, wit = v, {"t": t, "lhs": lhs, "rhs": rhs}
-    return _report(
+        acc.add(t, lhs, rhs, abs(lhs - rhs), t=t, lhs=lhs, rhs=rhs)
+    return acc.report(
         "thm42",
         {"family": u.family, "name": u.name, "t_max": t_max, "tol": tol},
         {"t": ts},
-        worst,
-        wit,
         tol,
-        rows,
     )
 
 
@@ -1161,21 +1103,13 @@ def _suite_involution(params: dict) -> SuiteReport:
     tol = float(params.get("tol", 1e-6))
     grid, gdesc = _geom_grid_params(params, 1.0, 1e4, 40)
     uss = dual_function(dual_function(u))
-    worst, wit, rows = -math.inf, {}, []
+    acc = _Rows()
     for r in grid:
         lhs, rhs = uss.log_at(r), u.log_at(r)
         v = abs(lhs - rhs)
-        rows.append({"x": r, "lhs": lhs, "rhs": rhs, "slack": -v})
-        if v > worst:
-            worst, wit = v, {"r": r, "deviation": v}
-    return _report(
-        "involution",
-        {"family": u.family, "name": u.name, "tol": tol},
-        gdesc,
-        worst,
-        wit,
-        tol,
-        rows,
+        acc.add(r, lhs, rhs, v, r=r, deviation=v)
+    return acc.report(
+        "involution", {"family": u.family, "name": u.name, "tol": tol}, gdesc, tol
     )
 
 
@@ -1198,7 +1132,7 @@ def _suite_ks_sandwich(params: dict) -> SuiteReport:
         raise ValueError("the sandwich needs 0 <= beta < 1")
     tol = float(params.get("tol", _TOL_INEQ))
     grid, gdesc = _geom_grid_params(params, 1e-2, 50.0, 33)
-    worst, wit, rows = -math.inf, {}, []
+    acc = _Rows()
     for r in grid:
         log_r = math.log(r)
         g_minus = _log_power_factorial_sum(1.0 - beta, log_r)
@@ -1220,13 +1154,8 @@ def _suite_ks_sandwich(params: dict) -> SuiteReport:
             ("plus-upper", g_plus, (1.0 + beta) * pw_plus),
         )
         for side, lhs, rhs in checks:
-            v = lhs - rhs
-            rows.append({"x": f"{r}/{side}", "lhs": lhs, "rhs": rhs, "slack": -v})
-            if v > worst:
-                worst, wit = v, {"r": r, "side": side, "slack": -v}
-    return _report(
-        "ks-sandwich", {"beta": beta, "tol": tol}, gdesc, worst, wit, tol, rows
-    )
+            acc.ineq(f"{r}/{side}", lhs, rhs, r=r, side=side)
+    return acc.report("ks-sandwich", {"beta": beta, "tol": tol}, gdesc, tol)
 
 
 def _suite_lem35(params: dict) -> SuiteReport:

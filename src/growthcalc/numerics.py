@@ -50,10 +50,6 @@ class NotBracketable(GrowthCalcError):
     """A 1-D search escaped the representable range without converging."""
 
 
-class TargetOutOfRange(GrowthCalcError):
-    """bisect_monotone could not bracket the requested target value."""
-
-
 class PreconditionViolated(GrowthCalcError):
     """A documented caller-side precondition failed a cheap runtime check."""
 
@@ -118,65 +114,15 @@ class LogScalar:
     """A nonnegative magnitude stored as its natural log.
 
     Ordering compares the stored logs, which is exactly the ordering of
-    the magnitudes.  ``+`` adds magnitudes (log-sum-exp), ``*`` and ``/``
-    multiply and divide them, ``**`` raises to a real power.
+    the magnitudes.
     """
 
     log: float
-
-    @classmethod
-    def from_value(cls, value: float) -> "LogScalar":
-        if value < 0.0:
-            raise ValueError("LogScalar encodes nonnegative magnitudes")
-        return cls(math.log(value)) if value > 0.0 else cls(LOG_ZERO)
-
-    @classmethod
-    def from_log(cls, log: float) -> "LogScalar":
-        return cls(float(log))
-
-    @classmethod
-    def zero(cls) -> "LogScalar":
-        return cls(LOG_ZERO)
-
-    @classmethod
-    def one(cls) -> "LogScalar":
-        return cls(0.0)
 
     @property
     def value(self) -> float:
         """The magnitude itself; overflows to inf past IEEE range."""
         return safe_exp(self.log)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log == LOG_ZERO
-
-    def __add__(self, other: "LogScalar") -> "LogScalar":
-        return LogScalar(logaddexp(self.log, other.log))
-
-    def __mul__(self, other: "LogScalar") -> "LogScalar":
-        if self.is_zero or other.is_zero:
-            return LogScalar(LOG_ZERO)
-        return LogScalar(self.log + other.log)
-
-    def __truediv__(self, other: "LogScalar") -> "LogScalar":
-        if other.is_zero:
-            raise ZeroDivisionError("division by LogScalar zero")
-        if self.is_zero:
-            return LogScalar(LOG_ZERO)
-        return LogScalar(self.log - other.log)
-
-    def __pow__(self, k: float) -> "LogScalar":
-        if self.is_zero:
-            if k == 0.0:
-                return LogScalar(0.0)  # 0**0 == 1 convention
-            if k < 0.0:
-                raise ZeroDivisionError("negative power of zero")
-            return LogScalar(LOG_ZERO)
-        return LogScalar(k * self.log)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LogScalar(log={self.log!r})"
 
 
 LogLike = Union[float, LogScalar]
@@ -247,8 +193,9 @@ def log_sum_exp_series(
 class Bracket(NamedTuple):
     """An interval certified to contain a minimizer.
 
-    ``inner`` is an interior point with f(inner) <= min(f_lo, f_hi),
-    which is what certifies the bracket.
+    ``inner`` is a point of [lo, hi] with f(inner) <= min(f_lo, f_hi),
+    which is what certifies the bracket; it is an end only when the
+    seed sat on an attainable clamp.
     """
 
     lo: float
@@ -370,7 +317,8 @@ def bracket_minimum(
     flagged boundary value when f has flattened out there and raises
     :class:`NotBracketable` when it is still falling.  A seed on the
     range cap, or a first step clipped to it, is a descent that reached
-    the cap, so no bracket reaches past the representable range.
+    the cap, so no bracket reaches past the representable range; a seed
+    on a clamp gets a bracket that ends at the clamp.
     """
     cap_lo = -RANGE_CAP if lo is None else lo
     cap_hi = RANGE_CAP if hi is None else hi
@@ -390,8 +338,7 @@ def bracket_minimum(
             return _on_cap("hi", True, x0, fl, f0)
         if x0 == cap_lo and lo_is_cap:
             return _on_cap("lo", True, x0, fr, f0)
-        a, b = (xl if xl < x0 else x0 - step), (xr if xr > x0 else x0 + step)
-        return Bracket(a, b, fl, fr, x0, f0)
+        return Bracket(xl, xr, fl, fr, x0, f0)
 
     if fr < fl:
         direction, x_prev, f_prev, x_cur, f_cur = 1.0, x0, f0, xr, fr
@@ -420,7 +367,6 @@ def bracket_minimum(
 def minimize_convex_1d(
     f: Callable[[float], float],
     seed: float,
-    rel_tol: Optional[float] = None,
     lo: Optional[float] = None,
     hi: Optional[float] = None,
     step: float = 1.0,
@@ -431,7 +377,6 @@ def minimize_convex_1d(
     section, or a flagged boundary result when the infimum is attained
     at a domain clamp or approached at the numeric range cap.
     """
-    del rel_tol  # golden section runs to fixed absolute width
     got = bracket_minimum(f, seed, lo=lo, hi=hi, step=step)
     if isinstance(got, OptResult):
         return got
@@ -444,7 +389,6 @@ def minimize_convex_1d(
 def maximize_concave_1d(
     f: Callable[[float], float],
     seed: float,
-    rel_tol: Optional[float] = None,
     lo: Optional[float] = None,
     hi: Optional[float] = None,
     step: float = 1.0,
@@ -453,53 +397,8 @@ def maximize_concave_1d(
 
     Supports a domain clamp such as lo=0.0 for searches over t >= 0.
     """
-    res = minimize_convex_1d(lambda x: -f(x), seed, rel_tol, lo=lo, hi=hi, step=step)
+    res = minimize_convex_1d(lambda x: -f(x), seed, lo=lo, hi=hi, step=step)
     return OptResult(res.x, -res.fx, res.boundary)
-
-
-def bisect_monotone(
-    g: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_expand: int = 60,
-) -> float:
-    """Solve g(x) = target for nondecreasing g by bisection.
-
-    The initial interval is expanded outward by doubling while the
-    target lies outside g([lo, hi]); :class:`TargetOutOfRange` is raised
-    if expansion passes the range cap without capturing the target.
-    """
-    if hi <= lo:
-        raise ValueError("need lo < hi")
-    g_lo, g_hi = g(lo), g(hi)
-    width = hi - lo
-    expansions = 0
-    while g_lo > target:
-        lo -= width
-        width *= 2.0
-        expansions += 1
-        if lo < -RANGE_CAP or expansions > max_expand:
-            raise TargetOutOfRange(f"target {target} below g on the search range")
-        g_lo = g(lo)
-    width = hi - lo
-    while g_hi < target:
-        hi += width
-        width *= 2.0
-        expansions += 1
-        if hi > RANGE_CAP or expansions > max_expand:
-            raise TargetOutOfRange(f"target {target} above g on the search range")
-        g_hi = g(hi)
-    for _ in range(200):
-        if (hi - lo) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def geometric_grid(lo: float, hi: float, points: int) -> list[float]:

@@ -2,14 +2,15 @@
 
 A sequence alpha(0), alpha(1), ... with alpha(n) > 0 is stored on the
 log scale.  The module generates the two stock families (power-of-
-factorial weights and Bell numbers of a given order), evaluates the two
-exponential generating functions
+factorial weights and Bell numbers of a given order), checks the named
+conditions (A1), (A2), (A2~), (B1), (B1~), (B2), (B2~), (B3), (C1),
+(C2), (C3) with finite-evidence verdicts -- (B1) and (B1~) through the
+two exponential generating functions
 
     G_alpha(r)   = sum alpha(n)/n! r^n
-    G_1/alpha(r) = sum 1/(n! alpha(n)) r^n,
+    G_1/alpha(r) = sum 1/(n! alpha(n)) r^n
 
-checks the named conditions (A1), (A2), (A2~), (B1), (B1~), (B2),
-(B2~), (B3), (C1), (C2), (C3) with finite-evidence verdicts, and fits
+-- and fits
 equivalence constants K1 c1^n a(n) <= b(n) <= K2 c2^n a(n) between two
 sequences.
 
@@ -290,31 +291,6 @@ def sum_stored_series(log_terms: Sequence[float], rel_tol: Optional[float] = Non
             f"series ended at index {len(c) - 1} before its tail was certified"
         )
     return SeriesSum(LogScalar(float(sums[0])), int(used[0]))
-
-
-def egf(
-    seq: PositiveSequence,
-    log_r: float,
-    variant: str = "alpha",
-    rel_tol: Optional[float] = None,
-) -> SeriesSum:
-    """Evaluate G_alpha (variant="alpha") or G_1/alpha (variant="inverse").
-
-    Input and output are on the log scale.  Needs enough stored terms
-    for the tail at r to be certified, else NoDecayCertificate.
-    """
-    lf = _log_factorials(seq.n_max)
-    la = seq.log_alpha
-    if variant == "alpha":
-        log_c = [la[n] - lf[n] for n in range(len(la))]
-    elif variant == "inverse":
-        log_c = [-la[n] - lf[n] for n in range(len(la))]
-    else:
-        raise ValueError("variant must be 'alpha' or 'inverse'")
-    if log_r == LOG_ZERO:
-        return SeriesSum(LogScalar(log_c[0]), 1)
-    terms = [log_c[n] + n * log_r for n in range(len(log_c))]
-    return sum_stored_series(terms, rel_tol=rel_tol)
 
 
 # --------------------------------------------------------------------------

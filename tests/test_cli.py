@@ -17,6 +17,15 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def strict_loads(text):
+    """json.loads that refuses the non-RFC constants NaN and +-Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"non-RFC JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestDocumentedExamples:
     def test_ell_unit_weight(self, capsys):
         code, report = run_json(
@@ -140,6 +149,16 @@ class TestFn:
         assert code == 0
         assert math.isclose(report["log_u"], 1e6, rel_tol=1e-12)
         assert report["u"] is None
+
+    def test_eval_infinite_log_renders_null(self, capsys):
+        # exp_3 at r = 100 is past the double range: log u is +inf
+        code, out, _ = run(
+            capsys, "fn", "eval", "--family", "expk", "--k", "3", "--r", "100"
+        )
+        assert code == 0
+        report = strict_loads(out)
+        assert report["log_u"] is None and report["u"] is None
+        assert report["name"] == "exp_3"
 
     def test_classify_panel(self, capsys):
         code, report = run_json(capsys, "fn", "classify", "--family", "bump")
@@ -289,11 +308,7 @@ class TestVerify:
     def test_empty_grid_is_not_a_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "a4", "--nmax", "-1")
         assert code == 1
-
-        def refuse(name):
-            raise ValueError(f"non-RFC JSON constant {name}")
-
-        report = json.loads(out, parse_constant=refuse)
+        report = strict_loads(out)
         assert report["verdict"] == "inconclusive"
         assert report["max_violation"] is None
 
@@ -336,6 +351,20 @@ class TestHolo:
         )
         assert code == 0
         assert report["count"] == 1
+
+    def test_zero_polynomial_renders_strict_json(self, capsys, tmp_path):
+        from growthcalc.holo import random_chaos
+
+        path = tmp_path / "zero.json"
+        random_chaos(2, 4, seed=3).scaled(0.0).save(path)
+        argv = ("holo", "check", "--chaos-file", str(path))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        # no sample has a nonzero value, so the worst slack stays -inf
+        assert strict_loads(out)["checks"]["pointwise"]["worst_slack"] is None
+        code, out, _ = run(capsys, *argv, "--format", "pretty")
+        checks = next(line for line in out.splitlines() if line.startswith("checks: "))
+        assert strict_loads(checks[len("checks: "):])["pointwise"]["worst_slack"] is None
 
     def test_bad_levels(self, capsys):
         code, _, err = run(

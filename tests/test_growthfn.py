@@ -28,7 +28,6 @@ from growthcalc.growthfn import (
     bump_example,
     check_increasing,
     classify_convexity,
-    eval_log,
     exponential,
     from_phi,
     from_series,
@@ -53,15 +52,15 @@ def midpoint_gap(f, s1, s2, lam):
 
 class TestEvalLog:
     def test_exponential_at_one(self):
-        assert math.isclose(eval_log(exponential(), 0.0), 1.0)
+        assert math.isclose(exponential().phi_at(0.0), 1.0)
 
     def test_power_exp_closed_form(self):
         # u = exp[2 sqrt r]: phi(log 9) = 2*sqrt(9) = 6
         u = ks_family(1.0)
-        assert math.isclose(eval_log(u, math.log(9.0)), 6.0, rel_tol=1e-12)
+        assert math.isclose(u.phi_at(math.log(9.0)), 6.0, rel_tol=1e-12)
 
     def test_iterated_exp_at_one(self):
-        assert math.isclose(eval_log(iterated_exp(2), 0.0), math.e, rel_tol=1e-12)
+        assert math.isclose(iterated_exp(2).phi_at(0.0), math.e, rel_tol=1e-12)
 
     def test_iterated_exp_one_is_exponential(self):
         u1, ue = iterated_exp(1), exponential()

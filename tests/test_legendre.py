@@ -235,7 +235,10 @@ class TestLegendreProfile:
     def test_log_concave_and_decaying(self, u):
         prof = gc.LegendreProfile.from_function(u, [float(n) for n in range(41)])
         assert prof.log_concavity_violation() <= 1e-8
-        assert prof.root_decay_decreasing()
+        # (1/t) log ell is nonincreasing over the tail half of the grid
+        roots = [v / t for t, v in zip(prof.t_grid, prof.log_ell) if t > 0.0]
+        tail = roots[len(roots) // 2 :]
+        assert all(b <= a + 1e-9 for a, b in zip(tail, tail[1:]))
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
@@ -845,6 +848,44 @@ class TestVerifySuites:
     def test_sandwich_tight_at_beta_zero(self):
         rep = gc.verify_suite("ks-sandwich", {"beta": 0.0})
         assert rep.passed
+
+    # for each suite with rows, the x of the row its witness names
+    WITNESS_X = {
+        "a4": lambda w: f"{w['n']}:{w['m']}",
+        "stirling": lambda w: f"{w['n']}/{w['side']}",
+        "lem-a1": lambda w: f"{w['n']}:{w['m']}/{w['side']}",
+        "lem-a2": lambda w: w["r"],
+        "thm31-upper": lambda w: f"{w['r']}/a={w['a']}",
+        "thm31-lower": lambda w: w["r"],
+        "thm42": lambda w: w["t"],
+        "involution": lambda w: w["r"],
+        "ks-sandwich": lambda w: f"{w['r']}/{w['side']}",
+    }
+
+    @pytest.mark.parametrize(
+        "tag, params",
+        [pytest.param(tag, {}, id=tag) for tag in sorted(WITNESS_X) + ["lem35"]]
+        + [pytest.param("stirling", {"tol": -1.0}, id="stirling-failing")],
+    )
+    def test_max_violation_and_witness_follow_the_rows(self, tag, params):
+        rep = gc.verify_suite(tag, params)
+        assert rep.rows
+        violations = [-row["slack"] for row in rep.rows]
+        assert rep.max_violation == max(violations)
+        row = rep.rows[violations.index(max(violations))]  # the first maximum
+        w = rep.witness
+        if tag == "lem35":
+            # the witness lists every case; the row's case agrees iff its slack is 0
+            case = next(c for c in w["cases"] if c["name"] == row["x"])
+            assert case["agree"] == (row["slack"] == 0.0)
+        else:
+            assert self.WITNESS_X[tag](w) == row["x"]
+        if "slack" in w:
+            assert w["slack"] == row["slack"]
+        if "deviation" in w:
+            assert w["deviation"] == -row["slack"]
+        if tag == "thm42":
+            assert (w["lhs"], w["rhs"]) == (row["lhs"], row["rhs"])
 
     def test_violations_are_findings_not_errors(self):
         rep = gc.verify_suite("stirling", {"tol": -1.0})

@@ -27,7 +27,6 @@ from growthcalc.sequences import (
     PositiveSequence,
     SequenceEquivalenceWitness,
     check_condition,
-    egf,
     gen_bell,
     gen_power_factorial,
     seq_equivalent,
@@ -235,13 +234,19 @@ class TestGenerators:
 # generating functions
 
 
+def egf_terms(seq, sign, log_r=0.0):
+    """Logs of alpha(n)^sign r^n / n!, the terms of G_alpha (sign 1) or
+    G_1/alpha (sign -1)."""
+    return [sign * la - math.lgamma(n + 1.0) + n * log_r for n, la in enumerate(seq.log_alpha)]
+
+
 class TestEgf:
     def test_alpha_variant_against_direct_sum(self):
         seq = gen_power_factorial(0.5, 200)
         direct = sum(
             math.exp(-0.5 * math.lgamma(n + 1)) for n in range(201)
         )  # sum (n!)^(beta-1) r^n at r=1
-        got = egf(seq, 0.0, "alpha", rel_tol=1e-12)
+        got = sum_stored_series(egf_terms(seq, 1), rel_tol=1e-12)
         assert math.isclose(got.value.log, math.log(direct), rel_tol=0, abs_tol=1e-10)
         # sandwich band for this weight family at r=1
         assert math.exp(0.5) <= got.value.value <= math.sqrt(2.0) * math.e
@@ -250,26 +255,16 @@ class TestEgf:
     def test_inverse_variant_against_direct_sum(self):
         seq = gen_power_factorial(0.5, 100)
         direct = sum(math.exp(-1.5 * math.lgamma(n + 1)) for n in range(101))
-        got = egf(seq, 0.0, "inverse", rel_tol=1e-12)
+        got = sum_stored_series(egf_terms(seq, -1), rel_tol=1e-12)
         assert math.isclose(got.value.log, math.log(direct), abs_tol=1e-10)
         lo = 2 ** -0.5 * math.exp(1.5 * 2 ** (-1.0 / 3.0))
         hi = math.exp(1.5)
         assert lo <= got.value.value <= hi
 
-    def test_r_zero(self):
-        seq = gen_bell(2, 10)
-        got = egf(seq, LOG_ZERO, "alpha")
-        assert got.value.log == 0.0  # G(0) = alpha(0) = 1
-        assert got.terms_used == 1
-
     def test_insufficient_terms_raise(self):
         seq = gen_power_factorial(0.5, 15)
         with pytest.raises(NoDecayCertificate):
-            egf(seq, math.log(1e3), "alpha")
-
-    def test_bad_variant(self):
-        with pytest.raises(ValueError):
-            egf(gen_bell(2, 5), 0.0, "nope")
+            sum_stored_series(egf_terms(seq, 1, math.log(1e3)))
 
     def test_stored_series_matches_brute_force(self):
         terms = [-0.5 * n * n + 2.0 * n for n in range(80)]
