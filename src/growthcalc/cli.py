@@ -10,6 +10,12 @@ for the same argv and seed), CSV (grid reports flattened to
 x,lhs,rhs,slack rows), or indented text.  Exit codes: 0 success/pass,
 1 verdict failure, counterexample, or numeric no-certificate, 2 usage
 or input error.
+
+At module level only the standard library and ``numerics`` (which loads
+no numpy) are imported; each handler imports the library modules it
+calls when it runs.  A ``--cache-dir`` replay therefore answers before
+the numeric stack loads, and a computed answer loads only what its
+command needs.
 """
 
 from __future__ import annotations
@@ -23,40 +29,8 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import __version__
-from .growthfn import (
-    GrowthFunction,
-    check_increasing,
-    classify_convexity,
-    load_registry,
-    make_growth_function,
-    membership,
-)
-from .holo import (
-    BoundParams,
-    ChaosPolynomial,
-    coeff_bound_check,
-    dyadic_scale,
-    embedding_check_51,
-    embedding_check_52,
-    norm_g,
-    pointwise_bound_check,
-    random_chaos,
-    series_chain_check,
-)
-from .legendre import (
-    dual,
-    ell,
-    ell_profile,
-    function_equivalent,
-    inverse_legendre,
-    l_function,
-    l_sharp,
-    suite_tags,
-    verify_suite,
-)
 from .numerics import (
     LOG_ZERO,
     BadTolerance,
@@ -65,17 +39,19 @@ from .numerics import (
     PreconditionViolated,
     env_rel_tol,
 )
-from .sequences import (
-    CONDITIONS,
-    PositiveSequence,
-    check_condition,
-    from_legendre,
-    gen_bell,
-    gen_power_factorial,
-    seq_equivalent,
-)
+
+if TYPE_CHECKING:
+    from .growthfn import GrowthFunction
+    from .sequences import PositiveSequence
 
 _KERNEL_ERRORS = (NoDecayCertificate, NotBracketable, PreconditionViolated)
+
+# the suite tags and condition names the parser offers, spelled out so that
+# building it imports no library module; tests pin them to
+# legendre.suite_tags() and sequences.CONDITIONS
+_SUITE_TAGS = ("a4", "involution", "ks-sandwich", "lem-a1", "lem-a2", "lem35",
+               "stirling", "thm31-lower", "thm31-upper", "thm42", "thm43")
+_CONDITIONS = ("A1", "A2", "A2t", "B1", "B1t", "B2", "B2t", "B3", "C1", "C2", "C3")
 
 _EXP_CAP = 700.0
 
@@ -96,6 +72,8 @@ class _Result:
 
 
 def _build_function(args, prefix: str = "") -> GrowthFunction:
+    from .growthfn import load_registry, make_growth_function
+
     get = lambda name: getattr(args, prefix + name, None)
     registry = getattr(args, "registry", None)
     name = get("name")
@@ -146,6 +124,8 @@ def _add_function_flags(parser, prefix: str = "", required: bool = True):
 
 
 def _build_sequence(args, prefix: str = "") -> PositiveSequence:
+    from .sequences import PositiveSequence, from_legendre, gen_bell, gen_power_factorial
+
     get = lambda name: getattr(args, prefix + name, None)
     path = get("file")
     if path is not None:
@@ -210,6 +190,8 @@ def _cmd_seq_gen(args) -> _Result:
 
 
 def _cmd_seq_check(args) -> _Result:
+    from .sequences import check_condition
+
     seq = _build_sequence(args)
     verdict = check_condition(seq, args.condition, search_cap=args.search_cap)
     report = {
@@ -223,6 +205,8 @@ def _cmd_seq_check(args) -> _Result:
 
 
 def _cmd_seq_equiv(args) -> _Result:
+    from .sequences import seq_equivalent
+
     a = _build_sequence(args, "a_")
     b = _build_sequence(args, "b_")
     res = seq_equivalent(a, b)
@@ -247,6 +231,8 @@ def _cmd_seq_equiv(args) -> _Result:
 
 
 def _cmd_fn_classify(args) -> _Result:
+    from .growthfn import check_increasing, classify_convexity, membership
+
     u = _build_function(args)
     if args.kind is not None:
         if args.kind == "increasing":
@@ -308,6 +294,8 @@ def _at_fn_eval(u, r, args):
 
 
 def _at_ell(u, t, args):
+    from .legendre import ell
+
     point = ell(u, t)
     report = {"log_ell": point.log_ell.log, "rho": point.rho}
     if point.boundary is not None:
@@ -316,21 +304,29 @@ def _at_ell(u, t, args):
 
 
 def _at_dual(u, r, args):
+    from .legendre import dual
+
     log_dual = dual(u, r).log
     return {"r": r, "log_dual": log_dual, "dual": _exp_or_none(log_dual)}, log_dual, "", ""
 
 
 def _at_lfn(u, r, args):
+    from .legendre import l_function
+
     log_l = l_function(u, _log_r(r), rel_tol=args.rel_tol).log
     return {"r": r, "log_l": log_l}, log_l, "", ""
 
 
 def _at_lsharp(u, r, args):
+    from .legendre import l_sharp
+
     log_lsharp = l_sharp(u, _log_r(r), rel_tol=args.rel_tol).log
     return {"r": r, "log_lsharp": log_lsharp}, log_lsharp, "", ""
 
 
 def _at_theta(u, r, args):
+    from .legendre import ell_profile, inverse_legendre
+
     log_theta = inverse_legendre(ell_profile(u), r).log
     log_u = u.log_at(r)
     report = {"r": r, "log_theta": log_theta, "log_u": log_u,
@@ -363,6 +359,8 @@ def _cmd_one_point(point: str, evaluate, args) -> _Result:
 
 
 def _cmd_equiv(args) -> _Result:
+    from .legendre import function_equivalent
+
     u = _build_function(args, "a_")
     v = _build_function(args, "b_")
     res = function_equivalent(u, v, (args.r_min, args.r_max), points=args.points)
@@ -400,6 +398,8 @@ _VERIFY_PARAM_FLAGS = (
 
 
 def _cmd_verify(args) -> _Result:
+    from .legendre import verify_suite
+
     params = {}
     for flag, key in _VERIFY_PARAM_FLAGS:
         val = getattr(args, flag, None)
@@ -416,11 +416,30 @@ def _cmd_verify(args) -> _Result:
 
 
 def _cmd_holo_check(args) -> _Result:
-    u = _build_function(args) if args.family or args.name else make_growth_function("exp")
-    scale = dyadic_scale(args.dim)
     p, q = args.p, args.q
     if q >= p:
         raise _UsageError("--q must be below --p")
+    # an empty population or sample set would check nothing and pass
+    if args.count < 1 and not args.chaos_file:
+        raise _UsageError("--count must be positive")
+    if args.samples < 1:
+        raise _UsageError("--samples must be positive")
+    from .growthfn import make_growth_function
+    from .holo import (
+        BoundParams,
+        ChaosPolynomial,
+        coeff_bound_check,
+        dyadic_scale,
+        embedding_check_51,
+        embedding_check_52,
+        norm_g,
+        pointwise_bound_check,
+        random_chaos,
+        series_chain_check,
+    )
+
+    u = _build_function(args) if args.family or args.name else make_growth_function("exp")
+    scale = dyadic_scale(args.dim)
     if args.chaos_file:
         try:
             polys = [(args.chaos_file, ChaosPolynomial.load(args.chaos_file))]
@@ -530,32 +549,92 @@ def _render(result: _Result, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cache_key(args) -> str:
+def _source_hash() -> str:
+    """sha256 over the package's own .py sources: editing any of them
+    retires every cache entry written before the edit."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                data = fh.read()
+            digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
+def _cache_key(args) -> Optional[str]:
+    """sha256 over the parsed arguments, the package sources and the
+    bytes of every input file the arguments name (--registry and each
+    --*file flag); None when such a file cannot be read, so the call
+    skips the cache and its handler reports the file."""
     payload = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in ("func", "cache_dir") and v is not None
     }
-    payload["version"] = __version__
-    blob = json.dumps(payload, sort_keys=True, default=str)
+    inputs = {}
+    for k, path in payload.items():
+        if k == "registry" or k.endswith("file"):
+            try:
+                with open(path, "rb") as fh:
+                    inputs[k] = hashlib.sha256(fh.read()).hexdigest()
+            except OSError:
+                return None
+    blob = json.dumps({"args": payload, "inputs": inputs, "sources": _source_hash()},
+                      sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _replay(path: str) -> Optional[tuple[str, int]]:
+    """The stored (output, exit code), or None when the entry is missing,
+    unreadable, truncated or ill-typed: a miss, which rewrites it."""
+    try:
+        with open(path) as fh:
+            stored = json.load(fh)
+        output, code = stored["output"], stored["exit"]
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+    if not isinstance(output, str) or type(code) is not int or code not in (0, 1):
+        return None
+    return output, code
+
+
+def _store(path: str, output: str, code: int) -> None:
+    """Write the entry to a temp file in the cache dir, then os.replace
+    it into place: a concurrent reader sees no entry or a whole one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump({"output": output, "exit": code}, fh)
+        os.replace(tmp, path)
+    except OSError:
+        # an unwritable cache costs a later call a recompute, not this
+        # call its answer
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _run_with_cache(args) -> tuple[str, int]:
     cache_dir = getattr(args, "cache_dir", None)
-    use_cache = cache_dir is not None and not getattr(args, "out", None)
-    if use_cache:
+    key = None
+    if cache_dir is not None and not getattr(args, "out", None):
+        key = _cache_key(args)
+    if key is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, _cache_key(args) + ".json")
-        if os.path.exists(path):
-            with open(path) as fh:
-                stored = json.load(fh)
-            return stored["output"], stored["exit"]
-    result = args.func(args)
-    output = _render(result, args.format)
-    if use_cache:
-        with open(path, "w") as fh:
-            json.dump({"output": output, "exit": result.exit_code}, fh)
+        path = os.path.join(cache_dir, key + ".json")
+        stored = _replay(path)
+        if stored is not None:
+            return stored
+    try:
+        result, fmt = args.func(args), args.format
+    except _KERNEL_ERRORS as exc:
+        # a kernel refusal is a report like any other (always JSON, exit
+        # 1) and is cached as one; usage errors propagate uncached
+        result = _Result({"error": type(exc).__name__, "detail": str(exc)}, 1)
+        fmt = "json"
+    output = _render(result, fmt)
+    if key is not None:
+        _store(path, output, result.exit_code)
     return output, result.exit_code
 
 
@@ -605,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _sub(seq_sub, "check",
              "test a growth/regularity condition on a sequence")
-    p.add_argument("--condition", required=True, choices=CONDITIONS,
+    p.add_argument("--condition", required=True, choices=_CONDITIONS,
                    help="condition name")
     p.add_argument("--search-cap", type=int, help="constant-search budget")
     _add_sequence_flags(p)
@@ -668,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
         " transform calculus",
     )
     p.add_argument("--suite", required=True,
-                   help="suite tag: " + ", ".join(suite_tags()))
+                   help="suite tag: " + ", ".join(_SUITE_TAGS))
     p.add_argument("--nmax", type=int, help="largest index")
     p.add_argument("--tmax", type=int, help="largest transform argument")
     p.add_argument("--family", help="growth-function family override")
@@ -720,10 +799,6 @@ def main(argv: Optional[list] = None) -> int:
     except (_UsageError, BadTolerance) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _KERNEL_ERRORS as exc:
-        report = {"error": type(exc).__name__, "detail": str(exc)}
-        print(_dumps(report))
-        return 1
     sys.stdout.write(output)
     return code
 

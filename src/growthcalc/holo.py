@@ -571,6 +571,8 @@ def pointwise_bound_check(
     one batched L_u call over every radius, whose tail certificate is
     built once per stored profile window rather than per radius.  The
     worst slacks are array maxima."""
+    if n_samples < 1:
+        raise ValueError("need n_samples >= 1")
     K = 0.0
     for n in range(F.max_degree + 1):
         fn = coeff_norm(F, scale, n, p)
@@ -617,6 +619,8 @@ def series_chain_check(
     the worst slacks are array maxima."""
     if p < 1:
         raise ValueError("need p >= 1")
+    if n_samples < 1:
+        raise ValueError("need n_samples >= 1")
     rng = np.random.default_rng(seed)
     sigmas = np.array([0.3, 1.0, 3.0])[np.arange(n_samples) % 3]
     xis = rng.normal(size=(n_samples, 2 * scale.dim)).view(complex) * sigmas[:, None]

@@ -31,14 +31,16 @@ import numpy as np
 
 from .growthfn import GrowthFunction, from_phi, make_growth_function
 from .numerics import (
+    GOLDEN_MAX_ITER,
+    GOLDEN_WIDTH,
     LOG_ZERO,
     RANGE_CAP,
     LogScalar,
     NoDecayCertificate,
     NotBracketable,
     PreconditionViolated,
+    _INV_PHI,
     _golden_min,
-    _golden_min_rows,
     geometric_grid,
     maximize_concave_1d,
     minimize_convex_1d,
@@ -168,6 +170,44 @@ def _ell_at(u: GrowthFunction, t: float, seed_x: float = 0.0) -> LegendrePoint:
 _PROFILE_CACHE: "weakref.WeakKeyDictionary[GrowthFunction, list]" = (
     weakref.WeakKeyDictionary()
 )
+
+
+def _golden_min_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    width: float = GOLDEN_WIDTH,
+    max_iter: int = GOLDEN_MAX_ITER,
+) -> tuple[np.ndarray, np.ndarray]:
+    """_golden_min on many rows in lockstep: row k searches [a_k, b_k]
+    with _golden_min's steps, stop rule and best-point tracking, so it
+    takes the path the scalar search takes on the same values.
+    ``f(rows, xs)`` evaluates row rows[j] at xs[j], once per step for
+    every row still wider than ``width``."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    x1 = b - _INV_PHI * (b - a)
+    x2 = a + _INV_PHI * (b - a)
+    every = np.arange(len(a))
+    f1, f2 = np.split(f(np.concatenate([every, every]), np.concatenate([x1, x2])), 2)
+    first = f1 <= f2
+    best_x, best_f = np.where(first, x1, x2), np.where(first, f1, f2)
+    live = every
+    for _ in range(max_iter):
+        live = live[(b[live] - a[live]) > width]
+        if not live.size:
+            break
+        left = f1[live] <= f2[live]
+        lo, hi = live[left], live[~left]
+        b[lo], x2[lo], f2[lo] = x2[lo], x1[lo], f1[lo]
+        x1[lo] = b[lo] - _INV_PHI * (b[lo] - a[lo])
+        a[hi], x1[hi], f1[hi] = x1[hi], x2[hi], f2[hi]
+        x2[hi] = a[hi] + _INV_PHI * (b[hi] - a[hi])
+        got = f(np.concatenate([lo, hi]), np.concatenate([x1[lo], x2[hi]]))
+        f1[lo], f2[hi] = got[: lo.size], got[lo.size :]
+        for xk, fk in ((x1, f1), (x2, f2)):
+            better = live[fk[live] < best_f[live]]
+            best_x[better], best_f[better] = xk[better], fk[better]
+    return best_x, best_f
 
 
 def _profile_block(u: GrowthFunction, ts: np.ndarray) -> list[Optional[LegendrePoint]]:

@@ -25,8 +25,6 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-import numpy as np
-
 LOG_ZERO = float("-inf")
 
 RANGE_CAP = 700.0
@@ -242,44 +240,6 @@ def _golden_min(
             best_x, best_f = x1, f1
         if f2 < best_f:
             best_x, best_f = x2, f2
-    return best_x, best_f
-
-
-def _golden_min_rows(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a: np.ndarray,
-    b: np.ndarray,
-    width: float = GOLDEN_WIDTH,
-    max_iter: int = GOLDEN_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray]:
-    """_golden_min on many rows in lockstep: row k searches [a_k, b_k]
-    with _golden_min's steps, stop rule and best-point tracking, so it
-    takes the path the scalar search takes on the same values.
-    ``f(rows, xs)`` evaluates row rows[j] at xs[j], once per step for
-    every row still wider than ``width``."""
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    every = np.arange(len(a))
-    f1, f2 = np.split(f(np.concatenate([every, every]), np.concatenate([x1, x2])), 2)
-    first = f1 <= f2
-    best_x, best_f = np.where(first, x1, x2), np.where(first, f1, f2)
-    live = every
-    for _ in range(max_iter):
-        live = live[(b[live] - a[live]) > width]
-        if not live.size:
-            break
-        left = f1[live] <= f2[live]
-        lo, hi = live[left], live[~left]
-        b[lo], x2[lo], f2[lo] = x2[lo], x1[lo], f1[lo]
-        x1[lo] = b[lo] - _INV_PHI * (b[lo] - a[lo])
-        a[hi], x1[hi], f1[hi] = x1[hi], x2[hi], f2[hi]
-        x2[hi] = a[hi] + _INV_PHI * (b[hi] - a[hi])
-        got = f(np.concatenate([lo, hi]), np.concatenate([x1[lo], x2[hi]]))
-        f1[lo], f2[hi] = got[: lo.size], got[lo.size :]
-        for xk, fk in ((x1, f1), (x2, f2)):
-            better = live[fk[live] < best_f[live]]
-            best_x[better], best_f[better] = xk[better], fk[better]
     return best_x, best_f
 
 

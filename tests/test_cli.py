@@ -1,8 +1,10 @@
 import json
 import math
+import os
 
 import pytest
 
+from growthcalc import cli
 from growthcalc.cli import main
 
 
@@ -373,6 +375,29 @@ class TestHolo:
         assert code == 2
         assert "--q" in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--count", "0"), "--count"),
+        (("--count", "-1"), "--count"),
+        (("--count", "1", "--samples", "0"), "--samples"),
+    ])
+    def test_empty_population_or_sample_set_is_a_usage_error(
+        self, capsys, flags, named
+    ):
+        # checking nothing must not print "passed": true
+        code, out, err = run(capsys, "holo", "check", *flags)
+        assert (code, out) == (2, "")
+        assert named in err
+
+    def test_chaos_file_needs_no_count(self, capsys, tmp_path):
+        from growthcalc.holo import random_chaos
+
+        path = tmp_path / "chaos.json"
+        random_chaos(2, 4, seed=3).save(path)
+        code, report = run_json(
+            capsys, "holo", "check", "--chaos-file", str(path), "--count", "0"
+        )
+        assert (code, report["count"]) == (0, 1)
+
 
 class TestFormatsAndCache:
     def test_csv_grid(self, capsys):
@@ -454,3 +479,137 @@ class TestUsage:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "Legendre transform" in out
+
+
+def cache_entries(cache):
+    return sorted(cache.iterdir()) if cache.exists() else []
+
+
+class TestCacheIntegrity:
+    ELL = ("ell", "--family", "ks", "--beta", "0.5", "--t", "2.5")
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw: raw[: len(raw) // 2],
+        lambda raw: b"",
+        lambda raw: b"\xff\xfe\x00",
+        lambda raw: b"[]",
+        lambda raw: b'{"output": 3, "exit": 0}',
+        lambda raw: b'{"output": "x\\n", "exit": "0"}',
+        lambda raw: b'{"output": "x\\n"}',
+    ], ids=["truncated", "empty", "binary", "list", "output-type", "exit-type",
+            "no-exit"])
+    def test_corrupt_entry_is_a_miss_and_rewritten(self, capsys, tmp_path, damage):
+        cache = tmp_path / "cache"
+        fresh = run(capsys, *self.ELL)
+        run(capsys, *self.ELL, "--cache-dir", str(cache))
+        (entry,) = cache_entries(cache)
+        entry.write_bytes(damage(entry.read_bytes()))
+        assert run(capsys, *self.ELL, "--cache-dir", str(cache)) == fresh
+        assert cache_entries(cache) == [entry]
+        assert json.loads(entry.read_text()) == {"output": fresh[1], "exit": fresh[0]}
+
+    def test_entry_under_other_sources_is_not_replayed(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        cache = tmp_path / "cache"
+        argv = (*self.ELL, "--cache-dir", str(cache))
+        code, out, _ = run(capsys, *argv)
+        (entry,) = cache_entries(cache)
+        entry.write_text(json.dumps({"output": "stale\n", "exit": 0}))
+        assert run(capsys, *argv)[1] == "stale\n"  # same sources: replayed
+        monkeypatch.setattr(cli, "_source_hash", lambda: "0" * 64)
+        assert run(capsys, *argv)[:2] == (code, out)
+        assert len(cache_entries(cache)) == 2
+
+    def test_source_hash_covers_every_module(self, tmp_path, monkeypatch):
+        here = os.path.dirname(os.path.abspath(cli.__file__))
+        real = cli._source_hash()
+        copies = [name for name in os.listdir(here) if name.endswith(".py")]
+        for name in copies:
+            (tmp_path / name).write_bytes(open(os.path.join(here, name), "rb").read())
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
+        assert cli._source_hash() == real
+        (tmp_path / "notes.txt").write_text("not a source")
+        assert cli._source_hash() == real
+        seen = {real}
+        for name in sorted(copies):
+            with open(tmp_path / name, "a") as fh:
+                fh.write("\n")
+            seen.add(cli._source_hash())
+        assert len(seen) == len(copies) + 1
+
+    @pytest.mark.parametrize("kind", ["chaos-file", "registry", "file", "a-file"])
+    def test_input_file_bytes_are_in_the_key(self, capsys, tmp_path, kind):
+        from growthcalc.holo import random_chaos
+        from growthcalc.sequences import gen_bell, gen_power_factorial
+
+        path = tmp_path / "input.json"
+        versions = {
+            "chaos-file": [lambda s=s: random_chaos(2, 4, seed=s).save(path)
+                           for s in (3, 4)],
+            "registry": [
+                lambda b=b: path.write_text(json.dumps(
+                    {"w": {"family": "ks", "params": {"beta": b}}}))
+                for b in (0.5, 1.0)
+            ],
+            "file": [lambda b=b: gen_power_factorial(b, 40).save(path)
+                     for b in (0.0, 0.5)],
+            "a-file": [lambda k=k: gen_bell(k, 20).save(path) for k in (2, 3)],
+        }[kind]
+        argv = {
+            "chaos-file": ("holo", "check", "--chaos-file", str(path),
+                           "--samples", "20"),
+            "registry": ("ell", "--registry", str(path), "--name", "w", "--t", "2"),
+            "file": ("fn", "eval", "--family", "series", "--file", str(path),
+                     "--r", "0.1"),
+            "a-file": ("seq", "equiv", "--a-file", str(path), "--b-family", "bell",
+                       "--b-order", "2", "--b-n", "20"),
+        }[kind]
+        cache = str(tmp_path / "cache")
+        outputs = []
+        for write in versions:
+            write()
+            cached = run(capsys, *argv, "--cache-dir", cache)
+            assert cached == run(capsys, *argv)
+            outputs.append(cached)
+        assert outputs[0] != outputs[1]
+
+    def test_unreadable_input_file_skips_the_cache(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        code, out, err = run(
+            capsys, "ell", "--registry", str(tmp_path / "missing.json"),
+            "--name", "w", "--t", "2", "--cache-dir", str(cache),
+        )
+        assert (code, out) == (2, "")
+        assert "--registry" in err
+        assert cache_entries(cache) == []
+
+    def test_usage_error_is_not_cached(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        argv = ("ell", "--family", "nope", "--t", "1", "--cache-dir", str(cache))
+        assert run(capsys, *argv)[0] == 2
+        assert cache_entries(cache) == []
+
+    def test_refusal_replays_byte_identically(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        argv = ("lsharp", "--family", "ks", "--beta", "1.0", "--r", "2",
+                "--format", "csv")
+        fresh = run(capsys, *argv)
+        assert fresh[0] == 1
+        assert json.loads(fresh[1])["error"] == "NoDecayCertificate"
+        assert run(capsys, *argv, "--cache-dir", str(cache)) == fresh
+        assert len(cache_entries(cache)) == 1
+        renders = []
+        render = cli._render
+        monkeypatch.setattr(cli, "_render", lambda *a: renders.append(a) or render(*a))
+        assert run(capsys, *argv, "--cache-dir", str(cache)) == fresh
+        assert renders == []  # replayed, not recomputed
+
+
+class TestParser:
+    def test_parser_tuples_match_the_library(self):
+        from growthcalc.legendre import suite_tags
+        from growthcalc.sequences import CONDITIONS
+
+        assert cli._SUITE_TAGS == tuple(suite_tags())
+        assert cli._CONDITIONS == tuple(CONDITIONS)

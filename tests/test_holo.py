@@ -442,6 +442,13 @@ class TestPointwiseBounds:
         rep = pointwise_bound_check(F, EXP, SCALE, 2, n_samples=300, seed=8)
         assert rep.worst_slack_u <= 1e-9 and rep.worst_slack_series <= 1e-9
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_sample_set_is_refused(self, n):
+        # no sample checked must not read as a pass, zero polynomial included
+        for F in (random_chaos(2, 4, seed=1), ChaosPolynomial(2, 3, {})):
+            with pytest.raises(ValueError, match="n_samples"):
+                pointwise_bound_check(F, EXP, SCALE, 2, n_samples=n)
+
 
 class TestSeriesChain:
     @pytest.mark.parametrize("u", [EXP, KS05], ids=["exp", "ks05"])
@@ -454,6 +461,11 @@ class TestSeriesChain:
     def test_requires_positive_level(self):
         with pytest.raises(ValueError):
             series_chain_check(EXP, SCALE, 0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_sample_set_is_refused(self, n):
+        with pytest.raises(ValueError, match="n_samples"):
+            series_chain_check(EXP, SCALE, 1, n_samples=n)
 
     def test_deeper_level(self):
         rep = series_chain_check(EXP, SCALE, 2, n_samples=100, seed=5)

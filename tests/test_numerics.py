@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthcalc import numerics
+from growthcalc.legendre import _golden_min_rows
 from growthcalc.numerics import (
     LOG_ZERO,
     RANGE_CAP,
@@ -26,7 +27,6 @@ from growthcalc.numerics import (
     NoDecayCertificate,
     NotBracketable,
     _golden_min,
-    _golden_min_rows,
     bracket_minimum,
     default_rel_tol,
     geometric_grid,
