@@ -562,24 +562,47 @@ def _source_hash() -> str:
     return digest.hexdigest()
 
 
+def _series_files(registry: str, data: bytes) -> list:
+    """The files that the registry's "series" entries load; none when
+    the registry does not parse (its handler reports it)."""
+    try:
+        if registry.endswith(".toml"):
+            import tomllib
+
+            raw = tomllib.loads(data.decode())
+        else:
+            raw = json.loads(data)
+        return [
+            entry["params"]["file"]
+            for entry in raw.values()
+            if entry.get("family") == "series" and "file" in (entry.get("params") or {})
+        ]
+    except (ImportError, ValueError, TypeError, AttributeError, KeyError):
+        return []
+
+
 def _cache_key(args) -> Optional[str]:
     """sha256 over the parsed arguments, the package sources and the
-    bytes of every input file the arguments name (--registry and each
-    --*file flag); None when such a file cannot be read, so the call
-    skips the cache and its handler reports the file."""
+    bytes of every input file the call reads (--registry, the files its
+    series entries load and each --*file flag); None when such a file
+    cannot be read, so the call skips the cache and its handler reports
+    the file."""
     payload = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in ("func", "cache_dir") and v is not None
     }
+    files = [(k, path) for k, path in payload.items() if k == "registry" or k.endswith("file")]
     inputs = {}
-    for k, path in payload.items():
-        if k == "registry" or k.endswith("file"):
-            try:
-                with open(path, "rb") as fh:
-                    inputs[k] = hashlib.sha256(fh.read()).hexdigest()
-            except OSError:
-                return None
+    for k, path in files:  # grows by the registry's series files
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError:
+            return None
+        inputs[k] = hashlib.sha256(data).hexdigest()
+        if k == "registry":
+            files += [(f"registry:{name}", name) for name in _series_files(path, data)]
     blob = json.dumps({"args": payload, "inputs": inputs, "sources": _source_hash()},
                       sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -620,7 +643,11 @@ def _run_with_cache(args) -> tuple[str, int]:
     if cache_dir is not None and not getattr(args, "out", None):
         key = _cache_key(args)
     if key is not None:
-        os.makedirs(cache_dir, exist_ok=True)
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise _UsageError(f"--cache-dir {cache_dir!r} is not a usable directory: "
+                              f"{exc.strerror or exc}") from exc
         path = os.path.join(cache_dir, key + ".json")
         stored = _replay(path)
         if stored is not None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -39,7 +39,7 @@ from .numerics import (
     NoDecayCertificate,
     NotBracketable,
     PreconditionViolated,
-    _INV_PHI,
+    _INV_PHI2,
     _golden_min,
     geometric_grid,
     maximize_concave_1d,
@@ -115,6 +115,8 @@ def _scan_minimize(g: Callable[[float], float], x_lo: float, x_hi: float):
         right_up = i == last or not finite[i + 1] or vals[i] <= vals[i + 1]
         if not (left_up and right_up):
             continue
+        if 0 < i < last and finite[i - 1] and finite[i + 1] and vals[i - 1] == vals[i] == vals[i + 1]:
+            continue  # inside a plateau (phi saturated): its edges stay candidates
         a = float(xs[max(i - 1, 0)])
         b = float(xs[min(i + 1, last)])
         x, fx = _golden_min(g, a, b)
@@ -167,51 +169,148 @@ def _ell_at(u: GrowthFunction, t: float, seed_x: float = 0.0) -> LegendrePoint:
     return LegendrePoint(LogScalar(fx), rho, boundary)
 
 
-_PROFILE_CACHE: "weakref.WeakKeyDictionary[GrowthFunction, list]" = (
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
+# the square root of the double epsilon: Brent's relative step floor
+_SQRT_EPS = math.sqrt(_EPS)
+
+
+def _brent_min_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    x: np.ndarray,
+    fx: np.ndarray,
+    fa: np.ndarray,
+    fb: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Brent's bounded minimisation on many rows in lockstep.
+
+    Row k searches its bracket [a_k, b_k] from the inner point x_k, with
+    f(x_k) = fx_k <= fa_k = f(a_k) and fb_k = f(b_k), by the steps of
+    scipy's fminbound (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973): a parabolic step through the three best points
+    when it lands inside the bracket and shrinks, else a golden step into
+    the larger side, never shorter than
+    tol = sqrt(eps) |x| + GOLDEN_WIDTH / 3.  The bracket ends start as
+    the second and third best points, so the first step is the parabola
+    through the bracket.  The best point x keeps f(x) <= f(a), f(b), and
+    the row stops once |x - mid| <= 2 tol - (b - a)/2, or after
+    GOLDEN_MAX_ITER steps.  Every operation is elementwise, so row k
+    takes the path a one-row call takes.  ``f(rows, xs)`` evaluates row
+    rows[j] at xs[j], once per step for every row still running.
+    Returns the best points and their values.
+    """
+    # one row per column: the bracket, the best point x, the second and
+    # third best w and v (each point above its value), the last step d
+    # and the step before it e
+    zero = np.zeros(np.shape(x))
+    a, b, fa, fb = (np.asarray(v, dtype=float) for v in (a, b, fa, fb))
+    lower = fb <= fa
+    w, fw = np.where(lower, b, a), np.where(lower, fb, fa)
+    v, fv = np.where(lower, a, b), np.where(lower, fa, fb)
+    state = np.array([a, b, x, fx, w, fw, v, fv, zero, b - a], dtype=float)
+    rows = np.arange(state.shape[1])
+    best_x, best_f = state[2].copy(), state[3].copy()
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for _ in range(GOLDEN_MAX_ITER):
+            a, b, x = state[:3]
+            mid = 0.5 * (a + b)
+            tol1 = _SQRT_EPS * np.abs(x) + GOLDEN_WIDTH / 3.0
+            tol2 = 2.0 * tol1
+            run = np.abs(x - mid) > tol2 - 0.5 * (b - a)
+            if not run.all():
+                best_x[rows], best_f[rows] = state[2], state[3]
+                state, rows = state[:, run], rows[run]
+                if not rows.size:
+                    break
+                mid, tol1, tol2 = mid[run], tol1[run], tol2[run]
+            a, b, x, fx, w, fw, v, fv, d, e = state
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            parabolic = (
+                (np.abs(e) > tol1)
+                & (np.abs(p) < np.abs(0.5 * q * e))
+                & (p > q * (a - x))
+                & (p < q * (b - x))
+            )
+            step = p / q
+            near_end = ((x + step - a) < tol2) | ((b - x - step) < tol2)
+            step = np.where(near_end, tol1 * (np.sign(mid - x) + (mid == x)), step)
+            e = np.where(parabolic, d, np.where(x >= mid, a - x, b - x))
+            d = np.where(parabolic, step, _INV_PHI2 * e)
+            u = x + (np.sign(d) + (d == 0.0)) * np.maximum(np.abs(d), tol1)
+            fu = np.asarray(f(rows, u), dtype=float)
+            better = fu <= fx
+            # the probe replaces the end on its side when it is worse, the
+            # best point's end on the far side when it is better
+            new_end = np.where(better, x, u)
+            move_a = better == (u >= x)
+            second = ~better & ((fu <= fw) | (w == x))
+            third = ~better & ~second & ((fu <= fv) | (v == x) | (v == w))
+            probe = np.array([u, fu])
+            state[6:8] = np.where(better | second, state[4:6], np.where(third, probe, state[6:8]))
+            state[4:6] = np.where(better, state[2:4], np.where(second, probe, state[4:6]))
+            state[2:4] = np.where(better, probe, state[2:4])
+            state[0] = np.where(move_a, new_end, a)
+            state[1] = np.where(move_a, b, new_end)
+            state[8], state[9] = d, e
+        else:
+            best_x[rows], best_f[rows] = state[2], state[3]
+    return best_x, best_f
+
+
+class _Profile:
+    """log ell_u(n), rho(n) and the boundary flag of one function for
+    n < len(self), in arrays grown in place (capacity doubles)."""
+
+    def __init__(self):
+        self.size = 0
+        self.log_ell = np.empty(64)
+        self.rho = np.empty(64)
+        self.boundary = np.empty(64, dtype=object)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, n: int) -> LegendrePoint:
+        n = range(self.size)[n]
+        return LegendrePoint(LogScalar(float(self.log_ell[n])), float(self.rho[n]), self.boundary[n])
+
+    def seed(self) -> float:
+        """The warm start of the next order: log of the last minimizer."""
+        return _warm_seed(float(self.rho[self.size - 1]) if self.size else 0.0)
+
+    def extend(self, log_ell, rho, boundary=None) -> None:
+        log_ell, rho = np.atleast_1d(log_ell), np.atleast_1d(rho)
+        n, k = self.size, len(log_ell)
+        if n + k > len(self.rho):
+            cap = max(2 * len(self.rho), n + k)
+            for name in ("log_ell", "rho", "boundary"):
+                old = getattr(self, name)
+                grown = np.empty(cap, dtype=old.dtype)
+                grown[:n] = old[:n]
+                setattr(self, name, grown)
+        self.log_ell[n : n + k] = log_ell
+        self.rho[n : n + k] = rho
+        self.boundary[n : n + k] = boundary
+        self.size = n + k
+
+    def append(self, p: LegendrePoint) -> None:
+        self.extend(p.log_ell.log, p.rho, p.boundary)
+
+
+_PROFILE_CACHE: "weakref.WeakKeyDictionary[GrowthFunction, _Profile]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _golden_min_rows(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a: np.ndarray,
-    b: np.ndarray,
-    width: float = GOLDEN_WIDTH,
-    max_iter: int = GOLDEN_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray]:
-    """_golden_min on many rows in lockstep: row k searches [a_k, b_k]
-    with _golden_min's steps, stop rule and best-point tracking, so it
-    takes the path the scalar search takes on the same values.
-    ``f(rows, xs)`` evaluates row rows[j] at xs[j], once per step for
-    every row still wider than ``width``."""
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    every = np.arange(len(a))
-    f1, f2 = np.split(f(np.concatenate([every, every]), np.concatenate([x1, x2])), 2)
-    first = f1 <= f2
-    best_x, best_f = np.where(first, x1, x2), np.where(first, f1, f2)
-    live = every
-    for _ in range(max_iter):
-        live = live[(b[live] - a[live]) > width]
-        if not live.size:
-            break
-        left = f1[live] <= f2[live]
-        lo, hi = live[left], live[~left]
-        b[lo], x2[lo], f2[lo] = x2[lo], x1[lo], f1[lo]
-        x1[lo] = b[lo] - _INV_PHI * (b[lo] - a[lo])
-        a[hi], x1[hi], f1[hi] = x1[hi], x2[hi], f2[hi]
-        x2[hi] = a[hi] + _INV_PHI * (b[hi] - a[hi])
-        got = f(np.concatenate([lo, hi]), np.concatenate([x1[lo], x2[hi]]))
-        f1[lo], f2[hi] = got[: lo.size], got[lo.size :]
-        for xk, fk in ((x1, f1), (x2, f2)):
-            better = live[fk[live] < best_f[live]]
-            best_x[better], best_f[better] = xk[better], fk[better]
-    return best_x, best_f
-
-
-def _profile_block(u: GrowthFunction, ts: np.ndarray) -> list[Optional[LegendrePoint]]:
-    """Transform values at the orders ts from one sample of phi, for a
+def _profile_block(u: GrowthFunction, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log ell and rho at the orders ts from one sample of phi, for a
     (log, exp)-convex u with a vectorised phi.
 
     phi is sampled once on the _SCAN_POINTS grid; the running maximum
@@ -219,10 +318,9 @@ def _profile_block(u: GrowthFunction, ts: np.ndarray) -> list[Optional[LegendreP
     x_i where g(x) = phi(x) - t x stops falling.  An order keeps
     [x_{i-1}, x_{i+1}] only under Bracket's certificate (the three
     values finite, g(x_i) <= g(x_{i-1}) and g(x_i) <= g(x_{i+1}));
-    _golden_min_rows then runs _golden_min's search on every kept order
-    in lockstep, one phi_many call per step, and minimize_convex_1d's
-    inner-point rule picks the result.  Orders without the certificate
-    come back as None.  No (order x grid) matrix is formed.
+    _brent_min_rows then polishes every kept order in lockstep from
+    x_i, one phi_many call per step.  Orders without the certificate
+    come back as NaN.  No (order x grid) matrix is formed.
     """
     xs = np.linspace(-RANGE_CAP, min(u.x_max, RANGE_CAP), _SCAN_POINTS)
     ph = u.phi_many(xs)
@@ -236,51 +334,60 @@ def _profile_block(u: GrowthFunction, ts: np.ndarray) -> list[Optional[LegendreP
         & (g_in <= ph[i + 1] - ts * xs[i + 1])
     )
     rows = np.flatnonzero(kept)
-    t = ts[rows]
-    x, fx = _golden_min_rows(
-        lambda k, x: u.phi_many(x) - t[k] * x, xs[i[rows] - 1], xs[i[rows] + 1]
+    t, i = ts[rows], i[rows]
+    x, fx = _brent_min_rows(
+        lambda k, x: u.phi_many(x) - t[k] * x, xs[i - 1], xs[i + 1], xs[i], g_in[rows],
+        ph[i - 1] - t * xs[i - 1], ph[i + 1] - t * xs[i + 1],
     )
-    inner = g_in[rows] < fx
-    x = np.where(inner, xs[i[rows]], x)
-    fx = np.where(inner, g_in[rows], fx)
-    out: list[Optional[LegendrePoint]] = [None] * len(ts)
-    for k, row in enumerate(rows):
-        out[row] = LegendrePoint(LogScalar(float(fx[k])), math.exp(float(x[k])), None)
-    return out
+    log_ell, rho = np.full(len(ts), math.nan), np.full(len(ts), math.nan)
+    log_ell[rows], rho[rows] = fx, np.exp(x)
+    return log_ell, rho
 
 
-def _warm_seed(pts: Sequence[LegendrePoint]) -> float:
-    """log of the last minimizer: rho is increasing in t."""
-    if pts and pts[-1].rho > 0.0 and math.isfinite(pts[-1].rho):
-        return math.log(pts[-1].rho)
+# a block costs about 1-3 ms whatever its size (the phi sample and the
+# lockstep polish); on a fresh ks(0.5), exp, exp_2 and exp[r^2] the walk
+# of one _ell_at per order was faster below 16-40 orders
+_BLOCK_MIN_ROWS = 24
+
+
+def _warm_seed(rho: float) -> float:
+    """log of the last minimizer (rho is increasing in t), else 0."""
+    if 0.0 < rho < math.inf:
+        return math.log(rho)
     return 0.0
 
 
-def _integer_profile(u: GrowthFunction, n_max: int) -> list[LegendrePoint]:
+def _integer_profile(u: GrowthFunction, n_max: int) -> _Profile:
     """Transform values at integer t, grown on demand and cached per
-    function instance.
+    function instance; the returned profile holds at least the orders
+    0..n_max.
 
     The first new point of a growth goes through _ell_at, warm-started
     at the previous minimizer.  When u has a vectorised phi and is
-    flagged (log, exp)-convex, the rest of the new orders come from one
-    _profile_block; an order the block cannot certify, and every order
-    of any other u, goes through _ell_at in turn, so boundary flags,
-    refusals and the points cached before a refusal are those of the
-    point-by-point walk.
+    flagged (log, exp)-convex, the rest of the new orders, if there are
+    at least _BLOCK_MIN_ROWS of them, come from one _profile_block,
+    whose Brent polish fixes log ell to roundoff and rho to about the
+    square root of machine epsilon.  An order the block cannot certify,
+    and every order of any other u, goes through _ell_at in turn, so
+    boundary flags, refusals and the points cached before a refusal are
+    those of the point-by-point walk.
     """
-    pts = _PROFILE_CACHE.get(u)
-    if pts is None:
-        pts = []
-        _PROFILE_CACHE[u] = pts
-    if len(pts) <= n_max:
-        pts.append(_ell_at(u, float(len(pts)), _warm_seed(pts)))
-        orders = range(len(pts), n_max + 1)
-        block: Sequence[Optional[LegendrePoint]] = [None] * len(orders)
-        if orders and u.phi_vec is not None and u.log_exp_convex:
-            block = _profile_block(u, np.array(orders, dtype=float))
-        for n, p in zip(orders, block):
-            pts.append(p if p is not None else _ell_at(u, float(n), _warm_seed(pts)))
-    return pts[: n_max + 1]
+    prof = _PROFILE_CACHE.get(u)
+    if prof is None:
+        prof = _PROFILE_CACHE[u] = _Profile()
+    if len(prof) <= n_max:
+        prof.append(_ell_at(u, float(len(prof)), prof.seed()))
+        orders = np.arange(len(prof), n_max + 1, dtype=float)
+        log_ell = rho = np.full(len(orders), math.nan)
+        if orders.size >= _BLOCK_MIN_ROWS and u.phi_vec is not None and u.log_exp_convex:
+            log_ell, rho = _profile_block(u, orders)
+        done = 0
+        for k in np.flatnonzero(np.isnan(log_ell)):
+            prof.extend(log_ell[done:k], rho[done:k])
+            prof.append(_ell_at(u, float(orders[k]), prof.seed()))
+            done = k + 1
+        prof.extend(log_ell[done:], rho[done:])
+    return prof
 
 
 def ell(u: GrowthFunction, t: float) -> LegendrePoint:
@@ -290,9 +397,10 @@ def ell(u: GrowthFunction, t: float) -> LegendrePoint:
     flag when the infimum was attained or approached on a boundary.
     Integer t values are cached per function, since the series builders
     walk them densely; _integer_profile grows that cache in vectorised
-    blocks for closed-form (log, exp)-convex functions, which agree with
-    the point search to roundoff in log ell (rho, the argmin of a flat
-    minimum, only to about the square root of machine epsilon).
+    blocks for (log, exp)-convex functions with a vectorised phi, whose
+    Brent polish agrees with the point search to roundoff in log ell and
+    to about the square root of machine epsilon in rho (the argmin of a
+    flat minimum).
     """
     t = float(t)
     if t < 0:
@@ -347,7 +455,7 @@ class LegendreProfile:
             raise ValueError("t grid must be nondecreasing and nonnegative")
         pts: list[LegendrePoint] = []
         for t in ts:
-            pts.append(_ell_at(u, t, _warm_seed(pts)))
+            pts.append(_ell_at(u, t, _warm_seed(pts[-1].rho if pts else 0.0)))
         return cls(
             tuple(ts),
             tuple(p.log_ell.log for p in pts),
@@ -445,7 +553,7 @@ def ell_profile(u: GrowthFunction, name: Optional[str] = None) -> LogConcaveProf
     """The transform of u as an inverse-transform input, with t0
     detected from the integer profile (the last index where the values
     still rise)."""
-    t0 = _detect_n0([p.log_ell.log for p in _integer_profile(u, 60)])
+    t0 = _detect_n0(_integer_profile(u, 60).log_ell[:61].tolist())
     return LogConcaveProfile(
         log_f=lambda t: ell(u, t).log_ell.log,
         t0=float(t0),
@@ -522,11 +630,21 @@ _SERIES_WINDOWS: "weakref.WeakKeyDictionary[GrowthFunction, dict]" = (
 )
 
 
-def _coeff_logs(pts: Sequence[LegendrePoint], tag: str) -> list[float]:
-    """log ell_u(n) for L_u ("l"), -log ell_u(n) - 2 log n! for L#_u ("sharp")."""
+_TWO_LOG_FACTORIALS = np.zeros(1)  # 2 log n! for n < len, grown on demand
+
+
+def _coeff_logs(u: GrowthFunction, n: int, tag: str) -> np.ndarray:
+    """log ell_u(k) for L_u ("l"), -log ell_u(k) - 2 log k! for L#_u
+    ("sharp"), k = 0..n."""
+    global _TWO_LOG_FACTORIALS
+    logs = _integer_profile(u, n).log_ell[: n + 1]
     if tag == "l":
-        return [p.log_ell.log for p in pts]
-    return [-p.log_ell.log - 2.0 * math.lgamma(k + 1.0) for k, p in enumerate(pts)]
+        return logs.copy()
+    if len(_TWO_LOG_FACTORIALS) <= n:
+        _TWO_LOG_FACTORIALS = np.array(
+            [2.0 * math.lgamma(k + 1.0) for k in range(2 * n + 1)]
+        )
+    return -logs - _TWO_LOG_FACTORIALS[: n + 1]
 
 
 def _series_window(u: GrowthFunction, tag: str, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -536,7 +654,7 @@ def _series_window(u: GrowthFunction, tag: str, n: int) -> tuple[np.ndarray, np.
     windows = _SERIES_WINDOWS.setdefault(u, {})
     got = windows.get((tag, n))
     if got is None:
-        c = np.array(_coeff_logs(_integer_profile(u, n), tag))
+        c = _coeff_logs(u, n, tag)
         got = windows[(tag, n)] = (c, stored_ratio_bounds(c))
     return got
 
@@ -561,7 +679,7 @@ def _series_logs(
     out = np.empty(len(log_rs))
     zero = log_rs == LOG_ZERO
     if zero.any():
-        out[zero] = _coeff_logs(_integer_profile(u, 0), tag)[0]
+        out[zero] = _coeff_logs(u, 0, tag)[0]
     pending = np.flatnonzero(~zero)
     hints = _SERIES_N_HINT.setdefault(u, {})
     n = max(_SERIES_START, hints.get(tag, 0))
@@ -706,24 +824,199 @@ def dual(u: GrowthFunction, r: float) -> LogScalar:
     return LogScalar(_dual_point(u, log_r)[0])
 
 
+def _bracket_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], seed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """numerics.bracket_minimum(f, seed) within the range caps, on many
+    rows in lockstep: the same probes, doubling steps and stop rules, so
+    row k ends where the one-row search ends.  ``f(rows, xs)`` evaluates
+    row rows[j] at xs[j].
+
+    Returns (lo, hi, x, fx, end): end 0 is a Bracket [lo, hi] with inner
+    point x, end 1 a limit that flattened out at the cap x, end 2 a
+    descent still active at the cap (NotBracketable).
+    """
+    every = np.arange(len(seed))
+    x0 = np.clip(seed, -RANGE_CAP, RANGE_CAP)
+    xr, xl = np.minimum(x0 + 1.0, RANGE_CAP), np.maximum(x0 - 1.0, -RANGE_CAP)
+    f0, fr, fl = np.split(f(np.tile(every, 3), np.concatenate([x0, xr, xl])), 3)
+    fr, fl = np.where(xr > x0, fr, math.inf), np.where(xl < x0, fl, math.inf)
+    lo, hi, x, fx = xl, xr, x0.copy(), f0.copy()
+    end = np.zeros(len(seed), dtype=int)
+
+    def on_cap(k, f_before, f_cap):
+        # numerics._on_cap: the cap holds the minimum once f has flattened out
+        flat = ~np.isinf(f_cap) & (np.abs(f_cap - f_before) <= 1e-8 * (1.0 + np.abs(f_cap)))
+        fx[k], end[k] = f_cap, np.where(flat, 1, 2)
+
+    at_once = (f0 <= fr) & (f0 <= fl)
+    up = fr < fl
+    cap = np.where(up, RANGE_CAP, -RANGE_CAP)
+    cur, f_cur = np.where(up, xr, xl), np.where(up, fr, fl)
+    k = np.flatnonzero(at_once & (np.abs(x0) == RANGE_CAP))
+    on_cap(k, np.where(x0[k] > 0, fl[k], fr[k]), f0[k])
+    k = np.flatnonzero(~at_once & (cur == cap))
+    x[k] = cur[k]
+    on_cap(k, f0[k], f_cur[k])
+    live = np.flatnonzero(~at_once & (cur != cap))
+    prev, step = x0.copy(), 1.0
+    while live.size:
+        step *= 2.0
+        nxt = np.clip(cur[live] + np.sign(cap[live]) * step, -RANGE_CAP, RANGE_CAP)
+        f_nxt = f_cur[live].copy()
+        moved = nxt != cur[live]
+        f_nxt[moved] = f(live[moved], nxt[moved])
+        rose = f_nxt >= f_cur[live]
+        k = live[rose]
+        lo[k], hi[k] = np.minimum(prev[k], nxt[rose]), np.maximum(prev[k], nxt[rose])
+        x[k], fx[k] = cur[k], f_cur[k]
+        capped = ~rose & (nxt == cap[live])
+        k = live[capped]
+        x[k] = nxt[capped]
+        on_cap(k, f_cur[k], f_nxt[capped])
+        go = ~(rose | capped)
+        k = live[go]
+        prev[k], cur[k], f_cur[k] = cur[k], nxt[go], f_nxt[go]
+        live = k
+    return lo, hi, x, fx, end
+
+
+class _DualSample(NamedTuple):
+    """psi(y) = log u(y^2) on the w = log y grid of the dual's search,
+    with the running maximum of its chord slopes in y and the running
+    count of cells whose slope is NaN or falls below the one before by
+    more than roundoff."""
+
+    w: np.ndarray
+    psi: np.ndarray
+    y: np.ndarray
+    slopes: np.ndarray
+    breaks: np.ndarray
+
+
+_DUAL_SAMPLES: "weakref.WeakKeyDictionary[GrowthFunction, _DualSample]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _dual_sample(u: GrowthFunction) -> _DualSample:
+    """The sample of u that its duals' vectorised phi reads, taken at
+    the first use and cached per function instance."""
+    got = _DUAL_SAMPLES.get(u)
+    if got is not None:
+        return got
+    w = np.linspace(-RANGE_CAP, RANGE_CAP, _SCAN_POINTS)
+    psi, y = u.phi_many(2.0 * w), np.exp(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = np.diff(psi)
+        # psi = +inf past the double range continues it convexly
+        s = np.where(psi[1:] == math.inf, math.inf, step / np.diff(y))
+        # a step within roundoff of psi, or between subnormal values, is
+        # noise: its slope cannot show a bend
+        scale = np.maximum(np.abs(psi[1:]), np.abs(psi[:-1]))
+        resolved = (np.abs(step) > 4.0 * _EPS * scale) & (scale >= _TINY)
+    bad = np.isnan(s)
+    bad[1:] |= (s[1:] < s[:-1]) & resolved[1:] & resolved[:-1]
+    got = _DUAL_SAMPLES[u] = _DualSample(
+        w, psi, y, np.fmax.accumulate(s), np.concatenate([[0], np.cumsum(bad)])
+    )
+    return got
+
+
+def _dual_value(u: GrowthFunction, log_r: float) -> float:
+    """log u*(r) with an escaping supremum mapped to +infinity."""
+    try:
+        return _dual_point(u, log_r)[0]
+    except NotBracketable:
+        return math.inf
+
+
+def _dual_rows(u: GrowthFunction, xs: np.ndarray) -> np.ndarray:
+    """_dual_value at every x = log r, for a (log, x^2)-convex u with a
+    vectorised phi.
+
+    _dual_point's seed walk and _bracket_rows run the scalar search's
+    bracketing in lockstep, so escapes, limits at the range cap and +inf
+    suprema come out as they do there.  A bracketed row is then polished
+    under the sample's certificate: the chord slopes of psi, searched
+    for c = 2 sqrt(r), give the grid cell [w_{i-1}, w_{i+1}] where
+    c y - psi(y) stops rising.  The row keeps it when the inner value is
+    finite and highest and psi's chord slopes rise on every cell from
+    the bracket to the cell, so the maximand has one maximum there: the
+    one the scalar search finds.  _brent_min_rows polishes the kept rows
+    in the offset from w_i, so its step floor fixes the value to
+    roundoff as the scalar golden search does.  Other rows go through
+    _dual_value.  No (row x grid) matrix is formed.
+    """
+    shape = np.shape(xs)
+    xs = np.ravel(np.asarray(xs, dtype=float))
+    out = np.empty(len(xs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = 2.0 * np.where(0.5 * xs > 709.0, math.inf, np.exp(0.5 * xs))
+
+        def neg_g(k: np.ndarray, ws: np.ndarray) -> np.ndarray:
+            # the scalar maximand with log u(y^2) past the double range as -inf
+            p = u.phi_many(2.0 * ws)
+            return np.where(np.isfinite(p), p - c[k] * np.exp(ws), math.inf)
+
+        # _dual_point's seed walk: down by doubling steps to a finite maximand
+        seed = 0.5 * xs
+        g_seed = neg_g(np.arange(len(xs)), seed)
+        walk = np.flatnonzero(~np.isfinite(g_seed) & (seed > -RANGE_CAP))
+        step = 1.0
+        while walk.size:
+            seed[walk] -= step
+            step *= 2.0
+            g_seed[walk] = neg_g(walk, seed[walk])
+            walk = walk[~np.isfinite(g_seed[walk]) & (seed[walk] > -RANGE_CAP)]
+        scalar = ~np.isfinite(g_seed) | (xs == LOG_ZERO)
+        rows = np.flatnonzero(~scalar)
+        lo, hi, _, f_in, end = _bracket_rows(lambda k, ws: neg_g(rows[k], ws), seed[rows])
+        out[rows] = np.where(end == 2, math.inf, -f_in)
+        polish = (end == 0) & np.isfinite(f_in)
+        rows, lo, hi = rows[polish], lo[polish], hi[polish]
+        if rows.size:
+            S = _dual_sample(u)
+            last = len(S.w) - 2
+            i = np.clip(np.searchsorted(S.slopes, c[rows]), 1, last)
+            g = [
+                np.where(np.isfinite(S.psi[i + d]), S.psi[i + d] - c[rows] * S.y[i + d], math.inf)
+                for d in (-1, 0, 1)
+            ]
+            # the cells from the bracket to the sample's cell, one more each side
+            cells_lo = np.searchsorted(S.w, np.minimum(lo, S.w[i - 1]), "right") - 2
+            cells_hi = np.searchsorted(S.w, np.maximum(hi, S.w[i + 1]))
+            cells_lo, cells_hi = np.clip(cells_lo, 0, last), np.clip(cells_hi, 0, last)
+            kept = (
+                np.isfinite(g[1]) & (g[1] <= g[0]) & (g[1] <= g[2])
+                & (S.breaks[cells_hi + 1] == S.breaks[cells_lo])
+            )
+            scalar[rows[~kept]] = True
+            rows, i, g_in = rows[kept], i[kept], g[1][kept]
+            base = S.w[i]
+            _, fx = _brent_min_rows(
+                lambda k, d: neg_g(rows[k], base[k] + d),
+                S.w[i - 1] - base, S.w[i + 1] - base, np.zeros(len(rows)), g_in,
+                g[0][kept], g[2][kept],
+            )
+            out[rows] = -fx
+    for k in np.flatnonzero(scalar):
+        out[k] = _dual_value(u, float(xs[k]))
+    return out.reshape(shape)
+
+
 def dual_function(u: GrowthFunction, name: Optional[str] = None) -> GrowthFunction:
     """The dual of u as a growth function, with escaping suprema mapped
     to +infinity.
 
     The dual is always increasing and (log, x^2)-convex -- its log at
     squared argument is a supremum of affine maps -- so the hint flags
-    are unconditional.
+    are unconditional.  When u has a vectorised phi and is flagged
+    (log, x^2)-convex, the dual gets one too (_dual_rows).
     """
     p0 = ell(u, 0.0)
-
-    def phi(x: float) -> float:
-        try:
-            return _dual_point(u, x)[0]
-        except NotBracketable:
-            return math.inf
-
-    return from_phi(
-        phi,
+    dual_u = from_phi(
+        lambda x: _dual_value(u, x),
         name=name or f"dual[{u.name}]",
         family="dual",
         params={"base": u.name},
@@ -733,6 +1026,9 @@ def dual_function(u: GrowthFunction, name: Optional[str] = None) -> GrowthFuncti
         log_x2_convex=True,
         in_c_plus_log=True,
     )
+    if u.phi_vec is None or not u.log_x2_convex:
+        return dual_u
+    return replace(dual_u, phi_vec=lambda xs: _dual_rows(u, xs))
 
 
 # --------------------------------------------------------------------------
@@ -1006,7 +1302,7 @@ def _suite_lem_a1(params: dict) -> SuiteReport:
     k = float(params.get("k", 2.0))
     n_max = int(params.get("n_max", 25))
     tol = float(params.get("tol", _TOL_INEQ))
-    logs = [p.log_ell.log for p in _integer_profile(u, 2 * n_max)]
+    logs = _integer_profile(u, 2 * n_max).log_ell[: 2 * n_max + 1].tolist()
     acc = _Rows()
     for n in range(n_max + 1):
         for m in range(n_max + 1):
@@ -1036,7 +1332,7 @@ def _suite_lem_a2(params: dict) -> SuiteReport:
     k = float(params.get("k", 2.0))
     tol = float(params.get("tol", _TOL_INEQ))
     grid, gdesc = _geom_grid_params(params, 1e-3, 100.0, 21)
-    logs = [p.log_ell.log for p in _integer_profile(u, 1)]
+    logs = _integer_profile(u, 1).log_ell[:2].tolist()
     shift = k * LOG2
     acc = _Rows()
     for r in grid:
@@ -1073,7 +1369,7 @@ def _suite_thm31_lower(params: dict) -> SuiteReport:
     k = float(params.get("k", 2.0))
     tol = float(params.get("tol", _TOL_INEQ))
     grid, gdesc = _geom_grid_params(params, 1e-3, 50.0, 25)
-    logs = [p.log_ell.log for p in _integer_profile(u, 60)]
+    logs = _integer_profile(u, 60).log_ell[:61].tolist()
     n0 = _detect_n0(logs)
     log_u1 = u.log_at(1.0)
     log_c = max(log_u1 - logs[0], logs[0] - logs[1], log_u1 - logs[n0 + 1])
@@ -1095,6 +1391,7 @@ def _suite_thm42(params: dict) -> SuiteReport:
     t_max = int(params.get("t_max", 30))
     tol = float(params.get("tol", _TOL_IDENTITY))
     us = dual_function(u)
+    _integer_profile(us, t_max)  # one block, not one order per ell call
     acc = _Rows()
     ts = list(range(t_max + 1))
     for t in ts:

@@ -574,6 +574,32 @@ class TestCacheIntegrity:
             outputs.append(cached)
         assert outputs[0] != outputs[1]
 
+    def test_series_file_of_a_registry_entry_is_in_the_key(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from growthcalc.sequences import gen_power_factorial
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.json").write_text(json.dumps(
+            {"w": {"family": "series", "params": {"file": "s.json"}}}))
+        argv = ("fn", "eval", "--registry", "r.json", "--name", "w", "--r", "0.1")
+        outputs = []
+        for beta in (0.0, 0.5):
+            gen_power_factorial(beta, 40).save("s.json")
+            cached = run(capsys, *argv, "--cache-dir", "c")
+            assert cached == run(capsys, *argv)
+            outputs.append(cached)
+        assert outputs[0] != outputs[1]
+
+    def test_cache_dir_naming_a_file_is_a_usage_error(self, capsys, tmp_path):
+        taken = tmp_path / "F"
+        taken.write_text("not a directory")
+        code, out, err = run(capsys, "ell", "--family", "exp", "--t", "1",
+                             "--cache-dir", str(taken))
+        assert (code, out) == (2, "")
+        assert str(taken) in err and "--cache-dir" in err
+        assert taken.read_text() == "not a directory"
+
     def test_unreadable_input_file_skips_the_cache(self, capsys, tmp_path):
         cache = tmp_path / "cache"
         code, out, err = run(

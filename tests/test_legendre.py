@@ -137,6 +137,21 @@ class TestTransformClosedForms:
 
 
 class TestTransformEdges:
+    def test_scan_refines_only_plateau_edges(self, monkeypatch):
+        # exp[r^2]'s phi saturates at e^700 from x = 350 on, so phi - t x is
+        # flat over half the scan grid; no plateau point inside is refined
+        calls = []
+        golden = legendre._golden_min
+        monkeypatch.setattr(
+            legendre, "_golden_min", lambda *a, **k: calls.append(a[1:]) or golden(*a, **k)
+        )
+        u = gaussian()
+        scan = from_phi(u.phi, name="scan", log_u0=u.log_u0, x_max=u.x_max)
+        got = legendre.ell(scan, 2.5)
+        assert len(calls) <= 4
+        # the value the scan gave while it refined every plateau point
+        assert got.log_ell.log == float.fromhex("0x1.f1302919fafd5p-1")
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             gc.ell(exponential(), -0.5)
@@ -253,7 +268,8 @@ def _scalar_walk(u, n_max):
     pts = []
     try:
         for n in range(n_max + 1):
-            pts.append(legendre._ell_at(u, float(n), legendre._warm_seed(pts)))
+            seed = legendre._warm_seed(pts[-1].rho if pts else 0.0)
+            pts.append(legendre._ell_at(u, float(n), seed))
     except (NotBracketable, PreconditionViolated) as exc:
         return pts, exc
     return pts, None
@@ -300,8 +316,8 @@ class TestProfileBlock:
                              ids=[k for k, _ in BLOCK_FAMILIES])
     def test_every_order_certified(self, make):
         # the block, not the scalar fallback, built these profiles
-        block = legendre._profile_block(make(), np.arange(1.0, 1025.0))
-        assert all(p is not None for p in block)
+        log_ell, rho = legendre._profile_block(make(), np.arange(1.0, 1025.0))
+        assert not np.isnan(log_ell).any() and not np.isnan(rho).any()
 
     def test_grown_in_blocks_equals_grown_at_once(self):
         u, v = ks_family(0.5), ks_family(0.5)
@@ -336,7 +352,7 @@ class TestProfileBlock:
             legendre._integer_profile(u, 100)
         _, exc = _scalar_walk(make_growth_function("polynomial", {"p": 5.0}), 100)
         assert str(got.value) == str(exc)
-        assert legendre._PROFILE_CACHE[u] == []
+        assert len(legendre._PROFILE_CACHE[u]) == 0
 
 
 class TestInverseTransform:
@@ -742,6 +758,34 @@ class TestDualFunction:
                 want = 2.0 * t - gc.ell(u, float(t)).log_ell.log - 2.0 * t * math.log(t)
                 got = gc.ell(us, float(t)).log_ell.log
                 assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize(
+        "make",
+        [m for _, m in BLOCK_FAMILIES if m().log_x2_convex],
+        ids=[k for k, m in BLOCK_FAMILIES if m().log_x2_convex],
+    )
+    def test_vectorised_dual_matches_scalar(self, make):
+        us = gc.dual_function(make())
+        xs = np.linspace(-700.0, 700.0, 257)
+        got = us.phi_many(xs)
+        want = np.array([us.phi_at(float(x)) for x in xs])
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert not np.isnan(got).any()
+        fin = np.isfinite(want)
+        assert np.all(np.abs(got[fin] - want[fin]) <= 1e-13 * np.maximum(1.0, np.abs(want[fin])))
+
+    def test_dual_vectorised_only_over_a_vectorised_base(self):
+        assert gc.dual_function(exponential()).phi_vec is not None
+        assert gc.dual_function(from_phi(math.exp, name="e", log_x2_convex=True)).phi_vec is None
+        assert gc.dual_function(power_exp(3.0)).phi_vec is None  # not (log, x^2)-convex
+
+    @pytest.mark.parametrize("params", [
+        {"family": "exp"}, {"family": "ks", "beta": 0.5}, {"family": "expk", "order": 2},
+    ], ids=["exp", "ks", "expk2"])
+    def test_dual_suite_verdicts(self, params):
+        # verdicts of the suites that run on duals, with the vectorised dual
+        assert gc.verify_suite("thm42", params).verdict == "pass"
+        assert gc.verify_suite("thm43", params).verdict == "pass"
 
     def test_dual_is_x2_convex_by_probe(self):
         us = gc.dual_function(exponential())

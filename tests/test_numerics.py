@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthcalc import numerics
-from growthcalc.legendre import _golden_min_rows
+from growthcalc.legendre import _brent_min_rows
 from growthcalc.numerics import (
     LOG_ZERO,
     RANGE_CAP,
@@ -26,7 +26,6 @@ from growthcalc.numerics import (
     LogScalar,
     NoDecayCertificate,
     NotBracketable,
-    _golden_min,
     bracket_minimum,
     default_rel_tol,
     geometric_grid,
@@ -251,35 +250,59 @@ class TestRangeCap:
         assert abs(res.x - 698.7) <= 1e-6
 
 
-class TestGoldenMinRows:
-    def test_each_row_takes_the_scalar_path(self):
-        # bit-for-bit the scalar search, flat and kinked rows included
-        fs = [
-            lambda x: (x - 0.3) ** 2,
-            lambda x: math.exp(x) - 3.0 * x,
-            lambda x: abs(x - 1.0),
-            lambda x: 5.0,
-            lambda x: math.cosh(x - 0.7) + 0.1 * x * x,
-        ]
-        a = np.array([-1.0, 0.0, -4.0, -1.0, -3.0])
-        b = np.array([1.0, 2.0, 9.0, 1.0, 3.0])
+class TestBrentMinRows:
+    # (f, a, inner, b) with f(inner) <= f(a), f(b): smooth, kinked, flat
+    # and +inf-edged rows
+    ROWS = [
+        (lambda x: (x - 0.3) ** 2, -1.0, 0.0, 1.0),
+        (lambda x: math.exp(x) - 3.0 * x, 0.0, 1.0, 2.0),
+        (lambda x: abs(x - 1.0), -4.0, 0.5, 9.0),
+        (lambda x: 5.0, -1.0, 0.2, 1.0),
+        (lambda x: math.cosh(x - 0.7) + 0.1 * x * x, -3.0, 0.0, 3.0),
+        (lambda x: math.inf if x > 1.5 else (x - 1.2) ** 2, 0.0, 1.0, 2.0),
+        (lambda x: max(-x, 2.0 * x), -1.0, 0.5, 2.0),
+    ]
 
-        def f(rows, xs):
-            return np.array([fs[r](x) for r, x in zip(rows, xs)])
+    @staticmethod
+    def _call(rows):
+        fs = [f for f, *_ in rows]
+        a, x0, b = (np.array(col) for col in list(zip(*rows))[1:])
+        def f(k, xs):
+            return np.array([fs[r](x) for r, x in zip(k, xs)])
 
-        xs, fx = _golden_min_rows(f, a, b)
-        for k, fk in enumerate(fs):
-            assert (xs[k], fx[k]) == _golden_min(fk, a[k], b[k])
+        every = np.arange(len(fs))
+        return _brent_min_rows(f, a, b, x0, f(every, x0), f(every, a), f(every, b))
 
-    def test_evaluates_only_rows_still_shrinking(self):
+    def test_each_row_takes_its_one_row_path(self):
+        xs, fx = self._call(self.ROWS)
+        for k, row in enumerate(self.ROWS):
+            x1, f1 = self._call([row])
+            assert (xs[k], fx[k]) == (x1[0], f1[0]), k
+
+    def test_stays_in_the_bracket_and_beats_the_inner_point(self):
+        xs, fx = self._call(self.ROWS)
+        for (f, a, x0, b), x, v in zip(self.ROWS, xs, fx):
+            assert a <= x <= b
+            assert v == f(x) and v <= f(x0)
+
+    def test_finds_the_minimizers(self):
+        xs, _ = self._call(self.ROWS)
+        for k, want in [(0, 0.3), (1, math.log(3.0)), (2, 1.0), (5, 1.2), (6, 0.0)]:
+            assert abs(xs[k] - want) <= 1e-6, k
+
+    def test_evaluates_only_rows_still_running(self):
         seen = []
 
         def f(rows, xs):
             seen.append(len(rows))
             return (xs - 0.5) ** 2
 
-        _golden_min_rows(f, np.array([0.0, 0.0]), np.array([1.0, 1e-12]))
-        assert seen[0] == 4 and set(seen[1:]) == {1}
+        _brent_min_rows(
+            f, np.array([0.0, 0.0]), np.array([1.0, 1e-12]),
+            np.array([0.4, 5e-13]), np.array([0.01, 0.25]),
+            np.array([0.25, 0.25]), np.array([0.25, 0.25]),
+        )
+        assert seen and set(seen) == {1}
 
 
 class TestToleranceEnv:

@@ -99,4 +99,4 @@ def test_dir_lists_the_namespace():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         growthcalc.no_such_name
-    assert not hasattr(growthcalc, "_golden_min_rows")
+    assert not hasattr(growthcalc, "_brent_min_rows")
