@@ -719,6 +719,19 @@ class TestDual:
             want = -gc.ell(u, 0.0).log_ell.log
             assert abs(gc.dual(u, 0.0).log - want) <= 1e-12
 
+    @pytest.mark.parametrize("log_r", [360.0, 400.0, 600.0])
+    @pytest.mark.parametrize("u,k", [(gaussian(), 1.0), (ks_family(-0.5), 0.5)],
+                             ids=["gaussian", "ks-0.5"])
+    def test_seed_on_a_saturated_phi(self, u, k, log_r):
+        # log u(s) = k s^2 is held at k e^700 from s = e^350 on, where
+        # 2 sqrt(r s) is lost in its roundoff: the seed s = r sits there.
+        # The maximum of c y - k y^4 (c = 2 sqrt(r)) is 3/4 c (c/4k)^(1/3)
+        c = 2.0 * math.exp(0.5 * log_r)
+        want = 0.75 * c * (c / (4.0 * k)) ** (1.0 / 3.0)
+        got = gc.dual(u, math.exp(log_r)).log
+        assert got >= -u.log_u0  # the s -> 0 limit bounds every dual below
+        assert abs(got - want) <= 1e-12 * want
+
 
 class TestDualFunction:
     def test_escape_becomes_infinity(self):
@@ -773,6 +786,16 @@ class TestDualFunction:
         assert not np.isnan(got).any()
         fin = np.isfinite(want)
         assert np.all(np.abs(got[fin] - want[fin]) <= 1e-13 * np.maximum(1.0, np.abs(want[fin])))
+
+    @pytest.mark.parametrize("make", [gaussian, lambda: ks_family(-0.5)],
+                             ids=["gaussian", "ks-0.5"])
+    def test_vectorised_dual_past_saturation_stays_vectorised(self, make, monkeypatch):
+        # seeds on the clamped part of phi walk down in lockstep, so no
+        # row falls back to the scalar search
+        scalar = []
+        monkeypatch.setattr(legendre, "_dual_value", lambda u, x: scalar.append(x))
+        got = gc.dual_function(make()).phi_many(np.linspace(-700.0, 700.0, 257))
+        assert not scalar and np.isfinite(got[got.size // 2 :]).any()
 
     def test_dual_vectorised_only_over_a_vectorised_base(self):
         assert gc.dual_function(exponential()).phi_vec is not None

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthcalc import numerics
+from growthcalc import legendre, numerics
+from growthcalc.growthfn import ks_family
 from growthcalc.legendre import _brent_min_rows
 from growthcalc.numerics import (
     LOG_ZERO,
@@ -303,6 +304,63 @@ class TestBrentMinRows:
             np.array([0.25, 0.25]), np.array([0.25, 0.25]),
         )
         assert seen and set(seen) == {1}
+
+    @staticmethod
+    def _block_calls(u, orders, monkeypatch):
+        """The lockstep calls a profile block makes: (f, args, steps)."""
+        calls = []
+
+        def spy(f, *args):
+            steps = []
+
+            def counted(rows, xs):
+                steps.append(len(rows))
+                return f(rows, xs)
+
+            calls.append((f, args, steps))
+            return _brent_min_rows(counted, *args)
+
+        monkeypatch.setattr(legendre, "_brent_min_rows", spy)
+        legendre._profile_block(u, orders)
+        monkeypatch.undo()
+        return calls
+
+    def test_profile_block_rows_take_their_one_row_paths(self, monkeypatch):
+        (f, args, _), = self._block_calls(ks_family(1.0), np.arange(1.0, 65.0), monkeypatch)
+        xs, fx = _brent_min_rows(f, *args)
+        for k in range(len(xs)):
+            one = [np.asarray(v)[k : k + 1] for v in args]
+            x1, f1 = _brent_min_rows(lambda rows, x: f(rows + k, x), *one)
+            assert (xs[k], fx[k]) == (x1[0], f1[0]), k
+
+    def test_fresh_block_polishes_in_few_steps(self, monkeypatch):
+        # the t = 1 row has its minimiser at x = 0, where the width rule's
+        # floor is GOLDEN_WIDTH / 3 and f is flat to roundoff much wider:
+        # it kept a one-row loop going for 29 steps before the flat stop
+        (_, _, steps), = self._block_calls(ks_family(1.0), np.arange(1.0, 65.0), monkeypatch)
+        assert len(steps) <= 12
+
+    # convex rows whose value the flat stop fixes: (f, its minimum, a,
+    # inner point, b); minimisers at 0, at +-1e-9 and at +-300, where the
+    # width rule alone allows a step of sqrt(eps) * 300, and a shallow V
+    # whose first bracket is flat to delta but split 1:999, with the
+    # minimum about 280 delta below the inner point
+    FLAT_ROWS = [
+        (lambda x: 1.0 + 5e-13 * abs(x - 0.5), 1.0, 0.0, 1e-3, 1.0),
+        (lambda x: math.exp(x) - x, 1.0, -1.0, 0.3, 2.0),
+        (lambda x: math.exp(x - 1e-9) - (x - 1e-9), 1.0, -1.0, -0.2, 1.0),
+        (lambda x: math.exp(x + 1e-9) - (x + 1e-9), 1.0, -1.5, 0.1, 1.0),
+        (lambda x: math.cosh(x), 1.0, -2.0, 0.5, 1.0),
+        (lambda x: 1.0 + 1e-6 * (x - 300.0) ** 2, 1.0, 299.0, 300.4, 302.0),
+        (lambda x: 5e3 * math.cosh((x + 300.0) * 1e-3), 5e3, -303.0, -299.0, -298.0),
+    ]
+
+    def test_flat_stop_certificate(self):
+        xs, fx = self._call([(f, a, x0, b) for f, _, a, x0, b in self.FLAT_ROWS])
+        for k, (f, low, a, x0, b) in enumerate(self.FLAT_ROWS):
+            delta = 4.0 * np.finfo(float).eps * max(1.0, abs(fx[k]))
+            assert fx[k] == f(xs[k]), k
+            assert abs(fx[k] - low) <= 8.0 * delta, k
 
 
 class TestToleranceEnv:
