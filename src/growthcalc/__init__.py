@@ -24,17 +24,17 @@ _EXPORTS = {
         "make_growth_function", "membership", "registered_examples",
     ),
     "holo": (
-        "BoundParams", "ChaosPolynomial", "CoeffBoundReport", "EmbeddingReport",
-        "GNormResult", "NuclearScale", "PointwiseReport", "chaos_eval",
-        "chaos_eval_batch", "coeff_bound_check", "coeff_norm", "dyadic_scale",
-        "embedding_check_51", "embedding_check_52", "hs_norm", "norm_g", "norm_k",
-        "pointwise_bound_check", "random_chaos", "series_chain_check",
+        "BoundParams", "ChaosPolynomial", "GNormResult", "NuclearScale",
+        "chaos_eval", "chaos_eval_batch", "coeff_bound_check", "coeff_norm",
+        "dyadic_scale", "embedding_check_51", "embedding_check_52", "hs_norm",
+        "norm_g", "norm_k", "pointwise_bound_check", "random_chaos",
+        "series_chain_check",
     ),
     "legendre": (
-        "FunctionEquivalenceCounterexample", "FunctionEquivalenceWitness",
-        "LegendrePoint", "LegendreProfile", "LogConcaveProfile", "SuiteReport",
-        "TauBounds", "admissibility_report", "dual", "dual_function", "ell",
-        "ell_profile", "function_equivalent", "inverse_legendre", "l_function",
+        "Check", "FunctionEquivalenceCounterexample", "FunctionEquivalenceWitness",
+        "LegendrePoint", "LegendreProfile", "LogConcaveProfile", "TauBounds",
+        "admissibility_report", "dual", "dual_function", "ell", "ell_profile",
+        "function_equivalent", "inverse_legendre", "l_function",
         "l_growth_function", "l_sharp", "l_sharp_growth_function", "suite_tags",
         "tau_bounds", "theta_function", "verify_suite",
     ),

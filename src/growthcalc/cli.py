@@ -38,6 +38,7 @@ from .numerics import (
     NotBracketable,
     PreconditionViolated,
     env_rel_tol,
+    strict_json,
 )
 
 if TYPE_CHECKING:
@@ -450,44 +451,30 @@ def _cmd_holo_check(args) -> _Result:
             (args.seed + i, random_chaos(args.dim, args.degree, seed=args.seed + i))
             for i in range(args.count)
         ]
-    checks = {}
-    rows = []
-    all_pass = True
+    dicts, rows = [], []
     for label, F in polys:
         seed = label if isinstance(label, int) else args.seed
         g = norm_g(F, u, scale, p, seed=seed).lower_bound
-        r51 = embedding_check_51(F, u, scale, p, q, seed=seed, g_value=g)
-        r52 = embedding_check_52(F, u, scale, max(1, p - 1), seed=seed)
-        cb = coeff_bound_check(
-            F, u, scale, BoundParams(K=1.05 * g, a=1.0, p=p, q=q)
-        )
-        pw = pointwise_bound_check(F, u, scale, p, n_samples=args.samples, seed=seed)
-        for tag, rep in (
-            ("embedding-51", r51),
-            ("embedding-52", r52),
+        for rec in (
+            embedding_check_51(F, u, scale, p, q, seed=seed, g_value=g),
+            embedding_check_52(F, u, scale, max(1, p - 1), seed=seed),
+            coeff_bound_check(F, u, scale, BoundParams(K=1.05 * g, a=1.0, p=p, q=q)),
+            pointwise_bound_check(F, u, scale, p, n_samples=args.samples, seed=seed),
         ):
-            rows.append({"x": f"{label}/{tag}", "lhs": rep.lhs, "rhs": rep.rhs,
-                         "slack": rep.slack})
-            entry = checks.setdefault(tag, {"passed": True, "min_slack": math.inf})
-            entry["passed"] = entry["passed"] and rep.passed
-            entry["min_slack"] = min(entry["min_slack"], rep.slack)
-            all_pass = all_pass and rep.passed
-        cb_entry = checks.setdefault("coeff-bound", {"passed": True})
-        cb_entry["passed"] = cb_entry["passed"] and cb.passed
-        pw_entry = checks.setdefault(
-            "pointwise", {"passed": True, "worst_slack": -math.inf}
-        )
-        pw_entry["passed"] = pw_entry["passed"] and pw.passed
-        pw_entry["worst_slack"] = max(
-            pw_entry["worst_slack"], pw.worst_slack_u, pw.worst_slack_series
-        )
-        all_pass = all_pass and cb.passed and pw.passed
-    chain = series_chain_check(u, scale, max(1, p - 1), seed=args.seed)
-    checks["series-chain"] = {
-        "passed": chain["passed"],
-        "worst_slack": max(chain["worst_slack_shift"], chain["worst_slack_u"]),
-    }
-    all_pass = all_pass and chain["passed"]
+            dicts.append(rec.to_json_dict())
+            rows += [dict(row, x=f"{label}/{rec.name}/{row['x']}") for row in rec.rows]
+    dicts.append(series_chain_check(u, scale, max(1, p - 1), seed=args.seed))
+    # per check: passed = all, max_violation = max; a null max_violation
+    # is -inf on a pass and +inf or NaN on a fail
+    checks = {}
+    for d in dicts:
+        passed = d["verdict"] == "pass"
+        v = d["max_violation"]
+        v = v if v is not None else (-math.inf if passed else math.inf)
+        entry = checks.setdefault(d["suite"], {"passed": True, "max_violation": -math.inf})
+        entry["passed"] = entry["passed"] and passed
+        entry["max_violation"] = max(entry["max_violation"], v)
+    all_pass = all(entry["passed"] for entry in checks.values())
     report = {
         "model": {
             "dim": args.dim,
@@ -510,25 +497,9 @@ def _cmd_holo_check(args) -> _Result:
 # rendering, caching, dispatch
 
 
-def _finite(obj):
-    """obj with every non-finite float replaced by None."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite(v) for v in obj]
-    return obj
-
-
-def _dumps(obj) -> str:
-    """Strict RFC 8259 JSON, sorted keys: non-finite floats become null."""
-    return json.dumps(_finite(obj), sort_keys=True, allow_nan=False)
-
-
 def _render(result: _Result, fmt: str) -> str:
     if fmt == "json":
-        return _dumps(result.report) + "\n"
+        return strict_json(result.report) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -538,13 +509,13 @@ def _render(result: _Result, fmt: str) -> str:
                 writer.writerow([row["x"], row["lhs"], row["rhs"], row["slack"]])
         else:
             for key in sorted(result.report):
-                writer.writerow([key, _dumps(result.report[key]), "", ""])
+                writer.writerow([key, strict_json(result.report[key]), "", ""])
         return buf.getvalue()
     lines = []
     for key in sorted(result.report):
         val = result.report[key]
         if isinstance(val, (dict, list)):
-            val = _dumps(val)
+            val = strict_json(val)
         lines.append(f"{key}: {val}")
     return "\n".join(lines) + "\n"
 
@@ -670,12 +641,6 @@ def _common(parser):
         "--format", choices=("json", "csv", "pretty"), default="json",
         help="report rendering (default json)",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized search or sampling")
-    parser.add_argument(
-        "--tol", type=float,
-        help="tolerance override for verdicts (env GROWTHCALC_TOL)",
-    )
     parser.add_argument("--registry", help="function registry file (JSON)")
     parser.add_argument("--cache-dir",
                         help="reuse reports when inputs hash-match")
@@ -785,6 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmin", type=float)
     p.add_argument("--rmax", type=float)
     p.add_argument("--points", type=int)
+    p.add_argument("--tol", type=float,
+                   help="tolerance override for the verdict (env GROWTHCALC_TOL)")
     _common(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -807,6 +774,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000,
                    help="pointwise sample count")
     p.add_argument("--chaos-file", help="check one saved chaos polynomial")
+    p.add_argument("--seed", type=int, default=0,
+                   help="first polynomial seed; also seeds the searches and samples")
     _common(p)
     p.set_defaults(func=_cmd_holo_check)
 

@@ -12,7 +12,9 @@ Two norm families live on these polynomials: the coefficient norm
 |||F|||_{u,p} = sup |F(xi)| u(|xi|_{-p}^2)^(-1/2).  The supremum is not
 exactly computable, so norm_g returns a documented lower bound from a
 seeded multistart search; every check that uses it records which
-direction of the inequality that approximation favours.
+direction of the inequality that approximation favours.  Every check
+returns a legendre.Check record: log scale, positive max_violation
+means violated.
 """
 
 from __future__ import annotations
@@ -20,23 +22,20 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .growthfn import GrowthFunction
-from .legendre import _series_logs, ell
+from .legendre import Check, _Rows, _series_logs, ell
 from .numerics import PreconditionViolated, _golden_min, safe_exp
 
 __all__ = [
     "BoundParams",
     "ChaosPolynomial",
-    "CoeffBoundReport",
-    "EmbeddingReport",
     "GNormResult",
     "NuclearScale",
-    "PointwiseReport",
     "chaos_eval",
     "coeff_bound_check",
     "coeff_norm",
@@ -380,26 +379,9 @@ class BoundParams:
             raise ValueError("need q <= p")
 
 
-@dataclass(frozen=True)
-class CoeffBoundReport:
-    """Per-degree check of |f_n|_q^2 against K^2 (a e^2 HS^2)^n ell_u(n)."""
-
-    params: BoundParams
-    hs: float
-    rows: tuple[dict, ...]
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "coeff-bound",
-            "K": self.params.K,
-            "a": self.params.a,
-            "p": self.params.p,
-            "q": self.params.q,
-            "hs": self.hs,
-            "rows": list(self.rows),
-            "passed": self.passed,
-        }
+def _log(x: float) -> float:
+    """log x, with a zero magnitude at -inf."""
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 def coeff_bound_check(
@@ -407,8 +389,10 @@ def coeff_bound_check(
     u: GrowthFunction,
     scale: NuclearScale,
     params: BoundParams,
-) -> CoeffBoundReport:
-    """Check the coefficient decay implied by a pointwise growth bound.
+) -> Check:
+    """Check the coefficient decay implied by a pointwise growth bound:
+    |f_n|_q^2 <= K^2 (a e^2 HS^2)^n ell_u(n) at every degree n, one row
+    per degree, log scale.
 
     The caller vouches for K (typically an inflated norm_g value, since
     only a lower bound of the true supremum is computable); violations
@@ -416,43 +400,25 @@ def coeff_bound_check(
     """
     hs = hs_norm(scale, params.p, params.q)
     factor = params.a * math.e ** 2 * hs ** 2
-    rows = []
-    ok = True
+    acc = _Rows()
     for n in range(F.max_degree + 1):
-        lhs = coeff_norm(F, scale, n, params.q) ** 2
-        rhs = params.K ** 2 * factor ** n * safe_exp(ell(u, float(n)).log_ell.log)
-        slack = rhs - lhs
-        good = lhs <= rhs * (1.0 + _TOL) + _TOL
-        ok = ok and good
-        rows.append({"n": n, "lhs": lhs, "rhs": rhs, "slack": slack, "ok": good})
-    return CoeffBoundReport(params, hs, tuple(rows), ok)
+        lhs = 2.0 * _log(coeff_norm(F, scale, n, params.q))
+        rhs = 2.0 * _log(params.K) + _log(factor ** n) + ell(u, float(n)).log_ell.log
+        acc.ineq(n, lhs, rhs, n=n)
+    return acc.check(
+        "coeff-bound",
+        {"K": params.K, "a": params.a, "p": params.p, "q": params.q, "hs": hs},
+        {"n_max": F.max_degree},
+        _TOL,
+    )
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
-    """One norm-comparison check with its constant and slack."""
-
-    check: str
-    lhs: float
-    rhs: float
-    constant: float
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constant": self.constant,
-            "slack": self.slack,
-            "passed": self.passed,
-            "details": self.details,
-        }
+def _one_comparison(name: str, x: str, lhs: float, rhs: float, params: dict) -> Check:
+    """The record of the single comparison lhs <= rhs of two norms."""
+    acc = _Rows()
+    lhs, rhs = _log(lhs), _log(rhs)
+    acc.ineq(x, lhs, rhs, lhs=lhs, rhs=rhs)
+    return acc.check(name, params, {}, _TOL)
 
 
 _INFLATION = 1.05
@@ -467,8 +433,9 @@ def embedding_check_51(
     multistart: int = 32,
     seed: int = 0,
     g_value: Optional[float] = None,
-) -> EmbeddingReport:
-    """Coefficient norm at level q against the growth norm at level p.
+) -> Check:
+    """Coefficient norm at level q against the growth norm at level p:
+    one row "p:q", log scale.
 
     Valid when the inclusion between the levels has HS norm at most
     1/e.  The right side rests on a lower bound of the supremum, so it
@@ -482,16 +449,10 @@ def embedding_check_51(
         )
     constant = (1.0 - math.e ** 2 * hs ** 2) ** -0.5
     g = g_value if g_value is not None else norm_g(F, u, scale, p, multistart, seed).lower_bound
-    lhs = norm_k(F, u, scale, q)
-    rhs = constant * _INFLATION * g
-    return EmbeddingReport(
-        check="embedding-51",
-        lhs=lhs,
-        rhs=rhs,
-        constant=constant,
-        passed=lhs <= rhs * (1.0 + _TOL),
-        details={"hs": hs, "g_lower_bound": g, "inflation": _INFLATION,
-                 "p": p, "q": q},
+    return _one_comparison(
+        "embedding-51", f"{p}:{q}", norm_k(F, u, scale, q), constant * _INFLATION * g,
+        {"p": p, "q": q, "hs": hs, "constant": constant, "g_lower_bound": g,
+         "inflation": _INFLATION},
     )
 
 
@@ -502,8 +463,9 @@ def embedding_check_52(
     p: int,
     multistart: int = 32,
     seed: int = 0,
-) -> EmbeddingReport:
-    """Growth norm one level down against the coefficient norm at p.
+) -> Check:
+    """Growth norm one level down against the coefficient norm at p:
+    one row "p-1:p", log scale.
 
     The left side is the norm_g lower bound, which is the conservative
     side here: any reported violation is real, and the check cannot be
@@ -516,41 +478,31 @@ def embedding_check_52(
     constant = math.sqrt(math.e) / math.sqrt(
         2.0 * scale.rho ** 2 * math.log(1.0 / scale.rho)
     )
-    lhs = norm_g(F, u, scale, p - 1, multistart, seed).lower_bound
-    rhs = constant * norm_k(F, u, scale, p)
-    return EmbeddingReport(
-        check="embedding-52",
-        lhs=lhs,
-        rhs=rhs,
-        constant=constant,
-        passed=lhs <= rhs * (1.0 + _TOL),
-        details={"rho": scale.rho, "lhs_is_lower_bound": True, "p": p},
+    return _one_comparison(
+        "embedding-52", f"{p - 1}:{p}",
+        norm_g(F, u, scale, p - 1, multistart, seed).lower_bound,
+        constant * norm_k(F, u, scale, p),
+        {"p": p, "rho": scale.rho, "constant": constant, "lhs_is_lower_bound": True},
     )
 
 
-@dataclass(frozen=True)
-class PointwiseReport:
-    """Sampled check of the two pointwise growth bounds that follow
-    from coefficient decay: against u directly and against the
-    L-series."""
+def _sampled_check(name: str, params: dict, v: np.ndarray, sides: tuple, seed: int) -> Check:
+    """The record of a sampled check from its (sides, samples) matrix of
+    log-scale violations: the array maximum (NaN ranks highest), the
+    first sample and side attaining it, and each side's maximum; the
+    samples are kept as no rows."""
+    i, j = divmod(int(np.argmax(v)), v.shape[1])
+    witness = {"sample": j, "side": sides[i]}
+    witness.update(zip(sides, v.max(axis=1).tolist()))
+    acc = _Rows()
+    acc.worse(float(v[i, j]), witness, v.shape[1])
+    return acc.check(name, params, {"samples": v.shape[1], "seed": seed}, _TOL)
 
-    K: float
-    a: float
-    samples: int
-    worst_slack_u: float
-    worst_slack_series: float
-    passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "pointwise-growth",
-            "K": self.K,
-            "a": self.a,
-            "samples": self.samples,
-            "worst_slack_u": self.worst_slack_u,
-            "worst_slack_series": self.worst_slack_series,
-            "passed": self.passed,
-        }
+def _samples(dim: int, n_samples: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    sigmas = np.array([0.3, 1.0, 3.0])[np.arange(n_samples) % 3]
+    return rng.normal(size=(n_samples, 2 * dim)).view(complex) * sigmas[:, None]
 
 
 def pointwise_bound_check(
@@ -561,45 +513,35 @@ def pointwise_bound_check(
     a: float = 1.0,
     n_samples: int = 1000,
     seed: int = 0,
-) -> PointwiseReport:
-    """Verify |F(xi)| <= sqrt(2) e K u(2 e a^2 |xi|^2)^(1/2) and the
-    intermediate |F(xi)| <= sqrt(2) K L_u(2 a^2 |xi|^2)^(1/2) at seeded
-    complex samples, with K fitted from the coefficients as the
-    smallest constant with |f_n|_p <= K a^n ell_u(n)^(1/2).
+) -> Check:
+    """Verify |F(xi)| <= sqrt(2) e K u(2 e a^2 |xi|^2)^(1/2) (side "u")
+    and the intermediate |F(xi)| <= sqrt(2) K L_u(2 a^2 |xi|^2)^(1/2)
+    (side "series") at seeded complex samples, with K fitted from the
+    coefficients as the smallest constant with
+    |f_n|_p <= K a^n ell_u(n)^(1/2).  A sample where F vanishes
+    violates nothing, also when K = 0.
 
     All samples are evaluated at once: one batch evaluation of F and
     one batched L_u call over every radius, whose tail certificate is
-    built once per stored profile window rather than per radius.  The
-    worst slacks are array maxima."""
+    built once per stored profile window rather than per radius."""
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
     K = 0.0
     for n in range(F.max_degree + 1):
         fn = coeff_norm(F, scale, n, p)
         K = max(K, fn / (a ** n * safe_exp(0.5 * ell(u, float(n)).log_ell.log)))
-    if K == 0.0:
-        return PointwiseReport(0.0, a, n_samples, -math.inf, -math.inf, True)
-    rng = np.random.default_rng(seed)
-    sigmas = np.array([0.3, 1.0, 3.0])[np.arange(n_samples) % 3]
-    xis = rng.normal(size=(n_samples, 2 * F.dim)).view(complex) * sigmas[:, None]
-    vals = np.abs(chaos_eval_batch(F, xis))
+    xis = _samples(F.dim, n_samples, seed)
     arg = 2.0 * a * a * scale.weighted_norms(xis, -p) ** 2
-    log_k = math.log(K)
-    with np.errstate(divide="ignore"):
-        lhs = np.log(vals)
-        log_l = _series_logs(u, np.log(arg), "l")
-    log_u = u.log_many(math.e * arg)
-    bound_u = 0.5 * math.log(2.0) + 1.0 + log_k + 0.5 * log_u
-    bound_series = 0.5 * math.log(2.0) + log_k + 0.5 * log_l
-    worst_u = float(np.max(lhs - bound_u, initial=-math.inf))
-    worst_series = float(np.max(lhs - bound_series, initial=-math.inf))
-    return PointwiseReport(
-        K=K,
-        a=a,
-        samples=n_samples,
-        worst_slack_u=worst_u,
-        worst_slack_series=worst_series,
-        passed=worst_u <= _TOL and worst_series <= _TOL,
+    log_k = _log(K)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lhs = np.log(np.abs(chaos_eval_batch(F, xis)))
+        bounds = np.stack([
+            0.5 * math.log(2.0) + 1.0 + log_k + 0.5 * u.log_many(math.e * arg),
+            0.5 * math.log(2.0) + log_k + 0.5 * _series_logs(u, np.log(arg), "l"),
+        ])
+        v = np.where(lhs == -math.inf, -math.inf, lhs - bounds)
+    return _sampled_check(
+        "pointwise", {"K": K, "a": a, "p": p}, v, ("u", "series"), seed
     )
 
 
@@ -611,19 +553,17 @@ def series_chain_check(
     seed: int = 0,
 ) -> dict:
     """Sampled check of the norm-shift chain: L_u at |xi|_{-p}^2 is at
-    most L_u at rho^2 |xi|_{-p+1}^2, which is at most
-    e/(2 rho^2 log(1/rho)) u(|xi|_{-p+1}^2).
+    most L_u at rho^2 |xi|_{-p+1}^2 (link "shift"), which is at most
+    e/(2 rho^2 log(1/rho)) u(|xi|_{-p+1}^2) (link "u").
 
     Both L_u arguments of every sample go through one batched call,
-    whose tail certificate is built once per stored profile window;
-    the worst slacks are array maxima."""
+    whose tail certificate is built once per stored profile window.
+    Returns the record's JSON dict with "passed" added."""
     if p < 1:
         raise ValueError("need p >= 1")
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
-    rng = np.random.default_rng(seed)
-    sigmas = np.array([0.3, 1.0, 3.0])[np.arange(n_samples) % 3]
-    xis = rng.normal(size=(n_samples, 2 * scale.dim)).view(complex) * sigmas[:, None]
+    xis = _samples(scale.dim, n_samples, seed)
     rho = scale.rho
     const = 1.0 - math.log(2.0 * rho ** 2 * math.log(1.0 / rho))
     r_lo = scale.weighted_norms(xis, -p) ** 2
@@ -634,12 +574,8 @@ def series_chain_check(
             u, np.log(np.concatenate([r_lo, rho ** 2 * r_hi])), "l"
         ).reshape(2, -1)
     last = const + u.log_many(r_hi)
-    worst_shift = float(np.max(first - mid, initial=-math.inf))
-    worst_u = float(np.max(mid - last, initial=-math.inf))
-    return {
-        "check": "series-chain",
-        "samples": n_samples,
-        "worst_slack_shift": worst_shift,
-        "worst_slack_u": worst_u,
-        "passed": worst_shift <= _TOL and worst_u <= _TOL,
-    }
+    rec = _sampled_check(
+        "series-chain", {"p": p, "rho": rho}, np.stack([first - mid, mid - last]),
+        ("shift", "u"), seed,
+    )
+    return dict(rec.to_json_dict(), passed=rec.passed)

@@ -21,7 +21,6 @@ same arguments always produce the same bytes.
 
 from __future__ import annotations
 
-import json
 import math
 import weakref
 from dataclasses import dataclass, replace
@@ -42,19 +41,21 @@ from .numerics import (
     _INV_PHI2,
     _golden_min,
     geometric_grid,
+    json_finite,
     maximize_concave_1d,
     minimize_convex_1d,
     safe_exp,
+    strict_json,
 )
 from .sequences import stored_ratio_bounds, sum_stored_series_batch
 
 __all__ = [
+    "Check",
     "FunctionEquivalenceCounterexample",
     "FunctionEquivalenceWitness",
     "LegendrePoint",
     "LegendreProfile",
     "LogConcaveProfile",
-    "SuiteReport",
     "TauBounds",
     "admissibility_report",
     "dual",
@@ -1282,17 +1283,22 @@ _TOL_INEQ = 1e-9
 
 
 @dataclass(frozen=True)
-class SuiteReport:
-    """Outcome of one named verification suite.
+class Check:
+    """Outcome of one check of a quantitative statement: a named suite,
+    or one of the embedding model's checks (holo).
 
-    ``rows`` retains the per-point comparisons (coordinate, lhs, rhs,
-    slack, all log scale; slack is the margin, negative on violation)
-    for tabular export; the JSON dict stays summary-sized.  The verdict
-    is "pass", "fail", or "inconclusive" when the grid checked nothing;
-    a non-finite max_violation renders as null.
+    ``max_violation`` is the largest violation log lhs - log rhs over
+    the points checked, so positive means violated (a NaN comparison
+    ranks highest); ``witness`` describes the first point attaining it.
+    ``rows`` keeps the per-point comparisons (x, lhs, rhs, slack =
+    -violation, log scale) for tabular export; sampled checks keep none.
+    The verdict is "pass" when max_violation <= the check's tolerance,
+    "fail" otherwise, and "inconclusive" when nothing was checked.  The
+    JSON dict stays summary-sized, carries the name as "suite", and
+    renders every non-finite float as null.
     """
 
-    suite: str
+    name: str
     params: dict
     grid: dict
     max_violation: float
@@ -1305,50 +1311,51 @@ class SuiteReport:
         return self.verdict == "pass"
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
+        return json_finite({
+            "suite": self.name,
             "params": self.params,
             "grid": self.grid,
-            "max_violation": self.max_violation if math.isfinite(self.max_violation) else None,
+            "max_violation": self.max_violation,
             "witness": self.witness,
             "verdict": self.verdict,
-        }
+        })
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
-def _report(suite, params, grid, max_violation, witness, tol, rows=()) -> SuiteReport:
-    # a worst violation still at -inf means the grid checked nothing
-    if max_violation == -math.inf:
-        verdict = "inconclusive"
-    else:
-        verdict = "pass" if max_violation <= tol else "fail"
-    return SuiteReport(
-        suite, params, grid, float(max_violation), witness, verdict, tuple(rows)
-    )
+        return strict_json(self.to_json_dict())
 
 
 class _Rows:
-    """The rows of a suite with its worst violation: every row is
-    {x, lhs, rhs, slack} with slack = -v, and the first row with the
-    largest v names the witness."""
+    """Builds a Check: counts the points compared, keeps their rows
+    {x, lhs, rhs, slack} with slack = -v, and lets the first point with
+    the largest violation v name the witness."""
 
     def __init__(self):
-        self.worst, self.witness, self.rows = -math.inf, {}, []
+        self.worst, self.witness, self.rows, self.checked = -math.inf, {}, [], 0
+
+    def worse(self, v: float, witness: dict, count: int = 1) -> None:
+        """count points whose largest violation is v, kept as no row."""
+        if not self.checked or v > self.worst or (v != v and self.worst == self.worst):
+            self.worst, self.witness = v, witness
+        self.checked += count
 
     def add(self, x, lhs: float, rhs: float, v: float, /, **witness) -> None:
         self.rows.append({"x": x, "lhs": lhs, "rhs": rhs, "slack": -v})
-        if v > self.worst:
-            self.worst, self.witness = v, witness
+        self.worse(v, witness)
 
     def ineq(self, x, lhs: float, rhs: float, /, **witness) -> None:
-        """The row lhs <= rhs; its witness also records the slack."""
-        v = lhs - rhs
+        """The row lhs <= rhs (log scale); a zero left side (-inf)
+        violates nothing.  Its witness also records the slack."""
+        v = lhs - rhs if lhs != -math.inf else -math.inf
         self.add(x, lhs, rhs, v, **witness, slack=-v)
 
-    def report(self, suite: str, params: dict, grid: dict, tol: float) -> SuiteReport:
-        return _report(suite, params, grid, self.worst, self.witness, tol, self.rows)
+    def check(self, name: str, params: dict, grid: dict, tol: float) -> Check:
+        if not self.checked:
+            verdict = "inconclusive"
+        else:
+            verdict = "pass" if self.worst <= tol else "fail"
+        return Check(
+            name, params, grid, float(self.worst), self.witness, verdict, tuple(self.rows)
+        )
 
 
 def _suite_u(params: Mapping, default_family: str, default_params: Mapping) -> GrowthFunction:
@@ -1366,7 +1373,7 @@ def _xlogx(n: float) -> float:
     return 0.0 if n == 0 else n * math.log(n)
 
 
-def _suite_a4(params: dict) -> SuiteReport:
+def _suite_a4(params: dict) -> Check:
     n_max = int(params.get("n_max", 50))
     tol = float(params.get("tol", _TOL_INEQ))
     acc = _Rows()
@@ -1374,10 +1381,10 @@ def _suite_a4(params: dict) -> SuiteReport:
         for m in range(n_max + 1):
             rhs = _xlogx(n) + _xlogx(m) + (n + m) * LOG2
             acc.ineq(f"{n}:{m}", _xlogx(n + m), rhs, n=n, m=m)
-    return acc.report("a4", {"n_max": n_max, "tol": tol}, {"n_max": n_max}, tol)
+    return acc.check("a4", {"n_max": n_max, "tol": tol}, {"n_max": n_max}, tol)
 
 
-def _suite_stirling(params: dict) -> SuiteReport:
+def _suite_stirling(params: dict) -> Check:
     n_max = int(params.get("n_max", 100))
     tol = float(params.get("tol", _TOL_INEQ))
     acc = _Rows()
@@ -1386,10 +1393,10 @@ def _suite_stirling(params: dict) -> SuiteReport:
         lg = math.lgamma(n + 1.0)
         acc.ineq(f"{n}/lower", -lg, mid, n=n, side="lower")
         acc.ineq(f"{n}/upper", mid, 1.0 + 0.5 * n * LOG2 - lg, n=n, side="upper")
-    return acc.report("stirling", {"n_max": n_max, "tol": tol}, {"n_max": n_max}, tol)
+    return acc.check("stirling", {"n_max": n_max, "tol": tol}, {"n_max": n_max}, tol)
 
 
-def _suite_lem_a1(params: dict) -> SuiteReport:
+def _suite_lem_a1(params: dict) -> Check:
     u = _suite_u(params, "ks", {"beta": 0.5})
     k = float(params.get("k", 2.0))
     n_max = int(params.get("n_max", 25))
@@ -1404,7 +1411,7 @@ def _suite_lem_a1(params: dict) -> SuiteReport:
                      n=n, m=m, side="doubling-upper")
             acc.ineq(f"{n}:{m}/superadditive", logs[0] + logs[n + m], nm,
                      n=n, m=m, side="superadditive")
-    return acc.report(
+    return acc.check(
         "lem-a1",
         {"family": u.family, "name": u.name, "k": k, "n_max": n_max, "tol": tol},
         {"n_max": n_max},
@@ -1419,7 +1426,7 @@ def _geom_grid_params(params: dict, lo: float, hi: float, points: int):
     return geometric_grid(lo, hi, points), {"r_min": lo, "r_max": hi, "points": points}
 
 
-def _suite_lem_a2(params: dict) -> SuiteReport:
+def _suite_lem_a2(params: dict) -> Check:
     u = _suite_u(params, "ks", {"beta": 0.5})
     k = float(params.get("k", 2.0))
     tol = float(params.get("tol", _TOL_INEQ))
@@ -1432,12 +1439,12 @@ def _suite_lem_a2(params: dict) -> SuiteReport:
         lhs = log_r + l_function(u, log_r).log
         rhs = logs[0] - logs[1] + l_function(u, log_r + shift).log
         acc.ineq(r, lhs, rhs, r=r)
-    return acc.report(
+    return acc.check(
         "lem-a2", {"family": u.family, "name": u.name, "k": k, "tol": tol}, gdesc, tol
     )
 
 
-def _suite_thm31_upper(params: dict) -> SuiteReport:
+def _suite_thm31_upper(params: dict) -> Check:
     u = _suite_u(params, "ks", {"beta": 0.5})
     tol = float(params.get("tol", _TOL_INEQ))
     a_list = [float(params["a"])] if "a" in params else [2.0, math.e, 4.0]
@@ -1448,7 +1455,7 @@ def _suite_thm31_upper(params: dict) -> SuiteReport:
         for r in [0.0] + grid:
             lhs = l_function(u, LOG_ZERO if r == 0.0 else math.log(r)).log
             acc.ineq(f"{r}/a={a}", lhs, const + u.log_at(a * r), r=r, a=a)
-    return acc.report(
+    return acc.check(
         "thm31-upper",
         {"family": u.family, "name": u.name, "a": a_list, "tol": tol},
         gdesc,
@@ -1456,7 +1463,7 @@ def _suite_thm31_upper(params: dict) -> SuiteReport:
     )
 
 
-def _suite_thm31_lower(params: dict) -> SuiteReport:
+def _suite_thm31_lower(params: dict) -> Check:
     u = _suite_u(params, "ks", {"beta": 0.5})
     k = float(params.get("k", 2.0))
     tol = float(params.get("tol", _TOL_INEQ))
@@ -1471,12 +1478,12 @@ def _suite_thm31_lower(params: dict) -> SuiteReport:
         log_arg = LOG_ZERO if r == 0.0 else math.log(r) + shift
         acc.ineq(r, u.log_at(r), log_c + l_function(u, log_arg).log, r=r)
     acc.witness.update({"n0": n0, "C": math.exp(log_c)})
-    return acc.report(
+    return acc.check(
         "thm31-lower", {"family": u.family, "name": u.name, "k": k, "tol": tol}, gdesc, tol
     )
 
 
-def _suite_thm42(params: dict) -> SuiteReport:
+def _suite_thm42(params: dict) -> Check:
     u = _suite_u(params, "exp", {})
     if u.log_x2_convex is False:
         raise PreconditionViolated(f"{u.name} is flagged non-convex in (log, x^2)")
@@ -1490,7 +1497,7 @@ def _suite_thm42(params: dict) -> SuiteReport:
         lhs = ell(us, float(t)).log_ell.log
         rhs = 2.0 * t - ell(u, float(t)).log_ell.log - 2.0 * _xlogx(float(t))
         acc.add(t, lhs, rhs, abs(lhs - rhs), t=t, lhs=lhs, rhs=rhs)
-    return acc.report(
+    return acc.check(
         "thm42",
         {"family": u.family, "name": u.name, "t_max": t_max, "tol": tol},
         {"t": ts},
@@ -1498,36 +1505,28 @@ def _suite_thm42(params: dict) -> SuiteReport:
     )
 
 
-def _suite_thm43(params: dict) -> SuiteReport:
+def _suite_thm43(params: dict) -> Check:
     u = _suite_u(params, "exp", {})
     r_max = float(params.get("r_max", 4.0))
     points = int(params.get("points", 48))
     a = l_growth_function(dual_function(u))
     b = l_sharp_growth_function(u)
     res = function_equivalent(a, b, (0.0, r_max), points=points)
+    acc = _Rows()
     if res.ok:
-        witness = {
-            "c1": res.c1,
-            "a1": res.a1,
-            "c2": res.c2,
-            "a2": res.a2,
-            "max_residual": res.max_residual,
-        }
-        violation = 0.0
+        acc.worse(0.0, {"c1": res.c1, "a1": res.a1, "c2": res.c2, "a2": res.a2,
+                        "max_residual": res.max_residual})
     else:
-        witness = {"r": res.r, "spread": res.spread, "detail": res.detail}
-        violation = res.spread
-    return _report(
+        acc.worse(res.spread, {"r": res.r, "spread": res.spread, "detail": res.detail})
+    return acc.check(
         "thm43",
         {"family": u.family, "name": u.name, "r_max": r_max},
         {"r_min": 0.0, "r_max": r_max, "points": points},
-        violation,
-        witness,
         0.0,
     )
 
 
-def _suite_involution(params: dict) -> SuiteReport:
+def _suite_involution(params: dict) -> Check:
     u = _suite_u(params, "ks", {"beta": 1.0})
     tol = float(params.get("tol", 1e-6))
     grid, gdesc = _geom_grid_params(params, 1.0, 1e4, 40)
@@ -1537,7 +1536,7 @@ def _suite_involution(params: dict) -> SuiteReport:
         lhs, rhs = uss.log_at(r), u.log_at(r)
         v = abs(lhs - rhs)
         acc.add(r, lhs, rhs, v, r=r, deviation=v)
-    return acc.report(
+    return acc.check(
         "involution", {"family": u.family, "name": u.name, "tol": tol}, gdesc, tol
     )
 
@@ -1566,7 +1565,7 @@ def _log_power_factorial_sums(
         n *= 2
 
 
-def _suite_ks_sandwich(params: dict) -> SuiteReport:
+def _suite_ks_sandwich(params: dict) -> Check:
     beta = float(params.get("beta", 0.5))
     if not 0.0 <= beta < 1.0:
         raise ValueError("the sandwich needs 0 <= beta < 1")
@@ -1595,10 +1594,10 @@ def _suite_ks_sandwich(params: dict) -> SuiteReport:
         )
         for side, lhs, rhs in checks:
             acc.ineq(f"{r}/{side}", lhs, rhs, r=r, side=side)
-    return acc.report("ks-sandwich", {"beta": beta, "tol": tol}, gdesc, tol)
+    return acc.check("ks-sandwich", {"beta": beta, "tol": tol}, gdesc, tol)
 
 
-def _suite_lem35(params: dict) -> SuiteReport:
+def _suite_lem35(params: dict) -> Check:
     from .growthfn import classify_convexity
 
     if "family" in params:
@@ -1612,7 +1611,7 @@ def _suite_lem35(params: dict) -> SuiteReport:
     t_lo, t_hi, points = 0.25, 25.0, 60
     tol = 1e-8
     results = []
-    disagreements = 0
+    acc = _Rows()
     for u, k in cases:
         direct = classify_convexity(u, "log-xk-convex", k=k).passes
         ts = np.linspace(t_lo, t_hi, points)
@@ -1623,7 +1622,6 @@ def _suite_lem35(params: dict) -> SuiteReport:
             worst = max(worst, (2.0 * vals[i] - vals[i - 1] - vals[i + 1]) / scale)
         through_ell = worst <= tol
         agree = direct == through_ell
-        disagreements += 0 if agree else 1
         results.append(
             {
                 "name": u.name,
@@ -1633,23 +1631,16 @@ def _suite_lem35(params: dict) -> SuiteReport:
                 "agree": agree,
             }
         )
-    rows = [
-        {
-            "x": c["name"],
-            "lhs": float(c["xk_convex"]),
-            "rhs": float(c["transform_weighted_log_convex"]),
-            "slack": 0.0 if c["agree"] else -1.0,
-        }
-        for c in results
-    ]
-    return _report(
+        # a disagreement violates by 1; an agreeing row's slack is +0.0
+        acc.rows.append({"x": u.name, "lhs": float(direct), "rhs": float(through_ell),
+                         "slack": 0.0 if agree else -1.0})
+        acc.worse(0.0 if agree else 1.0, {})
+    acc.witness = {"cases": results}
+    return acc.check(
         "lem35",
         {"cases": [c["name"] for c in results]},
         {"t_lo": t_lo, "t_hi": t_hi, "points": points},
-        float(disagreements),
-        {"cases": results},
         0.0,
-        rows,
     )
 
 
@@ -1673,13 +1664,13 @@ def suite_tags() -> list[str]:
     return sorted(_SUITES)
 
 
-def verify_suite(suite: str, params: Optional[Mapping] = None) -> SuiteReport:
-    """Run one named verification suite and return its report.
+def verify_suite(suite: str, params: Optional[Mapping] = None) -> Check:
+    """Run one named verification suite and return its Check record.
 
     Each suite evaluates both sides of its target statement at every
-    grid point; the report carries the largest log-scale violation, the
-    tightest-slack witness, and a pass/fail verdict.  Violations are
-    findings, not exceptions.
+    grid point; the record carries the largest log-scale violation, the
+    first point attaining it as witness, and the verdict.  Violations
+    are findings, not exceptions.
     """
     try:
         fn = _SUITES[suite]

@@ -8,29 +8,33 @@ plain floats that are understood to live on the log scale.
 
 Design rules baked in here:
 
-* series summation is streaming log-sum-exp with a running maximum and a
-  certified geometric tail bound (no uncertified truncation),
+* a series is summed from its stored log terms, all radii at once, and
+  stops only where a geometric tail bound from the stored term ratios
+  certifies the rest (sequences.sum_stored_series_batch; no uncertified
+  truncation),
 * 1-D minimization is bracket expansion by step doubling from a seed,
   then golden-section to an absolute width of 1e-12, capped at 300
   golden iterations,
 * searches that run off the representable range (|x| > 700 by default)
   either return a converged boundary limit, flagged, or raise
-  :class:`NotBracketable`.
+  :class:`NotBracketable`,
+* reports render as strict RFC 8259 JSON: :func:`strict_json` writes
+  every non-finite float as null.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 LOG_ZERO = float("-inf")
 
 RANGE_CAP = 700.0
 GOLDEN_WIDTH = 1e-12
 GOLDEN_MAX_ITER = 300
-SERIES_INDEX_CAP = 10 ** 6
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = 1.0 - _INV_PHI
@@ -90,14 +94,21 @@ def set_default_rel_tol(value: float) -> None:
     _DEFAULT_REL_TOL = float(value)
 
 
-def logaddexp(a: float, b: float) -> float:
-    """log(e**a + e**b) without leaving the log scale."""
-    if a == LOG_ZERO:
-        return b
-    if b == LOG_ZERO:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
+def json_finite(obj):
+    """obj with every non-finite float (in nested dicts, lists and
+    tuples too) replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: json_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_finite(v) for v in obj]
+    return obj
+
+
+def strict_json(obj) -> str:
+    """Strict RFC 8259 JSON with sorted keys: non-finite floats become null."""
+    return json.dumps(json_finite(obj), sort_keys=True, allow_nan=False)
 
 
 def safe_exp(x: float) -> float:
@@ -123,69 +134,11 @@ class LogScalar:
         return safe_exp(self.log)
 
 
-LogLike = Union[float, LogScalar]
-
-
-def _as_log(term: LogLike) -> float:
-    if isinstance(term, LogScalar):
-        return term.log
-    return float(term)
-
-
 class SeriesSum(NamedTuple):
     """Certified series value plus the truncation index actually used."""
 
     value: LogScalar
     terms_used: int
-
-
-def log_sum_exp_series(
-    terms: Iterable[LogLike],
-    rel_tol: Optional[float] = None,
-    tail_certificate: Optional[Callable[[int], Optional[float]]] = None,
-    index_cap: int = SERIES_INDEX_CAP,
-) -> SeriesSum:
-    """Sum a nonnegative series given by log-scale terms.
-
-    ``tail_certificate(n)`` must return a bound q on every term ratio
-    a_{m+1}/a_m for m >= n (magnitude scale), or None if no bound is
-    known yet at index n.  Once q < 1 is available the tail after term n
-    is at most a_n * q/(1-q); summation stops as soon as that bound drops
-    below rel_tol times the running sum.
-
-    A finite iterable with ``tail_certificate=None`` is summed exactly
-    (the caller asserts the stream is the whole series).  If a
-    certificate is supplied but never certifies convergence before the
-    stream or ``index_cap`` runs out, :class:`NoDecayCertificate` is
-    raised: the series gave no evidence of decay.
-    """
-    if rel_tol is None:
-        rel_tol = default_rel_tol()
-    log_tol = math.log(rel_tol)
-    log_sum = LOG_ZERO
-    n = -1
-    for n, term in enumerate(terms):
-        if n > index_cap:
-            raise NoDecayCertificate(
-                f"series passed index cap {index_cap} without a certified tail"
-            )
-        t = _as_log(term)
-        log_sum = logaddexp(log_sum, t)
-        if tail_certificate is None:
-            continue
-        q = tail_certificate(n)
-        if q is None or not 0.0 <= q < 1.0:
-            continue
-        if t == LOG_ZERO:
-            return SeriesSum(LogScalar(log_sum), n + 1)
-        log_tail = t + math.log(q) - math.log1p(-q) if q > 0.0 else LOG_ZERO
-        if log_sum > LOG_ZERO and log_tail <= log_tol + log_sum:
-            return SeriesSum(LogScalar(log_sum), n + 1)
-    if tail_certificate is not None:
-        raise NoDecayCertificate(
-            f"series ended at index {n} before its tail was certified"
-        )
-    return SeriesSum(LogScalar(log_sum), n + 1)
 
 
 class Bracket(NamedTuple):

@@ -343,6 +343,25 @@ class TestHolo:
             "series-chain",
         }
 
+    def test_checks_share_one_sign_and_scale(self, capsys):
+        argv = ("holo", "check", "--count", "2", "--family", "ks", "--beta", "0.5")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        checks = strict_loads(out)["checks"]
+        for entry in checks.values():
+            # log lhs - log rhs, positive = violated: every check passed
+            assert set(entry) == {"max_violation", "passed"}
+            assert entry["passed"] and entry["max_violation"] <= 1e-9
+        # the CSV rows are the records' log-scale rows, one sign: slack = -violation
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        lines = out.strip().splitlines()
+        assert lines[0] == "x,lhs,rhs,slack"
+        xs = [line.split(",")[0] for line in lines[1:]]
+        assert xs[:3] == ["0/embedding-51/2:0", "0/embedding-52/0:1", "0/coeff-bound/0"]
+        worst = max(-float(line.split(",")[3]) for line in lines[1:]
+                    if "/embedding-51/" in line)
+        assert worst == checks["embedding-51"]["max_violation"]
+
     def test_single_file(self, capsys, tmp_path):
         from growthcalc.holo import random_chaos
 
@@ -362,11 +381,11 @@ class TestHolo:
         argv = ("holo", "check", "--chaos-file", str(path))
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        # no sample has a nonzero value, so the worst slack stays -inf
-        assert strict_loads(out)["checks"]["pointwise"]["worst_slack"] is None
+        # no sample has a nonzero value, so the worst violation stays -inf
+        assert strict_loads(out)["checks"]["pointwise"]["max_violation"] is None
         code, out, _ = run(capsys, *argv, "--format", "pretty")
         checks = next(line for line in out.splitlines() if line.startswith("checks: "))
-        assert strict_loads(checks[len("checks: "):])["pointwise"]["worst_slack"] is None
+        assert strict_loads(checks[len("checks: "):])["pointwise"]["max_violation"] is None
 
     def test_bad_levels(self, capsys):
         code, _, err = run(
@@ -472,6 +491,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [("--tol", "1e-6"), ("--seed", "3")])
+    def test_tol_and_seed_only_where_they_are_read(self, capsys, flag):
+        # --tol is read by verify alone and --seed by holo check alone
+        with pytest.raises(SystemExit) as exc:
+            main(["ell", "--family", "exp", "--t", "1", *flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag[0] in captured.err
 
     def test_help_names_the_object(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthcalc import from_phi, make_growth_function
 from growthcalc.growthfn import iterated_exp
@@ -310,13 +312,14 @@ class TestCoeffBoundCheck:
         F = ChaosPolynomial(2, 0, {(): 1.0})
         rep = coeff_bound_check(F, EXP, SCALE, BoundParams(K=1.0, a=1.0, p=2, q=0))
         assert rep.passed
-        assert rep.rows[0]["lhs"] == 1.0 and rep.rows[0]["rhs"] == 1.0
+        # log scale: both sides are 1
+        assert rep.rows[0]["lhs"] == 0.0 and rep.rows[0]["rhs"] == 0.0
 
     def test_small_k_reports_finding(self):
         F = ChaosPolynomial(2, 1, {(0,): 5.0})
         rep = coeff_bound_check(F, EXP, SCALE, BoundParams(K=0.01, a=1.0, p=2, q=0))
         assert not rep.passed
-        assert any(not row["ok"] for row in rep.rows)
+        assert any(row["slack"] < 0 for row in rep.rows)
 
     def test_population_with_inflated_sup(self):
         for seed in range(8):
@@ -331,8 +334,8 @@ class TestCoeffBoundCheck:
     def test_report_shape(self):
         F = random_chaos(2, 3, seed=1)
         rep = coeff_bound_check(F, EXP, SCALE, BoundParams(K=10.0, a=1.0, p=1, q=0))
-        assert [row["n"] for row in rep.rows] == [0, 1, 2, 3]
-        assert math.isclose(rep.hs, math.sqrt(0.3125))
+        assert [row["x"] for row in rep.rows] == [0, 1, 2, 3]
+        assert math.isclose(rep.params["hs"], math.sqrt(0.3125))
         json.dumps(rep.to_json_dict())
 
 
@@ -347,9 +350,10 @@ class TestEmbedding51:
         rep = embedding_check_51(F, EXP, SCALE, 2, 0, seed=0)
         hs2 = 1 / 16 + 1 / 256
         expected_const = (1.0 - math.e**2 * hs2) ** -0.5
-        assert math.isclose(rep.constant, expected_const)
-        assert math.isclose(rep.lhs, 1.0)
-        assert math.isclose(rep.rhs, expected_const * 1.05, rel_tol=1e-9)
+        assert math.isclose(rep.params["constant"], expected_const)
+        (row,) = rep.rows  # log scale
+        assert math.isclose(math.exp(row["lhs"]), 1.0)
+        assert math.isclose(math.exp(row["rhs"]), expected_const * 1.05, rel_tol=1e-9)
         assert rep.passed
 
     def test_precomputed_sup_matches_internal(self):
@@ -357,7 +361,8 @@ class TestEmbedding51:
         g = norm_g(F, EXP, SCALE, 2, seed=6).lower_bound
         a = embedding_check_51(F, EXP, SCALE, 2, 0, seed=6)
         b = embedding_check_51(F, EXP, SCALE, 2, 0, g_value=g)
-        assert a.lhs == b.lhs and math.isclose(a.rhs, b.rhs, rel_tol=1e-12)
+        (ra,), (rb,) = a.rows, b.rows
+        assert ra["lhs"] == rb["lhs"] and math.isclose(ra["rhs"], rb["rhs"], rel_tol=1e-12)
 
     def test_population(self):
         for seed in range(10):
@@ -365,14 +370,16 @@ class TestEmbedding51:
             for u in (EXP, KS05):
                 rep = embedding_check_51(F, u, SCALE, 2, 0, seed=seed)
                 assert rep.passed, rep.to_json_dict()
-                assert rep.details["inflation"] == 1.05
+                assert rep.params["inflation"] == 1.05
 
     def test_report_serializes(self):
         F = random_chaos(2, 2, seed=3)
         rep = embedding_check_51(F, KS05, SCALE, 2, 0, seed=3)
         data = rep.to_json_dict()
-        assert data["check"] == "embedding-51"
-        assert math.isclose(data["slack"], rep.rhs - rep.lhs)
+        assert data["suite"] == "embedding-51"
+        (row,) = rep.rows
+        assert math.isclose(data["witness"]["slack"], row["rhs"] - row["lhs"])
+        assert data["max_violation"] == -data["witness"]["slack"]
         json.dumps(data)
 
 
@@ -396,9 +403,9 @@ class TestEmbedding52:
         F = ChaosPolynomial(2, 0, {(): 1.0})
         rep = embedding_check_52(F, EXP, SCALE, 1, seed=0)
         expected = math.sqrt(math.e) / math.sqrt(2 * 0.25 * math.log(2.0))
-        assert math.isclose(rep.constant, expected)
+        assert math.isclose(rep.params["constant"], expected)
         assert rep.passed
-        assert rep.details["lhs_is_lower_bound"] is True
+        assert rep.params["lhs_is_lower_bound"] is True
 
     def test_population(self):
         for seed in range(10):
@@ -412,20 +419,20 @@ class TestPointwiseBounds:
     def test_zero_polynomial_trivially_passes(self):
         Z = ChaosPolynomial(2, 3, {})
         rep = pointwise_bound_check(Z, EXP, SCALE, 2, seed=0)
-        assert rep.passed and rep.K == 0.0
+        assert rep.passed and rep.params["K"] == 0.0
 
     def test_fitted_constant_linear_mode(self):
         # K = |f_1|_p / sqrt(ell(1)); for e^r, ell(1) = e
         F = ChaosPolynomial(2, 1, {(0,): 1.0})
         rep = pointwise_bound_check(F, EXP, SCALE, 2, n_samples=50, seed=0)
-        assert math.isclose(rep.K, coeff_norm(F, SCALE, 1, 2) / math.sqrt(math.e))
+        assert math.isclose(rep.params["K"], coeff_norm(F, SCALE, 1, 2) / math.sqrt(math.e))
 
     def test_constant_mode_slack_is_structural(self):
         # for F = c the direct bound has fixed headroom sqrt(2) e at xi=0
         F = ChaosPolynomial(2, 0, {(): 7.0})
         rep = pointwise_bound_check(F, EXP, SCALE, 1, n_samples=200, seed=1)
         assert rep.passed
-        assert rep.worst_slack_u <= -(0.5 * math.log(2.0) + 1.0) + 1e-12
+        assert rep.witness["u"] <= -(0.5 * math.log(2.0) + 1.0) + 1e-12
 
     def test_population(self):
         for seed in range(6):
@@ -433,14 +440,14 @@ class TestPointwiseBounds:
             for u in (EXP, KS05):
                 rep = pointwise_bound_check(F, u, SCALE, 2, n_samples=400, seed=seed)
                 assert rep.passed, rep.to_json_dict()
-                assert rep.worst_slack_series <= 1e-9
+                assert rep.witness["series"] <= 1e-9
 
     def test_series_bound_tighter_than_direct(self):
         # the series route is sharper: its slack can exceed the direct
         # route's but both stay nonpositive
         F = random_chaos(2, 4, seed=8)
         rep = pointwise_bound_check(F, EXP, SCALE, 2, n_samples=300, seed=8)
-        assert rep.worst_slack_u <= 1e-9 and rep.worst_slack_series <= 1e-9
+        assert rep.witness["u"] <= 1e-9 and rep.witness["series"] <= 1e-9
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_empty_sample_set_is_refused(self, n):
@@ -455,8 +462,8 @@ class TestSeriesChain:
     def test_chain_holds(self, u):
         rep = series_chain_check(u, SCALE, 1, n_samples=200, seed=3)
         assert rep["passed"], rep
-        assert rep["worst_slack_shift"] <= 1e-9
-        assert rep["worst_slack_u"] <= 1e-9
+        assert rep["witness"]["shift"] <= 1e-9
+        assert rep["witness"]["u"] <= 1e-9
 
     def test_requires_positive_level(self):
         with pytest.raises(ValueError):
@@ -470,6 +477,32 @@ class TestSeriesChain:
     def test_deeper_level(self):
         rep = series_chain_check(EXP, SCALE, 2, n_samples=100, seed=5)
         assert rep["passed"]
+
+
+class TestZeroPolynomials:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 4),
+        st.integers(0, 10 ** 6),
+        st.sampled_from([EXP, KS05]),
+    )
+    def test_zero_scaled_polynomials_pass_every_check(self, dim, degree, seed, u):
+        # every comparison is 0 <= 0: a zero left side is a -inf violation,
+        # not NaN, so each check passes with max_violation rendered null
+        F = random_chaos(dim, degree, seed=seed).scaled(0.0)
+        scale = dyadic_scale(dim)
+        g = norm_g(F, u, scale, 2, seed=seed).lower_bound
+        assert g == 0.0
+        for rep in (
+            embedding_check_51(F, u, scale, 2, 0, seed=seed, g_value=g),
+            embedding_check_52(F, u, scale, 1, seed=seed),
+            coeff_bound_check(F, u, scale, BoundParams(K=1.05 * g, a=1.0, p=2, q=0)),
+            pointwise_bound_check(F, u, scale, 2, n_samples=30, seed=seed),
+        ):
+            assert rep.passed, rep.to_json()
+            assert rep.max_violation == -math.inf
+            assert json.loads(rep.to_json())["max_violation"] is None
 
 
 class TestDeterminism:

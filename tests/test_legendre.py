@@ -958,3 +958,105 @@ class TestVerifySuites:
         rep = gc.verify_suite("stirling", {"tol": -1.0})
         assert rep.verdict == "fail"
         assert rep.max_violation > -1.0
+
+
+def strict_loads(text):
+    """json.loads that refuses the non-RFC constants NaN and +-Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"non-RFC JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# log-scale sides, infinities included (-inf is a zero magnitude)
+SIDES = st.floats(allow_nan=False, min_value=-1e300, max_value=1e300) | st.sampled_from(
+    [math.inf, -math.inf]
+)
+
+
+def first_worst(violations):
+    """Index of the first row attaining the largest violation, NaN ranking
+    highest; None for no rows."""
+    if not violations:
+        return None
+    nans = [i for i, v in enumerate(violations) if v != v]
+    return nans[0] if nans else violations.index(max(violations))
+
+
+class TestCheckRecord:
+    """The one check record and its builder, on arbitrary rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(SIDES, SIDES), max_size=12), st.floats(0.0, 1.0))
+    def test_max_violation_and_witness_over_inequality_rows(self, pairs, tol):
+        acc = legendre._Rows()
+        for i, (lhs, rhs) in enumerate(pairs):
+            acc.ineq(i, lhs, rhs, i=i)
+        rec = acc.check("prop", {}, {}, tol)
+        violations = [-row["slack"] for row in rec.rows]
+        # a zero left side violates nothing, whatever the right side
+        for (lhs, rhs), v in zip(pairs, violations):
+            assert v == -math.inf if lhs == -math.inf else v == lhs - rhs or v != v
+        k = first_worst(violations)
+        if k is None:
+            assert rec.max_violation == -math.inf and rec.witness == {}
+            assert rec.verdict == "inconclusive"
+        else:
+            v = violations[k]
+            assert rec.max_violation == v or (v != v and rec.max_violation != rec.max_violation)
+            assert rec.witness["i"] == k
+            assert rec.verdict == ("pass" if v <= tol else "fail")
+        assert (rec.verdict == "inconclusive") == (not pairs)
+        assert rec.passed == (rec.verdict == "pass")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SIDES, max_size=12))
+    def test_witness_is_the_first_largest_row(self, violations):
+        acc = legendre._Rows()
+        for i, v in enumerate(violations):
+            acc.add(i, 0.0, -v, v, i=i)
+        rec = acc.check("prop", {}, {}, 0.0)
+        assert [-row["slack"] for row in rec.rows] == violations
+        k = first_worst(violations)
+        if k is None:
+            assert rec.verdict == "inconclusive" and rec.witness == {}
+        else:
+            assert rec.max_violation == max(violations)
+            assert rec.witness == {"i": k}
+            assert rec.verdict != "inconclusive"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(SIDES, st.integers(1, 1000)), max_size=5))
+    def test_counted_points_without_rows_are_checked(self, points):
+        # a sampled check counts its points but keeps no rows: even a
+        # -inf violation (every left side zero) is a verdict, not a gap
+        acc = legendre._Rows()
+        for v, count in points:
+            acc.worse(v, {"v": v}, count)
+        rec = acc.check("prop", {}, {}, 1e-9)
+        assert rec.rows == ()
+        assert (rec.verdict == "inconclusive") == (not points)
+        if points:
+            assert rec.max_violation == max(v for v, _ in points)
+            assert rec.passed == (rec.max_violation <= 1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(SIDES, SIDES), max_size=6),
+        st.dictionaries(
+            st.text(max_size=3),
+            st.floats() | st.lists(st.floats(), max_size=3) | st.integers(),
+            max_size=3,
+        ),
+    )
+    def test_json_is_strict(self, pairs, extra):
+        acc = legendre._Rows()
+        for i, (lhs, rhs) in enumerate(pairs):
+            acc.ineq(i, lhs, rhs, lhs=lhs, rhs=rhs)
+        rec = acc.check("prop", {"extra": extra}, {"extra": extra}, 0.0)
+        data = strict_loads(rec.to_json())
+        assert data == rec.to_json_dict()
+        assert data["suite"] == "prop" and data["verdict"] == rec.verdict
+        mv = rec.max_violation
+        assert data["max_violation"] == (mv if math.isfinite(mv) else None)

@@ -30,11 +30,10 @@ from growthcalc.numerics import (
     bracket_minimum,
     default_rel_tol,
     geometric_grid,
-    log_sum_exp_series,
-    logaddexp,
     maximize_concave_1d,
     minimize_convex_1d,
 )
+from series_reference import log_sum_exp_series, logaddexp
 
 RNG = np.random.default_rng(42)
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthcalc.numerics import LOG_ZERO, NoDecayCertificate, log_sum_exp_series
+from growthcalc.numerics import LOG_ZERO, NoDecayCertificate
 from growthcalc.sequences import (
     ConditionVerdict,
     EquivalenceCounterexample,
@@ -32,6 +32,7 @@ from growthcalc.sequences import (
     seq_equivalent,
     sum_stored_series,
 )
+from series_reference import log_sum_exp_series
 
 sys.setrecursionlimit(100_000)
 
