@@ -636,12 +636,15 @@ def _run_with_cache(args) -> tuple[str, int]:
     return output, result.exit_code
 
 
-def _common(parser):
+def _common(parser, registry: bool = True):
+    """Flags of every subcommand; --registry only where growth functions
+    are built from flags (everywhere but verify)."""
     parser.add_argument(
         "--format", choices=("json", "csv", "pretty"), default="json",
         help="report rendering (default json)",
     )
-    parser.add_argument("--registry", help="function registry file (JSON)")
+    if registry:
+        parser.add_argument("--registry", help="function registry file (JSON)")
     parser.add_argument("--cache-dir",
                         help="reuse reports when inputs hash-match")
 
@@ -752,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int)
     p.add_argument("--tol", type=float,
                    help="tolerance override for the verdict (env GROWTHCALC_TOL)")
-    _common(p)
+    _common(p, registry=False)
     p.set_defaults(func=_cmd_verify)
 
     holo = _sub(
@@ -791,6 +794,10 @@ def main(argv: Optional[list] = None) -> int:
             args.tol = env_tol
         if getattr(args, "tol", None) is not None and args.tol <= 0:
             raise _UsageError("--tol must be positive")
+        if getattr(args, "registry", None) is not None and not any(
+            v is not None for k, v in vars(args).items() if k.endswith("name")
+        ):
+            raise _UsageError("--registry is read only with a --name flag")
         output, code = _run_with_cache(args)
     except (_UsageError, BadTolerance) as exc:
         print(f"error: {exc}", file=sys.stderr)

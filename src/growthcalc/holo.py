@@ -153,6 +153,17 @@ class ChaosPolynomial:
             (idx, _multiplicity(idx) * c) for idx, c in sorted(clean.items())
         )
         object.__setattr__(self, "_prepared", prepared)
+        # the same monomials ordered by degree, as arrays for the ray
+        # evaluator: positions padded to max_degree with the index dim
+        # (a unit coordinate), degrees, and multiplicity * coefficient
+        by_degree = sorted(prepared, key=lambda t: len(t[0]))
+        pad = lambda idx: idx + (self.dim,) * (self.max_degree - len(idx))
+        object.__setattr__(self, "_rays", (
+            np.array([pad(idx) for idx, _ in by_degree], dtype=np.intp)
+            .reshape(len(by_degree), self.max_degree),
+            np.array([len(idx) for idx, _ in by_degree], dtype=np.intp),
+            np.array([mc for _, mc in by_degree], dtype=complex),
+        ))
 
     def degree_indices(self, n: int) -> list[tuple[int, ...]]:
         return [idx for idx in self.coeffs if len(idx) == n]
@@ -284,6 +295,28 @@ _RADIUS_POINTS = 128
 _JITTER_ROUNDS = ((0.25, 16), (0.06, 16), (0.015, 16), (0.004, 16))
 
 
+# monomial factors the ray evaluator gathers at once per direction
+# (64 KB of complex values each)
+_RAY_CELLS = 4096
+
+
+def _ray_coeffs(F: ChaosPolynomial, dirs: np.ndarray) -> np.ndarray:
+    """The homogeneous parts of F at each row of dirs: column n holds
+    P_n(dir), so F(s dir) = sum_n P_n(dir) s^n along every ray.  One
+    pass over the monomials in blocks: each monomial's product of
+    coordinates, in chaos_eval's order, then a sum per degree."""
+    positions, degrees, weights = F._rays
+    ext = np.concatenate([dirs, np.ones((len(dirs), 1))], axis=1)
+    parts = np.zeros((len(dirs), F.max_degree + 1), dtype=complex)
+    step = _RAY_CELLS // max(1, F.max_degree)
+    for lo in range(0, len(weights), step):
+        block = slice(lo, lo + step)
+        terms = weights[block] * np.prod(ext[:, positions[block]], axis=2)
+        starts = np.flatnonzero(np.diff(degrees[block], prepend=-1))
+        parts[:, degrees[block][starts]] += np.add.reduceat(terms, starts, axis=1)
+    return parts
+
+
 def norm_g(
     F: ChaosPolynomial,
     u: GrowthFunction,
@@ -295,13 +328,15 @@ def norm_g(
     """Multistart lower bound for the growth norm |||F|||_{u,p}.
 
     Directions are drawn on the complex sphere, normalized in the
-    level -p norm so every ray shares one weight profile; each round
-    of rays is scanned over a geometric radius grid in one batch
-    evaluation and the best cell is polished along its ray.
-    Deterministic for a fixed seed.  The returned value never exceeds
-    the true supremum; how far below it lands depends on the landscape,
-    which is why callers that need an upper proxy apply a recorded
-    inflation factor.
+    level -p norm so every ray shares one weight profile.  Along a ray
+    F is a polynomial in the radius s, so each round of rays is scored
+    from its homogeneous parts: one pass over the monomials per round,
+    then one product with the powers of a geometric radius grid.  The
+    best cell is polished along its ray by Horner's rule on the same
+    coefficients.  Deterministic for a fixed seed.  The returned value
+    never exceeds the true supremum; how far below it lands depends on
+    the landscape, which is why callers that need an upper proxy apply
+    a recorded inflation factor.
     """
     if scale.dim != F.dim:
         raise ValueError("scale and polynomial dimensions differ")
@@ -315,35 +350,40 @@ def norm_g(
         return dirs[keep] / norms[keep, None]
 
     radii = np.geomspace(1e-3, 1e3, _RADIUS_POINTS)
+    powers = radii ** np.arange(F.max_degree + 1)[:, None]
     # one shared weight column: |s * dir|_{-p} = s for normalized dir
     half_log_u = 0.5 * u.log_many(radii ** 2)
 
-    def scan(dirs: np.ndarray) -> tuple[float, np.ndarray, float]:
-        # every (direction, radius) cell in one evaluation; the flat
-        # argmax picks the first direction, then the first radius, with
-        # the best score, and a NaN score counts as -inf
-        points = radii[None, :, None] * dirs[:, None, :]
+    def scan(dirs: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
+        # every (direction, radius) cell from the rays' coefficients;
+        # the flat argmax picks the first direction, then the first
+        # radius, with the best score, and a NaN score counts as -inf
+        coeffs = _ray_coeffs(F, dirs)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            vals = np.abs(chaos_eval_batch(F, points.reshape(-1, d)))
-            score = np.log(vals).reshape(len(dirs), -1) - half_log_u
+            score = np.log(np.abs(coeffs @ powers)) - half_log_u
         score[np.isnan(score)] = -math.inf
         i, j = np.unravel_index(int(np.argmax(score)), score.shape)
-        return float(score[i, j]), dirs[i], float(radii[j])
+        return float(score[i, j]), dirs[i], float(radii[j]), coeffs[i]
 
     starts = [np.eye(d, dtype=complex), rng.normal(size=(multistart, 2 * d)).view(complex)]
-    best_score, best_dir, best_s = scan(normalize(np.concatenate(starts)))
+    best_score, best_dir, best_s, best_coeffs = scan(normalize(np.concatenate(starts)))
     for sigma, count in _JITTER_ROUNDS:
         jitter = rng.normal(size=(count, 2 * d)).view(complex)
         cand = normalize(best_dir[None, :] + sigma * jitter)
         if cand.size:
             sc = scan(cand)
             if sc[0] > best_score:
-                best_score, best_dir, best_s = sc
+                best_score, best_dir, best_s, best_coeffs = sc
 
     # golden refinement of the radius along the best ray
+    horner = best_coeffs[::-1].tolist()
+
     def along(log_s: float) -> float:
         s = math.exp(log_s)
-        val = abs(chaos_eval(F, s * best_dir))
+        val = 0j
+        for c in horner:
+            val = val * s + c
+        val = abs(val)
         if val == 0.0:
             return math.inf
         return -(math.log(val) - 0.5 * u.log_at(s * s))

@@ -209,12 +209,15 @@ def from_legendre(u, n_max: int) -> PositiveSequence:
     return PositiveSequence("from-legendre", {"source": getattr(u, "name", "?")}, log_alpha)
 
 
-# cells (radii x stored terms) summed at once: 64 radii of a 65-term
-# window, fewer for longer windows.  Each chunk holds about ten
-# temporaries of this size; 256 radii raised a 37 MB worker's peak RSS
-# by 1.3 MB, 64 radii by 0.5 MB, at about 2% more time per check
-# (2-vCPU x86-64 guest, numpy 2.4).
+# cells (radii x stored terms) in one tile of the series kernel: 64
+# radii of a 65-term window, one radius of a 4096-term window.  Each
+# tile holds about ten temporaries of this size; a budget of 256 x 65
+# cells raised a 37 MB worker's peak RSS by 1.3 MB, 64 x 65 by 0.5 MB,
+# at about 2% more time per check (2-vCPU x86-64 guest, numpy 2.4).
 _SERIES_CHUNK_CELLS = 64 * 65
+# columns of a chunk's first tile when it holds many radii; the median
+# radius of an embedding check certifies within 7 terms
+_SERIES_FIRST_COLUMNS = 8
 
 
 def stored_ratio_bounds(log_c: np.ndarray) -> np.ndarray:
@@ -245,32 +248,63 @@ def sum_stored_series_batch(
     whose certificate q = ratio bound * r < 1 makes the geometric tail
     at most rel_tol times the running sum (or whose term is zero).
     Returns the sums, the terms used and which rows certified; a row
-    that did not certify used every stored term."""
+    that did not certify used every stored term, and its sum is the
+    log-sum of all of them.
+
+    Each chunk of radii walks the window in tiles of at most about
+    _SERIES_CHUNK_CELLS cells, whose column count doubles while the
+    cell budget allows it.  A row leaves once it certifies, and the
+    rest carry their running sum into the next tile as its column 0, so
+    np.logaddexp.accumulate takes the same steps as over the whole row:
+    every result is bit-identical to summing all stored terms at once,
+    and a call whose rows fit one tile (one radius, any window up to
+    _SERIES_CHUNK_CELLS terms) makes a single pass."""
     log_rs = np.asarray(log_rs, dtype=float)
     log_tol = math.log(default_rel_tol() if rel_tol is None else rel_tol)
+    n_terms = len(log_c)
     sums_out = np.full(len(log_rs), LOG_ZERO)
-    used = np.full(len(log_rs), len(log_c))
+    used = np.full(len(log_rs), n_terms)
     done = np.zeros(len(log_rs), dtype=bool)
-    if not len(log_c):
+    if not n_terms:
         return sums_out, used, done
-    k = np.arange(len(log_c), dtype=float)
-    rows = max(1, _SERIES_CHUNK_CELLS // len(log_c))
+    k = np.arange(n_terms, dtype=float)
+    rows = max(1, _SERIES_CHUNK_CELLS // min(n_terms, _SERIES_FIRST_COLUMNS))
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, len(log_rs), rows):
+            live = np.arange(lo, min(lo + rows, len(log_rs)))
             lr = log_rs[lo : lo + rows, None]
-            terms = log_c + k * lr
-            sums = np.logaddexp.accumulate(terms, axis=1)
-            q = np.exp(np.minimum(ratio_bounds + lr, 700.0))
-            tail = terms + np.log(q) - np.log1p(-q)
-            stop = (q < 1.0) & (
-                (terms == LOG_ZERO) | ((sums > LOG_ZERO) & (tail <= log_tol + sums))
-            )
-            first = stop.argmax(axis=1)
-            at = np.arange(len(lr))
-            hit = stop[at, first]
-            sums_out[lo : lo + rows] = sums[at, first]
-            used[lo : lo + rows] = np.where(hit, first + 1, len(log_c))
-            done[lo : lo + rows] = hit
+            carry = None
+            start, width = 0, _SERIES_CHUNK_CELLS // len(live)
+            while True:
+                cols = slice(start, start + width)
+                terms = log_c[cols] + k[cols] * lr
+                # no LOG_ZERO carry into the first tile: logaddexp(-inf, x)
+                # is x + 0.0, which turns a -0.0 head term into 0.0
+                if carry is None:
+                    sums = np.logaddexp.accumulate(terms, axis=1)
+                else:
+                    sums = np.logaddexp.accumulate(
+                        np.concatenate([carry[:, None], terms], axis=1), axis=1
+                    )[:, 1:]
+                q = np.exp(np.minimum(ratio_bounds[cols] + lr, 700.0))
+                tail = terms + np.log(q) - np.log1p(-q)
+                stop = (q < 1.0) & (
+                    (terms == LOG_ZERO) | ((sums > LOG_ZERO) & (tail <= log_tol + sums))
+                )
+                first = stop.argmax(axis=1)
+                at = np.arange(len(live))
+                hit = stop[at, first]
+                # a row that has not certified holds its running sum, the
+                # sum of every stored term once the window is done
+                sums_out[live] = sums[at, np.where(hit, first, -1)]
+                used[live] = np.where(hit, start + first + 1, n_terms)
+                done[live] = hit
+                start += width
+                if start >= n_terms or hit.all():
+                    break
+                keep = ~hit
+                live, lr, carry = live[keep], lr[keep], sums[keep, -1]
+                width = min(2 * width, _SERIES_CHUNK_CELLS // len(live))
     return sums_out, used, done
 
 

@@ -501,6 +501,35 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == "" and flag[0] in captured.err
 
+    def test_registry_is_not_offered_on_verify(self, capsys):
+        # verify builds no growth function from flags
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "a4", "--nmax", "2",
+                  "--registry", "/nonexistent/reg.json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --registry" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("seq", "gen", "--family", "bell", "--n", "3"),
+        ("ell", "--family", "exp", "--t", "1"),
+    ], ids=["seq-gen", "ell"])
+    def test_registry_without_a_name_is_refused(self, capsys, argv):
+        # the registry is read only to look up a --name
+        code, out, err = run(capsys, *argv, "--registry", "/nonexistent/reg.json")
+        assert (code, out) == (2, "")
+        assert "--registry is read only with a --name flag" in err
+
+    def test_registry_names_a_sequence_weight(self, capsys, tmp_path):
+        reg = tmp_path / "registry.json"
+        reg.write_text(json.dumps({"w": {"family": "ks", "params": {"beta": 0.5}}}))
+        code, report = run_json(
+            capsys, "seq", "gen", "--family", "legendre", "--fn-name", "w",
+            "--registry", str(reg), "--n", "3",
+        )
+        assert code == 0 and len(report["log_alpha"]) == 4
+
     def test_help_names_the_object(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["ell", "--help"])

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthcalc import from_phi, make_growth_function
+from growthcalc import holo
 from growthcalc.growthfn import iterated_exp
 from growthcalc.holo import (
+    MAX_DEGREE,
+    MAX_DIM,
     BoundParams,
     ChaosPolynomial,
     NuclearScale,
@@ -199,6 +202,20 @@ class TestCoeffNorms:
         assert math.isclose(b, 3.0 * a, rel_tol=1e-12)
 
 
+def ray_and_point_values(F, dirs, radii):
+    """F at s * dir for every direction and radius, from the rays'
+    homogeneous parts and from chaos_eval_batch, with the sum of the
+    monomials' magnitudes there; asserts the two agree to 1e-13 of it,
+    the scale at which both evaluators round."""
+    size = ChaosPolynomial(F.dim, F.max_degree, {k: abs(v) for k, v in F.coeffs.items()})
+    ray = holo._ray_coeffs(F, dirs) @ radii ** np.arange(F.max_degree + 1)[:, None]
+    points = (radii[None, :, None] * dirs[:, None, :]).reshape(-1, F.dim)
+    point = chaos_eval_batch(F, points).reshape(ray.shape)
+    bulk = chaos_eval_batch(size, np.abs(points)).real.reshape(ray.shape)
+    assert np.all(np.abs(ray - point) <= 1e-13 * bulk)
+    return ray, point, bulk
+
+
 class TestNormG:
     def test_one_dim_calculus_oracle(self):
         # sup_x |c| x e^{-x^2/2} = |c|/sqrt(e) at x = 1
@@ -299,6 +316,53 @@ class TestNormG:
         assert math.isclose(res.lower_bound, truth, rel_tol=1e-9)
         assert math.isclose(abs(res.argsup[0]) ** 2, w, rel_tol=1e-6)
         assert res.argsup[1] == 0j
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, MAX_DIM),
+        st.integers(0, MAX_DEGREE),
+        st.integers(0, 2 ** 32 - 1),
+        st.sampled_from([EXP, KS05]),
+    )
+    def test_ray_form_matches_point_evaluator(self, dim, degree, seed, u):
+        # the scan scores F(s dir) = sum_n P_n(dir) s^n from the rays'
+        # homogeneous parts; chaos_eval_batch multiplies out every point
+        rng = np.random.default_rng(seed)
+        if math.comb(dim + degree, degree) <= 300:
+            F = random_chaos(dim, degree, seed=seed)
+        else:
+            F = ChaosPolynomial(dim, degree, {
+                tuple(sorted(rng.integers(0, dim, rng.integers(0, degree + 1)).tolist())):
+                    complex(*rng.normal(size=2))
+                for _ in range(40)
+            })
+        dirs = rng.normal(size=(6, 2 * dim)).view(complex)
+        radii = np.geomspace(1e-3, 1e3, 128)
+        ray, point, bulk = ray_and_point_values(F, dirs, radii)
+        # so the scores agree wherever F does not nearly cancel
+        half_log_u = 0.5 * u.log_many(radii ** 2)
+        with np.errstate(divide="ignore"):
+            got = np.log(np.abs(ray)) - half_log_u
+            want = np.log(np.abs(point)) - half_log_u
+        kept = np.isfinite(want) & (bulk <= 4.0 * np.abs(point))
+        assert kept.any()
+        assert np.all(
+            np.abs(got - want)[kept] <= 1e-13 * np.maximum(1.0, np.abs(want[kept]))
+        )
+
+    def test_ray_blocks_may_split_a_degree(self, monkeypatch):
+        # 84 monomials in blocks of 2 (cells 12 over degree 6): every
+        # block adds its per-degree sums to the parts of earlier blocks
+        monkeypatch.setattr(holo, "_RAY_CELLS", 12)
+        F = random_chaos(3, 6, seed=4)
+        dirs = np.random.default_rng(4).normal(size=(5, 6)).view(complex)
+        ray_and_point_values(F, dirs, np.geomspace(1e-2, 1e2, 16))
+
+    @pytest.mark.parametrize("dim, degree", [(1, 0), (2, 4), (MAX_DIM, MAX_DEGREE)])
+    def test_zero_polynomial_has_zero_norm(self, dim, degree):
+        F = ChaosPolynomial(dim, degree, {})
+        res = norm_g(F, EXP, dyadic_scale(dim), 1, seed=0)
+        assert res.lower_bound == 0.0
 
 
 class TestCoeffBoundCheck:

@@ -16,6 +16,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,9 +31,12 @@ from growthcalc.sequences import (
     gen_bell,
     gen_power_factorial,
     seq_equivalent,
+    stored_ratio_bounds,
     sum_stored_series,
+    sum_stored_series_batch,
 )
 from series_reference import log_sum_exp_series
+from series_reference import sum_stored_series_batch as one_pass_batch
 
 sys.setrecursionlimit(100_000)
 
@@ -292,6 +296,108 @@ class TestEgf:
                 sum_stored_series(terms)
             return
         assert sum_stored_series(terms) == want
+
+
+@st.composite
+def stored_windows(draw):
+    """Stored coefficient logs: 0-4096 terms, log-concave (sorted,
+    falling gaps) or not, with up to three runs of zero coefficients."""
+    n = draw(st.one_of(st.integers(0, 80), st.integers(0, 4096)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        gaps = np.sort(rng.normal(0.0, 2.0, n))[::-1]
+        c = rng.normal(0.0, 5.0) + np.concatenate([[0.0], np.cumsum(gaps)[:-1]])[:n]
+    else:
+        c = rng.normal(0.0, 5.0, n)
+    for at, length in draw(st.lists(
+        st.tuples(st.integers(0, 4096), st.integers(1, 40)), max_size=3
+    )):
+        c[at : at + length] = LOG_ZERO
+    return c
+
+
+def radius_stopping_at(c, bounds, used, rel_tol):
+    """A log r at which the one-pass kernel certifies after exactly
+    ``used`` terms, found by bisection (more terms at larger r)."""
+    lo, hi = -60.0, 60.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        _, got, done = one_pass_batch(c, bounds, [mid], rel_tol)
+        if done[0] and got[0] < used:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class TestTiledSeriesKernel:
+    """The library kernel walks each chunk of radii through the window
+    in tiles, dropping rows as they certify; the one-pass kernel sums
+    every stored term of every row at once.  Both take the same steps,
+    so certified sums, terms used and certification flags agree bit for
+    bit."""
+
+    @staticmethod
+    def assert_matches_one_pass(c, log_rs, rel_tol):
+        bounds = stored_ratio_bounds(c)
+        sums, used, done = sum_stored_series_batch(c, bounds, log_rs, rel_tol)
+        want_sums, want_used, want_done = one_pass_batch(c, bounds, log_rs, rel_tol)
+        assert np.array_equal(done, want_done)
+        assert np.array_equal(used, want_used)
+        assert np.array_equal(sums[done], want_sums[done], equal_nan=True)
+        # a row that does not certify sums every stored term
+        assert np.all(used[~done] == len(c))
+        if len(c) and (~done).any():
+            k = np.arange(len(c), dtype=float)
+            with np.errstate(invalid="ignore"):
+                full = np.logaddexp.accumulate(
+                    c + k * np.asarray(log_rs)[~done, None], axis=1
+                )[:, -1]
+            assert np.array_equal(sums[~done], full, equal_nan=True)
+        return used, done
+
+    @given(
+        stored_windows(),
+        st.integers(1, 1500),
+        st.integers(0, 2 ** 32 - 1),
+        st.sampled_from([None, 1e-16, 1e-12, 1e-6, 0.5]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_one_pass_kernel(self, c, n_radii, seed, rel_tol):
+        log_rs = np.random.default_rng(seed).uniform(-12.0, 6.0, n_radii)
+        self.assert_matches_one_pass(c, log_rs, rel_tol)
+
+    @pytest.mark.parametrize("rel_tol", [1e-16, 1e-12, 1e-6])
+    def test_pinned_stopping_columns(self, rel_tol):
+        # 1500 radii run in chunks of 520 (a first tile of 8 columns);
+        # pinned rows certify at index 0, at the first tile's last
+        # column, at the window's last index, and never
+        c = -np.arange(65.0) ** 2
+        bounds = stored_ratio_bounds(c)
+        pins = [radius_stopping_at(c, bounds, used, rel_tol) for used in (1, 8, 65)]
+        log_rs = np.linspace(-30.0, 180.0, 1500)
+        log_rs[::7] = pins[0]
+        log_rs[3::11] = pins[1]
+        log_rs[5::13] = pins[2]
+        log_rs[-1] = 200.0
+        used, done = self.assert_matches_one_pass(c, log_rs, rel_tol)
+        assert set(used[done].tolist()) >= {1, 8, 65}
+        assert not done.all()
+
+    def test_uncertified_row_sums_every_term(self):
+        # rising terms never certify: the sum is that of all five terms
+        c = np.array([0.0, 1.0, 2.5, 4.5, 7.0])
+        sums, used, done = sum_stored_series_batch(c, stored_ratio_bounds(c), [0.0, 0.5])
+        assert not done.any() and used.tolist() == [5, 5]
+        for got, log_r in zip(sums, (0.0, 0.5)):
+            want = math.log(sum(math.exp(ck + k * log_r) for k, ck in enumerate(c)))
+            assert math.isclose(got, want, rel_tol=1e-14)
+        assert round(float(sums[0]), 2) == 7.09
+
+    def test_one_radius_of_a_long_window(self):
+        c = -0.5 * np.arange(4096.0)
+        self.assert_matches_one_pass(c, [0.25], 1e-12)
+        self.assert_matches_one_pass(c, [0.75], 1e-12)
 
 
 # --------------------------------------------------------------------------
