@@ -291,7 +291,8 @@ def _brent_min_rows(
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for _ in range(GOLDEN_MAX_ITER):
             off, wide, tol1, mid, golden, run = _brent_bracket(s)
-            if not run.all():
+            # a call with no rows stops here too, before any step
+            if not (rows.size and run.all()):
                 best[:, rows] = s[4:6]
                 keep = np.flatnonzero(run)
                 s, rows = s.take(keep, axis=1), rows[keep]
@@ -421,6 +422,12 @@ def _profile_block(u: GrowthFunction, ts: np.ndarray) -> tuple[np.ndarray, np.nd
 _BLOCK_MIN_ROWS = 24
 
 
+def _in_blocks(u: GrowthFunction) -> bool:
+    """Whether _profile_block serves u: a vectorised phi, flagged
+    (log, exp)-convex."""
+    return u.phi_vec is not None and bool(u.log_exp_convex)
+
+
 def _warm_seed(rho: float) -> float:
     """log of the last minimizer (rho is increasing in t), else 0."""
     if 0.0 < rho < math.inf:
@@ -441,7 +448,10 @@ def _integer_profile(u: GrowthFunction, n_max: int) -> _Profile:
     square root of machine epsilon.  An order the block cannot certify,
     and every order of any other u, goes through _ell_at in turn, so
     boundary flags, refusals and the points cached before a refusal are
-    those of the point-by-point walk.
+    those of the point-by-point walk.  _series_logs may have grown the
+    profile ahead of this walk by one _grow_profile block, which keeps
+    only a leading run of certified orders, so the walk resumes where
+    that block stopped certifying.
     """
     prof = _PROFILE_CACHE.get(u)
     if prof is None:
@@ -450,7 +460,7 @@ def _integer_profile(u: GrowthFunction, n_max: int) -> _Profile:
         prof.append(_ell_at(u, float(len(prof)), prof.seed()))
         orders = np.arange(len(prof), n_max + 1, dtype=float)
         log_ell = rho = np.full(len(orders), math.nan)
-        if orders.size >= _BLOCK_MIN_ROWS and u.phi_vec is not None and u.log_exp_convex:
+        if orders.size >= _BLOCK_MIN_ROWS and _in_blocks(u):
             log_ell, rho = _profile_block(u, orders)
         done = 0
         for k in np.flatnonzero(np.isnan(log_ell)):
@@ -459,6 +469,28 @@ def _integer_profile(u: GrowthFunction, n_max: int) -> _Profile:
             done = k + 1
         prof.extend(log_ell[done:], rho[done:])
     return prof
+
+
+def _grow_profile(u: GrowthFunction, n_max: int) -> None:
+    """Grow u's cached profile towards n_max from one _profile_block over
+    every missing order, keeping only the block's leading run of
+    certified orders; no order goes through _ell_at here.
+
+    The series call that asks for this is about to read doubling
+    windows up to n_max terms, which the walk of _integer_profile would
+    build as one block per window.  An order past the kept run is left
+    to that walk, so a refusal and the points cached before it are the
+    walk's.  Does nothing for a u that the walk does not build in
+    blocks, or when fewer than _BLOCK_MIN_ROWS orders are missing.
+    """
+    prof = _integer_profile(u, 0)
+    orders = np.arange(len(prof), n_max + 1, dtype=float)
+    if orders.size < _BLOCK_MIN_ROWS or not _in_blocks(u):
+        return
+    log_ell, rho = _profile_block(u, orders)
+    run = np.flatnonzero(np.isnan(log_ell))
+    run = int(run[0]) if run.size else len(orders)
+    prof.extend(log_ell[:run], rho[:run])
 
 
 def ell(u: GrowthFunction, t: float) -> LegendrePoint:
@@ -748,6 +780,15 @@ def _series_logs(
     not certify there move on to the doubled window, up to ``cap``
     terms, past which NoDecayCertificate is raised.  LOG_ZERO radii
     give the head coefficient.
+
+    When radii fail the call's first window, _grow_profile extends the
+    integer profile towards ``cap`` terms in one vectorised block before
+    the next window is read, instead of one block per doubled window:
+    a refused series reads all of them.  The windows and their
+    certificates are unchanged.  Each row of a block is polished on its
+    own, so an order holds the value the walk's per-window block gave
+    it, except the first order of each doubled window, which the walk
+    took from _ell_at; the two searches agree to roundoff.
     """
     log_rs = np.asarray(log_rs, dtype=float)
     out = np.empty(len(log_rs))
@@ -756,7 +797,7 @@ def _series_logs(
         out[zero] = _coeff_logs(u, 0, tag)[0]
     pending = np.flatnonzero(~zero)
     hints = _SERIES_N_HINT.setdefault(u, {})
-    n = max(_SERIES_START, hints.get(tag, 0))
+    n = first = max(_SERIES_START, hints.get(tag, 0))
     while pending.size:
         c, bounds = _series_window(u, tag, n)
         sums, _, done = sum_stored_series_batch(c, bounds, log_rs[pending], rel_tol)
@@ -770,6 +811,8 @@ def _series_logs(
                     f"series for {u.name} at log r = {float(log_rs[pending[0]]):.6g} "
                     f"showed no certified decay within {cap} terms"
                 )
+            if n == first:
+                _grow_profile(u, cap)
             n = min(2 * n, cap)
     return out
 
@@ -1598,6 +1641,14 @@ def _suite_ks_sandwich(params: dict) -> Check:
 
 
 def _suite_lem35(params: dict) -> Check:
+    """Lemma 3.5: u is (log, x^k)-convex exactly when log ell_u(t) +
+    k t log t is convex in t.  Each case compares classify_convexity's
+    direct verdict with the sign of the second differences on a 60-point
+    grid of t in [0.25, 25].  For a (log, exp)-convex u with a
+    vectorised phi the grid's transform values come from one
+    _profile_block, whose Brent polish fixes them to roundoff; a row it
+    leaves uncertified, and every row of any other u, goes through ell.
+    """
     from .growthfn import classify_convexity
 
     if "family" in params:
@@ -1615,7 +1666,14 @@ def _suite_lem35(params: dict) -> Check:
     for u, k in cases:
         direct = classify_convexity(u, "log-xk-convex", k=k).passes
         ts = np.linspace(t_lo, t_hi, points)
-        vals = [ell(u, float(t)).log_ell.log + k * float(t) * math.log(float(t)) for t in ts]
+        log_ell = np.full(points, math.nan)
+        if _in_blocks(u) and u.in_c_plus_log is not False:
+            log_ell = _profile_block(u, ts)[0]
+        vals = []
+        for t, le in zip(ts.tolist(), log_ell.tolist()):
+            if math.isnan(le):
+                le = ell(u, t).log_ell.log
+            vals.append(le + k * t * math.log(t))
         worst = -math.inf
         for i in range(1, points - 1):
             scale = max(1.0, abs(vals[i - 1]), abs(vals[i]), abs(vals[i + 1]))

@@ -191,9 +191,9 @@ def gen_bell(order: int, n_max: int) -> PositiveSequence:
         for _ in range(order - 1):
             gamma = _decimal_series_exp(mult, gamma)
             mult = mult.exp()
+        # one 60-digit ln of b(n) = n! gamma_n per term
         log_alpha = tuple(
-            float(gamma[n].ln() + Decimal(math.factorial(n)).ln())
-            for n in range(n_max + 1)
+            float((gamma[n] * math.factorial(n)).ln()) for n in range(n_max + 1)
         )
     return PositiveSequence("bell-order-k", {"k": order}, log_alpha)
 

@@ -275,6 +275,24 @@ def _scalar_walk(u, n_max):
     return pts, None
 
 
+def _count_calls(monkeypatch, *names, orders=False):
+    """Wrap the named legendre functions to count their calls, or, with
+    ``orders``, to record the order (second argument) of each."""
+    seen = {name: [] if orders else 0 for name in names}
+    for name in names:
+        real = getattr(legendre, name)
+
+        def counted(*args, _real=real, _name=name):
+            if orders:
+                seen[_name].append(args[1])
+            else:
+                seen[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(legendre, name, counted)
+    return seen
+
+
 # fresh instances of every family with a vectorised phi (the profile is
 # cached per instance)
 BLOCK_FAMILIES = [
@@ -634,6 +652,62 @@ class TestSeriesKernel:
         # in a batch the first radius that does not certify is named
         with pytest.raises(NoDecayCertificate, match=re.escape(msg)):
             legendre._series_logs(u, [-1.0, 0.0, 0.5], "sharp")
+
+    def test_refusal_grows_a_cold_profile_in_one_block(self, monkeypatch):
+        # the window of 64 terms fails, and one block then grows the profile
+        # to the cap: 2 blocks and 1 point search in all, 7 and 7 when each
+        # doubled window was grown on its own
+        calls = _count_calls(monkeypatch, "_profile_block", "_ell_at")
+        u = ks_family(1.0)
+        with pytest.raises(NoDecayCertificate):
+            gc.l_sharp(u, 0.0)
+        assert calls["_profile_block"] <= 2 and calls["_ell_at"] <= 2
+        monkeypatch.undo()
+        # the orders that began each doubled window's growth (one _ell_at
+        # each) now come from the block
+        want, _ = _scalar_walk(ks_family(1.0), 4096)
+        prof = legendre._PROFILE_CACHE[u]
+        assert len(prof) == 4097
+        orders = (65, 129, 257, 513, 1025, 2049, 4096)
+        _assert_same_profile([prof[n] for n in orders], [want[n] for n in orders])
+
+    def test_grown_profile_keeps_only_certified_orders(self, monkeypatch):
+        # the block leaves some orders of log_square uncertified, the first
+        # at 398, and every order from 1398 on, where its minimizer passes
+        # the range cap: the growth keeps the run before the first and
+        # sends no order to _ell_at
+        log_ell, _ = legendre._profile_block(log_square_example(), np.arange(65.0, 4097.0))
+        first = 65 + int(np.flatnonzero(np.isnan(log_ell))[0])
+        assert first < 1398 and np.isnan(log_ell[1398 - 65 :]).all()
+        u = log_square_example()
+        legendre._integer_profile(u, 64)
+        seen = _count_calls(monkeypatch, "_ell_at", orders=True)
+        legendre._grow_profile(u, 4096)
+        assert seen["_ell_at"] == [] and len(legendre._PROFILE_CACHE[u]) == first
+        # the walk takes the series on from there, to the refusal at 1398
+        with pytest.raises(NotBracketable):
+            gc.l_function(u, 650.0)
+        assert min(seen["_ell_at"]) == first and max(seen["_ell_at"]) == 1398.0
+        assert len(legendre._PROFILE_CACHE[u]) == 1398
+
+    @pytest.mark.parametrize("log_r", [100.0, 500.0, 650.0])
+    @pytest.mark.parametrize("series", [gc.l_function, gc.l_sharp])
+    def test_grown_profile_answers_as_the_walk(self, series, log_r, monkeypatch):
+        # each call needs a window past 64 terms; L# of log_square
+        # diverges, and L at log r = 650 needs terms past order 1398
+        def outcome():
+            try:
+                return series(log_square_example(), log_r).log
+            except (NotBracketable, NoDecayCertificate) as exc:
+                return exc
+
+        got = outcome()
+        monkeypatch.setattr(legendre, "_BLOCK_MIN_ROWS", 10**9)  # walk every order
+        want = outcome()
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
     @given(
         st.lists(

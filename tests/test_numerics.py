@@ -304,6 +304,16 @@ class TestBrentMinRows:
         )
         assert seen and set(seen) == {1}
 
+    def test_no_rows_take_no_steps(self):
+        # a profile block whose orders all lack a certified bracket (the
+        # log_square orders past its range cap) polishes nothing
+        seen = []
+        empty = np.empty(0)
+        xs, fx = _brent_min_rows(
+            lambda rows, xs: seen.append(len(rows)) or xs, *[empty] * 6
+        )
+        assert seen == [] and xs.size == fx.size == 0
+
     @staticmethod
     def _block_calls(u, orders, monkeypatch):
         """The lockstep calls a profile block makes: (f, args, steps)."""

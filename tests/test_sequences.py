@@ -23,10 +23,12 @@ from hypothesis import strategies as st
 
 from growthcalc.numerics import LOG_ZERO, NoDecayCertificate
 from growthcalc.sequences import (
+    GEN_BELL_MAX_N,
     ConditionVerdict,
     EquivalenceCounterexample,
     PositiveSequence,
     SequenceEquivalenceWitness,
+    _decimal_series_exp,
     check_condition,
     gen_bell,
     gen_power_factorial,
@@ -227,6 +229,27 @@ class TestGenerators:
     def test_bell_order_3_prefix_stable(self):
         # truncation order must not affect earlier coefficients
         assert gen_bell(3, 40).log_alpha[:26] == gen_bell(3, 25).log_alpha
+
+    # the benchmark's Bell pool holds (3, 30) and (3, 40); orders 3 and 4
+    # run to GEN_BELL_MAX_N without overflow (order 5's chain overflows)
+    @pytest.mark.parametrize(
+        "order, n_max", [(3, 30), (3, 40), (3, GEN_BELL_MAX_N), (4, GEN_BELL_MAX_N)]
+    )
+    def test_bell_logs_match_the_two_ln_form(self, order, n_max):
+        # one 60-digit ln of b(n) = n! gamma_n gives the doubles that
+        # ln gamma_n + ln n! gave, bit for bit
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            gamma = [Decimal(1) / Decimal(math.factorial(n)) for n in range(n_max + 1)]
+            mult = Decimal(1)
+            for _ in range(order - 1):
+                gamma = _decimal_series_exp(mult, gamma)
+                mult = mult.exp()
+            want = tuple(
+                float(gamma[n].ln() + Decimal(math.factorial(n)).ln())
+                for n in range(n_max + 1)
+            )
+        assert gen_bell(order, n_max).log_alpha == want
 
     def test_bell_bounds(self):
         with pytest.raises(ValueError):
