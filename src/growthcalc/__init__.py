@@ -32,7 +32,7 @@ _EXPORTS = {
     ),
     "legendre": (
         "Check", "FunctionEquivalenceCounterexample", "FunctionEquivalenceWitness",
-        "LegendrePoint", "LegendreProfile", "LogConcaveProfile", "TauBounds",
+        "LegendrePoint", "LogConcaveProfile", "TauBounds",
         "admissibility_report", "dual", "dual_function", "ell", "ell_profile",
         "function_equivalent", "inverse_legendre", "l_function",
         "l_growth_function", "l_sharp", "l_sharp_growth_function", "suite_tags",
@@ -41,7 +41,6 @@ _EXPORTS = {
     "numerics": (
         "BadTolerance", "GrowthCalcError", "LogScalar", "NoDecayCertificate",
         "NotBracketable", "PreconditionViolated", "SeriesSum", "default_rel_tol",
-        "set_default_rel_tol",
     ),
     "sequences": (
         "ConditionVerdict", "EquivalenceCounterexample", "PositiveSequence",

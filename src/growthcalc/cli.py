@@ -193,6 +193,8 @@ def _cmd_seq_gen(args) -> _Result:
 def _cmd_seq_check(args) -> _Result:
     from .sequences import check_condition
 
+    if args.search_cap is not None and args.search_cap < 0:
+        raise _UsageError("--search-cap must be nonnegative")
     seq = _build_sequence(args)
     verdict = check_condition(seq, args.condition, search_cap=args.search_cap)
     report = {
@@ -242,11 +244,15 @@ def _cmd_fn_classify(args) -> _Result:
                       "witness": v.witness}
             code = 0 if v.status == "increasing" else 1
         elif args.kind in ("c-plus-log", "c-plus-j"):
+            if args.kind == "c-plus-j" and not 0.0 < args.j < math.inf:
+                raise _UsageError("--j must be a finite positive number")
             v = membership(u, args.kind, j=args.j)
             report = {"name": u.name, "kind": args.kind, "status": v.status,
                       "witness": v.witness}
             code = 0 if v.status == "holds-up-to-range" else 1
         else:
+            if args.kind == "log-xk-convex" and args.xk < 1:
+                raise _UsageError("--xk must be at least 1")
             v = classify_convexity(u, args.kind, k=args.xk)
             report = {
                 "name": u.name,
@@ -355,6 +361,8 @@ def _cmd_one_point(point: str, evaluate, args) -> _Result:
     x = getattr(args, point)
     if x < 0:
         raise _UsageError(f"--{point} must be nonnegative")
+    if not math.isfinite(x):
+        raise _UsageError(f"--{point} must be finite")
     report, lhs, rhs, slack = evaluate(u, x, args)
     return _Result(report, 0, [{"x": x, "lhs": lhs, "rhs": rhs, "slack": slack}])
 
@@ -362,6 +370,12 @@ def _cmd_one_point(point: str, evaluate, args) -> _Result:
 def _cmd_equiv(args) -> _Result:
     from .legendre import function_equivalent
 
+    if not 0.0 <= args.r_min < math.inf:
+        raise _UsageError("--r-min must be finite and nonnegative")
+    if not args.r_min < args.r_max < math.inf:
+        raise _UsageError("--r-max must be finite and above --r-min")
+    if args.points < 2:
+        raise _UsageError("--points must be at least 2")
     u = _build_function(args, "a_")
     v = _build_function(args, "b_")
     res = function_equivalent(u, v, (args.r_min, args.r_max), points=args.points)
@@ -427,6 +441,8 @@ def _cmd_holo_check(args) -> _Result:
         raise _UsageError("--samples must be positive")
     from .growthfn import make_growth_function
     from .holo import (
+        MAX_DEGREE,
+        MAX_DIM,
         BoundParams,
         ChaosPolynomial,
         coeff_bound_check,
@@ -439,6 +455,10 @@ def _cmd_holo_check(args) -> _Result:
         series_chain_check,
     )
 
+    if not 1 <= args.dim <= MAX_DIM:
+        raise _UsageError(f"--dim must be between 1 and {MAX_DIM}")
+    if not 0 <= args.degree <= MAX_DEGREE:
+        raise _UsageError(f"--degree must be between 0 and {MAX_DEGREE}")
     u = _build_function(args) if args.family or args.name else make_growth_function("exp")
     scale = dyadic_scale(args.dim)
     if args.chaos_file:
@@ -446,6 +466,8 @@ def _cmd_holo_check(args) -> _Result:
             polys = [(args.chaos_file, ChaosPolynomial.load(args.chaos_file))]
         except (OSError, ValueError, KeyError) as exc:
             raise _UsageError(f"--chaos-file: {exc}") from exc
+        if polys[0][1].dim != args.dim:
+            raise _UsageError(f"--dim must be the --chaos-file dimension {polys[0][1].dim}")
     else:
         polys = [
             (args.seed + i, random_chaos(args.dim, args.degree, seed=args.seed + i))
@@ -792,8 +814,10 @@ def main(argv: Optional[list] = None) -> int:
         env_tol = env_rel_tol()
         if "tol" in vars(args) and args.tol is None:
             args.tol = env_tol
-        if getattr(args, "tol", None) is not None and args.tol <= 0:
-            raise _UsageError("--tol must be positive")
+        for flag in ("tol", "rel_tol"):
+            value = getattr(args, flag, None)
+            if value is not None and not 0.0 < value < math.inf:
+                raise _UsageError(f"--{flag.replace('_', '-')} must be a finite positive number")
         if getattr(args, "registry", None) is not None and not any(
             v is not None for k, v in vars(args).items() if k.endswith("name")
         ):

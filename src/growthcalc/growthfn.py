@@ -391,32 +391,29 @@ def polynomial(p: float) -> GrowthFunction:
 
 
 def from_series(
-    coeffs: Union[PositiveSequence, Sequence[float]],
-    name: str = "series",
-    family: str = "series",
-    params: Optional[Mapping[str, float]] = None,
-    rel_tol: Optional[float] = None,
+    coeffs: Union[PositiveSequence, Sequence[float]], name: str = "series"
 ) -> GrowthFunction:
     """u(r) = sum u_n r^n from stored log-coefficients (log u_n, with
     LOG_ZERO for vanishing terms).
 
     Entire functions with nonnegative coefficients are automatically
     (log, exp)-convex and increasing; evaluation streams the series in
-    the log domain and needs the stored ratios to certify the tail, so
-    sufficiently large r raises NoDecayCertificate rather than
-    returning a silently truncated value.
+    the log domain and needs the stored ratios to certify the tail, to
+    the library tolerance at construction, so sufficiently large r
+    raises NoDecayCertificate rather than returning a silently
+    truncated value.
     """
+    params = {}
     if isinstance(coeffs, PositiveSequence):
         log_c = list(coeffs.log_alpha)
-        params = dict(params or {})
-        params.setdefault("n_max", coeffs.n_max)
+        params["n_max"] = coeffs.n_max
     else:
         log_c = [float(v) for v in coeffs]
     if not log_c:
         raise ValueError("series needs at least one coefficient")
     if all(v == LOG_ZERO for v in log_c):
         raise ValueError("series must be positive somewhere")
-    tol = default_rel_tol() if rel_tol is None else rel_tol
+    tol = default_rel_tol()
 
     def phi(x: float, _lc=tuple(log_c), _tol=tol) -> float:
         terms = [lc if lc == LOG_ZERO else lc + n * x for n, lc in enumerate(_lc)]
@@ -425,8 +422,8 @@ def from_series(
     return GrowthFunction(
         phi=phi,
         name=name,
-        family=family,
-        params=dict(params or {}),
+        family="series",
+        params=params,
         log_u0=log_c[0] if log_c[0] != LOG_ZERO else None,
         increasing=True,
         log_exp_convex=True,

@@ -13,8 +13,8 @@ Two norm families live on these polynomials: the coefficient norm
 exactly computable, so norm_g returns a documented lower bound from a
 seeded multistart search; every check that uses it records which
 direction of the inequality that approximation favours.  Every check
-returns a legendre.Check record: log scale, positive max_violation
-means violated.
+builds a legendre.Check record: log scale, positive max_violation
+means violated.  series_chain_check returns the record's JSON dict.
 """
 
 from __future__ import annotations
@@ -85,12 +85,6 @@ class NuclearScale:
     def weights(self, p: int) -> np.ndarray:
         """The diagonal (lambda_j^p); p may be negative."""
         return np.array(self.eigenvalues, dtype=float) ** p
-
-    def weighted_norm(self, xi: Sequence[complex], p: int) -> float:
-        v = np.asarray(xi, dtype=complex)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected a vector of dimension {self.dim}")
-        return float(self.weighted_norms(v, p))
 
     def weighted_norms(self, xis: np.ndarray, p: int) -> np.ndarray:
         """|xi|_p of every point along the last axis."""
@@ -291,6 +285,8 @@ class GNormResult(NamedTuple):
     argsup: tuple[complex, ...]
 
 
+# random directions of norm_g's first round, beside the d coordinate axes
+_MULTISTART = 32
 _RADIUS_POINTS = 128
 _JITTER_ROUNDS = ((0.25, 16), (0.06, 16), (0.015, 16), (0.004, 16))
 
@@ -322,11 +318,12 @@ def norm_g(
     u: GrowthFunction,
     scale: NuclearScale,
     p: int,
-    multistart: int = 32,
     seed: int = 0,
 ) -> GNormResult:
     """Multistart lower bound for the growth norm |||F|||_{u,p}.
 
+    The coordinate axes and _MULTISTART random directions start the
+    search, then rounds of jitter around the best direction refine it.
     Directions are drawn on the complex sphere, normalized in the
     level -p norm so every ray shares one weight profile.  Along a ray
     F is a polynomial in the radius s, so each round of rays is scored
@@ -365,7 +362,7 @@ def norm_g(
         i, j = np.unravel_index(int(np.argmax(score)), score.shape)
         return float(score[i, j]), dirs[i], float(radii[j]), coeffs[i]
 
-    starts = [np.eye(d, dtype=complex), rng.normal(size=(multistart, 2 * d)).view(complex)]
+    starts = [np.eye(d, dtype=complex), rng.normal(size=(_MULTISTART, 2 * d)).view(complex)]
     best_score, best_dir, best_s, best_coeffs = scan(normalize(np.concatenate(starts)))
     for sigma, count in _JITTER_ROUNDS:
         jitter = rng.normal(size=(count, 2 * d)).view(complex)
@@ -470,7 +467,6 @@ def embedding_check_51(
     scale: NuclearScale,
     p: int,
     q: int,
-    multistart: int = 32,
     seed: int = 0,
     g_value: Optional[float] = None,
 ) -> Check:
@@ -488,7 +484,7 @@ def embedding_check_51(
             f"HS norm {hs:.4f} between levels {p} and {q} exceeds 1/e"
         )
     constant = (1.0 - math.e ** 2 * hs ** 2) ** -0.5
-    g = g_value if g_value is not None else norm_g(F, u, scale, p, multistart, seed).lower_bound
+    g = g_value if g_value is not None else norm_g(F, u, scale, p, seed).lower_bound
     return _one_comparison(
         "embedding-51", f"{p}:{q}", norm_k(F, u, scale, q), constant * _INFLATION * g,
         {"p": p, "q": q, "hs": hs, "constant": constant, "g_lower_bound": g,
@@ -501,7 +497,6 @@ def embedding_check_52(
     u: GrowthFunction,
     scale: NuclearScale,
     p: int,
-    multistart: int = 32,
     seed: int = 0,
 ) -> Check:
     """Growth norm one level down against the coefficient norm at p:
@@ -520,7 +515,7 @@ def embedding_check_52(
     )
     return _one_comparison(
         "embedding-52", f"{p - 1}:{p}",
-        norm_g(F, u, scale, p - 1, multistart, seed).lower_bound,
+        norm_g(F, u, scale, p - 1, seed).lower_bound,
         constant * norm_k(F, u, scale, p),
         {"p": p, "rho": scale.rho, "constant": constant, "lhs_is_lower_bound": True},
     )

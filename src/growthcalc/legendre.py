@@ -47,14 +47,13 @@ from .numerics import (
     safe_exp,
     strict_json,
 )
-from .sequences import stored_ratio_bounds, sum_stored_series_batch
+from .sequences import _log_factorials, stored_ratio_bounds, sum_stored_series_batch
 
 __all__ = [
     "Check",
     "FunctionEquivalenceCounterexample",
     "FunctionEquivalenceWitness",
     "LegendrePoint",
-    "LegendreProfile",
     "LogConcaveProfile",
     "TauBounds",
     "admissibility_report",
@@ -162,7 +161,7 @@ def _ell_at(u: GrowthFunction, t: float, seed_x: float = 0.0) -> LegendrePoint:
         return u.phi_at(x) - t * x
 
     if u.log_exp_convex:
-        res = minimize_convex_1d(g, seed_x, step=1.0)
+        res = minimize_convex_1d(g, seed_x)
         x, fx, boundary = res.x, res.fx, res.boundary
     else:
         x, fx, boundary = _scan_minimize(g, -RANGE_CAP, min(u.x_max, RANGE_CAP))
@@ -545,46 +544,6 @@ def tau_bounds(u: GrowthFunction, r: float) -> TauBounds:
     return TauBounds(tm, tp)
 
 
-@dataclass(frozen=True)
-class LegendreProfile:
-    """Transform values along a t grid, with the recorded minimizers."""
-
-    t_grid: tuple[float, ...]
-    log_ell: tuple[float, ...]
-    rho: tuple[float, ...]
-    boundary_flags: tuple[Optional[str], ...]
-
-    @classmethod
-    def from_function(cls, u: GrowthFunction, t_grid: Sequence[float]) -> "LegendreProfile":
-        ts = [float(t) for t in t_grid]
-        if any(t < 0 for t in ts) or any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError("t grid must be nondecreasing and nonnegative")
-        pts: list[LegendrePoint] = []
-        for t in ts:
-            pts.append(_ell_at(u, t, _warm_seed(pts[-1].rho if pts else 0.0)))
-        return cls(
-            tuple(ts),
-            tuple(p.log_ell.log for p in pts),
-            tuple(p.rho for p in pts),
-            tuple(p.boundary for p in pts),
-        )
-
-    def log_concavity_violation(self) -> float:
-        """Largest scaled amount by which log ell dips below a chord;
-        nonpositive curvature keeps this at roundoff level."""
-        worst = 0.0
-        for i in range(1, len(self.t_grid) - 1):
-            t0, t1, t2 = self.t_grid[i - 1], self.t_grid[i], self.t_grid[i + 1]
-            f0, f1, f2 = self.log_ell[i - 1], self.log_ell[i], self.log_ell[i + 1]
-            if t2 <= t0:
-                continue
-            lam = (t2 - t1) / (t2 - t0)
-            chord = lam * f0 + (1.0 - lam) * f2
-            scale = max(1.0, abs(f0), abs(f1), abs(f2))
-            worst = max(worst, (chord - f1) / scale)
-        return worst
-
-
 # --------------------------------------------------------------------------
 # the inverse transform
 
@@ -655,7 +614,7 @@ def _detect_n0(logs: Sequence[float]) -> int:
     return n0
 
 
-def ell_profile(u: GrowthFunction, name: Optional[str] = None) -> LogConcaveProfile:
+def ell_profile(u: GrowthFunction) -> LogConcaveProfile:
     """The transform of u as an inverse-transform input, with t0
     detected from the integer profile (the last index where the values
     still rise)."""
@@ -663,7 +622,7 @@ def ell_profile(u: GrowthFunction, name: Optional[str] = None) -> LogConcaveProf
     return LogConcaveProfile(
         log_f=lambda t: ell(u, t).log_ell.log,
         t0=float(t0),
-        name=name or f"ell[{u.name}]",
+        name=f"ell[{u.name}]",
     )
 
 
@@ -676,7 +635,7 @@ def _sup_log_f_rt(f: LogConcaveProfile, log_r: float, lf0: Optional[float] = Non
         t = safe_exp(tau)
         return float(f.log_f(t)) + t * log_r
 
-    res = maximize_concave_1d(H, seed=max(0.0, log_r), step=1.0)
+    res = maximize_concave_1d(H, max(0.0, log_r))
     return max(res.fx, lf0)
 
 
@@ -696,24 +655,20 @@ def inverse_legendre(f: LogConcaveProfile, r: float) -> LogScalar:
     return LogScalar(_sup_log_f_rt(f, math.log(r), lf0))
 
 
-def theta_function(
-    f: LogConcaveProfile, name: Optional[str] = None, check: bool = True
-) -> GrowthFunction:
-    """The inverse transform of f packaged as a growth function.
+def theta_function(f: LogConcaveProfile) -> GrowthFunction:
+    """The inverse transform of f packaged as a growth function, once f
+    passes admissibility_report.
 
     A supremum of the affine maps x -> log f(t) + t x is convex in x and
     nondecreasing (t >= 0), which fixes the hint flags.
     """
-    if check:
-        rep = admissibility_report(f)
-        if not (rep["decays"] and rep["decreasing_beyond_t0"] and rep["log_concave"]):
-            raise PreconditionViolated(
-                f"profile {f.name} failed admissibility: {rep}"
-            )
+    rep = admissibility_report(f)
+    if not (rep["decays"] and rep["decreasing_beyond_t0"] and rep["log_concave"]):
+        raise PreconditionViolated(f"profile {f.name} failed admissibility: {rep}")
     lf0 = float(f.log_f(0.0))
     return from_phi(
         lambda x: _sup_log_f_rt(f, x, lf0),
-        name=name or f"theta[{f.name}]",
+        name=f"theta[{f.name}]",
         family="theta",
         params={"base": f.name},
         log_u0=lf0,
@@ -736,21 +691,13 @@ _SERIES_WINDOWS: "weakref.WeakKeyDictionary[GrowthFunction, dict]" = (
 )
 
 
-_TWO_LOG_FACTORIALS = np.zeros(1)  # 2 log n! for n < len, grown on demand
-
-
 def _coeff_logs(u: GrowthFunction, n: int, tag: str) -> np.ndarray:
     """log ell_u(k) for L_u ("l"), -log ell_u(k) - 2 log k! for L#_u
     ("sharp"), k = 0..n."""
-    global _TWO_LOG_FACTORIALS
     logs = _integer_profile(u, n).log_ell[: n + 1]
     if tag == "l":
         return logs.copy()
-    if len(_TWO_LOG_FACTORIALS) <= n:
-        _TWO_LOG_FACTORIALS = np.array(
-            [2.0 * math.lgamma(k + 1.0) for k in range(2 * n + 1)]
-        )
-    return -logs - _TWO_LOG_FACTORIALS[: n + 1]
+    return -logs - 2.0 * _log_factorials(n)
 
 
 def _series_window(u: GrowthFunction, tag: str, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -839,21 +786,21 @@ def l_sharp(u: GrowthFunction, log_r: float, rel_tol: Optional[float] = None) ->
 
 
 _SERIES_NAMES = {"l": ("L", "l-function"), "sharp": ("Lsharp", "l-sharp")}
+# the series growth functions certify each value within this many terms
+_GROWTH_TERMS_CAP = 512
 
 
-def _series_growth_function(
-    u: GrowthFunction, tag: str, rel_tol: Optional[float], name: Optional[str], terms_cap: int
-) -> GrowthFunction:
+def _series_growth_function(u: GrowthFunction, tag: str) -> GrowthFunction:
     """L_u ("l") or L#_u ("sharp") as a growth function; log u(0) is the
     head coefficient."""
     prefix, family = _SERIES_NAMES[tag]
 
     def phi(x: float) -> float:
-        return float(_series_logs(u, [x], tag, rel_tol, cap=terms_cap)[0])
+        return float(_series_logs(u, [x], tag, cap=_GROWTH_TERMS_CAP)[0])
 
     return from_phi(
         phi,
-        name=name or f"{prefix}[{u.name}]",
+        name=f"{prefix}[{u.name}]",
         family=family,
         params={"base": u.name},
         log_u0=float(_series_logs(u, [LOG_ZERO], tag)[0]),
@@ -862,28 +809,19 @@ def _series_growth_function(
     )
 
 
-def l_growth_function(
-    u: GrowthFunction,
-    rel_tol: Optional[float] = None,
-    name: Optional[str] = None,
-    terms_cap: int = 512,
-) -> GrowthFunction:
+def l_growth_function(u: GrowthFunction) -> GrowthFunction:
     """The L-series of u wrapped as a growth function.
 
-    Evaluation certifies its own tail, so arguments far past the stored
-    horizon raise NoDecayCertificate instead of returning a truncation.
+    Evaluation certifies its own tail within _GROWTH_TERMS_CAP terms, so
+    arguments far past the stored horizon raise NoDecayCertificate
+    instead of returning a truncation.
     """
-    return _series_growth_function(u, "l", rel_tol, name, terms_cap)
+    return _series_growth_function(u, "l")
 
 
-def l_sharp_growth_function(
-    u: GrowthFunction,
-    rel_tol: Optional[float] = None,
-    name: Optional[str] = None,
-    terms_cap: int = 512,
-) -> GrowthFunction:
+def l_sharp_growth_function(u: GrowthFunction) -> GrowthFunction:
     """The sharp series of u wrapped as a growth function."""
-    return _series_growth_function(u, "sharp", rel_tol, name, terms_cap)
+    return _series_growth_function(u, "sharp")
 
 
 # --------------------------------------------------------------------------
@@ -930,7 +868,7 @@ def _dual_point(u: GrowthFunction, log_r: float) -> tuple[float, float, Optional
         step *= 2.0
     if not math.isfinite(G(seed)):
         raise PreconditionViolated(f"no representable region for the dual of {u.name}")
-    res = maximize_concave_1d(G, seed, step=1.0)
+    res = maximize_concave_1d(G, seed)
     if res.boundary == "lo" and res.x <= -RANGE_CAP + 1e-9:
         s_star = 0.0
     else:
@@ -954,9 +892,9 @@ def dual(u: GrowthFunction, r: float) -> LogScalar:
 def _bracket_rows(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray], seed: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """numerics.bracket_minimum(f, seed) within the range caps, on many
-    rows in lockstep: the same probes, doubling steps and stop rules, so
-    row k ends where the one-row search ends.  ``f(rows, xs)`` evaluates
+    """numerics.bracket_minimum(f, seed) on many rows in lockstep: the
+    same probes, doubling steps, range caps and stop rules, so row k
+    ends where the one-row search ends.  ``f(rows, xs)`` evaluates
     row rows[j] at xs[j].
 
     Returns (lo, hi, x, fx, end): end 0 is a Bracket [lo, hi] with inner
@@ -1141,7 +1079,7 @@ def _dual_rows(u: GrowthFunction, xs: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def dual_function(u: GrowthFunction, name: Optional[str] = None) -> GrowthFunction:
+def dual_function(u: GrowthFunction) -> GrowthFunction:
     """The dual of u as a growth function, with escaping suprema mapped
     to +infinity.
 
@@ -1153,7 +1091,7 @@ def dual_function(u: GrowthFunction, name: Optional[str] = None) -> GrowthFuncti
     p0 = ell(u, 0.0)
     dual_u = from_phi(
         lambda x: _dual_value(u, x),
-        name=name or f"dual[{u.name}]",
+        name=f"dual[{u.name}]",
         family="dual",
         params={"base": u.name},
         log_u0=-p0.log_ell.log,
@@ -1204,6 +1142,10 @@ class FunctionEquivalenceCounterexample:
 
 
 _A_BOX = (2.0 ** -20, 2.0 ** 20)
+# the shift search: a log grid of this many points over the box, then
+# this many refinements around the best cell
+_A_POINTS = 64
+_A_REFINEMENTS = 2
 
 
 def function_equivalent(
@@ -1211,13 +1153,12 @@ def function_equivalent(
     v: GrowthFunction,
     r_range: tuple[float, float],
     points: int = 96,
-    a_points: int = 64,
-    refinements: int = 2,
 ) -> Union[FunctionEquivalenceWitness, FunctionEquivalenceCounterexample]:
     """Fit c1 u(a r) <= v(r) <= c2 u(a r) over the range, or reject.
 
-    The shift a is searched on a log grid over the box [2^-20, 2^20],
-    refined around the best cell and polished by golden section; the
+    The shift a is searched on a log grid of _A_POINTS over the box
+    [2^-20, 2^20], refined _A_REFINEMENTS times around the best cell and
+    polished by golden section; the
     constants are then the exact envelope of log v(r) - log u(a r) on
     the grid, so the witness inequalities hold at every checked point by
     construction.  r = 0 joins the grid explicitly when both functions
@@ -1264,13 +1205,13 @@ def function_equivalent(
 
     la_lo, la_hi = math.log(_A_BOX[0]), math.log(_A_BOX[1])
     best_la, best_spread = 0.0, math.inf
-    for _ in range(refinements + 1):
-        las = np.linspace(la_lo, la_hi, a_points)
+    for _ in range(_A_REFINEMENTS + 1):
+        las = np.linspace(la_lo, la_hi, _A_POINTS)
         for la in las:
             s = spread(residuals(math.exp(float(la))))
             if s < best_spread:
                 best_la, best_spread = float(la), s
-        half_cell = (la_hi - la_lo) / (a_points - 1)
+        half_cell = (la_hi - la_lo) / (_A_POINTS - 1)
         la_lo, la_hi = best_la - half_cell, best_la + half_cell
     if math.isfinite(best_spread):
         la, _ = _golden_min(
@@ -1595,7 +1536,7 @@ def _log_power_factorial_sums(
     pending = np.arange(len(log_rs))
     n = 256
     while True:
-        c = np.array([-p * math.lgamma(k + 1.0) for k in range(n + 1)])
+        c = -p * _log_factorials(n)
         sums, _, done = sum_stored_series_batch(c, stored_ratio_bounds(c), log_rs[pending], rel_tol)
         out[pending[done]] = sums[done]
         pending = pending[~done]

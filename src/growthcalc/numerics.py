@@ -15,8 +15,9 @@ Design rules baked in here:
 * 1-D minimization is bracket expansion by step doubling from a seed,
   then golden-section to an absolute width of 1e-12, capped at 300
   golden iterations,
-* searches that run off the representable range (|x| > 700 by default)
-  either return a converged boundary limit, flagged, or raise
+* every search runs over a logarithmic variable, so none needs a
+  domain clamp; a search that reaches the range cap |x| = 700 either
+  returns a converged boundary limit, flagged, or raises
   :class:`NotBracketable`,
 * reports render as strict RFC 8259 JSON: :func:`strict_json` writes
   every non-finite float as null.
@@ -60,9 +61,6 @@ class BadTolerance(GrowthCalcError):
     """The GROWTHCALC_TOL environment variable is not a positive number."""
 
 
-_DEFAULT_REL_TOL: Optional[float] = None  # set_default_rel_tol's override
-
-
 def env_rel_tol() -> Optional[float]:
     """GROWTHCALC_TOL as a float, None when unset; BadTolerance unless
     it is a finite positive number."""
@@ -79,19 +77,10 @@ def env_rel_tol() -> Optional[float]:
 
 
 def default_rel_tol() -> float:
-    """Library-wide relative tolerance: the set_default_rel_tol value,
-    else GROWTHCALC_TOL (read at the call, not at import), else 1e-9."""
-    if _DEFAULT_REL_TOL is not None:
-        return _DEFAULT_REL_TOL
+    """Library-wide relative tolerance: GROWTHCALC_TOL (read at the
+    call, not at import), else 1e-9."""
     env = env_rel_tol()
     return 1e-9 if env is None else env
-
-
-def set_default_rel_tol(value: float) -> None:
-    global _DEFAULT_REL_TOL
-    if not value > 0.0:
-        raise ValueError("tolerance must be positive")
-    _DEFAULT_REL_TOL = float(value)
 
 
 def json_finite(obj):
@@ -144,9 +133,8 @@ class SeriesSum(NamedTuple):
 class Bracket(NamedTuple):
     """An interval certified to contain a minimizer.
 
-    ``inner`` is a point of [lo, hi] with f(inner) <= min(f_lo, f_hi),
-    which is what certifies the bracket; it is an end only when the
-    seed sat on an attainable clamp.
+    ``inner`` is a point strictly inside [lo, hi] with
+    f(inner) <= min(f_lo, f_hi), which is what certifies the bracket.
     """
 
     lo: float
@@ -159,7 +147,7 @@ class Bracket(NamedTuple):
 
 class OptResult(NamedTuple):
     """Result of a 1-D search.  ``boundary`` is None for an interior
-    optimum, else "lo"/"hi" naming the side where the optimum sits."""
+    optimum, else "lo"/"hi" naming the range cap where the optimum sits."""
 
     x: float
     fx: float
@@ -167,18 +155,14 @@ class OptResult(NamedTuple):
 
 
 def _golden_min(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    width: float = GOLDEN_WIDTH,
-    max_iter: int = GOLDEN_MAX_ITER,
+    f: Callable[[float], float], a: float, b: float, width: float = GOLDEN_WIDTH
 ) -> tuple[float, float]:
     """Golden-section minimization on [a, b] for a unimodal f."""
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
     f1, f2 = f(x1), f(x2)
     best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if (b - a) <= width:
             break
         if f1 <= f2:
@@ -196,18 +180,10 @@ def _golden_min(
     return best_x, best_f
 
 
-def _boundary_converged(f_prev: float, f_last: float) -> bool:
-    # the march reached the range cap; decide between a finite limit
-    # (values flattened out) and genuine escape to -inf
-    if math.isinf(f_last):
-        return False
-    return abs(f_last - f_prev) <= 1e-8 * (1.0 + abs(f_last))
-
-
-def _on_cap(side: str, is_range: bool, x_cap: float, f_before: float, f_cap: float) -> OptResult:
-    """A descent reached a cap: an attainable domain edge holds the
-    minimum, the range cap holds it only once f has flattened out."""
-    if not is_range or _boundary_converged(f_before, f_cap):
+def _on_cap(side: str, x_cap: float, f_before: float, f_cap: float) -> OptResult:
+    """A descent reached the range cap: the cap holds the minimum once
+    f has flattened out there, and f still falling is an escape."""
+    if not math.isinf(f_cap) and abs(f_cap - f_before) <= 1e-8 * (1.0 + abs(f_cap)):
         return OptResult(x_cap, f_cap, side)
     raise NotBracketable(
         f"descent still active at range cap x={x_cap:+.6g} "
@@ -215,82 +191,64 @@ def _on_cap(side: str, is_range: bool, x_cap: float, f_before: float, f_cap: flo
     )
 
 
-def bracket_minimum(
-    f: Callable[[float], float],
-    seed: float,
-    lo: Optional[float] = None,
-    hi: Optional[float] = None,
-    step: float = 1.0,
-) -> Union[Bracket, OptResult]:
-    """Expand from ``seed`` by step doubling until a minimum is bracketed.
+def bracket_minimum(f: Callable[[float], float], seed: float) -> Union[Bracket, OptResult]:
+    """Expand from ``seed`` by unit steps, doubling, until a minimum is
+    bracketed.
 
-    ``lo``/``hi`` are attainable domain clamps: if the descent runs into
-    one, the clamped point is returned as a boundary OptResult.  Without
-    clamps the search is capped at +-RANGE_CAP; hitting the cap returns a
+    The search is capped at +-RANGE_CAP; hitting the cap returns a
     flagged boundary value when f has flattened out there and raises
-    :class:`NotBracketable` when it is still falling.  A seed on the
-    range cap, or a first step clipped to it, is a descent that reached
-    the cap, so no bracket reaches past the representable range; a seed
-    on a clamp gets a bracket that ends at the clamp.
+    :class:`NotBracketable` when it is still falling.  A seed past the
+    cap starts on it.  A seed on the cap, or a first step clipped to
+    it, is a descent that reached the cap, so no bracket reaches past
+    the representable range.
     """
-    cap_lo = -RANGE_CAP if lo is None else lo
-    cap_hi = RANGE_CAP if hi is None else hi
-    lo_is_cap = lo is None
-    hi_is_cap = hi is None
-    x0 = min(max(seed, cap_lo), cap_hi)
+    x0 = min(max(seed, -RANGE_CAP), RANGE_CAP)
     f0 = f(x0)
 
-    xr = min(x0 + step, cap_hi)
-    xl = max(x0 - step, cap_lo)
+    xr = min(x0 + 1.0, RANGE_CAP)
+    xl = max(x0 - 1.0, -RANGE_CAP)
     fr = f(xr) if xr > x0 else math.inf
     fl = f(xl) if xl < x0 else math.inf
 
     if f0 <= fr and f0 <= fl:
-        # a seed on the range cap has nothing past it to rise
-        if x0 == cap_hi and hi_is_cap:
-            return _on_cap("hi", True, x0, fl, f0)
-        if x0 == cap_lo and lo_is_cap:
-            return _on_cap("lo", True, x0, fr, f0)
+        # a seed on the cap has nothing past it to rise
+        if x0 == RANGE_CAP:
+            return _on_cap("hi", x0, fl, f0)
+        if x0 == -RANGE_CAP:
+            return _on_cap("lo", x0, fr, f0)
         return Bracket(xl, xr, fl, fr, x0, f0)
 
     if fr < fl:
-        direction, x_prev, f_prev, x_cur, f_cur = 1.0, x0, f0, xr, fr
-        cap, cap_is_range, side = cap_hi, hi_is_cap, "hi"
+        direction, x_cur, f_cur, side = 1.0, xr, fr, "hi"
     else:
-        direction, x_prev, f_prev, x_cur, f_cur = -1.0, x0, f0, xl, fl
-        cap, cap_is_range, side = cap_lo, lo_is_cap, "lo"
-    if x_cur == cap and cap_is_range:
-        # the first step was clipped to the range cap, still descending
-        return _on_cap(side, True, x_cur, f_prev, f_cur)
+        direction, x_cur, f_cur, side = -1.0, xl, fl, "lo"
+    cap = direction * RANGE_CAP
+    if x_cur == cap:
+        # the first step was clipped to the cap, still descending
+        return _on_cap(side, x_cur, f0, f_cur)
 
+    x_prev, f_prev, step = x0, f0, 1.0
     while True:
         step *= 2.0
-        x_next = x_cur + direction * step
-        x_next = min(x_next, cap) if direction > 0 else max(x_next, cap)
-        f_next = f(x_next) if x_next != x_cur else f_cur
+        x_next = min(max(x_cur + direction * step, -RANGE_CAP), RANGE_CAP)
+        f_next = f(x_next)
         if f_next >= f_cur:
             a, b = (x_prev, x_next) if direction > 0 else (x_next, x_prev)
             fa, fb = (f_prev, f_next) if direction > 0 else (f_next, f_prev)
             return Bracket(a, b, fa, fb, x_cur, f_cur)
         if x_next == cap:
-            return _on_cap(side, cap_is_range, x_next, f_cur, f_next)
+            return _on_cap(side, x_next, f_cur, f_next)
         x_prev, f_prev, x_cur, f_cur = x_cur, f_cur, x_next, f_next
 
 
-def minimize_convex_1d(
-    f: Callable[[float], float],
-    seed: float,
-    lo: Optional[float] = None,
-    hi: Optional[float] = None,
-    step: float = 1.0,
-) -> OptResult:
+def minimize_convex_1d(f: Callable[[float], float], seed: float) -> OptResult:
     """Minimize a convex (or unimodal) function of one variable.
 
     Returns the interior minimizer found by bracketing plus golden
-    section, or a flagged boundary result when the infimum is attained
-    at a domain clamp or approached at the numeric range cap.
+    section, or a flagged boundary result when the infimum is approached
+    at the numeric range cap.
     """
-    got = bracket_minimum(f, seed, lo=lo, hi=hi, step=step)
+    got = bracket_minimum(f, seed)
     if isinstance(got, OptResult):
         return got
     x, fx = _golden_min(f, got.lo, got.hi)
@@ -299,18 +257,13 @@ def minimize_convex_1d(
     return OptResult(x, fx, None)
 
 
-def maximize_concave_1d(
-    f: Callable[[float], float],
-    seed: float,
-    lo: Optional[float] = None,
-    hi: Optional[float] = None,
-    step: float = 1.0,
-) -> OptResult:
+def maximize_concave_1d(f: Callable[[float], float], seed: float) -> OptResult:
     """Maximize a concave (or unimodal) function; see minimize_convex_1d.
 
-    Supports a domain clamp such as lo=0.0 for searches over t >= 0.
+    A search over t >= 0 runs in log t: the substitution keeps a
+    concave maximand unimodal and needs no domain clamp.
     """
-    res = minimize_convex_1d(lambda x: -f(x), seed, lo=lo, hi=hi, step=step)
+    res = minimize_convex_1d(lambda x: -f(x), seed)
     return OptResult(res.x, -res.fx, res.boundary)
 
 

@@ -50,11 +50,16 @@ CONDITIONS = ("A1", "A2", "A2t", "B1", "B1t", "B2", "B2t", "B3", "C1", "C2", "C3
 GEN_BELL_MAX_N = 200
 
 
-def _log_factorials(n_max: int) -> list[float]:
-    out = [0.0]
-    for n in range(1, n_max + 1):
-        out.append(out[-1] + math.log(n))
-    return out
+_LOG_FACTORIALS = np.zeros(1)  # lgamma(k + 1) = log k! for k < len, grown on demand
+
+
+def _log_factorials(n_max: int) -> np.ndarray:
+    """log k! for k = 0..n_max, read from the one lgamma table that the
+    weights, the condition checks and the series coefficients share."""
+    global _LOG_FACTORIALS
+    if len(_LOG_FACTORIALS) <= n_max:
+        _LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(2 * n_max + 1)])
+    return _LOG_FACTORIALS[: max(n_max + 1, 0)]
 
 
 def _log_fraction(x: Fraction) -> float:
@@ -123,8 +128,7 @@ def gen_power_factorial(beta: float, n_max: int) -> PositiveSequence:
     """alpha(n) = (n!)**beta for 0 <= beta < 1."""
     if not 0.0 <= beta < 1.0:
         raise ValueError("power-factorial weights need 0 <= beta < 1")
-    lf = _log_factorials(n_max)
-    log_alpha = tuple(beta * lf[n] for n in range(n_max + 1))
+    log_alpha = tuple(beta * lf for lf in _log_factorials(n_max).tolist())
     exact = None
     if beta == 0.0:
         exact = tuple(Fraction(1) for _ in range(n_max + 1))
@@ -202,7 +206,7 @@ def from_legendre(u, n_max: int) -> PositiveSequence:
     """Weights alpha(n) = 1/(n! ell_u(n)) built from a transform profile."""
     from . import legendre  # deferred: legendre depends on growthfn
 
-    lf = _log_factorials(n_max)
+    lf = _log_factorials(n_max).tolist()
     log_alpha = tuple(
         -lf[n] - legendre.ell(u, float(n)).log_ell.log for n in range(n_max + 1)
     )
@@ -407,7 +411,7 @@ def check_condition(
         raise ValueError(f"unknown condition {condition!r}; pick from {CONDITIONS}")
     N = seq.n_max if search_cap is None else min(seq.n_max, search_cap)
     la = seq.log_alpha[: N + 1]
-    lf = _log_factorials(N)
+    lf = _log_factorials(N).tolist()
 
     if condition == "A1":
         if abs(la[0]) > 1e-12:

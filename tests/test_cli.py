@@ -538,6 +538,63 @@ class TestUsage:
         assert "Legendre transform" in out
 
 
+EQUIV = ("equiv", "--a-family", "exp", "--b-family", "exp")
+
+
+class TestBadFlags:
+    """A bad flag value is an exit-2 usage error that names the flag,
+    never a traceback or an answer."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ("fn", "eval", "--r"), ("ell", "--t"), ("dual", "--r"), ("lfn", "--r"),
+        ("lsharp", "--r"), ("theta", "--r"),
+    ], ids=lambda c: c[-2])
+    def test_one_point_argument_must_be_finite(self, capsys, command, value):
+        # lfn at r = nan answered with the r = 0 value, exit 0
+        *cmd, flag = command
+        code, out, err = run(capsys, *cmd, "--family", "exp", flag, value)
+        assert (code, out, err) == (2, "", f"error: {flag} must be finite\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (EQUIV + ("--r-min", "5", "--r-max", "1"), "--r-max"),
+        (EQUIV + ("--r-max", "nan"), "--r-max"),
+        (EQUIV + ("--r-max", "inf"), "--r-max"),
+        (EQUIV + ("--r-min", "-1"), "--r-min"),
+        (EQUIV + ("--r-min", "nan"), "--r-min"),
+        (EQUIV + ("--points", "1"), "--points"),
+        (("holo", "check", "--dim", "0"), "--dim"),
+        (("holo", "check", "--dim", "9"), "--dim"),
+        (("holo", "check", "--degree", "99"), "--degree"),
+        (("holo", "check", "--degree", "-1"), "--degree"),
+        (("fn", "classify", "--family", "exp", "--kind", "log-xk-convex", "--xk", "0"), "--xk"),
+        (("fn", "classify", "--family", "exp", "--kind", "c-plus-j", "--j", "0"), "--j"),
+        (("fn", "classify", "--family", "exp", "--kind", "c-plus-j", "--j", "nan"), "--j"),
+        (("lfn", "--family", "exp", "--r", "1", "--rel-tol", "0"), "--rel-tol"),
+        (("lfn", "--family", "exp", "--r", "1", "--rel-tol", "-1"), "--rel-tol"),
+        (("lfn", "--family", "exp", "--r", "1", "--rel-tol", "nan"), "--rel-tol"),
+        (("lsharp", "--family", "exp", "--r", "1", "--rel-tol", "0"), "--rel-tol"),
+        (("lsharp", "--family", "exp", "--r", "1", "--rel-tol", "-1"), "--rel-tol"),
+        (("seq", "check", "--condition", "A1", "--family", "bell", "--search-cap", "-1"),
+         "--search-cap"),
+        (("verify", "--suite", "a4", "--tol", "nan"), "--tol"),
+        (("verify", "--suite", "a4", "--tol", "inf"), "--tol"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_bad_value_is_a_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+    def test_chaos_file_dimension_must_match(self, capsys, tmp_path):
+        from growthcalc.holo import random_chaos
+
+        path = tmp_path / "chaos.json"
+        random_chaos(2, 4, seed=3).save(path)
+        code, out, err = run(capsys, "holo", "check", "--chaos-file", str(path), "--dim", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --dim ")
+
+
 def cache_entries(cache):
     return sorted(cache.iterdir()) if cache.exists() else []
 

@@ -55,11 +55,11 @@ class TestNuclearScale:
 
     def test_weighted_norm_hand_value(self):
         # |(3, 4)|_1 with weights (2, 4): sqrt(36 + 256)
-        assert math.isclose(SCALE.weighted_norm([3, 4], 1), math.sqrt(292.0))
-        assert math.isclose(SCALE.weighted_norm([3, 4], 0), 5.0)
+        assert math.isclose(SCALE.weighted_norms(np.array([3, 4]), 1), math.sqrt(292.0))
+        assert math.isclose(SCALE.weighted_norms(np.array([3, 4]), 0), 5.0)
         # level -1 divides by the weights
         assert math.isclose(
-            SCALE.weighted_norm([2, 4], -1), math.sqrt(1.0 + 1.0)
+            SCALE.weighted_norms(np.array([2, 4]), -1), math.sqrt(1.0 + 1.0)
         )
 
     def test_norm_comparison_across_levels(self):
@@ -68,17 +68,17 @@ class TestNuclearScale:
         for row in xs:
             for p in range(3):
                 for q in range(p + 1):
-                    lhs = SCALE.weighted_norm(row, q)
-                    rhs = SCALE.rho ** (p - q) * SCALE.weighted_norm(row, p)
+                    lhs = SCALE.weighted_norms(row, q)
+                    rhs = SCALE.rho ** (p - q) * SCALE.weighted_norms(row, p)
                     assert lhs <= rhs * (1 + 1e-12)
             # the negative-side chain used by the norm-shift bound
-            assert SCALE.weighted_norm(row, -2) <= (
-                SCALE.rho * SCALE.weighted_norm(row, -1) * (1 + 1e-12)
+            assert SCALE.weighted_norms(row, -2) <= (
+                SCALE.rho * SCALE.weighted_norms(row, -1) * (1 + 1e-12)
             )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            SCALE.weighted_norm([1.0, 2.0, 3.0], 0)
+            SCALE.weighted_norms(np.array([1.0, 2.0, 3.0]), 0)
 
 
 class TestHsNorm:
@@ -255,13 +255,6 @@ class TestNormG:
         assert r1.lower_bound == r2.lower_bound
         assert r1.argsup == r2.argsup
 
-    def test_more_starts_never_hurt_much(self):
-        F = random_chaos(2, 4, seed=17)
-        small = norm_g(F, EXP, SCALE, 1, multistart=8, seed=0).lower_bound
-        big = norm_g(F, EXP, SCALE, 1, multistart=64, seed=0).lower_bound
-        assert big >= small * (1 - 1e-9)
-        assert math.isclose(big, small, rel_tol=0.05)
-
     def test_weight_level_matters(self):
         # heavier damping (smaller |xi|_{-p}) enlarges the sup
         F = random_chaos(2, 3, seed=23)
@@ -298,7 +291,7 @@ class TestNormG:
         res = norm_g(random_chaos(2, 4, seed=seed), u, SCALE, p, seed=seed)
         assert math.isclose(res.lower_bound, lower_bound, rel_tol=1e-12)
         got, want = np.array(res.argsup), np.array(argsup)
-        s_got, s_want = SCALE.weighted_norm(got, -p), SCALE.weighted_norm(want, -p)
+        s_got, s_want = SCALE.weighted_norms(got, -p), SCALE.weighted_norms(want, -p)
         assert np.allclose(got / s_got, want / s_want, rtol=0.0, atol=1e-12)
         assert math.isclose(s_got, s_want, rel_tol=1e-6)
 

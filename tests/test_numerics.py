@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthcalc import legendre, numerics
+from growthcalc import legendre
 from growthcalc.growthfn import ks_family
 from growthcalc.legendre import _brent_min_rows
 from growthcalc.numerics import (
@@ -180,13 +180,15 @@ class TestMinimizeConvex1d:
         assert math.isclose(res.x, math.log(2.0), abs_tol=1e-7)
 
     def test_weighted_split_product(self):
-        # sup over 0 < x < 2 of x * (1 - x/2), via minimizing the negative log
-        def neg_log(x):
-            return -(math.log(x) + math.log(1.0 - 0.5 * x))
+        # sup over 0 < x < 2 of x * (1 - x/2), via minimizing the negative
+        # log over the logit y = log(x / (2 - x)), which needs no clamp:
+        # x = 2 / (1 + e^-y) and 1 - x/2 = 1 / (1 + e^y)
+        def neg_log(y):
+            return -(math.log(2.0) - math.log1p(math.exp(-y)) - math.log1p(math.exp(y)))
 
-        res = minimize_convex_1d(neg_log, seed=0.5, lo=1e-12, hi=2 - 1e-12)
+        res = minimize_convex_1d(neg_log, seed=math.log(0.5 / 1.5))
         assert math.isclose(math.exp(-res.fx), SUP_PRODUCT_SPLIT, rel_tol=1e-10)
-        assert math.isclose(res.x, 1.0, abs_tol=1e-6)
+        assert math.isclose(2.0 / (1.0 + math.exp(-res.x)), 1.0, abs_tol=1e-6)
 
     def test_monotone_increasing_gives_lo_boundary_limit(self):
         # f(x) = e^x decreases without an interior min as x -> -inf;
@@ -194,12 +196,6 @@ class TestMinimizeConvex1d:
         res = minimize_convex_1d(lambda x: math.exp(x), seed=0.0)
         assert res.boundary == "lo"
         assert abs(res.fx) < 1e-12
-
-    def test_domain_clamp_is_attained(self):
-        res = minimize_convex_1d(lambda x: x * x + 1.0, seed=5.0, lo=2.0)
-        assert res.boundary == "lo"
-        assert res.x == 2.0
-        assert math.isclose(res.fx, 5.0, rel_tol=1e-15)
 
     def test_escaping_descent_raises(self):
         with pytest.raises(NotBracketable):
@@ -248,6 +244,69 @@ class TestRangeCap:
         res = minimize_convex_1d(lambda x: (x - 698.7) ** 2, seed=699.5)
         assert res.boundary is None
         assert abs(res.x - 698.7) <= 1e-6
+
+
+class TestBracketRows:
+    """legendre._bracket_rows, the lockstep bracketing of the vectorised
+    dual, ends every row where bracket_minimum ends it."""
+
+    # (f, seed): an interior bracket, a flat limit at the cap, a descent
+    # still active at the cap, seeds on the cap (and past it), first
+    # steps clipped to the cap
+    ROWS = [
+        (lambda x: (x - 9.3) ** 2, 0.0),
+        (lambda x: math.cosh(x + 40.0), 3.0),
+        (lambda x: math.exp(x), 0.0),
+        # still falling at the cap, by 1.9e-9: within the flat rule's 1e-8
+        (lambda x: 1e-11 * x, 0.0),
+        (lambda x: -x, 0.0),
+        (lambda x: x, 5.0),
+        (lambda x: -x, RANGE_CAP),
+        (lambda x: math.exp(-x), RANGE_CAP),
+        (lambda x: math.exp(x), -2.0 * RANGE_CAP),
+        (lambda x: (x - 705.0) ** 2, 699.5),
+        (lambda x: math.exp(-x), 699.5),
+    ]
+
+    @staticmethod
+    def _rows(rows):
+        fs = [f for f, _ in rows]
+
+        def f(k, xs):
+            return np.array([fs[r](x) for r, x in zip(k, xs)])
+
+        return legendre._bracket_rows(f, np.array([seed for _, seed in rows]))
+
+    @staticmethod
+    def _scalar(f, seed):
+        """bracket_minimum's end as _bracket_rows reports it."""
+        try:
+            got = bracket_minimum(f, seed)
+        except NotBracketable:
+            return 2, None
+        if isinstance(got, OptResult):
+            return 1, (got.x, got.fx)
+        return 0, (got.lo, got.hi, got.inner, got.f_inner)
+
+    def test_each_row_ends_as_the_scalar_search(self):
+        lo, hi, x, fx, end = self._rows(self.ROWS)
+        ends = []
+        for k, (f, seed) in enumerate(self.ROWS):
+            kind, want = self._scalar(f, seed)
+            ends.append(kind)
+            assert end[k] == kind, k
+            if kind == 0:
+                assert (lo[k], hi[k], x[k], fx[k]) == want, k
+            elif kind == 1:
+                assert (x[k], fx[k]) == want, k
+        # every case occurs
+        assert ends == [0, 0, 1, 1, 2, 2, 2, 1, 1, 2, 1]
+
+    def test_rows_are_independent(self):
+        together = self._rows(self.ROWS)
+        for k, row in enumerate(self.ROWS):
+            alone = self._rows([row])
+            assert [v[k] for v in together] == [v[0] for v in alone], k
 
 
 class TestBrentMinRows:
@@ -387,51 +446,48 @@ class TestToleranceEnv:
             default_rel_tol()
 
     def test_good_value_and_override(self, monkeypatch):
+        # the variable overrides the 1e-9 default, read at each call
+        monkeypatch.delenv("GROWTHCALC_TOL", raising=False)
+        assert default_rel_tol() == 1e-9
         monkeypatch.setenv("GROWTHCALC_TOL", "1e-6")
         assert default_rel_tol() == 1e-6
-        monkeypatch.setattr(numerics, "_DEFAULT_REL_TOL", 1e-4)
-        assert default_rel_tol() == 1e-4
+
+
+def power_ratio(a):
+    """tau -> log of a^t / t^(2t) at t = e^tau: the search over t > 0
+    runs in log t, where it needs no clamp at t = 0."""
+    def f(tau):
+        t = math.exp(tau)
+        return t * math.log(a) - 2.0 * t * tau
+
+    return f
 
 
 class TestMaximizeConcave1d:
     @pytest.mark.parametrize("a", [0.5, 1.0, 4.0, 100.0])
     def test_power_ratio_sup_closed_form(self, a):
         # sup_{t>0} a^t / t^(2t) = exp(2 sqrt(a) / e), checked on log scale
-        def f(t):
-            if t == 0.0:
-                return 0.0
-            return t * math.log(a) - 2.0 * t * math.log(t)
-
-        res = maximize_concave_1d(f, seed=1.0, lo=0.0)
+        res = maximize_concave_1d(power_ratio(a), seed=0.0)
         expected = 2.0 * math.sqrt(a) / math.e
         assert abs(res.fx - expected) <= 1e-8 * max(1.0, abs(expected))
-        assert math.isclose(res.x, math.sqrt(a) / math.e, rel_tol=1e-5)
+        assert math.isclose(math.exp(res.x), math.sqrt(a) / math.e, rel_tol=1e-5)
 
     def test_boundary_sup_at_zero(self):
-        res = maximize_concave_1d(lambda t: -t, seed=5.0, lo=0.0)
+        # sup_{t>0} -t is approached as t -> 0: in tau = log t, a limit
+        # flagged at the lower range cap, within e^-700 of the supremum 0
+        res = maximize_concave_1d(lambda tau: -math.exp(tau), seed=math.log(5.0))
         assert res.boundary == "lo"
-        assert res.x == 0.0
-        assert res.fx == 0.0
+        assert res.x == -RANGE_CAP
+        assert -math.exp(-RANGE_CAP) <= res.fx <= 0.0
 
     def test_seed_on_the_clamp_searches_inside_it(self):
-        # the maximand takes log t, so it is undefined below the clamp
-        def f(t):
-            return 0.0 if t == 0 else t * math.log(0.5) - 2.0 * t * math.log(t)
-
+        # a seed at t = e^-700, on the range cap, still finds the interior sup
         want = math.sqrt(0.5) / math.e
-        for seed in (0.0, 1.0):
-            res = maximize_concave_1d(f, seed=seed, lo=0.0)
+        for seed in (-RANGE_CAP, 0.0):
+            res = maximize_concave_1d(power_ratio(0.5), seed=seed)
             assert res.boundary is None
-            assert math.isclose(res.x, want, rel_tol=1e-5)
+            assert math.isclose(math.exp(res.x), want, rel_tol=1e-5)
             assert abs(res.fx - 2.0 * want) <= 1e-8
-
-    def test_bracket_from_a_clamped_seed_stays_inside(self):
-        got = bracket_minimum(lambda x: (x - 0.3) ** 2, seed=0.0, lo=0.0)
-        assert isinstance(got, Bracket)
-        assert got.lo == 0.0 == got.inner and got.hi == 1.0
-        got = bracket_minimum(lambda x: (x + 0.3) ** 2, seed=0.0, hi=0.0)
-        assert isinstance(got, Bracket)
-        assert got.hi == 0.0 == got.inner and got.lo == -1.0
 
 
 class TestGeometricGrid:

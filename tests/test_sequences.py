@@ -29,6 +29,7 @@ from growthcalc.sequences import (
     PositiveSequence,
     SequenceEquivalenceWitness,
     _decimal_series_exp,
+    _log_factorials,
     check_condition,
     gen_bell,
     gen_power_factorial,
@@ -180,6 +181,17 @@ class TestGenerators:
         assert math.isclose(seq.log_alpha[20], oracle, rel_tol=1e-12)
         assert math.isclose(seq.log_alpha[20], 38.102054814678, rel_tol=1e-10)
         assert seq.log_alpha[0] == 0.0
+
+    def test_log_factorials_are_one_lgamma_table(self):
+        # one cached table serves every length, however far it has grown
+        big = _log_factorials(300)
+        assert big.tolist() == [math.lgamma(k + 1.0) for k in range(301)]
+        assert _log_factorials(5).tolist() == big[:6].tolist()
+        assert gen_power_factorial(0.5, 300).log_alpha[300] == 0.5 * math.lgamma(301.0)
+        # a negative length reads no entry of the grown table
+        assert _log_factorials(-3).size == 0
+        with pytest.raises(ValueError):
+            gen_power_factorial(0.5, -3)
 
     def test_power_factorial_domain(self):
         with pytest.raises(ValueError):
