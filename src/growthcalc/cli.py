@@ -125,7 +125,9 @@ def _add_function_flags(parser, prefix: str = "", required: bool = True):
 
 
 def _build_sequence(args, prefix: str = "") -> PositiveSequence:
-    from .sequences import PositiveSequence, from_legendre, gen_bell, gen_power_factorial
+    from .sequences import (
+        GEN_BELL_MAX_N, PositiveSequence, from_legendre, gen_bell, gen_power_factorial,
+    )
 
     get = lambda name: getattr(args, prefix + name, None)
     path = get("file")
@@ -137,6 +139,10 @@ def _build_sequence(args, prefix: str = "") -> PositiveSequence:
     family = get("family")
     n_max = get("n") if get("n") is not None else 25
     dash = prefix.replace("_", "-")
+    if n_max < 0:
+        raise _UsageError(f"--{dash}n must be nonnegative")
+    if family == "bell" and n_max > GEN_BELL_MAX_N:
+        raise _UsageError(f"--{dash}n must be at most {GEN_BELL_MAX_N} for bell")
     try:
         if family == "bell":
             order = get("order") if get("order") is not None else 2

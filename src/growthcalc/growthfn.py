@@ -469,6 +469,11 @@ class ProbeVerdict:
 
 CONVEXITY_KINDS = ("log-convex", "log-exp-convex", "log-xk-convex")
 
+# relative slacks: of classify_convexity's midpoint test, and of the drop
+# check_increasing forgives between grid points
+_CONVEXITY_TOL = 1e-8
+_INCREASING_TOL = 1e-9
+
 
 def _composed_view(u: GrowthFunction, kind: str, k: int):
     """Return (f, positive_domain): the composed function to test and
@@ -490,14 +495,13 @@ def classify_convexity(
     kind: str,
     k: int = 2,
     probe: Optional[ProbeSpec] = None,
-    tol: float = 1e-8,
 ) -> ConvexityVerdict:
     """Midpoint-convexity verdict for one composed view of u.
 
     Tests f(lam*s1 + (1-lam)*s2) <= lam*f(s1) + (1-lam)*f(s2) plus
-    tol * max(1, |values|) over structured triples (adjacent grid
-    triples double as central second differences, plus wide pairs) and
-    seeded random (pair, lam) draws -- at least 200 triples in range.
+    _CONVEXITY_TOL * max(1, |values|) over structured triples (adjacent
+    grid triples double as central second differences, plus wide pairs)
+    and seeded random (pair, lam) draws -- at least 200 triples in range.
     Non-finite evaluations are skipped: they are out of numeric range,
     not counterexamples.  So are refused ones (a series whose tail does
     not certify there, a search that escapes the range); with fewer
@@ -547,7 +551,7 @@ def classify_convexity(
         scale = max(1.0, abs(f1), abs(f2), abs(fm))
         gap = fm - (lam * f1 + (1.0 - lam) * f2)
         worst = max(worst, gap / scale)
-        if gap > tol * scale:
+        if gap > _CONVEXITY_TOL * scale:
             return ConvexityVerdict(
                 kind=kind,
                 status="fails-at",
@@ -562,9 +566,7 @@ def classify_convexity(
     return ConvexityVerdict(kind=kind, status="passes-on-grid", checked_triples=checked, margin=worst)
 
 
-def check_increasing(
-    u: GrowthFunction, probe: Optional[ProbeSpec] = None, tol: float = 1e-9
-) -> ProbeVerdict:
+def check_increasing(u: GrowthFunction, probe: Optional[ProbeSpec] = None) -> ProbeVerdict:
     """Scan phi on an increasing grid; report the first inversion.
 
     (log, exp)-convex functions defined at r = 0 are automatically
@@ -582,7 +584,7 @@ def check_increasing(
         v = u.phi_at(float(x))
         if not math.isfinite(v):
             break
-        if prev_v is not None and v < prev_v - tol * max(1.0, abs(prev_v)):
+        if prev_v is not None and v < prev_v - _INCREASING_TOL * max(1.0, abs(prev_v)):
             return ProbeVerdict(
                 status="fails-at",
                 witness={

@@ -28,7 +28,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .growthfn import GrowthFunction
-from .legendre import Check, _Rows, _series_logs, ell
+from .legendre import Check, _Rows, _coeff_logs, _series_logs
 from .numerics import PreconditionViolated, _golden_min, safe_exp
 
 __all__ = [
@@ -101,8 +101,7 @@ def hs_norm(scale: NuclearScale, p: int, q: int) -> float:
     (sum_j lambda_j^(-2(p-q)))^(1/2); sqrt(d) when p = q."""
     if q > p:
         raise ValueError("need q <= p")
-    lams = np.array(scale.eigenvalues)
-    return float(np.sqrt(np.sum(lams ** (-2.0 * (p - q)))))
+    return float(np.sqrt(np.sum(scale.weights(2 * (q - p)))))
 
 
 def _multiplicity(idx: tuple[int, ...]) -> int:
@@ -141,26 +140,23 @@ class ChaosPolynomial:
                 raise ValueError(f"multi-index {idx} is out of range")
             clean[idx] = complex(c)
         object.__setattr__(self, "coeffs", clean)
-        # per-index (multiplicity * coefficient, positions) in a fixed
-        # order, for the batch evaluator
-        prepared = tuple(
-            (idx, _multiplicity(idx) * c) for idx, c in sorted(clean.items())
-        )
-        object.__setattr__(self, "_prepared", prepared)
-        # the same monomials ordered by degree, as arrays for the ray
-        # evaluator: positions padded to max_degree with the index dim
-        # (a unit coordinate), degrees, and multiplicity * coefficient
-        by_degree = sorted(prepared, key=lambda t: len(t[0]))
+        # the one monomial table, ordered by degree (then by index), as
+        # arrays: positions padded to max_degree with the index dim (a
+        # unit coordinate), degrees, multiplicity * coefficient for the
+        # evaluators, and multiplicity * |coefficient|^2 for the norms
+        table = sorted(clean.items(), key=lambda t: (len(t[0]), t[0]))
+        mults = np.array([_multiplicity(idx) for idx, _ in table], dtype=float)
         pad = lambda idx: idx + (self.dim,) * (self.max_degree - len(idx))
+        # Python's abs is libm's hypot; numpy's complex abs rounds otherwise
+        with np.errstate(over="ignore"):  # a |c| above 1e154 squares to inf
+            sizes = mults * np.array([abs(c) for _, c in table], dtype=float) ** 2
         object.__setattr__(self, "_rays", (
-            np.array([pad(idx) for idx, _ in by_degree], dtype=np.intp)
-            .reshape(len(by_degree), self.max_degree),
-            np.array([len(idx) for idx, _ in by_degree], dtype=np.intp),
-            np.array([mc for _, mc in by_degree], dtype=complex),
+            np.array([pad(idx) for idx, _ in table], dtype=np.intp)
+            .reshape(len(table), self.max_degree),
+            np.array([len(idx) for idx, _ in table], dtype=np.intp),
+            mults * np.array([c for _, c in table], dtype=complex),
+            sizes,
         ))
-
-    def degree_indices(self, n: int) -> list[tuple[int, ...]]:
-        return [idx for idx in self.coeffs if len(idx) == n]
 
     def scaled(self, c: complex) -> "ChaosPolynomial":
         return ChaosPolynomial(
@@ -204,77 +200,76 @@ class ChaosPolynomial:
 
 
 def chaos_eval_batch(F: ChaosPolynomial, xis: np.ndarray) -> np.ndarray:
-    """Evaluate F at each row of an (m, d) complex array."""
+    """Evaluate F at each row of an (m, d) complex array: one product
+    of coordinates per monomial of the table, over all rows at once."""
     xis = np.asarray(xis, dtype=complex)
     if xis.ndim != 2 or xis.shape[1] != F.dim:
         raise ValueError(f"expected an (m, {F.dim}) array")
-    out = np.zeros(xis.shape[0], dtype=complex)
-    for idx, mc in F._prepared:
-        if idx:
-            out += mc * np.prod(xis[:, list(idx)], axis=1)
-        else:
-            out += mc
+    positions, degrees, weights, _ = F._rays
+    coords = np.ascontiguousarray(xis.T)
+    out = np.zeros(len(xis), dtype=complex)
+    for pos, n, mc in zip(positions.tolist(), degrees.tolist(), weights.tolist()):
+        out += mc * np.prod(coords[pos[:n]], axis=0)
     return out
 
 
 def chaos_eval(F: ChaosPolynomial, xi: Sequence[complex]) -> complex:
-    """Evaluate F at one point of C^d.
-
-    Plain complex arithmetic over the prepared monomials, in the order
-    chaos_eval_batch multiplies them: one point does not pay a numpy
-    call per monomial.
-    """
+    """Evaluate F at one point of C^d: plain complex arithmetic over
+    F.coeffs, not the monomial table, so it can check the evaluators
+    that read the table."""
     v = np.asarray(xi, dtype=complex)
     if v.shape != (F.dim,):
         raise ValueError(f"expected a vector of dimension {F.dim}")
     v = v.tolist()
     total = 0j
-    for idx, mc in F._prepared:
-        if idx:
-            prod = v[idx[0]]
-            for j in idx[1:]:
-                prod *= v[j]
-            total += mc * prod
-        else:
-            total += mc
+    for idx, c in F.coeffs.items():
+        prod = _multiplicity(idx) * c
+        for j in idx:
+            prod *= v[j]
+        total += prod
     return total
 
 
-def random_chaos(
-    dim: int, max_degree: int, seed: int, amplitude: float = 1.0
-) -> ChaosPolynomial:
+def random_chaos(dim: int, max_degree: int, seed: int) -> ChaosPolynomial:
     """Seeded polynomial with independent complex-Gaussian entries."""
     rng = np.random.default_rng(seed)
     coeffs = {}
     for n in range(max_degree + 1):
         for idx in itertools.combinations_with_replacement(range(dim), n):
             re, im = rng.normal(size=2)
-            coeffs[idx] = amplitude * complex(re, im)
+            coeffs[idx] = complex(re, im)
     return ChaosPolynomial(dim, max_degree, coeffs)
+
+
+def _coeff_norms(F: ChaosPolynomial, scale: NuclearScale, p: int) -> np.ndarray:
+    """|f_n|_p for n = 0..N from the monomial table: each monomial's
+    multiplicity * |coefficient|^2 times the product of its level-p
+    weights lambda_j^(2p), summed per degree."""
+    if scale.dim != F.dim:
+        raise ValueError("scale and polynomial dimensions differ")
+    positions, degrees, _, sizes = F._rays
+    w = np.append(scale.weights(2 * p), 1.0)
+    terms = sizes * np.prod(w[positions], axis=1)
+    return np.sqrt(np.bincount(degrees, terms, minlength=F.max_degree + 1))
 
 
 def coeff_norm(F: ChaosPolynomial, scale: NuclearScale, n: int, p: int) -> float:
     """|f_n|_p: Euclidean norm of the degree-n kernel under the level-p
-    weights, with multiplicities restoring the full symmetric tensor."""
-    if scale.dim != F.dim:
-        raise ValueError("scale and polynomial dimensions differ")
-    total = 0.0
-    for idx in F.degree_indices(n):
-        w = 1.0
-        for j in idx:
-            w *= scale.eigenvalues[j] ** (2.0 * p)
-        total += _multiplicity(idx) * abs(F.coeffs[idx]) ** 2 * w
-    return math.sqrt(total)
+    weights, with multiplicities restoring the full symmetric tensor;
+    0 for a degree F does not have."""
+    return float(_coeff_norms(F, scale, p)[n]) if 0 <= n <= F.max_degree else 0.0
 
 
 def norm_k(F: ChaosPolynomial, u: GrowthFunction, scale: NuclearScale, p: int) -> float:
-    """The coefficient norm (sum_n |f_n|_p^2 / ell_u(n))^(1/2)."""
-    total = 0.0
-    for n in range(F.max_degree + 1):
-        fn = coeff_norm(F, scale, n, p)
-        if fn > 0.0:
-            total += fn ** 2 * safe_exp(-ell(u, float(n)).log_ell.log)
-    return math.sqrt(total)
+    """The coefficient norm (sum_n |f_n|_p^2 / ell_u(n))^(1/2).  The
+    transform is read only up to the highest nonzero kernel."""
+    norms = _coeff_norms(F, scale, p)
+    nonzero = np.flatnonzero(norms)
+    if not nonzero.size:
+        return 0.0
+    log_ell = _coeff_logs(u, int(nonzero[-1]), "l")[nonzero]
+    with np.errstate(over="ignore"):
+        return math.sqrt(float(np.sum(norms[nonzero] ** 2 * np.exp(-log_ell))))
 
 
 class GNormResult(NamedTuple):
@@ -299,9 +294,9 @@ _RAY_CELLS = 4096
 def _ray_coeffs(F: ChaosPolynomial, dirs: np.ndarray) -> np.ndarray:
     """The homogeneous parts of F at each row of dirs: column n holds
     P_n(dir), so F(s dir) = sum_n P_n(dir) s^n along every ray.  One
-    pass over the monomials in blocks: each monomial's product of
-    coordinates, in chaos_eval's order, then a sum per degree."""
-    positions, degrees, weights = F._rays
+    pass over the table's monomials in blocks: each monomial's product
+    of coordinates, left to right, then a sum per degree."""
+    positions, degrees, weights, _ = F._rays
     ext = np.concatenate([dirs, np.ones((len(dirs), 1))], axis=1)
     parts = np.zeros((len(dirs), F.max_degree + 1), dtype=complex)
     step = _RAY_CELLS // max(1, F.max_degree)
@@ -393,7 +388,7 @@ def norm_g(
     candidates = [(safe_exp(best_score), tuple(best_s * best_dir))]
     if u.defined_at_zero:
         candidates.append(
-            (abs(chaos_eval(F, np.zeros(d))) * safe_exp(-0.5 * u.log_u0), (0.0 + 0.0j,) * d)
+            (abs(F.coeffs.get((), 0j)) * safe_exp(-0.5 * u.log_u0), (0.0 + 0.0j,) * d)
         )
     value, arg = max(candidates, key=lambda t: t[0])
     return GNormResult(float(value), tuple(complex(z) for z in arg))
@@ -437,10 +432,12 @@ def coeff_bound_check(
     """
     hs = hs_norm(scale, params.p, params.q)
     factor = params.a * math.e ** 2 * hs ** 2
+    norms = _coeff_norms(F, scale, params.q).tolist()
+    log_ell = _coeff_logs(u, F.max_degree, "l").tolist()
     acc = _Rows()
     for n in range(F.max_degree + 1):
-        lhs = 2.0 * _log(coeff_norm(F, scale, n, params.q))
-        rhs = 2.0 * _log(params.K) + _log(factor ** n) + ell(u, float(n)).log_ell.log
+        lhs = 2.0 * _log(norms[n])
+        rhs = 2.0 * _log(params.K) + _log(factor ** n) + log_ell[n]
         acc.ineq(n, lhs, rhs, n=n)
     return acc.check(
         "coeff-bound",
@@ -540,12 +537,15 @@ def _samples(dim: int, n_samples: int, seed: int) -> np.ndarray:
     return rng.normal(size=(n_samples, 2 * dim)).view(complex) * sigmas[:, None]
 
 
+# the dilation a of the pointwise bound, recorded in its params
+_POINTWISE_A = 1.0
+
+
 def pointwise_bound_check(
     F: ChaosPolynomial,
     u: GrowthFunction,
     scale: NuclearScale,
     p: int,
-    a: float = 1.0,
     n_samples: int = 1000,
     seed: int = 0,
 ) -> Check:
@@ -554,17 +554,20 @@ def pointwise_bound_check(
     (side "series") at seeded complex samples, with K fitted from the
     coefficients as the smallest constant with
     |f_n|_p <= K a^n ell_u(n)^(1/2).  A sample where F vanishes
-    violates nothing, also when K = 0.
+    violates nothing, also when K = 0.  a is _POINTWISE_A.
 
-    All samples are evaluated at once: one batch evaluation of F and
-    one batched L_u call over every radius, whose tail certificate is
-    built once per stored profile window rather than per radius."""
+    The fit reads every |f_n|_p and log ell_u(n) at once, and all
+    samples are evaluated at once: one batch evaluation of F and one
+    batched L_u call over every radius, whose tail certificate is built
+    once per stored profile window rather than per radius."""
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
-    K = 0.0
-    for n in range(F.max_degree + 1):
-        fn = coeff_norm(F, scale, n, p)
-        K = max(K, fn / (a ** n * safe_exp(0.5 * ell(u, float(n)).log_ell.log)))
+    a = _POINTWISE_A
+    half_log_ell = 0.5 * _coeff_logs(u, F.max_degree, "l")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fit = _coeff_norms(F, scale, p) / (a ** np.arange(F.max_degree + 1) * np.exp(half_log_ell))
+    # a NaN ratio (0/0) constrains nothing
+    K = float(np.fmax.reduce(fit, initial=0.0))
     xis = _samples(F.dim, n_samples, seed)
     arg = 2.0 * a * a * scale.weighted_norms(xis, -p) ** 2
     log_k = _log(K)

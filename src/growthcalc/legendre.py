@@ -558,19 +558,20 @@ class LogConcaveProfile:
     name: str = "profile"
 
 
-def admissibility_report(
-    f: LogConcaveProfile,
-    t_hi: float = 200.0,
-    points: int = 201,
-    tol: float = 1e-8,
-) -> dict:
+# admissibility_report's grid t = 0..T_HI and its relative tolerance
+_ADMISSIBLE_T_HI = 200.0
+_ADMISSIBLE_POINTS = 201
+_ADMISSIBLE_TOL = 1e-8
+
+
+def admissibility_report(f: LogConcaveProfile) -> dict:
     """Finite-evidence check of the three inverse-transform conditions:
     the t-th root heads to zero, f decreases beyond t0, and log f is
     concave on the grid.  The thresholds (final root value <= -1, a
     drop of at least 0.2 over the tail) are engineering choices; a
     profile that decays too gently to clear them reads as inadmissible
     even if its limit is genuinely zero."""
-    ts = np.linspace(0.0, t_hi, points)
+    ts = np.linspace(0.0, _ADMISSIBLE_T_HI, _ADMISSIBLE_POINTS)
     vals = [float(f.log_f(float(t))) for t in ts]
 
     root_idx = [i for i, t in enumerate(ts) if t >= max(f.t0, 1.0)]
@@ -582,7 +583,7 @@ def admissibility_report(
 
     dec_idx = [i for i, t in enumerate(ts) if t >= f.t0]
     decreasing = all(
-        vals[j] <= vals[i] + tol * max(1.0, abs(vals[i]))
+        vals[j] <= vals[i] + _ADMISSIBLE_TOL * max(1.0, abs(vals[i]))
         for i, j in zip(dec_idx, dec_idx[1:])
     )
 
@@ -595,11 +596,11 @@ def admissibility_report(
     return {
         "decays": decays,
         "decreasing_beyond_t0": bool(decreasing),
-        "log_concave": bool(worst <= tol),
+        "log_concave": bool(worst <= _ADMISSIBLE_TOL),
         "final_root": roots[-1] if roots else math.nan,
         "root_drop": drop,
         "concavity_violation": worst,
-        "t_hi": t_hi,
+        "t_hi": _ADMISSIBLE_T_HI,
     }
 
 

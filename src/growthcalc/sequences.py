@@ -135,31 +135,14 @@ def gen_power_factorial(beta: float, n_max: int) -> PositiveSequence:
     return PositiveSequence("power-factorial", {"beta": beta}, log_alpha, exact)
 
 
-def _series_exp(a: Sequence[Fraction]) -> list[Fraction]:
-    """Taylor coefficients of exp(A) for a series A with A(0) = 0.
-
-    Uses the derivative recurrence n b_n = sum_{j=1..n} j a_j b_{n-j}.
-    """
-    if a[0] != 0:
-        raise ValueError("series must have zero constant term")
-    n_max = len(a) - 1
-    b = [Fraction(1)] + [Fraction(0)] * n_max
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for j in range(1, n + 1):
-            if a[j]:
-                acc += j * a[j] * b[n - j]
-        b[n] = acc / n
-    return b
-
-
-def _decimal_series_exp(mult: Decimal, gamma: Sequence[Decimal]) -> list[Decimal]:
-    """Taylor coefficients of exp(mult * (G - 1)) for a series G with G(0) = 1."""
-    n_max = len(gamma) - 1
-    b = [Decimal(0)] * (n_max + 1)
-    b[0] = Decimal(1)
-    for n in range(1, n_max + 1):
-        acc = Decimal(0)
+def _series_exp(mult, gamma: Sequence) -> list:
+    """Taylor coefficients of exp(mult * (G - 1)) for a series G with
+    G(0) = 1, in the number type of G (Fraction or Decimal), by the
+    derivative recurrence n b_n = sum_{j=1..n} j mult g_j b_{n-j}."""
+    num = type(gamma[0])
+    b = [num(1)] + [num(0)] * (len(gamma) - 1)
+    for n in range(1, len(gamma)):
+        acc = num(0)
         for j in range(1, n + 1):
             acc += j * mult * gamma[j] * b[n - j]
         b[n] = acc / n
@@ -184,7 +167,7 @@ def gen_bell(order: int, n_max: int) -> PositiveSequence:
         # stage multiplier exp_1(0) = 1: exact rationals
         coeffs = [Fraction(1, math.factorial(n)) for n in range(n_max + 1)]
         if order == 2:
-            coeffs = _series_exp([Fraction(0)] + coeffs[1:])
+            coeffs = _series_exp(1, coeffs)
         exact = tuple(c * math.factorial(n) for n, c in enumerate(coeffs))
         log_alpha = tuple(_log_fraction(v) for v in exact)
         return PositiveSequence("bell-order-k", {"k": order}, log_alpha, exact)
@@ -193,7 +176,7 @@ def gen_bell(order: int, n_max: int) -> PositiveSequence:
         gamma = [Decimal(1) / Decimal(math.factorial(n)) for n in range(n_max + 1)]
         mult = Decimal(1)
         for _ in range(order - 1):
-            gamma = _decimal_series_exp(mult, gamma)
+            gamma = _series_exp(mult, gamma)
             mult = mult.exp()
         # one 60-digit ln of b(n) = n! gamma_n per term
         log_alpha = tuple(
@@ -392,6 +375,11 @@ def _trend_is_rising(values: Sequence[float], rel: float = 0.05, abs_floor: floa
     return (c - b) > max(abs_floor, rel * max(1.0, abs(b))) and (b - a) > abs_floor
 
 
+# the smallest N at which a condition has anything to check: a fitted
+# constant needs one ratio, a root trend or a second difference three values
+_SHORTEST_RANGE = {"A2": 2, "A2t": 2, "B2": 2, "B2t": 2, "B3": 2, "C1": 1, "C2": 1, "C3": 1}
+
+
 def check_condition(
     seq: PositiveSequence,
     condition: str,
@@ -410,6 +398,8 @@ def check_condition(
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}; pick from {CONDITIONS}")
     N = seq.n_max if search_cap is None else min(seq.n_max, search_cap)
+    if N < _SHORTEST_RANGE.get(condition, 0):
+        return ConditionVerdict(condition, "inconclusive", N, {}, "range too short")
     la = seq.log_alpha[: N + 1]
     lf = _log_factorials(N).tolist()
 
@@ -432,8 +422,6 @@ def check_condition(
         )
 
     if condition in ("A2", "A2t"):
-        if N < 2:
-            return ConditionVerdict(condition, "inconclusive", N, {}, "range too short")
         if condition == "A2":
             q = [(la[n] - lf[n]) / n for n in range(1, N + 1)]
         else:
@@ -501,8 +489,6 @@ def check_condition(
                     if n + m >= 1
                 )
 
-        if N < 1:
-            return ConditionVerdict(condition, "inconclusive", N, {}, "range too short")
         log_c = best_for(N)
         key = {"C1": "c1", "C2": "c2", "C3": "c3"}[condition]
         if N >= 8:

@@ -96,6 +96,16 @@ class TestSeq:
         assert code == 1
         assert report["status"] == "inconclusive"
 
+    @pytest.mark.parametrize("argv", [
+        ("--condition", "B2", "--family", "bell", "--n", "10", "--search-cap", "1"),
+        ("--condition", "B2t", "--family", "power-factorial", "--beta", "0.5", "--n", "0"),
+    ])
+    def test_check_on_a_too_short_range_is_inconclusive(self, capsys, argv):
+        # a range with no second difference must not read as holds-up-to-N
+        code, report = run_json(capsys, "seq", "check", *argv)
+        assert code == 1
+        assert (report["status"], report["detail"]) == ("inconclusive", "range too short")
+
     def test_check_from_file(self, capsys, tmp_path):
         path = tmp_path / "seq.json"
         run(capsys, "seq", "gen", "--family", "bell", "--order", "2",
@@ -577,6 +587,10 @@ class TestBadFlags:
         (("lsharp", "--family", "exp", "--r", "1", "--rel-tol", "-1"), "--rel-tol"),
         (("seq", "check", "--condition", "A1", "--family", "bell", "--search-cap", "-1"),
          "--search-cap"),
+        (("seq", "gen", "--family", "power-factorial", "--n", "-3"), "--n"),
+        (("seq", "gen", "--family", "bell", "--n", "500"), "--n"),
+        (("seq", "equiv", "--a-family", "bell", "--a-n", "-1", "--b-family", "bell"), "--a-n"),
+        (("seq", "equiv", "--a-family", "bell", "--b-family", "bell", "--b-n", "201"), "--b-n"),
         (("verify", "--suite", "a4", "--tol", "nan"), "--tol"),
         (("verify", "--suite", "a4", "--tol", "inf"), "--tol"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)

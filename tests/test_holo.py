@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthcalc import from_phi, make_growth_function
+from growthcalc import ell, from_phi, make_growth_function
 from growthcalc import holo
 from growthcalc.growthfn import iterated_exp
 from growthcalc.holo import (
@@ -195,11 +195,84 @@ class TestCoeffNorms:
         expected = math.sqrt(1.0 + 4.0 / math.e)  # 1/ell(0) + 4/ell(1), ell(1)=e
         assert math.isclose(norm_k(F, EXP, SCALE, 0), expected)
 
+    def test_zero_polynomial_reads_no_transform(self):
+        # (1+r)^5 is refused at every order; a zero F reads none of them
+        poly5 = make_growth_function("polynomial", {"p": 5.0})
+        with pytest.raises(PreconditionViolated):
+            norm_k(ChaosPolynomial(2, 1, {(0,): 1.0}), poly5, SCALE, 0)
+        assert norm_k(ChaosPolynomial(2, 5, {}), poly5, SCALE, 0) == 0.0
+
     def test_norm_k_homogeneous(self):
         F = random_chaos(2, 4, seed=2)
         a = norm_k(F, KS05, SCALE, 1)
         b = norm_k(F.scaled(3.0j), KS05, SCALE, 1)
         assert math.isclose(b, 3.0 * a, rel_tol=1e-12)
+
+
+def small_polynomial(dim, degree, seed, rng):
+    """random_chaos when it has at most 300 monomials, else 40 monomials
+    drawn from rng (duplicates merge)."""
+    if math.comb(dim + degree, degree) <= 300:
+        return random_chaos(dim, degree, seed=seed)
+    return ChaosPolynomial(dim, degree, {
+        tuple(sorted(rng.integers(0, dim, rng.integers(0, degree + 1)).tolist())):
+            complex(*rng.normal(size=2))
+        for _ in range(40)
+    })
+
+
+def monomial_coeff_norms(F, scale, p):
+    """|f_n|_p^2 per degree, one monomial at a time: the count of
+    distinct orderings of the index times |c|^2 times the product of
+    its coordinates' lambda^(2p)."""
+    total = [0.0] * (F.max_degree + 1)
+    for idx, c in F.coeffs.items():
+        orderings = math.factorial(len(idx))
+        for j in set(idx):
+            orderings //= math.factorial(idx.count(j))
+        weight = math.prod(scale.eigenvalues[j] ** (2 * p) for j in idx)
+        total[len(idx)] += orderings * abs(c) ** 2 * weight
+    return [math.sqrt(t) for t in total]
+
+
+class TestMonomialTable:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, MAX_DIM),
+        st.integers(0, MAX_DEGREE),
+        st.integers(-2, 2),
+        st.integers(0, 2 ** 32 - 1),
+        st.booleans(),
+    )
+    def test_coeff_norm_matches_monomial_sum(self, dim, degree, p, seed, dyadic):
+        # every degree of the table's one bincount against a plain sum
+        rng = np.random.default_rng(seed)
+        F = small_polynomial(dim, degree, seed, rng)
+        scale = dyadic_scale(dim) if dyadic else NuclearScale(
+            tuple(np.cumsum(2.0 + rng.uniform(0.0, 1.5, dim)).tolist()), 0.5
+        )
+        want = monomial_coeff_norms(F, scale, p)
+        for n in range(degree + 1):
+            assert math.isclose(coeff_norm(F, scale, n, p), want[n], rel_tol=1e-13, abs_tol=0.0)
+        assert coeff_norm(F, scale, degree + 1, p) == 0.0
+
+    def test_fits_read_the_transform_that_ell_returns(self):
+        # the K fit and the coefficient-bound rows read log ell_u(0..N)
+        # from the profile array at once; ell answers one order at a time
+        scale = dyadic_scale(3)
+        F = random_chaos(3, 5, seed=7)
+        for u in (EXP, KS05):
+            logs = [ell(u, n).log_ell.log for n in range(6)]
+            rep = pointwise_bound_check(F, u, scale, 2, n_samples=10, seed=0)
+            want = max(coeff_norm(F, scale, n, 2) / math.exp(0.5 * logs[n]) for n in range(6))
+            assert math.isclose(rep.params["K"], want, rel_tol=1e-14)
+            rows = coeff_bound_check(F, u, scale, BoundParams(K=2.0, a=0.5, p=2, q=1)).rows
+            assert [row["x"] for row in rows] == list(range(6))
+            log_factor = math.log(0.5 * math.e ** 2 * hs_norm(scale, 2, 1) ** 2)
+            for n, row in enumerate(rows):
+                assert row["lhs"] == 2.0 * math.log(coeff_norm(F, scale, n, 1))
+                want = 2.0 * math.log(2.0) + n * log_factor + logs[n]
+                assert math.isclose(row["rhs"], want, rel_tol=1e-14)
 
 
 def ray_and_point_values(F, dirs, radii):
@@ -321,14 +394,7 @@ class TestNormG:
         # the scan scores F(s dir) = sum_n P_n(dir) s^n from the rays'
         # homogeneous parts; chaos_eval_batch multiplies out every point
         rng = np.random.default_rng(seed)
-        if math.comb(dim + degree, degree) <= 300:
-            F = random_chaos(dim, degree, seed=seed)
-        else:
-            F = ChaosPolynomial(dim, degree, {
-                tuple(sorted(rng.integers(0, dim, rng.integers(0, degree + 1)).tolist())):
-                    complex(*rng.normal(size=2))
-                for _ in range(40)
-            })
+        F = small_polynomial(dim, degree, seed, rng)
         dirs = rng.normal(size=(6, 2 * dim)).view(complex)
         radii = np.geomspace(1e-3, 1e3, 128)
         ray, point, bulk = ray_and_point_values(F, dirs, radii)

@@ -28,8 +28,8 @@ from growthcalc.sequences import (
     EquivalenceCounterexample,
     PositiveSequence,
     SequenceEquivalenceWitness,
-    _decimal_series_exp,
     _log_factorials,
+    _series_exp,
     check_condition,
     gen_bell,
     gen_power_factorial,
@@ -255,7 +255,7 @@ class TestGenerators:
             gamma = [Decimal(1) / Decimal(math.factorial(n)) for n in range(n_max + 1)]
             mult = Decimal(1)
             for _ in range(order - 1):
-                gamma = _decimal_series_exp(mult, gamma)
+                gamma = _series_exp(mult, gamma)
                 mult = mult.exp()
             want = tuple(
                 float(gamma[n].ln() + Decimal(math.factorial(n)).ln())
@@ -493,6 +493,23 @@ class TestConditionFailuresAndTrends:
     def test_fast_growth_makes_A2_inconclusive(self):
         seq = manual_seq([float(n * n) for n in range(40)])
         assert check_condition(seq, "A2").status == "inconclusive"
+
+    @pytest.mark.parametrize("condition", ["B2", "B2t", "B3"])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("N", [0, 1])
+    def test_no_second_difference_is_inconclusive(self, condition, exact, N):
+        # fewer than three values hold no second difference: an empty
+        # scan must not read as holds-up-to-N, on either path
+        seq = gen_bell(2, 10) if exact else gen_power_factorial(0.5, 10)
+        assert (seq.exact is not None) == exact
+        v = check_condition(seq, condition, search_cap=N)
+        assert (v.status, v.n_checked, v.detail) == ("inconclusive", N, "range too short")
+        assert not v.holds
+
+    @pytest.mark.parametrize("condition", ["B2", "B2t", "B3"])
+    def test_three_values_are_checked(self, condition):
+        v = check_condition(gen_power_factorial(0.5, 2), condition)
+        assert v.status in ("holds-up-to-N", "fails-at-index")
 
     def test_alpha0_not_one_fails_A1(self):
         seq = manual_seq([math.log(2.0)] + [0.0] * 10)
