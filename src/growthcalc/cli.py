@@ -107,7 +107,7 @@ def _build_function(args, prefix: str = "") -> GrowthFunction:
         raise _UsageError(f"--{prefix.replace('_', '-')}family: {exc}") from exc
 
 
-def _add_function_flags(parser, prefix: str = "", required: bool = True):
+def _add_function_flags(parser, prefix: str = ""):
     dash = prefix.replace("_", "-")
     parser.add_argument(
         f"--{dash}family",
@@ -141,20 +141,20 @@ def _build_sequence(args, prefix: str = "") -> PositiveSequence:
     dash = prefix.replace("_", "-")
     if n_max < 0:
         raise _UsageError(f"--{dash}n must be nonnegative")
-    if family == "bell" and n_max > GEN_BELL_MAX_N:
-        raise _UsageError(f"--{dash}n must be at most {GEN_BELL_MAX_N} for bell")
-    try:
-        if family == "bell":
-            order = get("order") if get("order") is not None else 2
-            return gen_bell(order, n_max)
-        if family == "power-factorial":
-            beta = get("beta") if get("beta") is not None else 0.0
-            return gen_power_factorial(beta, n_max)
-        if family == "legendre":
-            u = _build_function(args, prefix + "fn_" if prefix else "fn_")
-            return from_legendre(u, n_max)
-    except ValueError as exc:
-        raise _UsageError(f"--{dash}family: {exc}") from exc
+    if family == "bell":
+        if n_max > GEN_BELL_MAX_N:
+            raise _UsageError(f"--{dash}n must be at most {GEN_BELL_MAX_N} for bell")
+        order = get("order") if get("order") is not None else 2
+        if order < 1:
+            raise _UsageError(f"--{dash}order must be at least 1")
+        return gen_bell(order, n_max)
+    if family == "power-factorial":
+        beta = get("beta") if get("beta") is not None else 0.0
+        if not 0.0 <= beta < 1.0:
+            raise _UsageError(f"--{dash}beta must be in [0, 1)")
+        return gen_power_factorial(beta, n_max)
+    if family == "legendre":
+        return from_legendre(_build_function(args, prefix + "fn_"), n_max)
     raise _UsageError(
         f"--{dash}family must be bell, power-factorial, or legendre"
         f" (got {family!r})"
@@ -170,7 +170,7 @@ def _add_sequence_flags(parser, prefix: str = ""):
     parser.add_argument(f"--{dash}beta", type=float, help="power-factorial exponent")
     parser.add_argument(f"--{dash}n", type=int, help="largest index to generate")
     parser.add_argument(f"--{dash}file", help="load a stored sequence instead")
-    _add_function_flags(parser, prefix + "fn_" if prefix else "fn_")
+    _add_function_flags(parser, prefix + "fn_")
 
 
 def _seq_report(seq: PositiveSequence) -> dict:
@@ -415,6 +415,7 @@ _VERIFY_PARAM_FLAGS = (
     ("rmin", "r_min"),
     ("rmax", "r_max"),
     ("points", "points"),
+    ("tol", "tol"),
 )
 
 
@@ -426,8 +427,6 @@ def _cmd_verify(args) -> _Result:
         val = getattr(args, flag, None)
         if val is not None:
             params[key] = val
-    if args.tol is not None:
-        params["tol"] = args.tol
     try:
         report = verify_suite(args.suite, params)
     except ValueError as exc:

@@ -93,10 +93,11 @@ class GrowthFunction:
     constructors set it (equal to phi within a few ulp, saturating to
     +inf where phi does), scaled() composes it, and the dual of a
     (log, x^2)-convex function that has one carries one too (its
-    lockstep search agrees with phi to about 1e-13, relative).  The
-    other functions that run a search or a series per value (from_phi,
-    from_series, thetas, L-series) leave it unset.  phi_many and
-    log_many use it, and fall back to a phi_at loop without it.
+    lockstep search agrees with phi to about 1e-13, relative), and so do
+    the L-series, whose batch gives NaN where phi raises
+    NoDecayCertificate.  from_phi, from_series and thetas leave it
+    unset.  phi_many and log_many use it, and fall back to a phi_at loop
+    without it.
     """
 
     phi: Callable[[float], float]

@@ -28,7 +28,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .growthfn import GrowthFunction
-from .legendre import Check, _Rows, _coeff_logs, _series_logs
+from .legendre import Check, _Rows, _certified_logs, _coeff_logs
 from .numerics import PreconditionViolated, _golden_min, safe_exp
 
 __all__ = [
@@ -55,6 +55,7 @@ MAX_DEGREE = 10
 
 _CHAOS_SCHEMA = "growthcalc.chaos/1"
 _TOL = 1e-9
+_DYADIC_RHO = 0.5  # rho of the default dyadic model
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,9 @@ class NuclearScale:
         return np.sqrt(np.sum((np.abs(xis) * self.weights(p)) ** 2, axis=-1))
 
 
-def dyadic_scale(dim: int, rho: float = 0.5) -> NuclearScale:
+def dyadic_scale(dim: int) -> NuclearScale:
     """The default model: lambda_j = 2^j (so lambda_1 = 1/rho = 2)."""
-    return NuclearScale(tuple(2.0 ** j for j in range(1, dim + 1)), rho)
+    return NuclearScale(tuple(2.0 ** j for j in range(1, dim + 1)), _DYADIC_RHO)
 
 
 def hs_norm(scale: NuclearScale, p: int, q: int) -> float:
@@ -575,7 +576,7 @@ def pointwise_bound_check(
         lhs = np.log(np.abs(chaos_eval_batch(F, xis)))
         bounds = np.stack([
             0.5 * math.log(2.0) + 1.0 + log_k + 0.5 * u.log_many(math.e * arg),
-            0.5 * math.log(2.0) + log_k + 0.5 * _series_logs(u, np.log(arg), "l"),
+            0.5 * math.log(2.0) + log_k + 0.5 * _certified_logs(u, np.log(arg), "l"),
         ])
         v = np.where(lhs == -math.inf, -math.inf, lhs - bounds)
     return _sampled_check(
@@ -608,7 +609,7 @@ def series_chain_check(
     r_hi = scale.weighted_norms(xis, -p + 1) ** 2
     # L_u at both arguments of every sample in one batch
     with np.errstate(divide="ignore"):
-        first, mid = _series_logs(
+        first, mid = _certified_logs(
             u, np.log(np.concatenate([r_lo, rho ** 2 * r_hi])), "l"
         ).reshape(2, -1)
     last = const + u.log_many(r_hi)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -47,7 +47,7 @@ from .numerics import (
     safe_exp,
     strict_json,
 )
-from .sequences import _log_factorials, stored_ratio_bounds, sum_stored_series_batch
+from .sequences import _log_factorials, stored_ratio_bounds, sum_windowed_series
 
 __all__ = [
     "Check",
@@ -627,10 +627,8 @@ def ell_profile(u: GrowthFunction) -> LogConcaveProfile:
     )
 
 
-def _sup_log_f_rt(f: LogConcaveProfile, log_r: float, lf0: Optional[float] = None) -> float:
+def _sup_log_f_rt(f: LogConcaveProfile, log_r: float, lf0: float) -> float:
     """sup over t >= 0 of log f(t) + t log r, searched in tau = log t."""
-    if lf0 is None:
-        lf0 = float(f.log_f(0.0))
 
     def H(tau: float) -> float:
         t = safe_exp(tau)
@@ -714,54 +712,48 @@ def _series_window(u: GrowthFunction, tag: str, n: int) -> tuple[np.ndarray, np.
 
 
 def _series_logs(
-    u: GrowthFunction,
-    log_rs,
-    tag: str,
-    rel_tol: Optional[float] = None,
-    cap: int = _SERIES_CAP,
+    u: GrowthFunction, log_rs, tag: str, rel_tol: Optional[float] = None, cap: int = _SERIES_CAP
 ) -> np.ndarray:
-    """Certified logs of L_u ("l") or L#_u ("sharp") at every log r.
-
-    Each radius is summed by sum_stored_series_batch on the stored
-    window of 65 integer-profile terms (or the window earlier calls
-    needed), with the ratio bounds built once per window; radii that do
-    not certify there move on to the doubled window, up to ``cap``
-    terms, past which NoDecayCertificate is raised.  LOG_ZERO radii
-    give the head coefficient.
+    """Certified logs of L_u ("l") or L#_u ("sharp") at every log r, NaN
+    where the series refuses: sum_windowed_series from the stored window
+    of 65 integer-profile terms (or the one earlier calls needed) up to
+    ``cap`` terms.  LOG_ZERO radii give the head coefficient.
 
     When radii fail the call's first window, _grow_profile extends the
     integer profile towards ``cap`` terms in one vectorised block before
-    the next window is read, instead of one block per doubled window:
-    a refused series reads all of them.  The windows and their
-    certificates are unchanged.  Each row of a block is polished on its
+    the next window is read.  Each row of a block is polished on its
     own, so an order holds the value the walk's per-window block gave
     it, except the first order of each doubled window, which the walk
     took from _ell_at; the two searches agree to roundoff.
     """
     log_rs = np.asarray(log_rs, dtype=float)
-    out = np.empty(len(log_rs))
+    out = np.empty(log_rs.shape)
     zero = log_rs == LOG_ZERO
     if zero.any():
         out[zero] = _coeff_logs(u, 0, tag)[0]
-    pending = np.flatnonzero(~zero)
     hints = _SERIES_N_HINT.setdefault(u, {})
-    n = first = max(_SERIES_START, hints.get(tag, 0))
-    while pending.size:
-        c, bounds = _series_window(u, tag, n)
-        sums, _, done = sum_stored_series_batch(c, bounds, log_rs[pending], rel_tol)
-        out[pending[done]] = sums[done]
-        if done.any():
-            hints[tag] = max(hints.get(tag, 0), n)
-        pending = pending[~done]
-        if pending.size:
-            if n >= cap:
-                raise NoDecayCertificate(
-                    f"series for {u.name} at log r = {float(log_rs[pending[0]]):.6g} "
-                    f"showed no certified decay within {cap} terms"
-                )
-            if n == first:
-                _grow_profile(u, cap)
-            n = min(2 * n, cap)
+    first = max(_SERIES_START, hints.get(tag, 0))
+
+    def window(n: int) -> tuple[np.ndarray, np.ndarray]:
+        if n == min(2 * first, cap) > first:  # the first window left radii pending
+            _grow_profile(u, cap)
+        return _series_window(u, tag, n)
+
+    out[~zero], widest = sum_windowed_series(window, log_rs[~zero], first, cap, rel_tol)
+    hints[tag] = max(hints.get(tag, 0), widest)
+    return out
+
+
+def _certified_logs(u: GrowthFunction, log_rs, tag: str, rel_tol=None, cap: int = _SERIES_CAP):
+    """_series_logs, raising NoDecayCertificate for the first radius in
+    input order that the series refuses."""
+    out = _series_logs(u, log_rs, tag, rel_tol, cap)
+    refused = np.flatnonzero(np.isnan(out))
+    if refused.size:
+        raise NoDecayCertificate(
+            f"series for {u.name} at log r = {float(np.ravel(log_rs)[refused[0]]):.6g} "
+            f"showed no certified decay within {cap} terms"
+        )
     return out
 
 
@@ -772,9 +764,9 @@ def l_function(u: GrowthFunction, log_r: float, rel_tol: Optional[float] = None)
     stopping index on: the integer transform values are log-concave, so
     their ratios only fall.  A one-radius call of the batched kernel
     ``_series_logs``, whose certificate is built once per stored
-    profile window.
+    profile window; raises NoDecayCertificate where it refuses.
     """
-    return LogScalar(float(_series_logs(u, [float(log_r)], "l", rel_tol)[0]))
+    return LogScalar(float(_certified_logs(u, [float(log_r)], "l", rel_tol)[0]))
 
 
 def l_sharp(u: GrowthFunction, log_r: float, rel_tol: Optional[float] = None) -> LogScalar:
@@ -783,7 +775,7 @@ def l_sharp(u: GrowthFunction, log_r: float, rel_tol: Optional[float] = None) ->
     A one-radius call of the batched kernel ``_series_logs``, with the
     same per-window certificate as l_function.
     """
-    return LogScalar(float(_series_logs(u, [float(log_r)], "sharp", rel_tol)[0]))
+    return LogScalar(float(_certified_logs(u, [float(log_r)], "sharp", rel_tol)[0]))
 
 
 _SERIES_NAMES = {"l": ("L", "l-function"), "sharp": ("Lsharp", "l-sharp")}
@@ -795,16 +787,13 @@ def _series_growth_function(u: GrowthFunction, tag: str) -> GrowthFunction:
     """L_u ("l") or L#_u ("sharp") as a growth function; log u(0) is the
     head coefficient."""
     prefix, family = _SERIES_NAMES[tag]
-
-    def phi(x: float) -> float:
-        return float(_series_logs(u, [x], tag, cap=_GROWTH_TERMS_CAP)[0])
-
-    return from_phi(
-        phi,
+    return GrowthFunction(
+        phi=lambda x: float(_certified_logs(u, [x], tag, cap=_GROWTH_TERMS_CAP)[0]),
+        phi_vec=lambda xs: _series_logs(u, xs, tag, cap=_GROWTH_TERMS_CAP),
         name=f"{prefix}[{u.name}]",
         family=family,
         params={"base": u.name},
-        log_u0=float(_series_logs(u, [LOG_ZERO], tag)[0]),
+        log_u0=float(_coeff_logs(u, 0, tag)[0]),
         increasing=True,
         log_exp_convex=True,
     )
@@ -814,8 +803,8 @@ def l_growth_function(u: GrowthFunction) -> GrowthFunction:
     """The L-series of u wrapped as a growth function.
 
     Evaluation certifies its own tail within _GROWTH_TERMS_CAP terms, so
-    arguments far past the stored horizon raise NoDecayCertificate
-    instead of returning a truncation.
+    arguments far past the stored horizon raise NoDecayCertificate (NaN
+    in phi_many) instead of returning a truncation.
     """
     return _series_growth_function(u, "l")
 
@@ -1089,21 +1078,18 @@ def dual_function(u: GrowthFunction) -> GrowthFunction:
     are unconditional.  When u has a vectorised phi and is flagged
     (log, x^2)-convex, the dual gets one too (_dual_rows).
     """
-    p0 = ell(u, 0.0)
-    dual_u = from_phi(
-        lambda x: _dual_value(u, x),
+    return GrowthFunction(
+        phi=lambda x: _dual_value(u, x),
+        phi_vec=(lambda xs: _dual_rows(u, xs)) if u.phi_vec and u.log_x2_convex else None,
         name=f"dual[{u.name}]",
         family="dual",
         params={"base": u.name},
-        log_u0=-p0.log_ell.log,
+        log_u0=-ell(u, 0.0).log_ell.log,
         increasing=True,
         log_exp_convex=True,
         log_x2_convex=True,
         in_c_plus_log=True,
     )
-    if u.phi_vec is None or not u.log_x2_convex:
-        return dual_u
-    return replace(dual_u, phi_vec=lambda xs: _dual_rows(u, xs))
 
 
 # --------------------------------------------------------------------------
@@ -1173,36 +1159,32 @@ def function_equivalent(
     lo = r_min if r_min > 0.0 else max(r_max * 1e-9, 1e-12)
     grid = geometric_grid(lo, r_max, points)
     include_zero = r_min == 0.0 and u.defined_at_zero and v.defined_at_zero
-    d_zero = (v.log_at(0.0) - u.log_at(0.0)) if include_zero else None
+    d_zero = [v.log_at(0.0) - u.log_at(0.0)] if include_zero else []
 
-    def _eval(fn: Callable[[float], float], arg: float) -> Optional[float]:
-        try:
-            val = fn(arg)
-        except (NoDecayCertificate, NotBracketable, PreconditionViolated):
-            return None
-        return val if math.isfinite(val) else None
+    def logs(fn: GrowthFunction, xs: np.ndarray) -> np.ndarray:
+        """phi of fn at every x, NaN where it is not finite or refused:
+        one phi_many call, or x by x for a function without a phi_vec."""
+        if fn.phi_vec is not None:
+            vals = fn.phi_many(xs)
+        else:
+            vals = np.empty(len(xs))
+            for k, x in enumerate(xs):
+                try:
+                    vals[k] = fn.phi_at(x)
+                except (NoDecayCertificate, NotBracketable, PreconditionViolated):
+                    vals[k] = math.nan
+        return np.where(np.isfinite(vals), vals, math.nan)
 
-    log_v = [_eval(v.log_at, r) for r in grid]
+    log_grid = np.array([math.log(r) for r in grid])
+    log_v = logs(v, log_grid)
     need = max(8, points // 2)
 
-    def residuals(a: float) -> list[Optional[float]]:
-        log_a = math.log(a)
-        out = []
-        for r, lv in zip(grid, log_v):
-            if lv is None:
-                out.append(None)
-                continue
-            lu = _eval(u.phi_at, math.log(r) + log_a)
-            out.append(None if lu is None else lv - lu)
-        return out
+    def residuals(a: float) -> np.ndarray:
+        return log_v - logs(u, log_grid + math.log(a))
 
-    def spread(res: list[Optional[float]]) -> float:
-        vals = [d for d in res if d is not None]
-        if d_zero is not None:
-            vals.append(d_zero)
-        if len(vals) < need:
-            return math.inf
-        return max(vals) - min(vals)
+    def spread(res: np.ndarray) -> float:
+        vals = np.append(res[~np.isnan(res)], d_zero)
+        return float(vals.max() - vals.min()) if len(vals) >= need else math.inf
 
     la_lo, la_hi = math.log(_A_BOX[0]), math.log(_A_BOX[1])
     best_la, best_spread = 0.0, math.inf
@@ -1223,26 +1205,23 @@ def function_equivalent(
 
     best_a = math.exp(best_la)
     res = residuals(best_a)
-    finite = [(r, d) for r, d in zip(grid, res) if d is not None]
+    finite = np.flatnonzero(~np.isnan(res))
     if len(finite) < need:
         raise PreconditionViolated(
             f"{v.name} vs {u.name}: too few evaluable grid points on the range"
         )
-    all_d = [d for _, d in finite] + ([d_zero] if d_zero is not None else [])
+    all_d = res[finite].tolist() + d_zero
     med = sorted(all_d)[len(all_d) // 2]
 
     quarter = len(res) // 4
-    q_spans = []
-    for q in range(4):
-        chunk = [
-            abs(d - med)
-            for d in res[q * quarter : (q + 1) * quarter if q < 3 else len(res)]
-            if d is not None
-        ]
-        q_spans.append(max(chunk) if chunk else 0.0)
+    dev = np.abs(res - med)  # NaN off the evaluable points, which fmax skips
+    q_spans = [
+        np.fmax.reduce(dev[q * quarter : (q + 1) * quarter if q < 3 else len(res)], initial=0.0)
+        for q in range(4)
+    ]
     if q_spans[3] > q_spans[2] + 2.0 and q_spans[2] > q_spans[1] + 2.0:
-        tail = [(r, d) for r, d in finite if d is not None][-max(quarter, 1):]
-        worst_r = max(tail, key=lambda rd: abs(rd[1] - med))[0]
+        tail = finite[-max(quarter, 1):]
+        worst_r = grid[tail[np.argmax(dev[tail])]]
         return FunctionEquivalenceCounterexample(
             r=worst_r,
             spread=max(all_d) - min(all_d),
@@ -1526,28 +1505,22 @@ def _suite_involution(params: dict) -> Check:
     )
 
 
-def _log_power_factorial_sums(
-    p: float, log_rs: Sequence[float], rel_tol: float = 1e-12
-) -> np.ndarray:
-    """log of sum_n r^n / n!^p at every log r, summed with a certified
-    tail: one sum_stored_series_batch call on the first 257 terms, the
-    window doubled (up to 2^15 terms) for the radii it did not certify."""
-    log_rs = np.asarray(log_rs, dtype=float)
-    out = np.empty(len(log_rs))
-    pending = np.arange(len(log_rs))
-    n = 256
-    while True:
+def _log_power_factorial_sums(p: float, log_rs: Sequence[float]) -> np.ndarray:
+    """log of sum_n r^n / n!^p at every log r, summed to 1e-12 relative
+    with a certified tail by sum_windowed_series: the first 257 terms,
+    the window doubled (up to 2^15 terms) for the radii it did not
+    certify."""
+
+    def window(n: int) -> tuple[np.ndarray, np.ndarray]:
         c = -p * _log_factorials(n)
-        sums, _, done = sum_stored_series_batch(c, stored_ratio_bounds(c), log_rs[pending], rel_tol)
-        out[pending[done]] = sums[done]
-        pending = pending[~done]
-        if not pending.size:
-            return out
-        if n >= (1 << 15):
-            raise NoDecayCertificate(
-                f"series ended at index {n} before its tail was certified"
-            )
-        n *= 2
+        return c, stored_ratio_bounds(c)
+
+    sums, _ = sum_windowed_series(window, np.asarray(log_rs, dtype=float), 256, 1 << 15, 1e-12)
+    if np.isnan(sums).any():
+        raise NoDecayCertificate(
+            f"series ended at index {1 << 15} before its tail was certified"
+        )
+    return sums
 
 
 def _suite_ks_sandwich(params: dict) -> Check:

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -295,6 +295,30 @@ def sum_stored_series_batch(
     return sums_out, used, done
 
 
+def sum_windowed_series(
+    window: Callable[[int], tuple], log_rs: np.ndarray, start: int, cap: int, rel_tol=None
+) -> tuple[np.ndarray, int]:
+    """Certified sums at every log r (not LOG_ZERO) of a series whose
+    window(n) gives c_0..c_n and their stored_ratio_bounds: every radius
+    is summed on window(start), and those that do not certify move on to
+    the doubled window, up to ``cap`` (a window at or past it is the
+    last).  Returns the sums, NaN where no window certified, and the
+    largest window that certified a radius (0 if none did)."""
+    out = np.full(len(log_rs), math.nan)
+    pending = np.arange(len(log_rs))
+    n, widest = start, 0
+    while pending.size:
+        c, bounds = window(n)
+        sums, _, done = sum_stored_series_batch(c, bounds, log_rs[pending], rel_tol)
+        out[pending[done]] = sums[done]
+        widest = n if done.any() else widest
+        pending = pending[~done]
+        if n >= cap:
+            break
+        n = min(2 * n, cap)
+    return out, widest
+
+
 def sum_stored_series(log_terms: Sequence[float], rel_tol: Optional[float] = None) -> SeriesSum:
     """Certified sum of a stored, eventually log-concave positive series.
 
@@ -339,6 +363,8 @@ class ConditionVerdict:
 
 
 _SLACK = 1e-12
+# the smallest climb that _trend_is_rising counts, whatever the scale
+_TREND_ABS_FLOOR = 1e-6
 
 
 def _second_diff_check(values: Sequence[float], want: str) -> tuple[Optional[int], float]:
@@ -366,13 +392,13 @@ def _exact_second_diff_check(vals: Sequence[Fraction], want: str) -> Optional[in
     return None
 
 
-def _trend_is_rising(values: Sequence[float], rel: float = 0.05, abs_floor: float = 1e-6) -> bool:
+def _trend_is_rising(values: Sequence[float], rel: float = 0.05) -> bool:
     """True when a quantity is still climbing materially near the end."""
     n = len(values)
     if n < 8:
         return False
     a, b, c = values[n // 4], values[n // 2], values[-1]
-    return (c - b) > max(abs_floor, rel * max(1.0, abs(b))) and (b - a) > abs_floor
+    return (c - b) > max(_TREND_ABS_FLOOR, rel * max(1.0, abs(b))) and (b - a) > _TREND_ABS_FLOOR
 
 
 # the smallest N at which a condition has anything to check: a fitted

@@ -141,7 +141,7 @@ class TestSeq:
             "--beta", "1.5", "--n", "5",
         )
         assert code == 2
-        assert "--family" in err
+        assert "--beta" in err
 
 
 class TestFn:
@@ -591,6 +591,12 @@ class TestBadFlags:
         (("seq", "gen", "--family", "bell", "--n", "500"), "--n"),
         (("seq", "equiv", "--a-family", "bell", "--a-n", "-1", "--b-family", "bell"), "--a-n"),
         (("seq", "equiv", "--a-family", "bell", "--b-family", "bell", "--b-n", "201"), "--b-n"),
+        (("seq", "gen", "--family", "bell", "--order", "0"), "--order"),
+        (("seq", "gen", "--family", "power-factorial", "--beta", "2"), "--beta"),
+        (("seq", "equiv", "--a-family", "bell", "--a-order", "0", "--b-family", "bell"),
+         "--a-order"),
+        (("seq", "equiv", "--a-family", "bell", "--b-family", "power-factorial",
+          "--b-beta", "nan"), "--b-beta"),
         (("verify", "--suite", "a4", "--tol", "nan"), "--tol"),
         (("verify", "--suite", "a4", "--tol", "inf"), "--tol"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)

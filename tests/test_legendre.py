@@ -378,6 +378,23 @@ class TestProfileBlock:
         assert str(got.value) == str(exc)
         assert len(legendre._PROFILE_CACHE[u]) == 0
 
+    def test_series_growth_function_in_one_block(self, monkeypatch):
+        # an L-series carries a phi_vec, so orders 1..40 of its profile
+        # come from one block (the base function's profile grows too)
+        blocks, block = [], legendre._profile_block
+        monkeypatch.setattr(
+            legendre, "_profile_block", lambda u, ts: blocks.append((u, len(ts))) or block(u, ts)
+        )
+        w = gc.l_growth_function(exponential())
+        gc.ell(w, 40.0)
+        assert [n for u, n in blocks if u is w] == [40]
+        # against the warm-started point searches of the walk
+        want, exc = _scalar_walk(gc.l_growth_function(exponential()), 40)
+        assert exc is None
+        for t, q in enumerate(want):
+            got = gc.ell(w, float(t)).log_ell.log
+            assert abs(got - q.log_ell.log) <= 1e-12 * abs(q.log_ell.log), t
+
 
 class TestInverseTransform:
     def test_closed_form_maximum(self):
@@ -653,9 +670,28 @@ class TestSeriesKernel:
         msg = "series for ks(beta=1) at log r = 0 showed no certified decay within 4096 terms"
         with pytest.raises(NoDecayCertificate, match=re.escape(msg)):
             gc.l_sharp(u, 0.0)
-        # in a batch the first radius that does not certify is named
+        # a batch gives NaN for each radius that does not certify, and its
+        # refusing form names the first of them
+        got = legendre._series_logs(u, [-1.0, 0.0, 0.5], "sharp")
+        assert math.isfinite(got[0]) and np.isnan(got[1:]).all()
         with pytest.raises(NoDecayCertificate, match=re.escape(msg)):
-            legendre._series_logs(u, [-1.0, 0.0, 0.5], "sharp")
+            legendre._certified_logs(u, [-1.0, 0.0, 0.5], "sharp")
+
+    def test_batched_phi_is_nan_exactly_where_phi_refuses(self):
+        # L# of the beta = 1 family has radius 1: radii on both sides of it
+        w = gc.l_sharp_growth_function(ks_family(1.0))
+        xs = np.linspace(-4.0, 2.0, 13)
+        got = w.phi_many(xs)
+        refused = []
+        for x, g in zip(xs, got):
+            try:
+                want = w.phi_at(x)
+            except NoDecayCertificate:
+                refused.append(x)
+                assert np.isnan(g)
+            else:
+                assert abs(g - want) <= 2.0 * default_rel_tol() * max(1.0, abs(want))
+        assert 0.0 < len(refused) < len(xs) and min(refused) <= 0.0
 
     def test_refusal_grows_a_cold_profile_in_one_block(self, monkeypatch):
         # the window of 64 terms fails, and one block then grows the profile
@@ -927,6 +963,24 @@ class TestFunctionEquivalence:
         res = gc.function_equivalent(u, gc.l_growth_function(u), (0.0, 30.0))
         assert res.ok
         assert res.max_residual <= 2.0
+
+    def test_batched_and_per_point_evaluations_agree(self):
+        # the same L-function through its phi_vec and through a from_phi
+        # wrapper of its phi, which has none: radii past the series' cap
+        # are NaN on one path and refusals on the other
+        u = ks_family(0.5)
+        w = gc.l_growth_function(u)
+        bare = from_phi(w.phi, name=w.name, log_u0=w.log_u0, increasing=True,
+                        log_exp_convex=True)
+        assert bare.phi_vec is None
+        for pair in ((u, w), (w, u)):
+            got = gc.function_equivalent(*pair, (0.0, 20.0), points=48)
+            want = gc.function_equivalent(
+                *(bare if f is w else f for f in pair), (0.0, 20.0), points=48
+            )
+            assert got.ok and want.ok
+            for key in ("c1", "a1", "c2", "a2", "max_residual"):
+                assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12)
 
     def test_series_upper_bound_with_explicit_constant(self):
         # L_u(r) <= (e*a/log a) u(a r) checked directly at a = e

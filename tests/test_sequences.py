@@ -37,6 +37,7 @@ from growthcalc.sequences import (
     stored_ratio_bounds,
     sum_stored_series,
     sum_stored_series_batch,
+    sum_windowed_series,
 )
 from series_reference import log_sum_exp_series
 from series_reference import sum_stored_series_batch as one_pass_batch
@@ -433,6 +434,57 @@ class TestTiledSeriesKernel:
         c = -0.5 * np.arange(4096.0)
         self.assert_matches_one_pass(c, [0.25], 1e-12)
         self.assert_matches_one_pass(c, [0.75], 1e-12)
+
+
+class TestWindowedSeries:
+    """The one loop that doubles a stored window: each radius is summed
+    on the first window that certifies it, and one that certifies on
+    none comes back NaN."""
+
+    @staticmethod
+    def harmonic_windows():
+        # sum r^n / (n + 1) = -log(1 - r) / r, radius 1
+        reads = []
+
+        def window(n):
+            reads.append(n)
+            c = -np.log(np.arange(1.0, n + 2.0))
+            return c, stored_ratio_bounds(c)
+
+        return window, reads
+
+    def test_rows_move_to_doubled_windows_and_refuse_with_nan(self):
+        window, reads = self.harmonic_windows()
+        log_rs = np.array([-3.0, 0.0, -1.5])
+        sums, widest = sum_windowed_series(window, log_rs, 8, 64)
+        assert reads == [8, 16, 32, 64]
+        assert widest == 16  # -3 certifies on window 8, -1.5 on window 16
+        assert np.isnan(sums[1])
+        for got, log_r in zip(sums[[0, 2]], log_rs[[0, 2]]):
+            # certified to the default relative tolerance, 1e-9
+            r = math.exp(log_r)
+            assert abs(got - math.log(-math.log1p(-r) / r)) <= 2e-9
+        # a certified row holds what the kernel gives on its window
+        for n, row in ((8, 0), (16, 2)):
+            c, bounds = window(n)
+            want, _, done = sum_stored_series_batch(c, bounds, log_rs[[row]])
+            assert done[0] and sums[row] == want[0]
+
+    def test_nothing_certified_reads_to_the_cap(self):
+        window, reads = self.harmonic_windows()
+        sums, widest = sum_windowed_series(window, np.array([0.0]), 8, 48)
+        assert reads == [8, 16, 32, 48] and widest == 0 and np.isnan(sums[0])
+
+    def test_a_start_past_the_cap_reads_one_window(self):
+        window, reads = self.harmonic_windows()
+        sums, widest = sum_windowed_series(window, np.array([0.0, -3.0]), 128, 64)
+        assert reads == [128] and widest == 128
+        assert np.isnan(sums[0]) and math.isfinite(sums[1])
+
+    def test_no_radius_reads_no_window(self):
+        window, reads = self.harmonic_windows()
+        sums, widest = sum_windowed_series(window, np.array([]), 8, 64)
+        assert reads == [] and widest == 0 and sums.size == 0
 
 
 # --------------------------------------------------------------------------
