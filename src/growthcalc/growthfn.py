@@ -476,18 +476,45 @@ _CONVEXITY_TOL = 1e-8
 _INCREASING_TOL = 1e-9
 
 
-def _composed_view(u: GrowthFunction, kind: str, k: int):
-    """Return (f, positive_domain): the composed function to test and
-    whether its argument lives on (0, oo) rather than all of R."""
+# points of phi one probe block reads: 64 midpoint triples of
+# classify_convexity, or 192 grid points of check_increasing
+_PROBE_BLOCK = 192
+
+_REFUSALS = (NoDecayCertificate, NotBracketable)
+
+
+def _phi_block(u: GrowthFunction, xs: np.ndarray) -> np.ndarray:
+    """phi at every x of a probe block through one phi_many call, with
+    a refused point read as NaN (as phi_vec reads it).  A phi without
+    phi_vec that refuses inside the block is read again point by
+    point."""
+    try:
+        return u.phi_many(xs)
+    except _REFUSALS:
+        pass
+    vals = np.empty(len(xs))
+    for j, x in enumerate(xs.tolist()):
+        try:
+            vals[j] = u.phi_at(x)
+        except _REFUSALS:
+            vals[j] = math.nan
+    return vals
+
+
+def _composed_args(kind: str, k: int):
+    """Return (to_x, positive_domain): the map from the composed
+    function's argument to the x = log r at which phi is read, and
+    whether that argument lives on (0, oo) rather than all of R."""
     if kind == "log-convex":
         # f(s) = log u(s), s in r-space
-        return (lambda s: u.phi_at(math.log(s))), True
+        return np.log, True
     if kind == "log-exp-convex":
-        return u.phi_at, False
+        return (lambda s: s), False
     if kind == "log-xk-convex":
         if k < 1:
             raise ValueError("log-xk-convex needs k >= 1")
-        return (lambda y: u.phi_at(k * math.log(y))), True
+        # f(y) = log u(y^k)
+        return (lambda y: k * np.log(y)), True
     raise ValueError(f"unknown convexity kind: {kind!r}")
 
 
@@ -507,15 +534,16 @@ def classify_convexity(
     not counterexamples.  So are refused ones (a series whose tail does
     not certify there, a search that escapes the range); with fewer
     than 200 triples left the probe raises PreconditionViolated.
+
+    The triples are built as arrays and read in their order, 64 at a
+    time: each block's (s1, s2, midpoint) points go through one
+    u.phi_many call (_phi_block), and numpy reduces the block to its
+    finite triples, the first failing one and the worst margin.  A
+    fails-at verdict reads at most the rest of its block past the
+    failing triple.
     """
     probe = probe or ProbeSpec()
-    view, positive_domain = _composed_view(u, kind, k)
-
-    def f(s: float) -> float:
-        try:
-            return view(s)
-        except (NoDecayCertificate, NotBracketable):
-            return math.nan
+    to_x, positive_domain = _composed_args(kind, k)
 
     if positive_domain:
         lo = probe.lo if kind != "log-xk-convex" else probe.lo ** (1.0 / k)
@@ -528,38 +556,45 @@ def classify_convexity(
         grid = np.linspace(lo, hi, probe.points)
     rng = np.random.default_rng(probe.seed)
 
-    triples = []
-    for i in range(len(grid) - 2):  # central second differences
-        triples.append((grid[i], grid[i + 2], 0.5))
+    # central second differences, wide pairs, then the seeded random draws
     quarter = len(grid) // 4
-    for i in range(0, len(grid) - quarter, quarter // 2 or 1):  # wide pairs
-        triples.append((grid[i], grid[i + quarter], 0.5))
+    wide = np.arange(0, len(grid) - quarter, quarter // 2 or 1)
     n_random = max(200, probe.points // 2)
     idx = rng.integers(0, len(grid), size=(n_random, 2))
     lams = rng.uniform(0.05, 0.95, size=n_random)
-    for (i, j), lam in zip(idx, lams):
-        if grid[i] != grid[j]:
-            triples.append((min(grid[i], grid[j]), max(grid[i], grid[j]), float(lam)))
+    gi, gj = grid[idx[:, 0]], grid[idx[:, 1]]
+    drawn = gi != gj
+    s1 = np.concatenate([grid[:-2], grid[wide], np.minimum(gi, gj)[drawn]])
+    s2 = np.concatenate([grid[2:], grid[wide + quarter], np.maximum(gi, gj)[drawn]])
+    lam = np.concatenate([np.full(len(grid) - 2 + len(wide), 0.5), lams[drawn]])
+    sm = lam * s1 + (1.0 - lam) * s2
 
     checked = 0
     worst = 0.0
-    for s1, s2, lam in triples:
-        sm = lam * s1 + (1.0 - lam) * s2
-        f1, f2, fm = f(s1), f(s2), f(sm)
-        if not (math.isfinite(f1) and math.isfinite(f2) and math.isfinite(fm)):
-            continue
-        checked += 1
-        scale = max(1.0, abs(f1), abs(f2), abs(fm))
-        gap = fm - (lam * f1 + (1.0 - lam) * f2)
-        worst = max(worst, gap / scale)
-        if gap > _CONVEXITY_TOL * scale:
+    per_block = _PROBE_BLOCK // 3
+    for at in range(0, len(s1), per_block):
+        b = slice(at, at + per_block)
+        # each triple's points in the order s1, s2, midpoint
+        xs = to_x(np.stack([s1[b], s2[b], sm[b]], axis=1).ravel())
+        f1, f2, fm = _phi_block(u, xs).reshape(-1, 3).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = np.isfinite(f1) & np.isfinite(f2) & np.isfinite(fm)
+            scale = np.maximum(np.maximum(1.0, np.abs(f1)), np.maximum(np.abs(f2), np.abs(fm)))
+            gap = fm - (lam[b] * f1 + (1.0 - lam[b]) * f2)
+            fails = np.flatnonzero(ok & (gap > _CONVEXITY_TOL * scale))
+            ratio = gap / scale
+        if fails.size:
+            j = int(fails[0])
             return ConvexityVerdict(
                 kind=kind,
                 status="fails-at",
-                fail_point=(float(s1), float(s2), float(lam)),
-                checked_triples=checked,
-                margin=gap / scale,
+                fail_point=(float(s1[at + j]), float(s2[at + j]), float(lam[at + j])),
+                checked_triples=checked + int(np.count_nonzero(ok[: j + 1])),
+                margin=float(ratio[j]),
             )
+        checked += int(np.count_nonzero(ok))
+        if ok.any():
+            worst = max(worst, float(ratio[ok].max()))
     if checked < 200:
         raise PreconditionViolated(
             f"only {checked} finite triples in probe range for {u.name}/{kind}"
@@ -569,6 +604,12 @@ def classify_convexity(
 
 def check_increasing(u: GrowthFunction, probe: Optional[ProbeSpec] = None) -> ProbeVerdict:
     """Scan phi on an increasing grid; report the first inversion.
+
+    The grid is read in blocks of _PROBE_BLOCK points through
+    u.phi_many (_phi_block) and stops at its first non-finite value;
+    numpy finds the first drop of a block against the point before it.
+    A NaN where the scan stops is read again through phi_at, so a
+    refusal there raises.
 
     (log, exp)-convex functions defined at r = 0 are automatically
     increasing, so a failure here on such a function would contradict a
@@ -581,20 +622,31 @@ def check_increasing(u: GrowthFunction, probe: Optional[ProbeSpec] = None) -> Pr
     prev_x, prev_v = None, None
     if u.log_u0 is not None:
         prev_x, prev_v = LOG_ZERO, u.log_u0
-    for x in xs:
-        v = u.phi_at(float(x))
-        if not math.isfinite(v):
-            break
-        if prev_v is not None and v < prev_v - _INCREASING_TOL * max(1.0, abs(prev_v)):
+    for at in range(0, len(xs), _PROBE_BLOCK):
+        x = xs[at : at + _PROBE_BLOCK]
+        v = _phi_block(u, x)
+        stop = np.flatnonzero(~np.isfinite(v))
+        end = int(stop[0]) if stop.size else len(v)
+        # each point against the one before it, the first against prev_v
+        prev = np.concatenate([[math.nan if prev_v is None else prev_v], v[:end]])[:end]
+        with np.errstate(invalid="ignore"):
+            drops = np.flatnonzero(v[:end] < prev - _INCREASING_TOL * np.maximum(1.0, np.abs(prev)))
+        if drops.size:
+            j = int(drops[0])
+            before = prev_x if j == 0 else float(x[j - 1])
             return ProbeVerdict(
                 status="fails-at",
                 witness={
-                    "r": math.exp(float(x)),
-                    "drop": prev_v - v,
-                    "prev_r": 0.0 if prev_x == LOG_ZERO else math.exp(prev_x),
+                    "r": math.exp(float(x[j])),
+                    "drop": float(prev[j] - v[j]),
+                    "prev_r": 0.0 if before == LOG_ZERO else math.exp(before),
                 },
             )
-        prev_x, prev_v = float(x), v
+        if end < len(v):
+            if np.isnan(v[end]):
+                u.phi_at(float(x[end]))  # a refusal raises here, as the scan reaches it
+            break
+        prev_x, prev_v = float(x[-1]), float(v[-1])
     return ProbeVerdict(status="increasing", witness={"checked": int(probe.points)})
 
 

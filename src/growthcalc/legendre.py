@@ -99,10 +99,31 @@ class TauBounds(NamedTuple):
 _SCAN_POINTS = 4096
 
 
-def _scan_minimize(g: Callable[[float], float], x_lo: float, x_hi: float):
-    """Global scan + golden refinement for a possibly multi-basin g."""
+def _scan_candidates(vals: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the finite scan samples that are no higher
+    than either neighbour, where a non-finite or missing neighbour reads
+    as +inf; the interior of a plateau (phi saturated) is left out, so
+    its edges stay candidates."""
+    finite = np.isfinite(vals)
+    padded = np.concatenate([[math.inf], np.where(finite, vals, math.inf), [math.inf]])
+    left, right = padded[:-2], padded[2:]
+    plateau = (left == vals) & (vals == right)
+    return np.flatnonzero(finite & (vals <= left) & (vals <= right) & ~plateau)
+
+
+def _scan_minimize(
+    g: Callable[[float], float],
+    g_many: Callable[[np.ndarray], np.ndarray],
+    x_lo: float,
+    x_hi: float,
+):
+    """Global scan + golden refinement for a possibly multi-basin g.
+
+    The 4096 samples come from one ``g_many`` call on the whole grid;
+    _scan_candidates picks the local minima by array masks, and each is
+    golden-polished through the scalar g in ascending grid order."""
     xs = np.linspace(x_lo, x_hi, _SCAN_POINTS)
-    vals = np.array([g(float(x)) for x in xs])
+    vals = g_many(xs)
     finite = np.isfinite(vals)
     fin_idx = np.flatnonzero(finite)
     if fin_idx.size == 0:
@@ -110,13 +131,7 @@ def _scan_minimize(g: Callable[[float], float], x_lo: float, x_hi: float):
     j_lo, j_hi = int(fin_idx[0]), int(fin_idx[-1])
     best_x, best_f = math.nan, math.inf
     last = len(xs) - 1
-    for i in fin_idx:
-        left_up = i == 0 or not finite[i - 1] or vals[i] <= vals[i - 1]
-        right_up = i == last or not finite[i + 1] or vals[i] <= vals[i + 1]
-        if not (left_up and right_up):
-            continue
-        if 0 < i < last and finite[i - 1] and finite[i + 1] and vals[i - 1] == vals[i] == vals[i + 1]:
-            continue  # inside a plateau (phi saturated): its edges stay candidates
+    for i in _scan_candidates(vals).tolist():
         a = float(xs[max(i - 1, 0)])
         b = float(xs[min(i + 1, last)])
         x, fx = _golden_min(g, a, b)
@@ -160,11 +175,19 @@ def _ell_at(u: GrowthFunction, t: float, seed_x: float = 0.0) -> LegendrePoint:
     def g(x: float) -> float:
         return u.phi_at(x) - t * x
 
+    def g_many(xs: np.ndarray) -> np.ndarray:
+        vals = u.phi_many(xs) - t * xs
+        # phi_vec reads NaN where phi refuses: phi_at raises the refusal,
+        # at the first such sample, as a point-by-point scan did
+        for i in np.flatnonzero(np.isnan(vals)).tolist():
+            vals[i] = g(float(xs[i]))
+        return vals
+
     if u.log_exp_convex:
         res = minimize_convex_1d(g, seed_x)
         x, fx, boundary = res.x, res.fx, res.boundary
     else:
-        x, fx, boundary = _scan_minimize(g, -RANGE_CAP, min(u.x_max, RANGE_CAP))
+        x, fx, boundary = _scan_minimize(g, g_many, -RANGE_CAP, min(u.x_max, RANGE_CAP))
     rho = 0.0 if (boundary == "lo" and x <= -RANGE_CAP + 1e-9) else math.exp(x)
     return LegendrePoint(LogScalar(fx), rho, boundary)
 
@@ -572,32 +595,31 @@ def admissibility_report(f: LogConcaveProfile) -> dict:
     profile that decays too gently to clear them reads as inadmissible
     even if its limit is genuinely zero."""
     ts = np.linspace(0.0, _ADMISSIBLE_T_HI, _ADMISSIBLE_POINTS)
-    vals = [float(f.log_f(float(t))) for t in ts]
+    # log_f is a scalar callable; the three tests reduce its samples in numpy
+    vals = np.array([float(f.log_f(float(t))) for t in ts])
 
-    root_idx = [i for i, t in enumerate(ts) if t >= max(f.t0, 1.0)]
-    roots = [vals[i] / float(ts[i]) for i in root_idx]
-    half = roots[len(roots) // 2 :]
-    root_decreasing = all(b <= a + 1e-12 for a, b in zip(half, half[1:]))
-    drop = half[0] - half[-1] if len(half) >= 2 else 0.0
-    decays = bool(root_decreasing and roots and roots[-1] <= -1.0 and drop >= 0.2)
+    with np.errstate(invalid="ignore"):
+        at = ts >= max(f.t0, 1.0)
+        roots = vals[at] / ts[at]
+        half = roots[len(roots) // 2 :]
+        root_decreasing = bool(np.all(half[1:] <= half[:-1] + 1e-12))
+        drop = float(half[0] - half[-1]) if len(half) >= 2 else 0.0
+        decays = bool(root_decreasing and len(roots) and roots[-1] <= -1.0 and drop >= 0.2)
 
-    dec_idx = [i for i, t in enumerate(ts) if t >= f.t0]
-    decreasing = all(
-        vals[j] <= vals[i] + _ADMISSIBLE_TOL * max(1.0, abs(vals[i]))
-        for i, j in zip(dec_idx, dec_idx[1:])
-    )
+        tail = vals[ts >= f.t0]
+        slack = _ADMISSIBLE_TOL * np.maximum(1.0, np.abs(tail[:-1]))
+        decreasing = bool(np.all(tail[1:] <= tail[:-1] + slack))
 
-    worst = 0.0
-    for i in range(1, len(ts) - 1):
-        chord = 0.5 * (vals[i - 1] + vals[i + 1])
-        scale = max(1.0, abs(vals[i - 1]), abs(vals[i]), abs(vals[i + 1]))
-        worst = max(worst, (chord - vals[i]) / scale)
+        a, b, c = vals[:-2], vals[1:-1], vals[2:]
+        scale = np.maximum(np.maximum(1.0, np.abs(a)), np.maximum(np.abs(b), np.abs(c)))
+        # a NaN row is no violation: the worst ratio skips it
+        worst = max(0.0, float(np.fmax.reduce((0.5 * (a + c) - b) / scale)))
 
     return {
         "decays": decays,
-        "decreasing_beyond_t0": bool(decreasing),
+        "decreasing_beyond_t0": decreasing,
         "log_concave": bool(worst <= _ADMISSIBLE_TOL),
-        "final_root": roots[-1] if roots else math.nan,
+        "final_root": float(roots[-1]) if len(roots) else math.nan,
         "root_drop": drop,
         "concavity_violation": worst,
         "t_hi": _ADMISSIBLE_T_HI,
@@ -716,8 +738,9 @@ def _series_logs(
 ) -> np.ndarray:
     """Certified logs of L_u ("l") or L#_u ("sharp") at every log r, NaN
     where the series refuses: sum_windowed_series from the stored window
-    of 65 integer-profile terms (or the one earlier calls needed) up to
-    ``cap`` terms.  LOG_ZERO radii give the head coefficient.
+    of 65 integer-profile terms (or the one earlier calls needed, at
+    most ``cap``) up to ``cap`` terms.  LOG_ZERO radii give the head
+    coefficient.
 
     When radii fail the call's first window, _grow_profile extends the
     integer profile towards ``cap`` terms in one vectorised block before
@@ -732,7 +755,8 @@ def _series_logs(
     if zero.any():
         out[zero] = _coeff_logs(u, 0, tag)[0]
     hints = _SERIES_N_HINT.setdefault(u, {})
-    first = max(_SERIES_START, hints.get(tag, 0))
+    # a hint left by a call with a larger cap must not widen this one
+    first = min(max(_SERIES_START, hints.get(tag, 0)), cap)
 
     def window(n: int) -> tuple[np.ndarray, np.ndarray]:
         if n == min(2 * first, cap) > first:  # the first window left radii pending
@@ -1397,12 +1421,12 @@ def _suite_lem_a2(params: dict) -> Check:
     grid, gdesc = _geom_grid_params(params, 1e-3, 100.0, 21)
     logs = _integer_profile(u, 1).log_ell[:2].tolist()
     shift = k * LOG2
+    log_rs = [math.log(r) for r in grid]
+    # L_u at r and at 2^k r for every r, in one batch in the loop's order
+    sums = _certified_logs(u, [x for log_r in log_rs for x in (log_r, log_r + shift)], "l")
     acc = _Rows()
-    for r in grid:
-        log_r = math.log(r)
-        lhs = log_r + l_function(u, log_r).log
-        rhs = logs[0] - logs[1] + l_function(u, log_r + shift).log
-        acc.ineq(r, lhs, rhs, r=r)
+    for r, log_r, at_r, at_shift in zip(grid, log_rs, sums[::2].tolist(), sums[1::2].tolist()):
+        acc.ineq(r, log_r + at_r, logs[0] - logs[1] + at_shift, r=r)
     return acc.check(
         "lem-a2", {"family": u.family, "name": u.name, "k": k, "tol": tol}, gdesc, tol
     )
@@ -1413,12 +1437,14 @@ def _suite_thm31_upper(params: dict) -> Check:
     tol = float(params.get("tol", _TOL_INEQ))
     a_list = [float(params["a"])] if "a" in params else [2.0, math.e, 4.0]
     grid, gdesc = _geom_grid_params(params, 1e-3, 50.0, 25)
+    radii = [0.0] + grid
+    # L_u is read once per radius; every dilation a compares against it
+    lhs = _certified_logs(u, [LOG_ZERO if r == 0.0 else math.log(r) for r in radii], "l").tolist()
     acc = _Rows()
     for a in a_list:
         const = math.log(math.e * a / math.log(a))
-        for r in [0.0] + grid:
-            lhs = l_function(u, LOG_ZERO if r == 0.0 else math.log(r)).log
-            acc.ineq(f"{r}/a={a}", lhs, const + u.log_at(a * r), r=r, a=a)
+        for r, lhs_r in zip(radii, lhs):
+            acc.ineq(f"{r}/a={a}", lhs_r, const + u.log_at(a * r), r=r, a=a)
     return acc.check(
         "thm31-upper",
         {"family": u.family, "name": u.name, "a": a_list, "tol": tol},
@@ -1437,10 +1463,13 @@ def _suite_thm31_lower(params: dict) -> Check:
     log_u1 = u.log_at(1.0)
     log_c = max(log_u1 - logs[0], logs[0] - logs[1], log_u1 - logs[n0 + 1])
     shift = k * LOG2
+    radii = [0.0] + grid
+    sums = _certified_logs(
+        u, [LOG_ZERO if r == 0.0 else math.log(r) + shift for r in radii], "l"
+    ).tolist()
     acc = _Rows()
-    for r in [0.0] + grid:
-        log_arg = LOG_ZERO if r == 0.0 else math.log(r) + shift
-        acc.ineq(r, u.log_at(r), log_c + l_function(u, log_arg).log, r=r)
+    for r, at_shift in zip(radii, sums):
+        acc.ineq(r, u.log_at(r), log_c + at_shift, r=r)
     acc.witness.update({"n0": n0, "C": math.exp(log_c)})
     return acc.check(
         "thm31-lower", {"family": u.family, "name": u.name, "k": k, "tol": tol}, gdesc, tol

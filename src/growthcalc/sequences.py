@@ -18,14 +18,15 @@ Bell numbers of order k are b_k(n) = n! [r^n] exp_k(r)/exp_k(0) for the
 iterated exponential exp_1(r) = e^r, exp_{j+1}(r) = exp(exp_j(r)).  The
 normalized iterates N_j = exp_j/exp_j(0) satisfy N_{j+1} =
 exp(c_j (N_j - 1)) with c_j = exp_j(0), so the series is built by k-1
-truncated exponential compositions.  Orders 1 and 2 (where c_1 = 1) use
-exact rational arithmetic; higher orders run the same chain in 60-digit
-decimals because c_2 = e, c_3 = e^e, ... are irrational.
+truncated exponential compositions.  Orders 1 and 2 are integers (order
+2 from the Bell triangle) and stay exact; higher orders run the chain in
+60-digit decimals because c_2 = e, c_3 = e^e, ... are irrational.
 """
 
 from __future__ import annotations
 
 import decimal
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -60,12 +61,6 @@ def _log_factorials(n_max: int) -> np.ndarray:
     if len(_LOG_FACTORIALS) <= n_max:
         _LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(2 * n_max + 1)])
     return _LOG_FACTORIALS[: max(n_max + 1, 0)]
-
-
-def _log_fraction(x: Fraction) -> float:
-    if x <= 0:
-        raise ValueError("log of nonpositive rational")
-    return math.log(x.numerator) - math.log(x.denominator)
 
 
 @dataclass(frozen=True)
@@ -135,18 +130,29 @@ def gen_power_factorial(beta: float, n_max: int) -> PositiveSequence:
     return PositiveSequence("power-factorial", {"beta": beta}, log_alpha, exact)
 
 
-def _series_exp(mult, gamma: Sequence) -> list:
+def _series_exp(mult: Decimal, gamma: Sequence[Decimal]) -> list[Decimal]:
     """Taylor coefficients of exp(mult * (G - 1)) for a series G with
-    G(0) = 1, in the number type of G (Fraction or Decimal), by the
-    derivative recurrence n b_n = sum_{j=1..n} j mult g_j b_{n-j}."""
-    num = type(gamma[0])
-    b = [num(1)] + [num(0)] * (len(gamma) - 1)
+    G(0) = 1, in Decimal arithmetic at the caller's context precision,
+    by the derivative recurrence n b_n = sum_{j=1..n} j mult g_j b_{n-j}:
+    one stage of the order >= 3 Bell chain."""
+    b = [Decimal(1)] + [Decimal(0)] * (len(gamma) - 1)
     for n in range(1, len(gamma)):
-        acc = num(0)
+        acc = Decimal(0)
         for j in range(1, n + 1):
             acc += j * mult * gamma[j] * b[n - j]
         b[n] = acc / n
     return b
+
+
+def _bell_integers(n_max: int) -> list[int]:
+    """The classical Bell numbers B_0..B_n_max from the Bell triangle:
+    each row starts with the last entry of the row above and adds that
+    row's entries in turn, and B_n heads row n."""
+    row, bells = [1], [1]
+    for _ in range(n_max):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+        bells.append(row[0])
+    return bells
 
 
 def gen_bell(order: int, n_max: int) -> PositiveSequence:
@@ -154,22 +160,21 @@ def gen_bell(order: int, n_max: int) -> PositiveSequence:
 
     b(n) = n! [r^n] exp_k(r)/exp_k(0) for the k-fold iterated
     exponential.  order=1 gives b(n) = 1 (EGF e^r), order=2 the
-    classical Bell numbers 1, 1, 2, 5, 15, 52, ...; from order 3 on the
-    values are polynomials in e, e^e, ... with integer coefficients
-    (b(1) = e, b(2) = e^2 + 2e at order 3) and the chain runs in
-    60-digit decimal arithmetic instead of exact rationals.
+    classical Bell numbers 1, 1, 2, 5, 15, 52, ..., built as Python
+    integers from the Bell triangle (_bell_integers) and kept exact.
+    From order 3 on the values are polynomials in e, e^e, ... with
+    integer coefficients (b(1) = e, b(2) = e^2 + 2e at order 3); the
+    chain of _series_exp stages runs in 60-digit decimal arithmetic,
+    with one 60-digit ln per term.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if not 0 <= n_max <= GEN_BELL_MAX_N:
         raise ValueError(f"n_max must be in [0, {GEN_BELL_MAX_N}]")
     if order <= 2:
-        # stage multiplier exp_1(0) = 1: exact rationals
-        coeffs = [Fraction(1, math.factorial(n)) for n in range(n_max + 1)]
-        if order == 2:
-            coeffs = _series_exp(1, coeffs)
-        exact = tuple(c * math.factorial(n) for n, c in enumerate(coeffs))
-        log_alpha = tuple(_log_fraction(v) for v in exact)
+        ints = [1] * (n_max + 1) if order == 1 else _bell_integers(n_max)
+        exact = tuple(Fraction(b) for b in ints)
+        log_alpha = tuple(math.log(b) for b in ints)
         return PositiveSequence("bell-order-k", {"k": order}, log_alpha, exact)
     with decimal.localcontext() as ctx:
         ctx.prec = 60
@@ -178,7 +183,6 @@ def gen_bell(order: int, n_max: int) -> PositiveSequence:
         for _ in range(order - 1):
             gamma = _series_exp(mult, gamma)
             mult = mult.exp()
-        # one 60-digit ln of b(n) = n! gamma_n per term
         log_alpha = tuple(
             float((gamma[n] * math.factorial(n)).ln()) for n in range(n_max + 1)
         )

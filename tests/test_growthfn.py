@@ -8,6 +8,7 @@ triple is re-verified by hand at the reported point.
 
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 
 from growthcalc.numerics import (
     LOG_ZERO,
+    RANGE_CAP,
     NoDecayCertificate,
+    NotBracketable,
     PreconditionViolated,
     default_rel_tol,
 )
@@ -356,6 +359,168 @@ class TestIncreasing:
         u = log_square_example()
         r = v.witness["r"]
         assert u.log_at(r) < u.log_at(v.witness["prev_r"] or r / 2)
+
+
+def loop_classify(u, kind, k=2, probe=None):
+    """classify_convexity as a per-triple loop that reads every point
+    through a one-point phi_many call (a refusal reads as NaN)."""
+    probe = probe or ProbeSpec()
+    to_x = {"log-convex": np.log, "log-exp-convex": lambda s: s,
+            "log-xk-convex": lambda y: k * np.log(y)}[kind]
+
+    def f(s):
+        try:
+            return float(u.phi_many(to_x(np.array([s])))[0])
+        except (NoDecayCertificate, NotBracketable):
+            return math.nan
+
+    if kind != "log-exp-convex":
+        root = k if kind == "log-xk-convex" else 1
+        lo, hi = probe.lo ** (1.0 / root), probe.hi ** (1.0 / root)
+        hi = min(hi, math.exp(min(u.x_max, RANGE_CAP) / root))
+        grid = np.exp(np.linspace(math.log(lo), math.log(hi), probe.points))
+    else:
+        lo = max(math.log(probe.lo), -RANGE_CAP)
+        hi = min(math.log(probe.hi), u.x_max)
+        grid = np.linspace(lo, hi, probe.points)
+    rng = np.random.default_rng(probe.seed)
+    triples = [(grid[i], grid[i + 2], 0.5) for i in range(len(grid) - 2)]
+    quarter = len(grid) // 4
+    for i in range(0, len(grid) - quarter, quarter // 2 or 1):
+        triples.append((grid[i], grid[i + quarter], 0.5))
+    n_random = max(200, probe.points // 2)
+    idx = rng.integers(0, len(grid), size=(n_random, 2))
+    lams = rng.uniform(0.05, 0.95, size=n_random)
+    for (i, j), lam in zip(idx, lams):
+        if grid[i] != grid[j]:
+            triples.append((min(grid[i], grid[j]), max(grid[i], grid[j]), float(lam)))
+    checked, worst = 0, 0.0
+    for s1, s2, lam in triples:
+        sm = lam * s1 + (1.0 - lam) * s2
+        f1, f2, fm = f(s1), f(s2), f(sm)
+        if not (math.isfinite(f1) and math.isfinite(f2) and math.isfinite(fm)):
+            continue
+        checked += 1
+        scale = max(1.0, abs(f1), abs(f2), abs(fm))
+        gap = fm - (lam * f1 + (1.0 - lam) * f2)
+        worst = max(worst, gap / scale)
+        if gap > 1e-8 * scale:
+            return ("fails-at", checked, gap / scale, (float(s1), float(s2), float(lam)))
+    if checked < 200:
+        return ("too-few", checked)
+    return ("passes-on-grid", checked, worst, None)
+
+
+def loop_increasing(u):
+    """check_increasing as a per-point loop through one-point phi_many
+    calls; a NaN is read again through phi_at, which raises a refusal."""
+    probe = ProbeSpec()
+    xs = np.linspace(max(math.log(probe.lo), -RANGE_CAP), min(math.log(probe.hi), u.x_max),
+                     probe.points)
+    prev_x, prev_v = (LOG_ZERO, u.log_u0) if u.log_u0 is not None else (None, None)
+    for x in xs:
+        v = float(u.phi_many(np.array([x]))[0])
+        if math.isnan(v):
+            u.phi_at(float(x))
+        if not math.isfinite(v):
+            break
+        if prev_v is not None and v < prev_v - 1e-9 * max(1.0, abs(prev_v)):
+            return ("fails-at", {"r": math.exp(float(x)), "drop": prev_v - v,
+                                 "prev_r": 0.0 if prev_x == LOG_ZERO else math.exp(prev_x)})
+        prev_x, prev_v = float(x), v
+    return ("increasing", {"checked": probe.points})
+
+
+def verdict_tuple(v):
+    if v.status == "fails-at":
+        return (v.status, v.checked_triples, v.margin, v.fail_point)
+    return (v.status, v.checked_triples, v.margin, None)
+
+
+def refusing(vectorised, drop=False):
+    """e^r up to r = e^3, refusing (NoDecayCertificate) past it; with
+    ``drop``, phi falls by 1 past x = 1 first."""
+
+    def phi(x):
+        if x > 3.0:
+            raise NoDecayCertificate(f"no certified decay at log r = {x:.6g}")
+        return math.exp(x) - (1.0 if drop and x > 1.0 else 0.0)
+
+    def phi_vec(xs):
+        return np.where(xs > 3.0, math.nan, np.exp(xs) - np.where(drop & (xs > 1.0), 1.0, 0.0))
+
+    return GrowthFunction(phi=phi, phi_vec=phi_vec if vectorised else None,
+                          name=f"refusing[{vectorised},{drop}]", log_u0=0.0)
+
+
+def unflagged(u):
+    """u behind a plain phi: no phi_vec, so phi_many is a phi_at loop."""
+    return from_phi(u.phi, name=f"plain[{u.name}]", log_u0=u.log_u0, x_max=u.x_max)
+
+
+BENCHMARK_FAMILIES = [
+    exponential(), ks_family(0.0), ks_family(0.25), ks_family(0.5), ks_family(1.0),
+    power_exp(3.0), gaussian(), iterated_exp(2), bump_example(),
+]
+PROBED = (
+    registered_examples() + BENCHMARK_FAMILIES
+    + [log_square_example(), unflagged(power_exp(3.0)), unflagged(polynomial(5.0)),
+       refusing(True), refusing(False), refusing(True, drop=True), refusing(False, drop=True)]
+)
+
+
+class TestProbeBlocks:
+    """classify_convexity and check_increasing read their points in
+    phi_many blocks and reduce them in numpy; a per-point loop over the
+    same evaluator gives the same verdicts bit for bit."""
+
+    @pytest.mark.parametrize("u", PROBED, ids=lambda u: u.name)
+    @pytest.mark.parametrize("kind, k", [("log-convex", 2), ("log-exp-convex", 2),
+                                         ("log-xk-convex", 2), ("log-xk-convex", 4)])
+    def test_classify_matches_the_loop(self, u, kind, k):
+        want = loop_classify(u, kind, k)
+        if want[0] == "too-few":
+            with pytest.raises(PreconditionViolated, match=f"only {want[1]} finite triples"):
+                classify_convexity(u, kind, k=k)
+            return
+        assert verdict_tuple(classify_convexity(u, kind, k=k)) == want
+
+    @pytest.mark.parametrize(
+        "base, kind, points",
+        [(exponential(), "log-exp-convex", 64), (ks_family(1.0), "log-xk-convex", 512)],
+        ids=["exp", "ks1"],
+    )
+    def test_classify_a_dual_matches_the_loop(self, base, kind, points):
+        from growthcalc.legendre import dual_function
+
+        # the dual of ks(1) escapes to +inf for r > 1: those triples are skipped
+        u = dual_function(base)
+        assert u.phi_vec is not None
+        probe = ProbeSpec(points=points)
+        want = loop_classify(u, kind, probe=probe)
+        assert verdict_tuple(classify_convexity(u, kind, probe=probe)) == want
+
+    @pytest.mark.parametrize("u", PROBED, ids=lambda u: u.name)
+    def test_increasing_matches_the_loop(self, u):
+        try:
+            want = loop_increasing(u)
+        except NoDecayCertificate as exc:
+            with pytest.raises(NoDecayCertificate, match=re.escape(str(exc))):
+                check_increasing(u)
+            return
+        got = check_increasing(u)
+        assert (got.status, got.witness) == want
+
+    def test_fails_at_reads_at_most_one_block(self):
+        from growthcalc.growthfn import _PROBE_BLOCK
+
+        calls = []
+        base = power_exp(3.0)
+        u = from_phi(lambda x: calls.append(x) or base.phi(x), name="counted", log_u0=0.0)
+        v = classify_convexity(u, "log-xk-convex", k=2)
+        assert v.status == "fails-at" and v.checked_triples == 1
+        assert 3 <= len(calls) <= _PROBE_BLOCK
+        assert verdict_tuple(v) == verdict_tuple(classify_convexity(base, "log-xk-convex", k=2))
 
 
 class TestMembership:

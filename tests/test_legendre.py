@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import growthcalc as gc
 from growthcalc import legendre
 from growthcalc.growthfn import (
+    GrowthFunction,
     bump_example,
     exponential,
     from_phi,
@@ -136,6 +137,33 @@ class TestTransformClosedForms:
             assert gc.ell(u, t).log_ell.log <= gc.ell(v, t).log_ell.log + 1e-9
 
 
+def loop_candidates(vals):
+    """The scan's candidate rule index by index, as a per-point loop."""
+    finite = np.isfinite(vals)
+    last = len(vals) - 1
+    out = []
+    for i in np.flatnonzero(finite):
+        left_up = i == 0 or not finite[i - 1] or vals[i] <= vals[i - 1]
+        right_up = i == last or not finite[i + 1] or vals[i] <= vals[i + 1]
+        if not (left_up and right_up):
+            continue
+        if 0 < i < last and finite[i - 1] and finite[i + 1] and vals[i - 1] == vals[i] == vals[i + 1]:
+            continue
+        out.append(int(i))
+    return out
+
+
+# scan samples drawn from few levels so that ties and plateaus are common
+scan_samples = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0, -1.0, math.nan, math.inf, -math.inf]),
+        st.floats(min_value=-3.0, max_value=3.0),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
 class TestTransformEdges:
     def test_scan_refines_only_plateau_edges(self, monkeypatch):
         # exp[r^2]'s phi saturates at e^700 from x = 350 on, so phi - t x is
@@ -151,6 +179,35 @@ class TestTransformEdges:
         assert len(calls) <= 4
         # the value the scan gave while it refined every plateau point
         assert got.log_ell.log == float.fromhex("0x1.f1302919fafd5p-1")
+
+    @given(scan_samples)
+    @settings(max_examples=300, deadline=None)
+    def test_scan_candidates_match_the_loop(self, vals):
+        vals = np.array(vals)
+        assert legendre._scan_candidates(vals).tolist() == loop_candidates(vals)
+
+    def test_scan_candidates_at_both_ends_and_plateaus(self):
+        vals = np.array([0.0, 1.0, 2.0, 2.0, 2.0, 1.0, math.nan, 3.0, 3.0, -math.inf, 1.0, 0.5])
+        assert legendre._scan_candidates(vals).tolist() == loop_candidates(vals) == [0, 5, 7, 8, 11]
+
+    def test_scan_raises_the_refusal_phi_vec_reads_as_nan(self):
+        # the L-series' phi_vec gives NaN where phi refuses; without a
+        # convexity hint ell scans it and must raise the first refusal
+        # on the grid, not skip it as a non-finite sample
+        base = gc.l_growth_function(exponential())
+        u = GrowthFunction(phi=base.phi, phi_vec=base.phi_vec, name=base.name,
+                           log_u0=base.log_u0)
+        first = None
+        for x in np.linspace(-legendre.RANGE_CAP, legendre.RANGE_CAP, legendre._SCAN_POINTS):
+            try:
+                u.phi_at(float(x))
+            except NoDecayCertificate as exc:
+                first = str(exc)
+                break
+        assert first is not None
+        with pytest.raises(NoDecayCertificate) as got:
+            gc.ell(u, 2.0)
+        assert str(got.value) == first
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
@@ -549,6 +606,21 @@ class TestSeries:
             assert closed >= -(2.0 + n * math.log(2.0)) - 1e-12
             via_ell = -gc.ell(u, float(n)).log_ell.log - 2.0 * math.lgamma(n + 1.0)
             assert abs(via_ell - closed) <= 1e-7 * max(1.0, abs(closed))
+
+    def test_growth_function_keeps_its_cap_after_a_wider_call(self):
+        # l_function certifies log r = 7 within 4096 terms and leaves a
+        # window hint past the growth function's 512-term cap; the growth
+        # function must still refuse there, with the same message
+        u = exponential()
+        w = gc.l_growth_function(u)
+        with pytest.raises(NoDecayCertificate) as before:
+            w.phi_at(7.0)
+        gc.l_function(u, 7.0)
+        assert legendre._SERIES_N_HINT[u]["l"] > legendre._GROWTH_TERMS_CAP
+        with pytest.raises(NoDecayCertificate) as after:
+            w.phi_at(7.0)
+        assert str(after.value) == str(before.value)
+        assert "within 512 terms" in str(before.value)
 
     def test_sharp_series_radius_boundary(self):
         # those coefficients decay like 1/n: radius 1, certified failure
@@ -1083,6 +1155,30 @@ class TestVerifySuites:
             assert w["deviation"] == -row["slack"]
         if tag == "thm42":
             assert (w["lhs"], w["rhs"]) == (row["lhs"], row["rhs"])
+
+    @pytest.mark.parametrize("tag", ["thm31-upper", "thm31-lower", "lem-a2"])
+    def test_series_suites_read_one_batch(self, monkeypatch, tag):
+        seen = _count_calls(monkeypatch, "_certified_logs")
+        rep = gc.verify_suite(tag)
+        assert rep.passed
+        assert seen["_certified_logs"] == 1
+
+    def test_series_suite_batch_names_the_first_refused_radius(self):
+        # past r ~ 1e3 L_exp needs more than 4096 terms; the batch must
+        # refuse at the first radius the loop visits, r before 4 r
+        params = {"family": "exp", "r_min": 1.0, "r_max": 1e4, "points": 9}
+        grid = legendre.geometric_grid(1.0, 1e4, 9)
+        want, u = None, exponential()
+        for log_r in [x for r in grid for x in (math.log(r), math.log(r) + 2.0 * math.log(2.0))]:
+            try:
+                gc.l_function(u, log_r)
+            except NoDecayCertificate as exc:
+                want = str(exc)
+                break
+        assert want is not None
+        with pytest.raises(NoDecayCertificate) as got:
+            gc.verify_suite("lem-a2", params)
+        assert str(got.value) == want
 
     def test_violations_are_findings_not_errors(self):
         rep = gc.verify_suite("stirling", {"tol": -1.0})

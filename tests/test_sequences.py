@@ -264,6 +264,25 @@ class TestGenerators:
             )
         assert gen_bell(order, n_max).log_alpha == want
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 40, 200])
+    def test_bell_orders_1_2_match_the_fraction_recurrence(self, order, n_max):
+        # the exact-rational chain the integer Bell triangle replaced: the
+        # EGF coefficients of e^r (order 1), then exp(e^r - 1) by the
+        # derivative recurrence n b_n = sum_j j g_j b_{n-j} (order 2)
+        coeffs = [Fraction(1, math.factorial(n)) for n in range(n_max + 1)]
+        if order == 2:
+            b = [Fraction(1)] + [Fraction(0)] * n_max
+            for n in range(1, n_max + 1):
+                b[n] = sum(j * coeffs[j] * b[n - j] for j in range(1, n + 1)) / n
+            coeffs = b
+        exact = tuple(c * math.factorial(n) for n, c in enumerate(coeffs))
+        logs = tuple(math.log(v.numerator) - math.log(v.denominator) for v in exact)
+        seq = gen_bell(order, n_max)
+        assert seq.exact == exact
+        assert all(type(v) is Fraction for v in seq.exact)
+        assert seq.log_alpha == logs
+
     def test_bell_bounds(self):
         with pytest.raises(ValueError):
             gen_bell(0, 10)
