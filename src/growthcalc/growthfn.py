@@ -501,6 +501,24 @@ def _phi_block(u: GrowthFunction, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _probe_reader(u: GrowthFunction) -> Callable[[np.ndarray], np.ndarray]:
+    """_phi_block for the blocks of one probe.  A phi without phi_vec
+    reads each distinct point once per reader, in the order the blocks
+    first ask for it: a probe's triples share most of their points."""
+    if u.phi_vec is not None:
+        return lambda xs: _phi_block(u, xs)
+    seen: dict[float, float] = {}
+
+    def read(xs: np.ndarray) -> np.ndarray:
+        keys = xs.tolist()
+        new = [x for x in dict.fromkeys(keys) if x not in seen]
+        if new:
+            seen.update(zip(new, _phi_block(u, np.array(new)).tolist()))
+        return np.array([seen[x] for x in keys])
+
+    return read
+
+
 def _composed_args(kind: str, k: int):
     """Return (to_x, positive_domain): the map from the composed
     function's argument to the x = log r at which phi is read, and
@@ -540,7 +558,8 @@ def classify_convexity(
     u.phi_many call (_phi_block), and numpy reduces the block to its
     finite triples, the first failing one and the worst margin.  A
     fails-at verdict reads at most the rest of its block past the
-    failing triple.
+    failing triple.  A phi without phi_vec reads each distinct point
+    once per call (_probe_reader), however many triples share it.
     """
     probe = probe or ProbeSpec()
     to_x, positive_domain = _composed_args(kind, k)
@@ -572,11 +591,12 @@ def classify_convexity(
     checked = 0
     worst = 0.0
     per_block = _PROBE_BLOCK // 3
+    read = _probe_reader(u)
     for at in range(0, len(s1), per_block):
         b = slice(at, at + per_block)
         # each triple's points in the order s1, s2, midpoint
         xs = to_x(np.stack([s1[b], s2[b], sm[b]], axis=1).ravel())
-        f1, f2, fm = _phi_block(u, xs).reshape(-1, 3).T
+        f1, f2, fm = read(xs).reshape(-1, 3).T
         with np.errstate(over="ignore", invalid="ignore"):
             ok = np.isfinite(f1) & np.isfinite(f2) & np.isfinite(fm)
             scale = np.maximum(np.maximum(1.0, np.abs(f1)), np.maximum(np.abs(f2), np.abs(fm)))

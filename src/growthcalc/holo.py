@@ -29,7 +29,7 @@ import numpy as np
 
 from .growthfn import GrowthFunction
 from .legendre import Check, _Rows, _certified_logs, _coeff_logs
-from .numerics import PreconditionViolated, _golden_min, safe_exp
+from .numerics import _INV_PHI2, PreconditionViolated, _brent_min, safe_exp
 
 __all__ = [
     "BoundParams",
@@ -368,7 +368,8 @@ def norm_g(
             if sc[0] > best_score:
                 best_score, best_dir, best_s, best_coeffs = sc
 
-    # golden refinement of the radius along the best ray
+    # Brent refinement of the radius along the best ray, from its
+    # interval's golden point
     horner = best_coeffs[::-1].tolist()
 
     def along(log_s: float) -> float:
@@ -382,7 +383,9 @@ def norm_g(
         return -(math.log(val) - 0.5 * u.log_at(s * s))
 
     step = math.log(radii[1] / radii[0])
-    ls, neg = _golden_min(along, math.log(best_s) - step, math.log(best_s) + step)
+    lo, hi = math.log(best_s) - step, math.log(best_s) + step
+    ls = lo + _INV_PHI2 * (hi - lo)
+    ls, neg = _brent_min(along, lo, hi, ls, along(ls), math.inf, math.inf)
     if -neg > best_score:
         best_score, best_s = -neg, math.exp(ls)
 

@@ -39,7 +39,7 @@ from .numerics import (
     NotBracketable,
     PreconditionViolated,
     _INV_PHI2,
-    _golden_min,
+    _brent_min,
     geometric_grid,
     json_finite,
     maximize_concave_1d,
@@ -117,11 +117,14 @@ def _scan_minimize(
     x_lo: float,
     x_hi: float,
 ):
-    """Global scan + golden refinement for a possibly multi-basin g.
+    """Global scan + Brent refinement for a possibly multi-basin g.
 
     The 4096 samples come from one ``g_many`` call on the whole grid;
     _scan_candidates picks the local minima by array masks, and each is
-    golden-polished through the scalar g in ascending grid order."""
+    polished through the scalar g in ascending grid order by _brent_min,
+    which starts from the candidate's sample and its neighbours' (a
+    non-finite or missing neighbour reads as +inf, an end candidate is
+    its bracket's end)."""
     xs = np.linspace(x_lo, x_hi, _SCAN_POINTS)
     vals = g_many(xs)
     finite = np.isfinite(vals)
@@ -131,10 +134,12 @@ def _scan_minimize(
     j_lo, j_hi = int(fin_idx[0]), int(fin_idx[-1])
     best_x, best_f = math.nan, math.inf
     last = len(xs) - 1
+    padded = np.concatenate([[math.inf], np.where(finite, vals, math.inf), [math.inf]])
     for i in _scan_candidates(vals).tolist():
         a = float(xs[max(i - 1, 0)])
         b = float(xs[min(i + 1, last)])
-        x, fx = _golden_min(g, a, b)
+        fa, fx, fb = padded[i : i + 3].tolist()
+        x, fx = _brent_min(g, a, b, float(xs[i]), fx, fa, fb)
         if fx < best_f:
             best_x, best_f = x, fx
     spacing = float(xs[1] - xs[0])
@@ -527,8 +532,8 @@ def ell(u: GrowthFunction, t: float) -> LegendrePoint:
     within 32 eps max(1, |log ell|) of the minimum of the computed
     phi(x) - t x, which is convex there.  rho is the argmin of a minimum
     flat to that level, fixed to about sqrt(eps) relative; the point
-    search, a golden section to a width of 1e-12 in x, agrees with both
-    to these accuracies.
+    search, a scalar Brent polish to a bracket of 1e-12 in x, agrees with
+    both to these accuracies.
     """
     t = float(t)
     if t < 0:
@@ -664,9 +669,9 @@ def inverse_legendre(f: LogConcaveProfile, r: float) -> LogScalar:
     """sup_{t>=0} f(t) r^t in the log domain.
 
     The maximand is concave in t for admissible f and stays unimodal
-    under the log-t substitution, so golden section applies; a supremum
-    still rising at the range cap raises NotBracketable, which signals
-    that f decays too slowly for this r.
+    under the log-t substitution, so bracketing and a Brent polish
+    apply; a supremum still rising at the range cap raises
+    NotBracketable, which signals that f decays too slowly for this r.
     """
     if r < 0:
         raise ValueError("the inverse transform needs r >= 0")
@@ -1024,7 +1029,7 @@ def _dual_rows(u: GrowthFunction, xs: np.ndarray) -> np.ndarray:
     the bracket to the cell, so the maximand has one maximum there: the
     one the scalar search finds.  _brent_min_rows polishes the kept rows
     in the offset from w_i, so its step floor fixes the value to
-    roundoff as the scalar golden search does.  The maximand is concave
+    roundoff as the scalar search does.  The maximand is concave
     in y = e^w, so the flat stop's chord runs in y; the polish bracket
     spans two sample cells, under 0.7 in w, so the value is within
     8 e^0.7 < 16 times delta of the maximum.  Other rows go through
@@ -1169,13 +1174,13 @@ def function_equivalent(
 
     The shift a is searched on a log grid of _A_POINTS over the box
     [2^-20, 2^20], refined _A_REFINEMENTS times around the best cell and
-    polished by golden section; the
-    constants are then the exact envelope of log v(r) - log u(a r) on
-    the grid, so the witness inequalities hold at every checked point by
-    construction.  r = 0 joins the grid explicitly when both functions
-    are defined there.  Rejection is evidence-based: if, at the best a,
-    the centered residual still grows quarter over quarter at the range
-    end, no constants can absorb it.
+    polished by _brent_min from the cell's golden point to a bracket of
+    1e-9; the constants are then the exact envelope of
+    log v(r) - log u(a r) on the grid, so the witness inequalities hold
+    at every checked point by construction.  r = 0 joins the grid
+    explicitly when both functions are defined there.  Rejection is
+    evidence-based: if, at the best a, the centered residual still grows
+    quarter over quarter at the range end, no constants can absorb it.
     """
     r_min, r_max = float(r_range[0]), float(r_range[1])
     if not (0.0 <= r_min < r_max):
@@ -1221,10 +1226,14 @@ def function_equivalent(
         half_cell = (la_hi - la_lo) / (_A_POINTS - 1)
         la_lo, la_hi = best_la - half_cell, best_la + half_cell
     if math.isfinite(best_spread):
-        la, _ = _golden_min(
-            lambda la: spread(residuals(math.exp(la))), la_lo, la_hi, width=1e-9
+        def shift_spread(la: float) -> float:
+            return spread(residuals(math.exp(la)))
+
+        la = la_lo + _INV_PHI2 * (la_hi - la_lo)
+        la, _ = _brent_min(
+            shift_spread, la_lo, la_hi, la, shift_spread(la), math.inf, math.inf, width=1e-9
         )
-        if spread(residuals(math.exp(la))) <= best_spread:
+        if shift_spread(la) <= best_spread:
             best_la = la
 
     best_a = math.exp(best_la)

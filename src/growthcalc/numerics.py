@@ -13,8 +13,8 @@ Design rules baked in here:
   certifies the rest (sequences.sum_stored_series_batch; no uncertified
   truncation),
 * 1-D minimization is bracket expansion by step doubling from a seed,
-  then golden-section to an absolute width of 1e-12, capped at 300
-  golden iterations,
+  then a Brent polish (parabolic steps, else golden ones) to an absolute
+  bracket width of 1e-12, capped at 300 steps,
 * every search runs over a logarithmic variable, so none needs a
   domain clamp; a search that reaches the range cap |x| = 700 either
   returns a converged boundary limit, flagged, or raises
@@ -37,8 +37,8 @@ RANGE_CAP = 700.0
 GOLDEN_WIDTH = 1e-12
 GOLDEN_MAX_ITER = 300
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = 1.0 - _INV_PHI
+# the golden step's share of the larger side, 1 - 1/phi
+_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class GrowthCalcError(Exception):
@@ -154,30 +154,77 @@ class OptResult(NamedTuple):
     boundary: Optional[str]
 
 
-def _golden_min(
-    f: Callable[[float], float], a: float, b: float, width: float = GOLDEN_WIDTH
+def _brent_min(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    x: float,
+    fx: float,
+    fa: float,
+    fb: float,
+    width: float = GOLDEN_WIDTH,
 ) -> tuple[float, float]:
-    """Golden-section minimization on [a, b] for a unimodal f."""
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
+    """Brent's minimisation of a unimodal f on [a, b] from a point
+    a <= x <= b with fx = f(x) <= fa = f(a), fb = f(b); an end value not
+    at hand reads as +inf.
+
+    The steps are those of legendre._brent_min_rows on one row, on plain
+    floats: a parabolic step through the three best points x, w, v when
+    its vertex lies inside the bracket and the step is under half the
+    step before last, else a golden step into the larger side.  The ends
+    start as w and v, so a certified bracket's first step is its
+    parabola; with both end values +inf the first steps are golden.  A
+    step shorter than tol = width / 3, or a vertex within 2 tol of an
+    end, becomes a step of tol towards the larger side.  The search stops
+    once b - a <= width, absolute, or after GOLDEN_MAX_ITER steps; the
+    kernel's relative step floor and flat stop are left out, so every
+    search is fixed to the same absolute width.  Returns the best point
+    found and its value (R. P. Brent, Algorithms for Minimization
+    without Derivatives, 1973).
+    """
+    tol = width / 3.0
+    w, fw, v, fv = (b, fb, a, fa) if fb <= fa else (a, fa, b, fb)
+    d, e = 0.0, b - a
     for _ in range(GOLDEN_MAX_ITER):
-        if (b - a) <= width:
+        if b - a <= width:
             break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
+        lo, hi = a - x, b - x
+        # the larger side's offset from x, and a tol step into it
+        wide, to_mid = (hi, tol) if hi >= -lo else (lo, -tol)
+        # the vertex of the parabola through x, w and v is x + num / den
+        dw, gw, dv, gv = w - x, fw - fx, v - x, fv - fx
+        num = 0.5 * (dw * dw * gv - dv * dv * gw)
+        den = dw * gv - dv * gw
+        # parabolic when the vertex lies inside, under half the step
+        # before last (den * e != 0 here, so the division is safe)
+        if tol < abs(e) and 2.0 * abs(num) < abs(den * e) and lo < num / den < hi:
+            step = num / den
+            if step - lo < 2.0 * tol or hi - step < 2.0 * tol:
+                step = to_mid
+            e, d = d, step
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-        if f1 < best_f:
-            best_x, best_f = x1, f1
-        if f2 < best_f:
-            best_x, best_f = x2, f2
-    return best_x, best_f
+            e, d = wide, _INV_PHI2 * wide
+        u = x + (d if abs(d) >= tol else to_mid)
+        fu = f(u)
+        # a tie moves x, as in the kernel, except one at +inf: it keeps
+        # the left of the two points, as golden section did, so a search
+        # that starts past a right edge of f's domain walks back into it
+        if fu < fx or (fu == fx and (fu < math.inf or u < x)):
+            if u > x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u > x:
+                b = u
+            else:
+                a = u
+            if fu <= fw:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _on_cap(side: str, x_cap: float, f_before: float, f_cap: float) -> OptResult:
@@ -244,16 +291,14 @@ def bracket_minimum(f: Callable[[float], float], seed: float) -> Union[Bracket, 
 def minimize_convex_1d(f: Callable[[float], float], seed: float) -> OptResult:
     """Minimize a convex (or unimodal) function of one variable.
 
-    Returns the interior minimizer found by bracketing plus golden
-    section, or a flagged boundary result when the infimum is approached
-    at the numeric range cap.
+    Returns the interior minimizer found by bracketing plus a Brent
+    polish from the bracket's inner point, or a flagged boundary result
+    when the infimum is approached at the numeric range cap.
     """
     got = bracket_minimum(f, seed)
     if isinstance(got, OptResult):
         return got
-    x, fx = _golden_min(f, got.lo, got.hi)
-    if got.f_inner < fx:
-        x, fx = got.inner, got.f_inner
+    x, fx = _brent_min(f, got.lo, got.hi, got.inner, got.f_inner, got.f_lo, got.f_hi)
     return OptResult(x, fx, None)
 
 

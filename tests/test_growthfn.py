@@ -511,6 +511,16 @@ class TestProbeBlocks:
         got = check_increasing(u)
         assert (got.status, got.witness) == want
 
+    def test_a_scalar_phi_reads_each_point_once(self):
+        # without a phi_vec the 771 triples of log-exp-convex share 968
+        # distinct points; each block reading its own took 2,313 phi calls
+        calls = []
+        base = power_exp(0.5)
+        u = from_phi(lambda x: calls.append(x) or base.phi(x), name="counted", log_u0=0.0)
+        got = verdict_tuple(classify_convexity(u, "log-exp-convex"))
+        assert len(calls) == len(set(calls)) == 968
+        assert got == loop_classify(u, "log-exp-convex")
+
     def test_fails_at_reads_at_most_one_block(self):
         from growthcalc.growthfn import _PROBE_BLOCK
 

@@ -358,7 +358,7 @@ class TestNormG:
     @pytest.mark.parametrize("seed, u, p, lower_bound, argsup", PINNED)
     def test_pinned_results(self, seed, u, p, lower_bound, argsup):
         # the one-shot scan picks the same cell: the same direction, and
-        # the polished radius and value agree.  The golden polish maximizes
+        # the polished radius and value agree.  The Brent polish maximizes
         # a flat function, so rounding-level changes in F's values move its
         # radius by up to ~sqrt(machine epsilon); the value moves ~1e-15.
         res = norm_g(random_chaos(2, 4, seed=seed), u, SCALE, p, seed=seed)

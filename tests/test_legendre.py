@@ -169,16 +169,17 @@ class TestTransformEdges:
         # exp[r^2]'s phi saturates at e^700 from x = 350 on, so phi - t x is
         # flat over half the scan grid; no plateau point inside is refined
         calls = []
-        golden = legendre._golden_min
+        polish = legendre._brent_min
         monkeypatch.setattr(
-            legendre, "_golden_min", lambda *a, **k: calls.append(a[1:]) or golden(*a, **k)
+            legendre, "_brent_min", lambda *a, **k: calls.append(a[1:]) or polish(*a, **k)
         )
         u = gaussian()
         scan = from_phi(u.phi, name="scan", log_u0=u.log_u0, x_max=u.x_max)
         got = legendre.ell(scan, 2.5)
         assert len(calls) <= 4
-        # the value the scan gave while it refined every plateau point
-        assert got.log_ell.log == float.fromhex("0x1.f1302919fafd5p-1")
+        # one ulp below 0x1.f1302919fafd5p-1, the value of the golden polish
+        # and of the hinted bracket path ell(gaussian(), 2.5)
+        assert got.log_ell.log == float.fromhex("0x1.f1302919fafd4p-1")
 
     @given(scan_samples)
     @settings(max_examples=300, deadline=None)

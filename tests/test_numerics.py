@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthcalc import legendre
-from growthcalc.growthfn import ks_family
+from growthcalc.growthfn import GrowthFunction, ks_family
 from growthcalc.legendre import _brent_min_rows
 from growthcalc.numerics import (
     LOG_ZERO,
@@ -24,15 +24,19 @@ from growthcalc.numerics import (
     BadTolerance,
     Bracket,
     OptResult,
+    GOLDEN_WIDTH,
     LogScalar,
     NoDecayCertificate,
     NotBracketable,
+    _INV_PHI2,
+    _brent_min,
     bracket_minimum,
     default_rel_tol,
     geometric_grid,
     maximize_concave_1d,
     minimize_convex_1d,
 )
+from search_reference import golden_min
 from series_reference import log_sum_exp_series, logaddexp
 
 RNG = np.random.default_rng(42)
@@ -218,6 +222,121 @@ class TestMinimizeConvex1d:
         assert got.lo < got.inner < got.hi
         assert got.f_inner <= min(got.f_lo, got.f_hi)
         assert got.lo <= 9.3 <= got.hi
+
+
+def polish_family(kind, c, p):
+    """The objectives the polish is checked on against golden section,
+    with their minimiser at c."""
+    if kind == "quadratic":
+        return lambda x: p * (x - c) ** 2
+    if kind == "power":
+        return lambda x: abs(x - c) ** p
+    if kind == "expm1":
+        # e^h - h with h = x - c, resolved to about 2 eps by expm1
+        return lambda x: math.expm1(x - c) - (x - c)
+    if kind == "exp":
+        # the same in plain exp: flat to roundoff over about 1e-8
+        return lambda x: math.exp(x - c) - (x - c)
+    # a plateau at p with a +inf edge at c: every x <= c is a minimiser
+    return lambda x: math.inf if x > c else p
+
+
+def counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def polish_from_golden_point(f, a, b):
+    """_brent_min as holo.norm_g and function_equivalent start it."""
+    x = a + _INV_PHI2 * (b - a)
+    return _brent_min(f, a, b, x, f(x), math.inf, math.inf)
+
+
+class TestBrentPolish:
+    """numerics._brent_min against the golden-section search it replaced
+    (search_reference.golden_min) on the same interval: it ends within
+    width of golden's minimiser where that is unique, at a value no
+    higher than golden's plus 4 eps max(1, |f|), in no more
+    evaluations.  A minimum flat to roundoff (the plain-exp family)
+    fixes neither: there only the evaluation count is compared."""
+
+    @given(
+        st.sampled_from(["quadratic", "power", "expm1", "exp", "plateau"]),
+        st.floats(min_value=-699.0, max_value=699.0),
+        st.floats(min_value=0.01, max_value=0.99),
+        st.floats(min_value=-3.0, max_value=1.5),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_golden_in_fewer_evaluations(self, kind, c, split, log_len, q):
+        # p: the quadratic's curvature in [1e-3, 1e3], the power in
+        # [1.5, 2.5], the plateau's level in [-1, 1]
+        p = {"quadratic": 10.0 ** (6.0 * q - 3.0), "power": 1.5 + q}.get(kind, 2.0 * q - 1.0)
+        f = polish_family(kind, c, p)
+        length = 10.0 ** log_len
+        a = c - split * length
+        b = a + length
+        g, g_calls = counted(f)
+        xg, fg = golden_min(g, a, b)
+        h, h_calls = counted(f)
+        x, fx = polish_from_golden_point(h, a, b)
+        assert a <= x <= b and fx == f(x)
+        assert len(h_calls) <= len(g_calls)
+        if kind != "exp":
+            assert fx <= fg + 4.0 * np.finfo(float).eps * max(1.0, abs(fg))
+        if kind == "plateau":
+            assert x <= c
+        elif kind != "exp":
+            assert abs(x - xg) <= GOLDEN_WIDTH
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+    def test_minimum_of_higher_order(self, p):
+        # at |x - c|^p, p > 2.5, parabolas through three points on one
+        # side converge only linearly: the polish still ends where golden
+        # does, at most about twice golden's evaluations
+        rng = np.random.default_rng(int(p))
+        draws = zip(rng.uniform(-699, 699, 50), rng.uniform(0.01, 0.99, 50),
+                    10.0 ** rng.uniform(-3, 1.5, 50))
+        for c, split, length in (map(float, draw) for draw in draws):
+            f = polish_family("power", c, p)
+            a = c - split * length
+            g, g_calls = counted(f)
+            xg, fg = golden_min(g, a, a + length)
+            h, h_calls = counted(f)
+            x, fx = polish_from_golden_point(h, a, a + length)
+            assert abs(x - xg) <= GOLDEN_WIDTH and fx <= fg + 4.0 * np.finfo(float).eps
+            assert len(h_calls) <= 2.5 * len(g_calls)
+
+    def test_certified_bracket_starts_with_its_parabola(self):
+        # a quadratic's parabola through the bracket is exact: the first
+        # step lands on the minimiser, and two tol steps close the bracket
+        f, calls = counted(lambda x: (x - 0.3) ** 2)
+        x, fx = _brent_min(f, -1.0, 1.0, 0.0, f(0.0), f(-1.0), f(1.0))
+        assert abs(x - 0.3) <= 1e-15 and fx <= 1e-30
+        assert len(calls) - 3 <= 4
+
+    def test_starts_past_a_right_edge_and_walks_back(self):
+        # the golden point of [0, 10] sits at 3.82, past f's domain edge
+        # at 1: a tie at +inf keeps the left point, as golden did
+        f = lambda x: math.inf if x > 1.0 else (x - 0.5) ** 2
+        x, fx = polish_from_golden_point(f, 0.0, 10.0)
+        assert abs(x - 0.5) <= GOLDEN_WIDTH and fx == f(x)
+
+    def test_ell_on_a_fresh_function_takes_few_phi_reads(self):
+        # bracket_minimum's 5 reads plus the polish; golden's polish of
+        # the same bracket made 64
+        calls = []
+        u = ks_family(0.5)
+        w = GrowthFunction(phi=lambda x: calls.append(x) or u.phi(x), name="counted",
+                           log_u0=u.log_u0, log_exp_convex=True)
+        got = legendre.ell(w, 13.75)
+        assert got.boundary is None and len(calls) <= 35
+        assert math.isclose(got.log_ell.log, legendre.ell(u, 13.75).log_ell.log, abs_tol=1e-13)
 
 
 class TestRangeCap:
