@@ -96,8 +96,8 @@ class GrowthFunction:
     lockstep search agrees with phi to about 1e-13, relative), and so do
     the L-series, whose batch gives NaN where phi raises
     NoDecayCertificate.  from_phi, from_series and thetas leave it
-    unset.  phi_many and log_many use it, and fall back to a phi_at loop
-    without it.
+    unset.  phi_many and log_many use it, else a phi_at loop, and read a
+    NoDecayCertificate or NotBracketable of phi_at as NaN either way.
     """
 
     phi: Callable[[float], float]
@@ -124,11 +124,17 @@ class GrowthFunction:
         return float(self.phi(float(x)))
 
     def phi_many(self, xs) -> np.ndarray:
-        """phi at every x of an array: one vectorised call when phi_vec
-        is set, else a phi_at loop."""
+        """phi at every x of an array, NaN where phi refuses: one phi_vec
+        call, else a phi_at call per point.  PreconditionViolated raises."""
         xs = np.asarray(xs, dtype=float)
         if self.phi_vec is None:
-            return np.array([self.phi_at(x) for x in xs.ravel()], dtype=float).reshape(xs.shape)
+            phi_at, vals = self.phi_at, []
+            for x in xs.ravel().tolist():
+                try:
+                    vals.append(phi_at(x))
+                except (NoDecayCertificate, NotBracketable):
+                    vals.append(math.nan)
+            return np.array(vals, dtype=float).reshape(xs.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             return np.asarray(self.phi_vec(xs), dtype=float)
 
@@ -480,40 +486,19 @@ _INCREASING_TOL = 1e-9
 # classify_convexity, or 192 grid points of check_increasing
 _PROBE_BLOCK = 192
 
-_REFUSALS = (NoDecayCertificate, NotBracketable)
-
-
-def _phi_block(u: GrowthFunction, xs: np.ndarray) -> np.ndarray:
-    """phi at every x of a probe block through one phi_many call, with
-    a refused point read as NaN (as phi_vec reads it).  A phi without
-    phi_vec that refuses inside the block is read again point by
-    point."""
-    try:
-        return u.phi_many(xs)
-    except _REFUSALS:
-        pass
-    vals = np.empty(len(xs))
-    for j, x in enumerate(xs.tolist()):
-        try:
-            vals[j] = u.phi_at(x)
-        except _REFUSALS:
-            vals[j] = math.nan
-    return vals
-
-
 def _probe_reader(u: GrowthFunction) -> Callable[[np.ndarray], np.ndarray]:
-    """_phi_block for the blocks of one probe.  A phi without phi_vec
+    """u.phi_many for the blocks of one probe.  A phi without phi_vec
     reads each distinct point once per reader, in the order the blocks
     first ask for it: a probe's triples share most of their points."""
     if u.phi_vec is not None:
-        return lambda xs: _phi_block(u, xs)
+        return u.phi_many
     seen: dict[float, float] = {}
 
     def read(xs: np.ndarray) -> np.ndarray:
         keys = xs.tolist()
         new = [x for x in dict.fromkeys(keys) if x not in seen]
         if new:
-            seen.update(zip(new, _phi_block(u, np.array(new)).tolist()))
+            seen.update(zip(new, u.phi_many(np.array(new)).tolist()))
         return np.array([seen[x] for x in keys])
 
     return read
@@ -555,8 +540,8 @@ def classify_convexity(
 
     The triples are built as arrays and read in their order, 64 at a
     time: each block's (s1, s2, midpoint) points go through one
-    u.phi_many call (_phi_block), and numpy reduces the block to its
-    finite triples, the first failing one and the worst margin.  A
+    u.phi_many call, and numpy reduces the block to its finite triples,
+    the first failing one and the worst margin.  A
     fails-at verdict reads at most the rest of its block past the
     failing triple.  A phi without phi_vec reads each distinct point
     once per call (_probe_reader), however many triples share it.
@@ -625,9 +610,9 @@ def classify_convexity(
 def check_increasing(u: GrowthFunction, probe: Optional[ProbeSpec] = None) -> ProbeVerdict:
     """Scan phi on an increasing grid; report the first inversion.
 
-    The grid is read in blocks of _PROBE_BLOCK points through
-    u.phi_many (_phi_block) and stops at its first non-finite value;
-    numpy finds the first drop of a block against the point before it.
+    The grid is read in blocks of _PROBE_BLOCK points through u.phi_many
+    and stops at its first non-finite value; numpy finds the first drop
+    of a block against the point before it.
     A NaN where the scan stops is read again through phi_at, so a
     refusal there raises.
 
@@ -644,7 +629,7 @@ def check_increasing(u: GrowthFunction, probe: Optional[ProbeSpec] = None) -> Pr
         prev_x, prev_v = LOG_ZERO, u.log_u0
     for at in range(0, len(xs), _PROBE_BLOCK):
         x = xs[at : at + _PROBE_BLOCK]
-        v = _phi_block(u, x)
+        v = u.phi_many(x)
         stop = np.flatnonzero(~np.isfinite(v))
         end = int(stop[0]) if stop.size else len(v)
         # each point against the one before it, the first against prev_v

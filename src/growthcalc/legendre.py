@@ -182,7 +182,7 @@ def _ell_at(u: GrowthFunction, t: float, seed_x: float = 0.0) -> LegendrePoint:
 
     def g_many(xs: np.ndarray) -> np.ndarray:
         vals = u.phi_many(xs) - t * xs
-        # phi_vec reads NaN where phi refuses: phi_at raises the refusal,
+        # phi_many reads NaN where phi refuses: phi_at raises the refusal,
         # at the first such sample, as a point-by-point scan did
         for i in np.flatnonzero(np.isnan(vals)).tolist():
             vals[i] = g(float(xs[i]))
@@ -709,9 +709,6 @@ def theta_function(f: LogConcaveProfile) -> GrowthFunction:
 
 _SERIES_START = 64
 _SERIES_CAP = 4096
-_SERIES_N_HINT: "weakref.WeakKeyDictionary[GrowthFunction, dict]" = (
-    weakref.WeakKeyDictionary()
-)
 _SERIES_WINDOWS: "weakref.WeakKeyDictionary[GrowthFunction, dict]" = (
     weakref.WeakKeyDictionary()
 )
@@ -743,9 +740,9 @@ def _series_logs(
 ) -> np.ndarray:
     """Certified logs of L_u ("l") or L#_u ("sharp") at every log r, NaN
     where the series refuses: sum_windowed_series from the stored window
-    of 65 integer-profile terms (or the one earlier calls needed, at
-    most ``cap``) up to ``cap`` terms.  LOG_ZERO radii give the head
-    coefficient.
+    of 65 integer-profile terms (at most ``cap``) up to ``cap`` terms, so
+    a value does not depend on earlier calls.  LOG_ZERO radii give the
+    head coefficient.
 
     When radii fail the call's first window, _grow_profile extends the
     integer profile towards ``cap`` terms in one vectorised block before
@@ -759,17 +756,14 @@ def _series_logs(
     zero = log_rs == LOG_ZERO
     if zero.any():
         out[zero] = _coeff_logs(u, 0, tag)[0]
-    hints = _SERIES_N_HINT.setdefault(u, {})
-    # a hint left by a call with a larger cap must not widen this one
-    first = min(max(_SERIES_START, hints.get(tag, 0)), cap)
+    first = min(_SERIES_START, cap)
 
     def window(n: int) -> tuple[np.ndarray, np.ndarray]:
         if n == min(2 * first, cap) > first:  # the first window left radii pending
             _grow_profile(u, cap)
         return _series_window(u, tag, n)
 
-    out[~zero], widest = sum_windowed_series(window, log_rs[~zero], first, cap, rel_tol)
-    hints[tag] = max(hints.get(tag, 0), widest)
+    out[~zero] = sum_windowed_series(window, log_rs[~zero], first, cap, rel_tol)
     return out
 
 
@@ -1128,7 +1122,8 @@ def dual_function(u: GrowthFunction) -> GrowthFunction:
 @dataclass(frozen=True)
 class FunctionEquivalenceWitness:
     """Envelope constants with c1 u(a1 r) <= v(r) <= c2 u(a2 r) at every
-    checked grid point; max_residual = log(c2/c1)."""
+    checked grid point, whose radii checked_range spans (from 0.0 when r =
+    0 was checked); max_residual = log(c2/c1)."""
 
     c1: float
     a1: float
@@ -1177,10 +1172,12 @@ def function_equivalent(
     polished by _brent_min from the cell's golden point to a bracket of
     1e-9; the constants are then the exact envelope of
     log v(r) - log u(a r) on the grid, so the witness inequalities hold
-    at every checked point by construction.  r = 0 joins the grid
-    explicitly when both functions are defined there.  Rejection is
-    evidence-based: if, at the best a, the centered residual still grows
-    quarter over quarter at the range end, no constants can absorb it.
+    at every checked point by construction.  Each round reads u at all
+    its shifts in one phi_many call; a refused or infinite value is not
+    evaluable.  r = 0 joins the grid explicitly when both functions are
+    defined there.  Rejection is evidence-based: if, at the best a, the
+    centered residual still grows quarter over quarter at the range end,
+    no constants can absorb it.
     """
     r_min, r_max = float(r_range[0]), float(r_range[1])
     if not (0.0 <= r_min < r_max):
@@ -1190,26 +1187,17 @@ def function_equivalent(
     include_zero = r_min == 0.0 and u.defined_at_zero and v.defined_at_zero
     d_zero = [v.log_at(0.0) - u.log_at(0.0)] if include_zero else []
 
-    def logs(fn: GrowthFunction, xs: np.ndarray) -> np.ndarray:
-        """phi of fn at every x, NaN where it is not finite or refused:
-        one phi_many call, or x by x for a function without a phi_vec."""
-        if fn.phi_vec is not None:
-            vals = fn.phi_many(xs)
-        else:
-            vals = np.empty(len(xs))
-            for k, x in enumerate(xs):
-                try:
-                    vals[k] = fn.phi_at(x)
-                except (NoDecayCertificate, NotBracketable, PreconditionViolated):
-                    vals[k] = math.nan
-        return np.where(np.isfinite(vals), vals, math.nan)
-
     log_grid = np.array([math.log(r) for r in grid])
-    log_v = logs(v, log_grid)
+    log_v = v.phi_many(log_grid)
     need = max(8, points // 2)
 
-    def residuals(a: float) -> np.ndarray:
-        return log_v - logs(u, log_grid + math.log(a))
+    def residuals(las: list) -> np.ndarray:
+        """log v - log u(e^la r) on the grid from one phi_many call, a row
+        per la; NaN where either side is refused or not finite."""
+        shifts = np.array([[math.log(math.exp(la))] for la in las])
+        with np.errstate(invalid="ignore"):
+            res = log_v - u.phi_many(log_grid + shifts)
+        return np.where(np.isfinite(res), res, math.nan)
 
     def spread(res: np.ndarray) -> float:
         vals = np.append(res[~np.isnan(res)], d_zero)
@@ -1218,16 +1206,15 @@ def function_equivalent(
     la_lo, la_hi = math.log(_A_BOX[0]), math.log(_A_BOX[1])
     best_la, best_spread = 0.0, math.inf
     for _ in range(_A_REFINEMENTS + 1):
-        las = np.linspace(la_lo, la_hi, _A_POINTS)
-        for la in las:
-            s = spread(residuals(math.exp(float(la))))
+        las = np.linspace(la_lo, la_hi, _A_POINTS).tolist()
+        for la, s in zip(las, map(spread, residuals(las))):
             if s < best_spread:
-                best_la, best_spread = float(la), s
+                best_la, best_spread = la, s
         half_cell = (la_hi - la_lo) / (_A_POINTS - 1)
         la_lo, la_hi = best_la - half_cell, best_la + half_cell
     if math.isfinite(best_spread):
         def shift_spread(la: float) -> float:
-            return spread(residuals(math.exp(la)))
+            return spread(residuals([la])[0])
 
         la = la_lo + _INV_PHI2 * (la_hi - la_lo)
         la, _ = _brent_min(
@@ -1237,7 +1224,7 @@ def function_equivalent(
             best_la = la
 
     best_a = math.exp(best_la)
-    res = residuals(best_a)
+    res = residuals([best_la])[0]
     finite = np.flatnonzero(~np.isnan(res))
     if len(finite) < need:
         raise PreconditionViolated(
@@ -1266,7 +1253,7 @@ def function_equivalent(
         a1=best_a,
         c2=math.exp(max(all_d)),
         a2=best_a,
-        checked_range=(r_min, r_max),
+        checked_range=(0.0 if include_zero else grid[finite[0]], grid[finite[-1]]),
         max_residual=max(all_d) - min(all_d),
     )
 
@@ -1553,7 +1540,7 @@ def _log_power_factorial_sums(p: float, log_rs: Sequence[float]) -> np.ndarray:
         c = -p * _log_factorials(n)
         return c, stored_ratio_bounds(c)
 
-    sums, _ = sum_windowed_series(window, np.asarray(log_rs, dtype=float), 256, 1 << 15, 1e-12)
+    sums = sum_windowed_series(window, np.asarray(log_rs, dtype=float), 256, 1 << 15, 1e-12)
     if np.isnan(sums).any():
         raise NoDecayCertificate(
             f"series ended at index {1 << 15} before its tail was certified"

@@ -301,26 +301,24 @@ def sum_stored_series_batch(
 
 def sum_windowed_series(
     window: Callable[[int], tuple], log_rs: np.ndarray, start: int, cap: int, rel_tol=None
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Certified sums at every log r (not LOG_ZERO) of a series whose
     window(n) gives c_0..c_n and their stored_ratio_bounds: every radius
     is summed on window(start), and those that do not certify move on to
     the doubled window, up to ``cap`` (a window at or past it is the
-    last).  Returns the sums, NaN where no window certified, and the
-    largest window that certified a radius (0 if none did)."""
+    last).  NaN where no window certified."""
     out = np.full(len(log_rs), math.nan)
     pending = np.arange(len(log_rs))
-    n, widest = start, 0
+    n = start
     while pending.size:
         c, bounds = window(n)
         sums, _, done = sum_stored_series_batch(c, bounds, log_rs[pending], rel_tol)
         out[pending[done]] = sums[done]
-        widest = n if done.any() else widest
         pending = pending[~done]
         if n >= cap:
             break
         n = min(2 * n, cap)
-    return out, widest
+    return out
 
 
 def sum_stored_series(log_terms: Sequence[float], rel_tol: Optional[float] = None) -> SeriesSum:

@@ -21,7 +21,6 @@ from growthcalc.numerics import (
     LOG_ZERO,
     RANGE_CAP,
     NoDecayCertificate,
-    NotBracketable,
     PreconditionViolated,
     default_rel_tol,
 )
@@ -363,16 +362,13 @@ class TestIncreasing:
 
 def loop_classify(u, kind, k=2, probe=None):
     """classify_convexity as a per-triple loop that reads every point
-    through a one-point phi_many call (a refusal reads as NaN)."""
+    through a one-point phi_many call (NaN where phi refuses)."""
     probe = probe or ProbeSpec()
     to_x = {"log-convex": np.log, "log-exp-convex": lambda s: s,
             "log-xk-convex": lambda y: k * np.log(y)}[kind]
 
     def f(s):
-        try:
-            return float(u.phi_many(to_x(np.array([s])))[0])
-        except (NoDecayCertificate, NotBracketable):
-            return math.nan
+        return float(u.phi_many(to_x(np.array([s])))[0])
 
     if kind != "log-exp-convex":
         root = k if kind == "log-xk-convex" else 1

@@ -16,6 +16,7 @@ from growthcalc.growthfn import (
     bump_example,
     exponential,
     from_phi,
+    from_series,
     gaussian,
     iterated_exp,
     ks_family,
@@ -31,6 +32,7 @@ from growthcalc.numerics import (
     default_rel_tol,
 )
 from growthcalc.sequences import (
+    gen_bell,
     stored_ratio_bounds,
     sum_stored_series,
     sum_stored_series_batch,
@@ -609,15 +611,14 @@ class TestSeries:
             assert abs(via_ell - closed) <= 1e-7 * max(1.0, abs(closed))
 
     def test_growth_function_keeps_its_cap_after_a_wider_call(self):
-        # l_function certifies log r = 7 within 4096 terms and leaves a
-        # window hint past the growth function's 512-term cap; the growth
-        # function must still refuse there, with the same message
+        # l_function certifies log r = 7 within 4096 terms, past the growth
+        # function's 512-term cap; the growth function must still refuse
+        # there, with the same message
         u = exponential()
         w = gc.l_growth_function(u)
         with pytest.raises(NoDecayCertificate) as before:
             w.phi_at(7.0)
         gc.l_function(u, 7.0)
-        assert legendre._SERIES_N_HINT[u]["l"] > legendre._GROWTH_TERMS_CAP
         with pytest.raises(NoDecayCertificate) as after:
             w.phi_at(7.0)
         assert str(after.value) == str(before.value)
@@ -686,10 +687,6 @@ def assert_kernel_matches(got, u, log_r, tag, n):
     assert_same_sum(got, used[0], want, want_used)
 
 
-def window_start(u, tag):
-    return max(64, legendre._SERIES_N_HINT.get(u, {}).get(tag, 0))
-
-
 KERNEL_EXP = exponential()
 KERNEL_KS1 = ks_family(1.0)
 radii = st.lists(
@@ -709,12 +706,10 @@ class TestSeriesKernel:
     def test_l_function_matches_stored_sum(self, log_rs):
         u = KERNEL_EXP
         for log_r in log_rs:
-            n = window_start(u, "l")
-            assert_kernel_matches(gc.l_function(u, log_r).log, u, log_r, "l", n)
-        n = window_start(u, "l")
+            assert_kernel_matches(gc.l_function(u, log_r).log, u, log_r, "l", 64)
         got = legendre._series_logs(u, log_rs, "l")
         for g, lr in zip(got, log_rs):
-            assert_kernel_matches(g, u, lr, "l", n)
+            assert_kernel_matches(g, u, lr, "l", 64)
 
     @given(radii)
     @settings(max_examples=40, deadline=None)
@@ -723,18 +718,16 @@ class TestSeriesKernel:
         log_rs = [min(lr, -0.05) for lr in log_rs]
         for u in (KERNEL_EXP, KERNEL_KS1):
             for log_r in log_rs:
-                n = window_start(u, "sharp")
-                assert_kernel_matches(gc.l_sharp(u, log_r).log, u, log_r, "sharp", n)
-            n = window_start(u, "sharp")
+                assert_kernel_matches(gc.l_sharp(u, log_r).log, u, log_r, "sharp", 64)
             got = legendre._series_logs(u, log_rs, "sharp")
             for g, lr in zip(got, log_rs):
-                assert_kernel_matches(g, u, lr, "sharp", n)
+                assert_kernel_matches(g, u, lr, "sharp", 64)
 
     def test_rows_that_do_not_certify_move_to_a_doubled_window(self):
         u = exponential()
         log_rs = [0.0, 5.0, LOG_ZERO, 1.0]
         got = legendre._series_logs(u, log_rs, "l")
-        assert legendre._SERIES_N_HINT[u]["l"] > 64
+        assert len(legendre._PROFILE_CACHE[u]) > 65  # log r = 5 read past the first window
         for g, lr in zip(got, log_rs):
             assert_kernel_matches(g, u, lr, "l", 64)
 
@@ -750,9 +743,15 @@ class TestSeriesKernel:
         with pytest.raises(NoDecayCertificate, match=re.escape(msg)):
             legendre._certified_logs(u, [-1.0, 0.0, 0.5], "sharp")
 
-    def test_batched_phi_is_nan_exactly_where_phi_refuses(self):
-        # L# of the beta = 1 family has radius 1: radii on both sides of it
-        w = gc.l_sharp_growth_function(ks_family(1.0))
+    @pytest.mark.parametrize("make", [
+        lambda: gc.l_sharp_growth_function(ks_family(1.0)),
+        lambda: from_phi(gc.l_sharp_growth_function(ks_family(1.0)).phi, name="plain"),
+        lambda: from_series(gen_bell(2, 40)),
+    ], ids=["l-sharp", "no-phi-vec", "bell-series"])
+    def test_batched_phi_is_nan_exactly_where_phi_refuses(self, make):
+        # L# of the beta = 1 family has radius 1, and 41 stored Bell
+        # numbers certify only r < 0.06: radii on both sides of each
+        w = make()
         xs = np.linspace(-4.0, 2.0, 13)
         got = w.phi_many(xs)
         refused = []
@@ -763,8 +762,32 @@ class TestSeriesKernel:
                 refused.append(x)
                 assert np.isnan(g)
             else:
-                assert abs(g - want) <= 2.0 * default_rel_tol() * max(1.0, abs(want))
+                assert g == want
         assert 0.0 < len(refused) < len(xs) and min(refused) <= 0.0
+
+    def test_batched_phi_reads_a_plain_phi_once_per_point(self):
+        # without a phi_vec, phi_many calls phi once per point, refused
+        # points included
+        w = gc.l_sharp_growth_function(ks_family(1.0))
+        calls = []
+        plain = from_phi(lambda x: calls.append(x) or w.phi(x), name="counted")
+        got = plain.phi_many(np.linspace(-3.0, 1.0, 64))
+        assert len(calls) == 64 and 0 < np.isnan(got).sum() < 64
+
+    def test_batched_phi_lets_a_precondition_failure_through(self):
+        def phi(x):
+            raise PreconditionViolated("no phi here")
+
+        with pytest.raises(PreconditionViolated, match="no phi here"):
+            from_phi(phi, name="broken").phi_many(np.array([0.0, 1.0]))
+
+    def test_a_series_value_does_not_depend_on_earlier_calls(self):
+        # a wider call first grows the profile and reads wider windows; the
+        # value at log r = -0.05 must still be the one a fresh function gives
+        fresh = gc.l_sharp(ks_family(1.0), -0.05).log
+        u = ks_family(1.0)
+        gc.l_sharp(u, -0.005)
+        assert gc.l_sharp(u, -0.05).log == fresh
 
     def test_refusal_grows_a_cold_profile_in_one_block(self, monkeypatch):
         # the window of 64 terms fails, and one block then grows the profile
@@ -1054,6 +1077,22 @@ class TestFunctionEquivalence:
             assert got.ok and want.ok
             for key in ("c1", "a1", "c2", "a2", "max_residual"):
                 assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12)
+
+    def test_checked_range_spans_the_radii_compared(self):
+        # 41 stored Bell numbers certify only r < 0.06: 69 of the 96 grid
+        # radii, and r = 0, where both functions are defined
+        bell = from_series(gen_bell(2, 40))
+        res = gc.function_equivalent(exponential(), bell, (0.0, 20.0))
+        assert res.ok
+        grid = legendre.geometric_grid(20.0 * 1e-9, 20.0, 96)
+        evaluable = [r for r in grid if math.isfinite(bell.phi_many([math.log(r)])[0])]
+        assert len(evaluable) == 69
+        assert res.checked_range == (0.0, evaluable[-1])
+        assert evaluable[-1] < 0.06
+        # a grid that is evaluable throughout spans the range
+        u = exponential()
+        lo, hi = gc.function_equivalent(u, u.scaled(2.0), (1.0, 10.0)).checked_range
+        assert lo == pytest.approx(1.0, rel=1e-14) and hi == pytest.approx(10.0, rel=1e-14)
 
     def test_series_upper_bound_with_explicit_constant(self):
         # L_u(r) <= (e*a/log a) u(a r) checked directly at a = e

@@ -475,9 +475,8 @@ class TestWindowedSeries:
     def test_rows_move_to_doubled_windows_and_refuse_with_nan(self):
         window, reads = self.harmonic_windows()
         log_rs = np.array([-3.0, 0.0, -1.5])
-        sums, widest = sum_windowed_series(window, log_rs, 8, 64)
+        sums = sum_windowed_series(window, log_rs, 8, 64)
         assert reads == [8, 16, 32, 64]
-        assert widest == 16  # -3 certifies on window 8, -1.5 on window 16
         assert np.isnan(sums[1])
         for got, log_r in zip(sums[[0, 2]], log_rs[[0, 2]]):
             # certified to the default relative tolerance, 1e-9
@@ -491,19 +490,19 @@ class TestWindowedSeries:
 
     def test_nothing_certified_reads_to_the_cap(self):
         window, reads = self.harmonic_windows()
-        sums, widest = sum_windowed_series(window, np.array([0.0]), 8, 48)
-        assert reads == [8, 16, 32, 48] and widest == 0 and np.isnan(sums[0])
+        sums = sum_windowed_series(window, np.array([0.0]), 8, 48)
+        assert reads == [8, 16, 32, 48] and np.isnan(sums[0])
 
     def test_a_start_past_the_cap_reads_one_window(self):
         window, reads = self.harmonic_windows()
-        sums, widest = sum_windowed_series(window, np.array([0.0, -3.0]), 128, 64)
-        assert reads == [128] and widest == 128
+        sums = sum_windowed_series(window, np.array([0.0, -3.0]), 128, 64)
+        assert reads == [128]
         assert np.isnan(sums[0]) and math.isfinite(sums[1])
 
     def test_no_radius_reads_no_window(self):
         window, reads = self.harmonic_windows()
-        sums, widest = sum_windowed_series(window, np.array([]), 8, 64)
-        assert reads == [] and widest == 0 and sums.size == 0
+        sums = sum_windowed_series(window, np.array([]), 8, 64)
+        assert reads == [] and sums.size == 0
 
 
 # --------------------------------------------------------------------------
