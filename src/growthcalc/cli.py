@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -66,6 +67,13 @@ class _Result:
         self.report = report
         self.exit_code = exit_code
         self.rows = rows or []
+
+
+def _verdict_result(record, verdict: bool, **cli_keys) -> _Result:
+    """A verdict record's report: its own fields, plus the keys the
+    command adds (the verdict, the function's name, the kind checked);
+    exit 0 when the record's verdict holds, else 1."""
+    return _Result({**dataclasses.asdict(record), **cli_keys}, 0 if verdict else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +211,7 @@ def _cmd_seq_check(args) -> _Result:
         raise _UsageError("--search-cap must be nonnegative")
     seq = _build_sequence(args)
     verdict = check_condition(seq, args.condition, search_cap=args.search_cap)
-    report = {
-        "condition": verdict.condition,
-        "status": verdict.status,
-        "n_checked": verdict.n_checked,
-        "witness": verdict.witness,
-        "detail": verdict.detail,
-    }
-    return _Result(report, 0 if verdict.holds else 1)
+    return _verdict_result(verdict, verdict.holds)
 
 
 def _cmd_seq_equiv(args) -> _Result:
@@ -219,57 +220,23 @@ def _cmd_seq_equiv(args) -> _Result:
     a = _build_sequence(args, "a_")
     b = _build_sequence(args, "b_")
     res = seq_equivalent(a, b)
-    if hasattr(res, "K1"):
-        report = {
-            "equivalent": True,
-            "K1": res.K1,
-            "c1": res.c1,
-            "K2": res.K2,
-            "c2": res.c2,
-            "n_checked": res.n_checked,
-        }
-        return _Result(report, 0)
-    report = {
-        "equivalent": False,
-        "index": res.index,
-        "log_ratio": res.log_ratio,
-        "drift": res.drift,
-        "detail": res.detail,
-    }
-    return _Result(report, 1)
+    return _verdict_result(res, res.ok, equivalent=res.ok)
 
 
 def _cmd_fn_classify(args) -> _Result:
     from .growthfn import check_increasing, classify_convexity, membership
 
     u = _build_function(args)
+    if args.kind in ("increasing", "c-plus-log", "c-plus-j"):
+        if args.kind == "c-plus-j" and not 0.0 < args.j < math.inf:
+            raise _UsageError("--j must be a finite positive number")
+        v = check_increasing(u) if args.kind == "increasing" else membership(u, args.kind, j=args.j)
+        return _verdict_result(v, v.holds, name=u.name, kind=args.kind)
     if args.kind is not None:
-        if args.kind == "increasing":
-            v = check_increasing(u)
-            report = {"name": u.name, "kind": "increasing", "status": v.status,
-                      "witness": v.witness}
-            code = 0 if v.status == "increasing" else 1
-        elif args.kind in ("c-plus-log", "c-plus-j"):
-            if args.kind == "c-plus-j" and not 0.0 < args.j < math.inf:
-                raise _UsageError("--j must be a finite positive number")
-            v = membership(u, args.kind, j=args.j)
-            report = {"name": u.name, "kind": args.kind, "status": v.status,
-                      "witness": v.witness}
-            code = 0 if v.status == "holds-up-to-range" else 1
-        else:
-            if args.kind == "log-xk-convex" and args.xk < 1:
-                raise _UsageError("--xk must be at least 1")
-            v = classify_convexity(u, args.kind, k=args.xk)
-            report = {
-                "name": u.name,
-                "kind": v.kind,
-                "status": v.status,
-                "fail_point": v.fail_point,
-                "checked_triples": v.checked_triples,
-                "margin": v.margin,
-            }
-            code = 0 if v.passes else 1
-        return _Result(report, code)
+        if args.kind == "log-xk-convex" and args.xk < 1:
+            raise _UsageError("--xk must be at least 1")
+        v = classify_convexity(u, args.kind, k=args.xk)
+        return _verdict_result(v, v.passes, name=u.name)
     inc = check_increasing(u)
     lec = classify_convexity(u, "log-exp-convex")
     lx2 = classify_convexity(u, "log-xk-convex", k=2)
@@ -385,48 +352,30 @@ def _cmd_equiv(args) -> _Result:
     u = _build_function(args, "a_")
     v = _build_function(args, "b_")
     res = function_equivalent(u, v, (args.r_min, args.r_max), points=args.points)
-    if res.ok:
-        report = {
-            "equivalent": True,
-            "c1": res.c1,
-            "a1": res.a1,
-            "c2": res.c2,
-            "a2": res.a2,
-            "max_residual": res.max_residual,
-        }
-        return _Result(report, 0)
-    report = {
-        "equivalent": False,
-        "r": res.r,
-        "spread": res.spread,
-        "detail": res.detail,
-    }
-    return _Result(report, 1)
+    return _verdict_result(res, res.ok, equivalent=res.ok)
 
 
+# the verify flags: (flag, suite parameter, type, help)
 _VERIFY_PARAM_FLAGS = (
-    ("nmax", "n_max"),
-    ("tmax", "t_max"),
-    ("family", "family"),
-    ("beta", "beta"),
-    ("k", "k"),
-    ("a", "a"),
-    ("order", "order"),
-    ("rmin", "r_min"),
-    ("rmax", "r_max"),
-    ("points", "points"),
-    ("tol", "tol"),
+    ("nmax", "n_max", int, "largest index"),
+    ("tmax", "t_max", int, "largest transform argument"),
+    ("family", "family", None, "growth-function family override"),
+    ("beta", "beta", float, None),
+    ("k", "k", float, None),
+    ("a", "a", float, None),
+    ("order", "order", int, None),
+    ("rmin", "r_min", float, None),
+    ("rmax", "r_max", float, None),
+    ("points", "points", int, None),
+    ("tol", "tol", float, "tolerance override for the verdict (env GROWTHCALC_TOL)"),
 )
 
 
 def _cmd_verify(args) -> _Result:
     from .legendre import verify_suite
 
-    params = {}
-    for flag, key in _VERIFY_PARAM_FLAGS:
-        val = getattr(args, flag, None)
-        if val is not None:
-            params[key] = val
+    given = {key: getattr(args, flag) for flag, key, _, _ in _VERIFY_PARAM_FLAGS}
+    params = {key: val for key, val in given.items() if val is not None}
     try:
         report = verify_suite(args.suite, params)
     except ValueError as exc:
@@ -770,18 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--suite", required=True,
                    help="suite tag: " + ", ".join(_SUITE_TAGS))
-    p.add_argument("--nmax", type=int, help="largest index")
-    p.add_argument("--tmax", type=int, help="largest transform argument")
-    p.add_argument("--family", help="growth-function family override")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--k", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--order", type=int)
-    p.add_argument("--rmin", type=float)
-    p.add_argument("--rmax", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--tol", type=float,
-                   help="tolerance override for the verdict (env GROWTHCALC_TOL)")
+    for flag, _, kind, text in _VERIFY_PARAM_FLAGS:
+        p.add_argument(f"--{flag}", type=kind, help=text)
     _common(p, registry=False)
     p.set_defaults(func=_cmd_verify)
 

@@ -95,9 +95,10 @@ class GrowthFunction:
     (log, x^2)-convex function that has one carries one too (its
     lockstep search agrees with phi to about 1e-13, relative), and so do
     the L-series, whose batch gives NaN where phi raises
-    NoDecayCertificate.  from_phi, from_series and thetas leave it
-    unset.  phi_many and log_many use it, else a phi_at loop, and read a
-    NoDecayCertificate or NotBracketable of phi_at as NaN either way.
+    NoDecayCertificate.  A wrapper of a user phi (from_phi is this class),
+    from_series and thetas leave it unset.  phi_many and log_many use it,
+    else a phi_at loop, and read a NoDecayCertificate or NotBracketable
+    of phi_at as NaN either way.
     """
 
     phi: Callable[[float], float]
@@ -186,31 +187,10 @@ class GrowthFunction:
 # constructors
 
 
-def from_phi(
-    phi: Callable[[float], float],
-    name: str,
-    family: str = "user",
-    params: Optional[Mapping[str, float]] = None,
-    log_u0: Optional[float] = None,
-    x_max: float = RANGE_CAP,
-    increasing: Optional[bool] = None,
-    log_exp_convex: Optional[bool] = None,
-    log_x2_convex: Optional[bool] = None,
-    in_c_plus_log: Optional[bool] = None,
-) -> GrowthFunction:
-    """Wrap a user log-evaluator x |-> log u(e^x)."""
-    return GrowthFunction(
-        phi=phi,
-        name=name,
-        family=family,
-        params=dict(params or {}),
-        log_u0=log_u0,
-        x_max=x_max,
-        increasing=increasing,
-        log_exp_convex=log_exp_convex,
-        log_x2_convex=log_x2_convex,
-        in_c_plus_log=in_c_plus_log,
-    )
+# wraps a user log-evaluator x |-> log u(e^x): GrowthFunction itself, under
+# the name that callers wrapping a plain phi use (phi and name in field
+# order, everything else by keyword)
+from_phi = GrowthFunction
 
 
 def power_exp(a: float) -> GrowthFunction:
@@ -292,8 +272,6 @@ def iterated_exp(k: int) -> GrowthFunction:
     log_u0 = 0.0
     for _ in range(k - 1):
         log_u0 = math.exp(log_u0)  # exp_{k-1}(0)
-    if k == 1:
-        log_u0 = 0.0
     return GrowthFunction(
         phi=phi,
         phi_vec=phi_vec,
@@ -473,8 +451,6 @@ class ProbeVerdict:
     def holds(self) -> bool:
         return self.status in ("increasing", "holds-up-to-range")
 
-
-CONVEXITY_KINDS = ("log-convex", "log-exp-convex", "log-xk-convex")
 
 # relative slacks: of classify_convexity's midpoint test, and of the drop
 # check_increasing forgives between grid points

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .growthfn import GrowthFunction, from_phi, make_growth_function
+from .growthfn import GrowthFunction, make_growth_function
 from .numerics import (
     GOLDEN_MAX_ITER,
     GOLDEN_WIDTH,
@@ -533,7 +533,9 @@ def ell(u: GrowthFunction, t: float) -> LegendrePoint:
     phi(x) - t x, which is convex there.  rho is the argmin of a minimum
     flat to that level, fixed to about sqrt(eps) relative; the point
     search, a scalar Brent polish to a bracket of 1e-12 in x, agrees with
-    both to these accuracies.
+    both to these accuracies.  A NoDecayCertificate of the point search
+    for a (log, exp)-convex u and t <= _SERIES_CAP is retried once from
+    rho(floor(t)); if that fails too, the first refusal is raised.
     """
     t = float(t)
     if t < 0:
@@ -543,7 +545,17 @@ def ell(u: GrowthFunction, t: float) -> LegendrePoint:
     # profile below it point by point
     if t.is_integer() and t <= _SERIES_CAP:
         return _integer_profile(u, int(t))[int(t)]
-    return _ell_at(u, t)
+    try:
+        return _ell_at(u, t)
+    except NoDecayCertificate as exc:
+        # a cold search from x = 0 can probe an L-series where it refuses
+        if not (u.log_exp_convex and t <= _SERIES_CAP):
+            raise
+        n = int(t)
+        try:
+            return _ell_at(u, t, _warm_seed(float(_integer_profile(u, n).rho[n])))
+        except (NoDecayCertificate, NotBracketable):
+            raise exc from None
 
 
 def tau_bounds(u: GrowthFunction, r: float) -> TauBounds:
@@ -692,7 +704,7 @@ def theta_function(f: LogConcaveProfile) -> GrowthFunction:
     if not (rep["decays"] and rep["decreasing_beyond_t0"] and rep["log_concave"]):
         raise PreconditionViolated(f"profile {f.name} failed admissibility: {rep}")
     lf0 = float(f.log_f(0.0))
-    return from_phi(
+    return GrowthFunction(
         lambda x: _sup_log_f_rt(f, x, lf0),
         name=f"theta[{f.name}]",
         family="theta",
@@ -709,9 +721,6 @@ def theta_function(f: LogConcaveProfile) -> GrowthFunction:
 
 _SERIES_START = 64
 _SERIES_CAP = 4096
-_SERIES_WINDOWS: "weakref.WeakKeyDictionary[GrowthFunction, dict]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def _coeff_logs(u: GrowthFunction, n: int, tag: str) -> np.ndarray:
@@ -723,26 +732,16 @@ def _coeff_logs(u: GrowthFunction, n: int, tag: str) -> np.ndarray:
     return -logs - 2.0 * _log_factorials(n)
 
 
-def _series_window(u: GrowthFunction, tag: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient logs c_0..c_n and their ratio bounds, built once per
-    (function, series, stored length).  The profile only grows, so an
-    entry never goes stale."""
-    windows = _SERIES_WINDOWS.setdefault(u, {})
-    got = windows.get((tag, n))
-    if got is None:
-        c = _coeff_logs(u, n, tag)
-        got = windows[(tag, n)] = (c, stored_ratio_bounds(c))
-    return got
-
-
 def _series_logs(
     u: GrowthFunction, log_rs, tag: str, rel_tol: Optional[float] = None, cap: int = _SERIES_CAP
 ) -> np.ndarray:
     """Certified logs of L_u ("l") or L#_u ("sharp") at every log r, NaN
     where the series refuses: sum_windowed_series from the stored window
     of 65 integer-profile terms (at most ``cap``) up to ``cap`` terms, so
-    a value does not depend on earlier calls.  LOG_ZERO radii give the
-    head coefficient.
+    a value does not depend on earlier calls.  Each window's coefficient
+    logs and ratio bounds are read afresh from the cached integer
+    profile, as _log_power_factorial_sums builds its windows.  LOG_ZERO
+    radii give the head coefficient.
 
     When radii fail the call's first window, _grow_profile extends the
     integer profile towards ``cap`` terms in one vectorised block before
@@ -761,7 +760,8 @@ def _series_logs(
     def window(n: int) -> tuple[np.ndarray, np.ndarray]:
         if n == min(2 * first, cap) > first:  # the first window left radii pending
             _grow_profile(u, cap)
-        return _series_window(u, tag, n)
+        c = _coeff_logs(u, n, tag)
+        return c, stored_ratio_bounds(c)
 
     out[~zero] = sum_windowed_series(window, log_rs[~zero], first, cap, rel_tol)
     return out

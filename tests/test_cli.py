@@ -1,11 +1,18 @@
 import json
 import math
 import os
+from dataclasses import asdict
 
 import pytest
 
 from growthcalc import cli
 from growthcalc.cli import main
+from growthcalc.growthfn import (
+    check_increasing, classify_convexity, make_growth_function, membership,
+)
+from growthcalc.legendre import function_equivalent
+from growthcalc.numerics import strict_json
+from growthcalc.sequences import check_condition, gen_bell, gen_power_factorial, seq_equivalent
 
 
 def run(capsys, *argv):
@@ -283,6 +290,61 @@ class TestTransforms:
         )
         assert code == 1
         assert report["equivalent"] is False
+
+
+def _fn(family, **params):
+    return make_growth_function(family, params)
+
+
+# (argv, the record the command reports, its verdict property, the keys
+# the CLI adds to the record's fields)
+VERDICT_CASES = [
+    (("seq", "check", "--condition", "B3", "--family", "bell", "--n", "30"),
+     lambda: check_condition(gen_bell(2, 30), "B3"), "holds", {}),
+    (("seq", "check", "--condition", "B2", "--family", "bell", "--n", "10",
+      "--search-cap", "1"),
+     lambda: check_condition(gen_bell(2, 10), "B2", search_cap=1), "holds", {}),
+    (("seq", "equiv", "--a-family", "bell", "--a-n", "25", "--b-family", "bell",
+      "--b-n", "25"),
+     lambda: seq_equivalent(gen_bell(2, 25), gen_bell(2, 25)), "ok", {"equivalent": True}),
+    (("seq", "equiv", "--a-family", "bell", "--a-n", "30", "--b-family",
+      "power-factorial", "--b-beta", "0", "--b-n", "30"),
+     lambda: seq_equivalent(gen_bell(2, 30), gen_power_factorial(0.0, 30)), "ok",
+     {"equivalent": False}),
+    (("fn", "classify", "--family", "exp", "--kind", "increasing"),
+     lambda: check_increasing(_fn("exp")), "holds", {"name": "exp", "kind": "increasing"}),
+    (("fn", "classify", "--family", "log-square", "--kind", "increasing"),
+     lambda: check_increasing(_fn("log-square")), "holds",
+     {"name": _fn("log-square").name, "kind": "increasing"}),
+    (("fn", "classify", "--family", "gaussian", "--kind", "c-plus-log"),
+     lambda: membership(_fn("gaussian"), "c-plus-log"), "holds",
+     {"name": _fn("gaussian").name, "kind": "c-plus-log"}),
+    (("fn", "classify", "--family", "polynomial", "--power", "2", "--kind", "c-plus-log"),
+     lambda: membership(_fn("polynomial", p=2.0), "c-plus-log"), "holds",
+     {"name": _fn("polynomial", p=2.0).name, "kind": "c-plus-log"}),
+    (("fn", "classify", "--family", "power-exp", "--a", "2", "--kind", "log-xk-convex"),
+     lambda: classify_convexity(_fn("power-exp", a=2.0), "log-xk-convex", k=2), "passes",
+     {"name": _fn("power-exp", a=2.0).name}),
+    (("fn", "classify", "--family", "power-exp", "--a", "3", "--kind", "log-xk-convex"),
+     lambda: classify_convexity(_fn("power-exp", a=3.0), "log-xk-convex", k=2), "passes",
+     {"name": _fn("power-exp", a=3.0).name}),
+    (("equiv", "--a-family", "exp", "--b-family", "exp", "--r-max", "5"),
+     lambda: function_equivalent(_fn("exp"), _fn("exp"), (0.0, 5.0)), "ok",
+     {"equivalent": True}),
+    (("equiv", "--a-family", "exp", "--b-family", "gaussian", "--r-max", "40"),
+     lambda: function_equivalent(_fn("exp"), _fn("gaussian"), (0.0, 40.0)), "ok",
+     {"equivalent": False}),
+]
+
+
+@pytest.mark.parametrize("argv, record, verdict, cli_keys", VERDICT_CASES,
+                         ids=[" ".join(case[0]) for case in VERDICT_CASES])
+def test_a_verdict_report_is_its_record(capsys, argv, record, verdict, cli_keys):
+    # every field of the record, and only the CLI's own keys besides
+    rec = record()
+    code, out, _ = run(capsys, *argv)
+    assert strict_loads(out) == json.loads(strict_json({**asdict(rec), **cli_keys}))
+    assert code == (0 if getattr(rec, verdict) else 1)
 
 
 class TestVerify:

@@ -212,6 +212,35 @@ class TestTransformEdges:
             gc.ell(u, 2.0)
         assert str(got.value) == first
 
+    @pytest.mark.parametrize("t", [10.5, 20.5])
+    def test_series_order_between_integers_answers(self, t):
+        # the cold bracket search from x = 0 probes x = 7, where the
+        # L-series refuses; the retry starts at rho(floor(t)) instead
+        u = gc.l_growth_function(exponential())
+        got = gc.ell(u, t)
+        below, above = gc.ell(u, math.floor(t)), gc.ell(u, math.ceil(t))
+        assert above.log_ell.log < got.log_ell.log < below.log_ell.log
+        assert below.rho < got.rho < above.rho
+        x = math.log(got.rho)
+        for dx in (-1e-3, 1e-3):
+            assert u.phi_at(x + dx) - t * (x + dx) >= got.log_ell.log
+
+    def test_series_order_retry_keeps_the_first_refusal(self):
+        # phi refuses past x = 1, so the minimizer of every order above e
+        # is out of reach: the retry fails too and the first refusal is
+        # the one raised
+        def phi(x):
+            if x > 1.0:
+                raise NoDecayCertificate(f"refused at {x:.17g}")
+            return math.exp(x)
+
+        u = from_phi(phi, name="cut", log_u0=1.0, increasing=True, log_exp_convex=True)
+        with pytest.raises(NoDecayCertificate) as first:
+            legendre._ell_at(u, 10.5)
+        with pytest.raises(NoDecayCertificate) as got:
+            gc.ell(u, 10.5)
+        assert str(got.value) == str(first.value)
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             gc.ell(exponential(), -0.5)
@@ -682,8 +711,8 @@ def assert_kernel_matches(got, u, log_r, tag, n):
     if log_r == LOG_ZERO:
         assert got == want
         return
-    c, bounds = legendre._series_window(u, tag, n_ref)
-    _, used, _ = sum_stored_series_batch(c, bounds, [log_r])
+    c = legendre._coeff_logs(u, n_ref, tag)
+    _, used, _ = sum_stored_series_batch(c, stored_ratio_bounds(c), [log_r])
     assert_same_sum(got, used[0], want, want_used)
 
 
