@@ -290,18 +290,11 @@ def _at_dual(u, r, args):
     return {"r": r, "log_dual": log_dual, "dual": _exp_or_none(log_dual)}, log_dual, "", ""
 
 
-def _at_lfn(u, r, args):
-    from .legendre import l_function
+def _at_series(series: str, key: str, u, r, args):
+    from . import legendre  # looked up per call: a tracer may wrap it
 
-    log_l = l_function(u, _log_r(r), rel_tol=args.rel_tol).log
-    return {"r": r, "log_l": log_l}, log_l, "", ""
-
-
-def _at_lsharp(u, r, args):
-    from .legendre import l_sharp
-
-    log_lsharp = l_sharp(u, _log_r(r), rel_tol=args.rel_tol).log
-    return {"r": r, "log_lsharp": log_lsharp}, log_lsharp, "", ""
+    log_s = getattr(legendre, series)(u, _log_r(r), rel_tol=args.rel_tol).log
+    return {"r": r, key: log_s}, log_s, "", ""
 
 
 def _at_theta(u, r, args):
@@ -322,8 +315,10 @@ _ONE_POINT = (
      " rho(t)", "t", False, _at_ell),
     (None, "dual", "dual function u*(r) = sup_s exp(2 sqrt(rs))/u(s)", "r", False,
      _at_dual),
-    (None, "lfn", "L-function L_u(r) = sum_n ell_u(n) r^n", "r", True, _at_lfn),
-    (None, "lsharp", "L#-function: sum_n r^n/(ell_u(n) (n!)^2)", "r", True, _at_lsharp),
+    (None, "lfn", "L-function L_u(r) = sum_n ell_u(n) r^n", "r", True,
+     functools.partial(_at_series, "l_function", "log_l")),
+    (None, "lsharp", "L#-function: sum_n r^n/(ell_u(n) (n!)^2)", "r", True,
+     functools.partial(_at_series, "l_sharp", "log_lsharp")),
     (None, "theta", "inverse transform theta at the transform of u: sup_t ell_u(t) r^t,"
      " which recovers u(r)", "r", False, _at_theta),
 )
@@ -490,7 +485,7 @@ def _render(result: _Result, fmt: str) -> str:
     lines = []
     for key in sorted(result.report):
         val = result.report[key]
-        if isinstance(val, (dict, list)):
+        if isinstance(val, (dict, list, tuple)):
             val = strict_json(val)
         lines.append(f"{key}: {val}")
     return "\n".join(lines) + "\n"

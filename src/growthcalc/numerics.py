@@ -313,8 +313,11 @@ def maximize_concave_1d(f: Callable[[float], float], seed: float) -> OptResult:
 
 
 def geometric_grid(lo: float, hi: float, points: int) -> list[float]:
-    """Geometrically spaced grid including both endpoints."""
+    """Geometrically spaced grid whose ends are lo and hi exactly; the
+    interior points are exp of evenly spaced logs, where the ends would
+    come back from exp(log x) off by an ulp or more."""
     if not (lo > 0.0 and hi > lo and points >= 2):
         raise ValueError("need 0 < lo < hi and points >= 2")
     la, lb = math.log(lo), math.log(hi)
-    return [math.exp(la + (lb - la) * i / (points - 1)) for i in range(points)]
+    inner = [math.exp(la + (lb - la) * i / (points - 1)) for i in range(1, points - 1)]
+    return [float(lo), *inner, float(hi)]

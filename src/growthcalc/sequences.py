@@ -190,13 +190,16 @@ def gen_bell(order: int, n_max: int) -> PositiveSequence:
 
 
 def from_legendre(u, n_max: int) -> PositiveSequence:
-    """Weights alpha(n) = 1/(n! ell_u(n)) built from a transform profile."""
+    """The Cochran-Kuo-Sengupta weights alpha(n) = 1/(n! ell_u(n)), with
+    generating functions G_alpha = L#_u and G_1/alpha = L_u.
+
+    One read of u's cached integer profile (legendre._integer_profile,
+    in blocks where u allows) serves every order, above 4096 too, where
+    ell would search afresh; refusals are the point walk's."""
     from . import legendre  # deferred: legendre depends on growthfn
 
-    lf = _log_factorials(n_max).tolist()
-    log_alpha = tuple(
-        -lf[n] - legendre.ell(u, float(n)).log_ell.log for n in range(n_max + 1)
-    )
+    log_ell = legendre._integer_profile(u, n_max).log_ell[: n_max + 1]
+    log_alpha = tuple((-_log_factorials(n_max) - log_ell).tolist())
     return PositiveSequence("from-legendre", {"source": getattr(u, "name", "?")}, log_alpha)
 
 
@@ -403,9 +406,12 @@ def _trend_is_rising(values: Sequence[float], rel: float = 0.05) -> bool:
     return (c - b) > max(_TREND_ABS_FLOOR, rel * max(1.0, abs(b))) and (b - a) > _TREND_ABS_FLOOR
 
 
+# each of these is the named condition on the reciprocal weight 1/alpha
+_ON_RECIPROCAL = {"A2t": "A2", "B1t": "B1", "B2t": "B2", "C3": "C2"}
+
 # the smallest N at which a condition has anything to check: a fitted
 # constant needs one ratio, a root trend or a second difference three values
-_SHORTEST_RANGE = {"A2": 2, "A2t": 2, "B2": 2, "B2t": 2, "B3": 2, "C1": 1, "C2": 1, "C3": 1}
+_SHORTEST_RANGE = {"A2": 2, "B2": 2, "B3": 2, "C1": 1, "C2": 1}
 
 
 def check_condition(
@@ -422,16 +428,24 @@ def check_condition(
     (inconclusive).  Constant-type conditions (A1, C1, C2, C3) report
     the smallest constant that works on the range and go inconclusive
     when that constant is still climbing at the end of the range.
+
+    (A2~), (B1~), (B2~) and (C3) run as (A2), (B1), (B2) and (C2) on
+    1/alpha; the report keeps the name asked for, witness keys included.
     """
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}; pick from {CONDITIONS}")
     N = seq.n_max if search_cap is None else min(seq.n_max, search_cap)
-    if N < _SHORTEST_RANGE.get(condition, 0):
+    base = _ON_RECIPROCAL.get(condition, condition)
+    if N < _SHORTEST_RANGE.get(base, 0):
         return ConditionVerdict(condition, "inconclusive", N, {}, "range too short")
     la = seq.log_alpha[: N + 1]
+    exact = None if seq.exact is None else seq.exact[: N + 1]
+    if base != condition:
+        la = tuple(-v for v in la)
+        exact = None if exact is None else tuple(1 / v for v in exact)
     lf = _log_factorials(N).tolist()
 
-    if condition == "A1":
+    if base == "A1":
         if abs(la[0]) > 1e-12:
             return ConditionVerdict("A1", "fails-at-index", N, {"index": 0}, "alpha(0) != 1")
         if N == 0:
@@ -449,11 +463,8 @@ def check_condition(
             {"sigma": math.exp(log_sigma), "inf_value": math.exp(inf_log)},
         )
 
-    if condition in ("A2", "A2t"):
-        if condition == "A2":
-            q = [(la[n] - lf[n]) / n for n in range(1, N + 1)]
-        else:
-            q = [(-la[n] - lf[n]) / n for n in range(1, N + 1)]
+    if base == "A2":
+        q = [(la[n] - lf[n]) / n for n in range(1, N + 1)]
         tail = q[len(q) // 2 :]
         decreasing = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
         witness = {"root_at_N": math.exp(q[-1]), "root_at_mid": math.exp(q[len(q) // 2])}
@@ -464,27 +475,17 @@ def check_condition(
             "n-th roots not decreasing over the tail of the range",
         )
 
-    if condition in ("B2", "B2t", "B3"):
-        want = "concave" if condition in ("B2", "B2t") else "convex"
-        if seq.exact is not None:
-            if condition == "B2":
-                vals = [seq.exact[n] / math.factorial(n) for n in range(N + 1)]
-            elif condition == "B2t":
-                vals = [Fraction(1) / (seq.exact[n] * math.factorial(n)) for n in range(N + 1)]
-            else:
-                vals = list(seq.exact[: N + 1])
+    if base in ("B2", "B3"):
+        want = "concave" if base == "B2" else "convex"
+        if exact is not None:
+            vals = [exact[n] / math.factorial(n) for n in range(N + 1)] if base == "B2" else exact
             bad = _exact_second_diff_check(vals, want)
             if bad is None:
                 return ConditionVerdict(condition, "holds-up-to-N", N, {"exact": True})
             return ConditionVerdict(
                 condition, "fails-at-index", N, {"index": bad, "exact": True}
             )
-        if condition == "B2":
-            vals_f = [la[n] - lf[n] for n in range(N + 1)]
-        elif condition == "B2t":
-            vals_f = [-la[n] - lf[n] for n in range(N + 1)]
-        else:
-            vals_f = list(la)
+        vals_f = [la[n] - lf[n] for n in range(N + 1)] if base == "B2" else list(la)
         bad, worst = _second_diff_check(vals_f, want)
         if bad is None:
             return ConditionVerdict(condition, "holds-up-to-N", N, {"worst_margin": worst})
@@ -492,15 +493,15 @@ def check_condition(
             condition, "fails-at-index", N, {"index": bad, "margin": worst}
         )
 
-    if condition in ("C1", "C2", "C3"):
-        if condition == "C1":
+    if base in ("C1", "C2"):
+        if base == "C1":
             def best_for(limit):
                 return max(
                     (la[n] - la[m]) / m
                     for m in range(1, limit + 1)
                     for n in range(0, m + 1)
                 )
-        elif condition == "C2":
+        else:
             def best_for(limit):
                 return max(
                     (la[n + m] - la[n] - la[m]) / (n + m)
@@ -508,17 +509,9 @@ def check_condition(
                     for m in range(0, limit + 1 - n)
                     if n + m >= 1
                 )
-        else:
-            def best_for(limit):
-                return max(
-                    (la[n] + la[m] - la[n + m]) / (n + m)
-                    for n in range(0, limit + 1)
-                    for m in range(0, limit + 1 - n)
-                    if n + m >= 1
-                )
 
         log_c = best_for(N)
-        key = {"C1": "c1", "C2": "c2", "C3": "c3"}[condition]
+        key = condition.lower()
         if N >= 8:
             prefix = [best_for(N // 4), best_for(N // 2), log_c]
             if _trend_is_rising(prefix):
@@ -529,27 +522,20 @@ def check_condition(
                 )
         return ConditionVerdict(condition, "holds-up-to-N", N, {key: math.exp(log_c)})
 
-    # B1 / B1t need the generating function and its transform
+    # B1 needs the generating function and its transform
     from . import growthfn, legendre  # deferred to avoid an import cycle
 
-    variant = "alpha" if condition == "B1" else "inverse"
-    if variant == "alpha":
-        log_c = [la[n] - lf[n] for n in range(N + 1)]
-        sign = +1.0
-    else:
-        log_c = [-la[n] - lf[n] for n in range(N + 1)]
-        sign = -1.0
-    fn = growthfn.from_series(log_c, name=f"egf-{variant}")
+    fn = growthfn.from_series([la[n] - lf[n] for n in range(N + 1)], name="egf")
     n_hi = max(2, (2 * N) // 3)  # keep clear of the stored truncation
-    q = []
-    for n in range(1, n_hi + 1):
-        try:
-            log_m = legendre.ell(fn, float(n)).log_ell.log
-        except NoDecayCertificate:
-            # the truncated series can no longer certify its tail at the
-            # radii this index probes; stop at the evidence we have
-            break
-        q.append((lf[n] + sign * la[n] + log_m) / n)
+    try:
+        legendre._integer_profile(fn, n_hi)
+    except NoDecayCertificate:
+        # the truncated series can no longer certify its tail at the
+        # radii an order probes; stop at the orders cached before that
+        pass
+    prof = legendre._PROFILE_CACHE[fn]
+    log_m = prof.log_ell[: len(prof)].tolist()
+    q = [(lf[n] + la[n] + log_m[n]) / n for n in range(1, len(log_m))]
     n_hi = len(q)
     if n_hi < 4:
         return ConditionVerdict(

@@ -518,6 +518,21 @@ class TestFormatsAndCache:
         assert code == 0
         assert "log_ell:" in out
 
+    @pytest.mark.parametrize("argv, line", [
+        (("equiv", "--a-family", "exp", "--b-family", "exp", "--r-max", "5"),
+         "checked_range: [0.0, 5.0]"),
+        (("fn", "classify", "--family", "power-exp", "--a", "3", "--kind", "log-xk-convex"),
+         "fail_point: [0.0010000000000000002, 0.001055561073061772, 0.5]"),
+    ])
+    def test_pretty_renders_tuples_as_json(self, capsys, argv, line):
+        # a record's tuple field prints as the JSON list of the json
+        # report, not as a Python tuple
+        _, report = run_json(capsys, *argv)
+        _, out, _ = run(capsys, *argv, "--format", "pretty")
+        assert line in out.splitlines()
+        key, value = line.split(": ", 1)
+        assert strict_loads(value) == report[key]
+
     def test_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "holo", "check", "--count", "2", "--seed", "7")
         _, out2, _ = run(capsys, "holo", "check", "--count", "2", "--seed", "7")

@@ -32,6 +32,7 @@ from growthcalc.numerics import (
     default_rel_tol,
 )
 from growthcalc.sequences import (
+    _log_factorials,
     gen_bell,
     stored_ratio_bounds,
     sum_stored_series,
@@ -271,6 +272,23 @@ class TestTransformEdges:
         assert math.isclose(p.rho, 1.0, rel_tol=1e-6)
         with pytest.raises(NotBracketable):
             gc.ell(u, 0.5)  # u(0) = 0, so small orders drain to zero
+
+    def test_scan_still_descending_at_the_right_cap_refuses(self):
+        with pytest.raises(NotBracketable, match="descending at the right range cap"):
+            gc.ell(from_phi(lambda x: -x, name="falling"), 0.0)
+
+    def test_scan_flat_at_the_right_edge_is_a_hi_boundary(self):
+        # e^-x flattens out at zero: the infimum is approached at r = inf
+        p = gc.ell(from_phi(lambda x: math.exp(-x), name="decaying"), 0.0)
+        assert p.boundary == "hi"
+        assert 0.0 <= p.log_ell.log <= 1e-12
+
+    def test_scan_edge_where_phi_stops_being_finite(self):
+        # phi = -x up to x = 10 and +inf past it: at t = 0.5 the minimum
+        # is the attained edge x = 10, where phi - t x = -15
+        p = gc.ell(from_phi(lambda x: -x if x < 10.0 else math.inf, name="walled"), 0.5)
+        assert p.boundary == "hi"
+        assert abs(p.log_ell.log + 15.0) <= 1e-12 * 15.0
 
     def test_scan_path_matches_hinted_path(self):
         hinted = bump_example()
@@ -1142,6 +1160,31 @@ class TestFunctionEquivalence:
             gc.l_sharp_growth_function(u), gc.l_sharp_growth_function(v), (0.0, 5.0)
         )
         assert res.ok
+
+    @pytest.mark.parametrize("make", [lambda: ks_family(0.5), exponential,
+                                      lambda: iterated_exp(2)], ids=["ks0.5", "exp", "exp_2"])
+    def test_weights_read_the_profile_once(self, make, monkeypatch):
+        # one profile read: order 0 through the point search, the other 60
+        # orders from one block, which gives the weights of the
+        # order-by-order walk to roundoff
+        searches = []
+        point = legendre._ell_at
+        monkeypatch.setattr(
+            legendre, "_ell_at", lambda *a, **k: searches.append(a[1]) or point(*a, **k)
+        )
+        u = make()
+        seq = gc.from_legendre(u, 60)
+        assert searches == [0.0]
+        monkeypatch.undo()
+        assert seq.log_alpha == tuple(
+            (-_log_factorials(60) - legendre._integer_profile(u, 60).log_ell[:61]).tolist()
+        )
+        # ell on a fresh function, one order per call, grows its profile
+        # one walk step at a time
+        walk = make()
+        for n in range(61):
+            want = -math.lgamma(n + 1.0) - gc.ell(walk, float(n)).log_ell.log
+            assert seq.log_alpha[n] == pytest.approx(want, rel=1e-13, abs=1e-13)
 
     def test_weight_condition_matches_profile_concavity(self):
         seq = gc.from_legendre(ks_family(0.5), 60)

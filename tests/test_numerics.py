@@ -614,3 +614,17 @@ class TestGeometricGrid:
         g = geometric_grid(1e-3, 1e3, 64)
         assert math.isclose(g[0], 1e-3) and math.isclose(g[-1], 1e3)
         assert all(a < b for a, b in zip(g, g[1:]))
+
+    @pytest.mark.parametrize("lo, hi, points", [
+        (1e-3, 100.0, 21), (1.0, 1e4, 40), (5e-9, 5.0, 96), (1, 2, 2),
+    ])
+    def test_endpoints_are_exact(self, lo, hi, points):
+        # exp(log hi) is 100.00000000000004, 10000.00000000001 and
+        # 4.9999999999999964 for the first three; the ends are lo and hi
+        g = geometric_grid(lo, hi, points)
+        assert len(g) == points
+        assert (g[0], g[-1]) == (lo, hi)
+        assert all(type(x) is float for x in g)
+        la, lb = math.log(lo), math.log(hi)
+        assert g[1:-1] == [math.exp(la + (lb - la) * i / (points - 1))
+                           for i in range(1, points - 1)]

@@ -591,6 +591,71 @@ class TestConditionFailuresAndTrends:
             check_condition(gen_bell(2, 5), "Z9")
 
 
+def reciprocal(seq):
+    """The sequence 1/alpha: logs negated, exact values inverted."""
+    exact = None if seq.exact is None else tuple(Fraction(1) / v for v in seq.exact)
+    return PositiveSequence(seq.family, seq.params, tuple(-v for v in seq.log_alpha), exact)
+
+
+RECIPROCAL_CASES = {
+    "bell1": lambda: gen_bell(1, 40),
+    "bell2": lambda: gen_bell(2, 40),
+    "bell3": lambda: gen_bell(3, 40),
+    "pf0": lambda: gen_power_factorial(0.0, 40),
+    "pf05": lambda: gen_power_factorial(0.5, 40),
+}
+
+
+class TestTildeConditions:
+    """(A2~), (B1~), (B2~) and (C3) are (A2), (B1), (B2) and (C2) of the
+    reciprocal weight 1/alpha, reported under their own names."""
+
+    @pytest.mark.parametrize("case", sorted(RECIPROCAL_CASES))
+    @pytest.mark.parametrize("tilde, base", [
+        ("A2t", "A2"), ("B1t", "B1"), ("B2t", "B2"), ("C3", "C2"),
+    ])
+    @pytest.mark.parametrize("cap", [None, 1, 5])
+    def test_tilde_is_base_on_the_reciprocal(self, case, tilde, base, cap):
+        seq = RECIPROCAL_CASES[case]()
+        got = check_condition(seq, tilde, search_cap=cap)
+        want = check_condition(reciprocal(seq), base, search_cap=cap)
+        renamed = {k.replace(base.lower(), tilde.lower(), 1): v for k, v in want.witness.items()}
+        assert got == ConditionVerdict(tilde, want.status, want.n_checked, renamed, want.detail)
+
+
+class TestB1Verdicts:
+    """The (B1) path through the EGF's transform: the n-th roots, their
+    running sup and its trend, pinned on cases whose verdicts differ."""
+
+    def test_constant_weights_hold(self):
+        v = check_condition(gen_power_factorial(0.0, 60), "B1")
+        assert (v.status, v.n_checked, v.witness["n_used"]) == ("holds-up-to-N", 10, 10)
+        # the EGF is e^r with ell(n) = (e/n)^n: the n-th roots (n!)^(1/n) e/n
+        # fall from e at n = 1 towards 1
+        assert math.isclose(v.witness["limsup_bound"], math.e, rel_tol=1e-8)
+
+    def test_rising_running_sup_is_inconclusive(self):
+        from growthcalc.growthfn import exponential
+        from growthcalc.sequences import from_legendre
+
+        v = check_condition(from_legendre(exponential(), 60), "B1")
+        assert (v.status, v.n_checked) == ("inconclusive", 9)
+        assert "running sup" in v.detail and "still growing" in v.detail
+        assert math.isclose(v.witness["limsup_bound"], 0.8011276223343857, rel_tol=1e-12)
+
+    def test_reciprocal_bell_holds(self):
+        v = check_condition(gen_bell(2, 40), "B1t")
+        assert (v.status, v.n_checked) == ("holds-up-to-N", 10)
+        assert v.witness == {"limsup_bound": 2.12275526046943, "n_used": 10}
+
+    @pytest.mark.parametrize("terms", [1, 2])
+    def test_refusal_stops_at_the_cached_orders(self, terms):
+        # order 0 is u(0); a one- or two-term EGF certifies no radius that
+        # order 1's search probes, so order 0 is all the refusal leaves
+        v = check_condition(manual_seq([0.0] * terms), "B1")
+        assert (v.status, v.n_checked, v.witness) == ("inconclusive", 0, {})
+
+
 class TestConditionImplications:
     """Structural implications between the conditions, checked on
     concrete families: log-convex weights give log-concave reciprocal
