@@ -414,10 +414,22 @@ def _profile_block(u: GrowthFunction, ts: np.ndarray) -> tuple[np.ndarray, np.nd
     of its chord slopes, searched for t, gives the interior grid point
     x_i where g(x) = phi(x) - t x stops falling.  An order keeps
     [x_{i-1}, x_{i+1}] only under Bracket's certificate (the three
-    values finite, g(x_i) <= g(x_{i-1}) and g(x_i) <= g(x_{i+1}));
+    values finite, g(x_i) <= g(x_{i-1}) + delta and
+    g(x_i) <= g(x_{i+1}) + delta, with delta = _FLAT_ULPS
+    max(1, |g(x_i)|) as in _brent_min_rows' flat stop);
     _brent_min_rows then polishes every kept order in lockstep from
     x_i, one phi_many call per step.  Orders without the certificate
     come back as NaN.  No (order x grid) matrix is formed.
+
+    delta forgives a tie: where t equals a chord slope to roundoff (the
+    minimizer mid-cell), g(x_i) can exceed a neighbour's by an ulp
+    although the slopes place the minimizer z of the convex g in the
+    bracket.  The polish keeps f(x) <= min(f(a), f(b)) + delta (a better
+    probe becomes x) and z in [a, b] (a worse probe lies beyond x from
+    z), so the flat stop's chord bound holds: if f(b) < f(x), z lies in
+    [x, b] and f(z) >= f(x) - 8 (f(a) - f(x)) >= f(x) - 8 delta by the
+    1:8 split.  The value is within 8 delta = 32 eps max(1, |log ell|)
+    of the minimum, as for a strict bracket.
     """
     xs = np.linspace(-RANGE_CAP, min(u.x_max, RANGE_CAP), _SCAN_POINTS)
     ph = u.phi_many(xs)
@@ -425,10 +437,11 @@ def _profile_block(u: GrowthFunction, ts: np.ndarray) -> tuple[np.ndarray, np.nd
         slopes = np.fmax.accumulate(np.diff(ph) / np.diff(xs))
     i = np.clip(np.searchsorted(slopes, ts), 1, len(xs) - 2)
     g_in = ph[i] - ts * xs[i]
+    tie = g_in - _FLAT_ULPS * np.maximum(1.0, np.abs(g_in))
     kept = (
         np.isfinite(ph[i - 1]) & np.isfinite(ph[i]) & np.isfinite(ph[i + 1])
-        & (g_in <= ph[i - 1] - ts * xs[i - 1])
-        & (g_in <= ph[i + 1] - ts * xs[i + 1])
+        & (tie <= ph[i - 1] - ts * xs[i - 1])
+        & (tie <= ph[i + 1] - ts * xs[i + 1])
     )
     rows = np.flatnonzero(kept)
     t, i = ts[rows], i[rows]
@@ -467,24 +480,25 @@ def _integer_profile(u: GrowthFunction, n_max: int) -> _Profile:
     function instance; the returned profile holds at least the orders
     0..n_max.
 
-    The first new point of a growth goes through _ell_at, warm-started
-    at the previous minimizer.  When u has a vectorised phi and is
-    flagged (log, exp)-convex, the rest of the new orders, if there are
-    at least _BLOCK_MIN_ROWS of them, come from one _profile_block,
-    whose Brent polish fixes log ell to roundoff and rho to about the
-    square root of machine epsilon.  An order the block cannot certify,
-    and every order of any other u, goes through _ell_at in turn, so
-    boundary flags, refusals and the points cached before a refusal are
-    those of the point-by-point walk.  _series_logs may have grown the
-    profile ahead of this walk by one _grow_profile block, which keeps
-    only a leading run of certified orders, so the walk resumes where
-    that block stopped certifying.
+    One rule grows it.  Order 0 of an empty profile goes through
+    _ell_at, which checks the class precondition and the t = 0 case.
+    When u has a vectorised phi and is flagged (log, exp)-convex and at
+    least _BLOCK_MIN_ROWS orders are missing, one _profile_block runs
+    over all of them; its Brent polish fixes log ell to roundoff and rho
+    to about the square root of machine epsilon.  The orders are then
+    taken in turn: the block's certified rows as they are, and each
+    order it leaves, like every order of any other u, from _ell_at
+    warm-started at the previous minimizer.  So a refusal is _ell_at's,
+    raised at the first order the block could not certify, and the
+    orders before it stay cached.  A block polishes each row on its own,
+    so an order's value does not depend on which block built it.
     """
     prof = _PROFILE_CACHE.get(u)
     if prof is None:
         prof = _PROFILE_CACHE[u] = _Profile()
     if len(prof) <= n_max:
-        prof.append(_ell_at(u, float(len(prof)), prof.seed()))
+        if not len(prof):
+            prof.append(_ell_at(u, 0.0))
         orders = np.arange(len(prof), n_max + 1, dtype=float)
         log_ell = rho = np.full(len(orders), math.nan)
         if orders.size >= _BLOCK_MIN_ROWS and _in_blocks(u):
@@ -496,28 +510,6 @@ def _integer_profile(u: GrowthFunction, n_max: int) -> _Profile:
             done = k + 1
         prof.extend(log_ell[done:], rho[done:])
     return prof
-
-
-def _grow_profile(u: GrowthFunction, n_max: int) -> None:
-    """Grow u's cached profile towards n_max from one _profile_block over
-    every missing order, keeping only the block's leading run of
-    certified orders; no order goes through _ell_at here.
-
-    The series call that asks for this is about to read doubling
-    windows up to n_max terms, which the walk of _integer_profile would
-    build as one block per window.  An order past the kept run is left
-    to that walk, so a refusal and the points cached before it are the
-    walk's.  Does nothing for a u that the walk does not build in
-    blocks, or when fewer than _BLOCK_MIN_ROWS orders are missing.
-    """
-    prof = _integer_profile(u, 0)
-    orders = np.arange(len(prof), n_max + 1, dtype=float)
-    if orders.size < _BLOCK_MIN_ROWS or not _in_blocks(u):
-        return
-    log_ell, rho = _profile_block(u, orders)
-    run = np.flatnonzero(np.isnan(log_ell))
-    run = int(run[0]) if run.size else len(orders)
-    prof.extend(log_ell[:run], rho[:run])
 
 
 def ell(u: GrowthFunction, t: float) -> LegendrePoint:
@@ -743,12 +735,12 @@ def _series_logs(
     profile, as _log_power_factorial_sums builds its windows.  LOG_ZERO
     radii give the head coefficient.
 
-    When radii fail the call's first window, _grow_profile extends the
-    integer profile towards ``cap`` terms in one vectorised block before
-    the next window is read.  Each row of a block is polished on its
-    own, so an order holds the value the walk's per-window block gave
-    it, except the first order of each doubled window, which the walk
-    took from _ell_at; the two searches agree to roundoff.
+    Past the first window, a u that _integer_profile builds in blocks
+    grows its profile towards ``cap`` orders once, keeping the orders
+    built before a refusal, and the series reads them in one window, as
+    far as the profile reaches; sum_windowed_series doubles that read,
+    so a window past a refusal raises _ell_at's error.  Any other u
+    builds each order by a point search, and keeps doubling windows.
     """
     log_rs = np.asarray(log_rs, dtype=float)
     out = np.empty(log_rs.shape)
@@ -756,10 +748,17 @@ def _series_logs(
     if zero.any():
         out[zero] = _coeff_logs(u, 0, tag)[0]
     first = min(_SERIES_START, cap)
+    grow = _in_blocks(u)
 
     def window(n: int) -> tuple[np.ndarray, np.ndarray]:
-        if n == min(2 * first, cap) > first:  # the first window left radii pending
-            _grow_profile(u, cap)
+        nonlocal grow
+        if grow and n > first:
+            grow = False
+            try:
+                _integer_profile(u, cap)
+            except (NoDecayCertificate, NotBracketable):
+                pass
+            n = min(len(_PROFILE_CACHE[u]) - 1, cap)
         c = _coeff_logs(u, n, tag)
         return c, stored_ratio_bounds(c)
 

@@ -246,13 +246,12 @@ def sum_stored_series_batch(
     log-sum of all of them.
 
     Each chunk of radii walks the window in tiles of at most about
-    _SERIES_CHUNK_CELLS cells, whose column count doubles while the
-    cell budget allows it.  A row leaves once it certifies, and the
-    rest carry their running sum into the next tile as its column 0, so
+    _SERIES_CHUNK_CELLS cells, from 65 columns (an L-series' first
+    window) for fewer than 64 radii, doubling while the cell budget
+    allows it.  A row leaves once it certifies, and the rest carry their
+    running sum into the next tile as its column 0, so
     np.logaddexp.accumulate takes the same steps as over the whole row:
-    every result is bit-identical to summing all stored terms at once,
-    and a call whose rows fit one tile (one radius, any window up to
-    _SERIES_CHUNK_CELLS terms) makes a single pass."""
+    every result is bit-identical to summing all stored terms at once."""
     log_rs = np.asarray(log_rs, dtype=float)
     log_tol = math.log(default_rel_tol() if rel_tol is None else rel_tol)
     n_terms = len(log_c)
@@ -268,7 +267,7 @@ def sum_stored_series_batch(
             live = np.arange(lo, min(lo + rows, len(log_rs)))
             lr = log_rs[lo : lo + rows, None]
             carry = None
-            start, width = 0, _SERIES_CHUNK_CELLS // len(live)
+            start, width = 0, _SERIES_CHUNK_CELLS // max(len(live), 64)
             while True:
                 cols = slice(start, start + width)
                 terms = log_c[cols] + k[cols] * lr
@@ -306,10 +305,12 @@ def sum_windowed_series(
     window: Callable[[int], tuple], log_rs: np.ndarray, start: int, cap: int, rel_tol=None
 ) -> np.ndarray:
     """Certified sums at every log r (not LOG_ZERO) of a series whose
-    window(n) gives c_0..c_n and their stored_ratio_bounds: every radius
-    is summed on window(start), and those that do not certify move on to
-    the doubled window, up to ``cap`` (a window at or past it is the
-    last).  NaN where no window certified."""
+    window(n) gives its stored coefficients c_0..c_m and their
+    stored_ratio_bounds: every radius is summed on window(start), and
+    those that do not certify move on to a window of twice the m just
+    read, up to ``cap`` (a window that reads to it or past it is the
+    last).  window(n) may read further or less far than n; the next
+    window doubles what it read.  NaN where no window certified."""
     out = np.full(len(log_rs), math.nan)
     pending = np.arange(len(log_rs))
     n = start
@@ -318,6 +319,7 @@ def sum_windowed_series(
         sums, _, done = sum_stored_series_batch(c, bounds, log_rs[pending], rel_tol)
         out[pending[done]] = sums[done]
         pending = pending[~done]
+        n = len(c) - 1
         if n >= cap:
             break
         n = min(2 * n, cap)
@@ -494,33 +496,25 @@ def check_condition(
         )
 
     if base in ("C1", "C2"):
+        # the constant each order m = 1..N needs on its own, then its running
+        # max: the constant needed on 0..m, whose last entry is the fit
+        a = np.asarray(la, dtype=float)
+        m = np.arange(1, N + 1)
         if base == "C1":
-            def best_for(limit):
-                return max(
-                    (la[n] - la[m]) / m
-                    for m in range(1, limit + 1)
-                    for n in range(0, m + 1)
-                )
+            # (max_{n <= m} la[n] - la[m]) / m
+            need = (np.maximum.accumulate(a)[1:] - a[1:]) / m
         else:
-            def best_for(limit):
-                return max(
-                    (la[n + m] - la[n] - la[m]) / (n + m)
-                    for n in range(0, limit + 1)
-                    for m in range(0, limit + 1 - n)
-                    if n + m >= 1
-                )
-
-        log_c = best_for(N)
+            # max_{n <= s} (la[s] - la[n] - la[s - n]) / s at s = m
+            need = np.array([(a[s] - a[: s + 1] - a[s::-1]).max() for s in m]) / m
+        fit = np.maximum.accumulate(need).tolist()
         key = condition.lower()
-        if N >= 8:
-            prefix = [best_for(N // 4), best_for(N // 2), log_c]
-            if _trend_is_rising(prefix):
-                return ConditionVerdict(
-                    condition, "inconclusive", N,
-                    {key + "_so_far": math.exp(log_c)},
-                    "fitted constant still growing at the end of the range",
-                )
-        return ConditionVerdict(condition, "holds-up-to-N", N, {key: math.exp(log_c)})
+        if _trend_is_rising(fit):
+            return ConditionVerdict(
+                condition, "inconclusive", N,
+                {key + "_so_far": math.exp(fit[-1])},
+                "fitted constant still growing at the end of the range",
+            )
+        return ConditionVerdict(condition, "holds-up-to-N", N, {key: math.exp(fit[-1])})
 
     # B1 needs the generating function and its transform
     from . import growthfn, legendre  # deferred to avoid an import cycle

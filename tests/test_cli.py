@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -5,12 +7,12 @@ from dataclasses import asdict
 
 import pytest
 
-from growthcalc import cli
+from growthcalc import cli, legendre
 from growthcalc.cli import main
 from growthcalc.growthfn import (
     check_increasing, classify_convexity, make_growth_function, membership,
 )
-from growthcalc.legendre import function_equivalent
+from growthcalc.legendre import FunctionEquivalenceCounterexample, function_equivalent
 from growthcalc.numerics import strict_json
 from growthcalc.sequences import check_condition, gen_bell, gen_power_factorial, seq_equivalent
 
@@ -353,6 +355,16 @@ class TestVerify:
         assert code == 2
         assert "--suite" in err
 
+    def test_thm43_reports_a_counterexample(self, capsys, monkeypatch):
+        # no stock family makes the fit fail, so the record is stood in
+        fail = FunctionEquivalenceCounterexample(
+            r=3.5, spread=7.25, searched_a=(0.5, 2.0), detail="residual keeps growing")
+        monkeypatch.setattr(legendre, "function_equivalent", lambda *a, **k: fail)
+        code, report = run_json(capsys, "verify", "--suite", "thm43")
+        assert code == 1 and report["verdict"] == "fail"
+        assert report["witness"] == {"r": 3.5, "spread": 7.25, "detail": "residual keeps growing"}
+        assert report["max_violation"] == 7.25
+
     def test_pass_and_report_shape(self, capsys):
         code, report = run_json(capsys, "verify", "--suite", "thm42")
         assert code == 0
@@ -510,6 +522,16 @@ class TestFormatsAndCache:
         lines = out.strip().splitlines()
         assert lines[0] == "x,lhs,rhs,slack"
         assert len(lines) == 2
+
+    def test_csv_report_without_rows(self, capsys):
+        # a report with no rows lists its keys as key,value rows, each
+        # value as strict JSON
+        argv = ("seq", "check", "--condition", "B3", "--family", "bell", "--n", "30")
+        _, report = run_json(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0 and rows[0] == ["x", "lhs", "rhs", "slack"]
+        assert rows[1:] == [[key, strict_json(report[key]), "", ""] for key in sorted(report)]
 
     def test_pretty(self, capsys):
         code, out, _ = run(

@@ -477,6 +477,40 @@ class TestProfileBlock:
             assert abs(math.log(p.rho) - math.log(q.rho)) <= max(1e-6, x_tol)
             assert p.boundary == q.boundary
 
+    def test_mid_cell_ties_are_certified(self):
+        # x^2 - (2 + t) x has its minimizer (2 + t)/2 mid-cell at t = 398,
+        # 798, 878, 1038 and 1198, where g at the inner sample ties its
+        # neighbour to roundoff: the block keeps them, within the derived
+        # 8 delta of the point search
+        u = log_square_example()
+        log_ell, _ = legendre._profile_block(u, np.arange(65.0, 4097.0))
+        assert not np.isnan(log_ell[: 1398 - 65]).any() and np.isnan(log_ell[1398 - 65 :]).all()
+        for t in (398, 798, 878, 1038, 1198):
+            want = legendre._ell_at(u, float(t)).log_ell.log
+            delta = legendre._FLAT_ULPS * max(1.0, abs(want))
+            assert abs(log_ell[t - 65] - want) <= 8.0 * delta, t
+
+    def test_orders_a_block_leaves_cost_no_second_block(self, monkeypatch):
+        # the block certifies no order of the dual of ks(1), whose phi jumps
+        # to +inf: each order goes through _ell_at, after the one block
+        w = gc.dual_function(ks_family(1.0))
+        calls = []
+
+        def counted(name):
+            real = getattr(legendre, name)
+
+            def call(u, *args):
+                if u is w:  # not the base function's own searches
+                    calls.append(name)
+                return real(u, *args)
+
+            return call
+
+        for name in ("_profile_block", "_ell_at"):
+            monkeypatch.setattr(legendre, name, counted(name))
+        legendre._integer_profile(w, 60)
+        assert calls.count("_profile_block") == 1 and calls.count("_ell_at") == 61
+
     def test_outside_the_class_refused_alike(self):
         u = make_growth_function("polynomial", {"p": 5.0})
         with pytest.raises(PreconditionViolated) as got:
@@ -691,11 +725,13 @@ class TestSeries:
             assert abs(got - oracle) <= 1e-8
 
 
-def stored_sum(u, log_r, tag, n):
+def stored_sum(u, log_r, tag, n, doubling=True):
     """The per-radius reference: sum_stored_series on the terms
     c_k + k log r of the stored window of n + 1 profile coefficients,
-    doubled up to 4096 until it certifies.  Returns the sum, the terms
-    it used and the window; the head coefficient at r = 0."""
+    doubled up to 4096 until it certifies (without ``doubling``, the
+    next window is the 4097 terms a function built in blocks reads).
+    Returns the sum, the terms it used and the window; the head
+    coefficient at r = 0."""
     while True:
         logs = [gc.ell(u, float(k)).log_ell.log for k in range(n + 1)]
         if tag == "sharp":
@@ -708,7 +744,7 @@ def stored_sum(u, log_r, tag, n):
         except NoDecayCertificate:
             if n >= 4096:
                 raise
-            n = min(2 * n, 4096)
+            n = min(2 * n, 4096) if doubling else 4096
 
 
 def assert_same_sum(got, used, want, want_used):
@@ -724,8 +760,8 @@ def assert_same_sum(got, used, want, want_used):
         assert abs(got - want) <= 2.0 * default_rel_tol(), (got, want)
 
 
-def assert_kernel_matches(got, u, log_r, tag, n):
-    want, want_used, n_ref = stored_sum(u, log_r, tag, n)
+def assert_kernel_matches(got, u, log_r, tag, n, doubling=True):
+    want, want_used, n_ref = stored_sum(u, log_r, tag, n, doubling)
     if log_r == LOG_ZERO:
         assert got == want
         return
@@ -763,12 +799,15 @@ class TestSeriesKernel:
     def test_l_sharp_matches_stored_sum(self, log_rs):
         # L# of the beta = 1 family has radius 1: keep inside it
         log_rs = [min(lr, -0.05) for lr in log_rs]
+        # both are built in blocks, so past 65 terms the kernel reads 4097:
+        # the coefficient ratios of ks(1) rise, and a shorter window bounds
+        # its tail by a smaller ratio
         for u in (KERNEL_EXP, KERNEL_KS1):
             for log_r in log_rs:
-                assert_kernel_matches(gc.l_sharp(u, log_r).log, u, log_r, "sharp", 64)
+                assert_kernel_matches(gc.l_sharp(u, log_r).log, u, log_r, "sharp", 64, False)
             got = legendre._series_logs(u, log_rs, "sharp")
             for g, lr in zip(got, log_rs):
-                assert_kernel_matches(g, u, lr, "sharp", 64)
+                assert_kernel_matches(g, u, lr, "sharp", 64, False)
 
     def test_rows_that_do_not_certify_move_to_a_doubled_window(self):
         u = exponential()
@@ -855,23 +894,40 @@ class TestSeriesKernel:
         _assert_same_profile([prof[n] for n in orders], [want[n] for n in orders])
 
     def test_grown_profile_keeps_only_certified_orders(self, monkeypatch):
-        # the block leaves some orders of log_square uncertified, the first
-        # at 398, and every order from 1398 on, where its minimizer passes
-        # the range cap: the growth keeps the run before the first and
-        # sends no order to _ell_at
-        log_ell, _ = legendre._profile_block(log_square_example(), np.arange(65.0, 4097.0))
-        first = 65 + int(np.flatnonzero(np.isnan(log_ell))[0])
-        assert first < 1398 and np.isnan(log_ell[1398 - 65 :]).all()
+        # the block certifies every order of log_square below 1398, where
+        # its minimizer passes the range cap: the growth keeps that run and
+        # sends only order 1398 to _ell_at, whose refusal it raises
         u = log_square_example()
         legendre._integer_profile(u, 64)
         seen = _count_calls(monkeypatch, "_ell_at", orders=True)
-        legendre._grow_profile(u, 4096)
-        assert seen["_ell_at"] == [] and len(legendre._PROFILE_CACHE[u]) == first
-        # the walk takes the series on from there, to the refusal at 1398
         with pytest.raises(NotBracketable):
-            gc.l_function(u, 650.0)
-        assert min(seen["_ell_at"]) == first and max(seen["_ell_at"]) == 1398.0
-        assert len(legendre._PROFILE_CACHE[u]) == 1398
+            legendre._integer_profile(u, 4096)
+        assert seen["_ell_at"] == [1398.0] and len(legendre._PROFILE_CACHE[u]) == 1398
+        # a series reads those orders in one window; past them the walk's
+        # refusal is raised again
+        seen["_ell_at"].clear()
+        assert math.isfinite(gc.l_function(u, 650.0).log)
+        with pytest.raises(NotBracketable):
+            gc.l_sharp(u, 0.0)  # diverges: the window doubles past 1397
+        assert seen["_ell_at"] == [1398.0, 1398.0, 1398.0]
+
+    def test_cold_refusal_reads_two_windows(self, monkeypatch):
+        # 65 terms, then the profile grown to the cap in one block and read
+        # in one window of 4097: no doubled window in between
+        calls = _count_calls(monkeypatch, "_profile_block", "_ell_at")
+        windows = _count_calls(monkeypatch, "_coeff_logs", orders=True)
+        with pytest.raises(NoDecayCertificate):
+            gc.l_sharp(ks_family(1.0), 0.0)
+        assert calls["_profile_block"] == 2 and calls["_ell_at"] <= 2
+        assert windows["_coeff_logs"] == [64, 4096]
+
+    def test_a_refused_order_leaves_its_certified_run_to_the_series(self):
+        # L(r) = sum_n e^(-(n + 2)^2 / 4) r^n for log_square, whose profile
+        # refuses at order 1398; about 1340 terms certify log r = 649.3
+        log_r = math.log(1e282)
+        n = np.arange(4097.0)
+        want = float(np.logaddexp.reduce(-((n + 2.0) ** 2) / 4.0 + n * log_r))
+        assert abs(gc.l_function(log_square_example(), log_r).log - want) <= 1e-9 * want
 
     @pytest.mark.parametrize("log_r", [100.0, 500.0, 650.0])
     @pytest.mark.parametrize("series", [gc.l_function, gc.l_sharp])
@@ -1219,6 +1275,13 @@ class TestVerifySuites:
         assert rep.passed
         case = rep.witness["cases"][0]
         assert case["agree"] and not case["xk_convex"]
+
+    def test_lem35_through_ell_matches_its_block(self, monkeypatch):
+        # without blocks every grid point goes through ell: same verdicts
+        block = gc.verify_suite("lem35")
+        monkeypatch.setattr(legendre, "_in_blocks", lambda u: False)
+        walk = gc.verify_suite("lem35")
+        assert walk.to_json() == block.to_json() and walk.rows == block.rows
 
     @pytest.mark.parametrize("tag", ["a4", "stirling", "lem-a1"])
     def test_empty_grid_is_inconclusive(self, tag):

@@ -581,6 +581,49 @@ class TestConditionFailuresAndTrends:
         v = check_condition(gen_power_factorial(0.5, 2), condition)
         assert v.status in ("holds-up-to-N", "fails-at-index")
 
+    @pytest.mark.parametrize("condition, log_alpha, key, log_so_far", [
+        # alpha = e^(n^2): (C2) needs (s^2 - n^2 - (s - n)^2)/s = s/2 at n = s/2
+        ("C2", lambda n: float(n * n), "c2_so_far", 20.0),
+        # alpha = e^(-n^2): (C1) needs (la[0] - la[m])/m = m
+        ("C1", lambda n: -float(n * n), "c1_so_far", 40.0),
+        # (C3) is (C2) of 1/alpha
+        ("C3", lambda n: -float(n * n), "c3_so_far", 20.0),
+    ], ids=["C2", "C1", "C3"])
+    def test_growing_constant_is_inconclusive(self, condition, log_alpha, key, log_so_far):
+        v = check_condition(manual_seq([log_alpha(n) for n in range(41)]), condition)
+        assert (v.status, v.n_checked) == ("inconclusive", 40) and not v.holds
+        assert v.witness == {key: math.exp(log_so_far)}
+        assert v.detail == "fitted constant still growing at the end of the range"
+
+    @pytest.mark.parametrize("seq", [gen_bell(1, 30), gen_bell(2, 40), gen_bell(3, 30),
+                                     gen_power_factorial(0.25, 40), gen_power_factorial(0.9, 10)],
+                             ids=["bell1", "bell2", "bell3", "pf0.25", "pf0.9"])
+    def test_fitted_constants_match_the_pair_loops(self, seq):
+        # the running constants round as the pair-by-pair maximum does
+        la, N = seq.log_alpha, seq.n_max
+        c1 = max((la[n] - la[m]) / m for m in range(1, N + 1) for n in range(m + 1))
+        c2 = max((la[n + m] - la[n] - la[m]) / (n + m)
+                 for n in range(N + 1) for m in range(N + 1 - n) if n + m >= 1)
+        inv = [-v for v in la]
+        c3 = max((inv[n + m] - inv[n] - inv[m]) / (n + m)
+                 for n in range(N + 1) for m in range(N + 1 - n) if n + m >= 1)
+        for cond, log_c in (("C1", c1), ("C2", c2), ("C3", c3)):
+            v = check_condition(seq, cond)
+            assert list(v.witness.values()) == [math.exp(log_c)], cond
+
+    @pytest.mark.parametrize("condition, values, index", [
+        # 1 * 3 < 2^2: alpha is not log-convex at n = 3
+        ("B3", [1, 1, 1, 1, 2, 3], 3),
+        # alpha(n)/n! = 1, 1, 1, 2: 1 * 2 > 1^2 at n = 1
+        ("B2", [1, 1, 2, 12], 1),
+    ])
+    def test_exact_values_fail_at_their_index(self, condition, values, index):
+        exact = tuple(Fraction(v) for v in values)
+        seq = PositiveSequence("manual", {}, tuple(math.log(v) for v in values), exact)
+        v = check_condition(seq, condition)
+        assert v.status == "fails-at-index"
+        assert v.witness == {"index": index, "exact": True}
+
     def test_alpha0_not_one_fails_A1(self):
         seq = manual_seq([math.log(2.0)] + [0.0] * 10)
         v = check_condition(seq, "A1")
