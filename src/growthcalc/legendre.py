@@ -47,7 +47,7 @@ from .numerics import (
     safe_exp,
     strict_json,
 )
-from .sequences import _log_factorials, stored_ratio_bounds, sum_windowed_series
+from .sequences import _log_factorials, doubling, sum_windowed_series
 
 __all__ = [
     "Check",
@@ -363,42 +363,26 @@ def _brent_min_rows(
 
 class _Profile:
     """log ell_u(n), rho(n) and the boundary flag of one function for
-    n < len(self), in arrays grown in place (capacity doubles)."""
+    n < len(self), each array exactly the profile, and the refusal that
+    stopped its growth: the class and arguments of the error, None while
+    it can still grow.  Not the error itself, whose traceback would keep
+    the function alive through the cache's weak key."""
 
     def __init__(self):
-        self.size = 0
-        self.log_ell = np.empty(64)
-        self.rho = np.empty(64)
-        self.boundary = np.empty(64, dtype=object)
+        self.log_ell, self.rho = np.empty(0), np.empty(0)
+        self.boundary = np.empty(0, dtype=object)
+        self.refusal = None
 
     def __len__(self) -> int:
-        return self.size
+        return len(self.log_ell)
 
     def __getitem__(self, n: int) -> LegendrePoint:
-        n = range(self.size)[n]
+        n = range(len(self))[n]
         return LegendrePoint(LogScalar(float(self.log_ell[n])), float(self.rho[n]), self.boundary[n])
 
-    def seed(self) -> float:
-        """The warm start of the next order: log of the last minimizer."""
-        return _warm_seed(float(self.rho[self.size - 1]) if self.size else 0.0)
-
-    def extend(self, log_ell, rho, boundary=None) -> None:
-        log_ell, rho = np.atleast_1d(log_ell), np.atleast_1d(rho)
-        n, k = self.size, len(log_ell)
-        if n + k > len(self.rho):
-            cap = max(2 * len(self.rho), n + k)
-            for name in ("log_ell", "rho", "boundary"):
-                old = getattr(self, name)
-                grown = np.empty(cap, dtype=old.dtype)
-                grown[:n] = old[:n]
-                setattr(self, name, grown)
-        self.log_ell[n : n + k] = log_ell
-        self.rho[n : n + k] = rho
-        self.boundary[n : n + k] = boundary
-        self.size = n + k
-
-    def append(self, p: LegendrePoint) -> None:
-        self.extend(p.log_ell.log, p.rho, p.boundary)
+    def extend(self, log_ell, rho, boundary) -> None:
+        self.log_ell, self.rho = np.append(self.log_ell, log_ell), np.append(self.rho, rho)
+        self.boundary = np.append(self.boundary, boundary)
 
 
 _PROFILE_CACHE: "weakref.WeakKeyDictionary[GrowthFunction, _Profile]" = (
@@ -475,10 +459,9 @@ def _warm_seed(rho: float) -> float:
     return 0.0
 
 
-def _integer_profile(u: GrowthFunction, n_max: int) -> _Profile:
-    """Transform values at integer t, grown on demand and cached per
-    function instance; the returned profile holds at least the orders
-    0..n_max.
+def _grown_profile(u: GrowthFunction, n_max: int) -> _Profile:
+    """u's cached integer profile, grown towards the orders 0..n_max and
+    short of them only where an order refused.
 
     One rule grows it.  Order 0 of an empty profile goes through
     _ell_at, which checks the class precondition and the t = 0 case.
@@ -488,27 +471,49 @@ def _integer_profile(u: GrowthFunction, n_max: int) -> _Profile:
     to about the square root of machine epsilon.  The orders are then
     taken in turn: the block's certified rows as they are, and each
     order it leaves, like every order of any other u, from _ell_at
-    warm-started at the previous minimizer.  So a refusal is _ell_at's,
-    raised at the first order the block could not certify, and the
-    orders before it stay cached.  A block polishes each row on its own,
-    so an order's value does not depend on which block built it.
+    warm-started at the previous minimizer.  A block polishes each row
+    on its own, so an order's value does not depend on which block
+    built it.
+
+    The first order whose _ell_at raises NoDecayCertificate or
+    NotBracketable ends the growth for good: the orders before it stay
+    cached and the profile records the refusal, so no later call
+    searches that order again.  Other errors (the class precondition)
+    pass through and record nothing.
     """
     prof = _PROFILE_CACHE.get(u)
     if prof is None:
         prof = _PROFILE_CACHE[u] = _Profile()
+    n = len(prof)
+    if n > n_max or prof.refusal is not None:
+        return prof
+    orders = np.arange(n, n_max + 1, dtype=float)
+    log_ell, rho = np.full(len(orders), math.nan), np.full(len(orders), math.nan)
+    boundary = np.full(len(orders), None, dtype=object)
+    end = 0  # the new orders before end are built; a refusal at end stops them
+    try:
+        if not n:
+            p = _ell_at(u, 0.0)
+            log_ell[0], rho[0], boundary[0], end = p.log_ell.log, p.rho, p.boundary, 1
+        if len(orders) - end >= _BLOCK_MIN_ROWS and _in_blocks(u):
+            log_ell[end:], rho[end:] = _profile_block(u, orders[end:])
+        for end in np.flatnonzero(np.isnan(log_ell)):
+            p = _ell_at(u, float(orders[end]), _warm_seed(rho[end - 1] if end else prof.rho[-1]))
+            log_ell[end], rho[end], boundary[end] = p.log_ell.log, p.rho, p.boundary
+        end = len(orders)
+    except (NoDecayCertificate, NotBracketable) as exc:
+        prof.refusal = (type(exc), exc.args)
+    prof.extend(log_ell[:end], rho[:end], boundary[:end])
+    return prof
+
+
+def _integer_profile(u: GrowthFunction, n_max: int) -> _Profile:
+    """_grown_profile holding at least the orders 0..n_max, else the
+    error of the order that refused, raised anew."""
+    prof = _grown_profile(u, n_max)
     if len(prof) <= n_max:
-        if not len(prof):
-            prof.append(_ell_at(u, 0.0))
-        orders = np.arange(len(prof), n_max + 1, dtype=float)
-        log_ell = rho = np.full(len(orders), math.nan)
-        if orders.size >= _BLOCK_MIN_ROWS and _in_blocks(u):
-            log_ell, rho = _profile_block(u, orders)
-        done = 0
-        for k in np.flatnonzero(np.isnan(log_ell)):
-            prof.extend(log_ell[done:k], rho[done:k])
-            prof.append(_ell_at(u, float(orders[k]), prof.seed()))
-            done = k + 1
-        prof.extend(log_ell[done:], rho[done:])
+        cls, args = prof.refusal
+        raise cls(*args)
     return prof
 
 
@@ -518,7 +523,7 @@ def ell(u: GrowthFunction, t: float) -> LegendrePoint:
     Returns the log of the infimum, the minimizer rho(t) = e^x, and a
     flag when the infimum was attained or approached on a boundary.
     Integer t values are cached per function, since the series builders
-    walk them densely; _integer_profile grows that cache in vectorised
+    walk them densely; _grown_profile grows that cache in vectorised
     blocks for (log, exp)-convex functions with a vectorised phi.  Their
     Brent polish fixes log ell to roundoff: where its flat stop ends it,
     within 32 eps max(1, |log ell|) of the minimum of the computed
@@ -728,19 +733,19 @@ def _series_logs(
     u: GrowthFunction, log_rs, tag: str, rel_tol: Optional[float] = None, cap: int = _SERIES_CAP
 ) -> np.ndarray:
     """Certified logs of L_u ("l") or L#_u ("sharp") at every log r, NaN
-    where the series refuses: sum_windowed_series from the stored window
-    of 65 integer-profile terms (at most ``cap``) up to ``cap`` terms, so
-    a value does not depend on earlier calls.  Each window's coefficient
-    logs and ratio bounds are read afresh from the cached integer
-    profile, as _log_power_factorial_sums builds its windows.  LOG_ZERO
-    radii give the head coefficient.
+    where the series refuses: sum_windowed_series over windows of the
+    integer profile from 65 terms (at most ``cap``) up to ``cap`` terms,
+    so a value does not depend on earlier calls.  Each window's
+    coefficient logs are read afresh from the cached profile, as
+    _log_power_factorial_sums builds its windows.  LOG_ZERO radii give
+    the head coefficient.
 
-    Past the first window, a u that _integer_profile builds in blocks
-    grows its profile towards ``cap`` orders once, keeping the orders
-    built before a refusal, and the series reads them in one window, as
-    far as the profile reaches; sum_windowed_series doubles that read,
-    so a window past a refusal raises _ell_at's error.  Any other u
-    builds each order by a point search, and keeps doubling windows.
+    A u that _grown_profile builds in blocks reads the first window,
+    then the profile as far as it grows towards ``cap``; any other u
+    builds each order by a point search and doubles its windows.  A
+    window reads the profile only as far as it reaches, so past an order
+    that refused it comes back short and is the last: a radius that
+    needs the orders past it is NaN, and the other radii are answered.
     """
     log_rs = np.asarray(log_rs, dtype=float)
     out = np.empty(log_rs.shape)
@@ -748,30 +753,23 @@ def _series_logs(
     if zero.any():
         out[zero] = _coeff_logs(u, 0, tag)[0]
     first = min(_SERIES_START, cap)
-    grow = _in_blocks(u)
+    sizes = (first, cap) if _in_blocks(u) else doubling(first, cap)
 
-    def window(n: int) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal grow
-        if grow and n > first:
-            grow = False
-            try:
-                _integer_profile(u, cap)
-            except (NoDecayCertificate, NotBracketable):
-                pass
-            n = min(len(_PROFILE_CACHE[u]) - 1, cap)
-        c = _coeff_logs(u, n, tag)
-        return c, stored_ratio_bounds(c)
+    def window(n: int) -> np.ndarray:
+        return _coeff_logs(u, min(n, len(_grown_profile(u, n)) - 1), tag)
 
-    out[~zero] = sum_windowed_series(window, log_rs[~zero], first, cap, rel_tol)
+    out[~zero] = sum_windowed_series(window, log_rs[~zero], sizes, rel_tol)
     return out
 
 
 def _certified_logs(u: GrowthFunction, log_rs, tag: str, rel_tol=None, cap: int = _SERIES_CAP):
-    """_series_logs, raising NoDecayCertificate for the first radius in
-    input order that the series refuses."""
+    """_series_logs, raising for the first radius in input order that
+    the series refuses: the profile's recorded refusal when the profile
+    stopped short of ``cap`` orders, NoDecayCertificate otherwise."""
     out = _series_logs(u, log_rs, tag, rel_tol, cap)
     refused = np.flatnonzero(np.isnan(out))
     if refused.size:
+        _integer_profile(u, cap)  # a profile short of the cap raises its refusal
         raise NoDecayCertificate(
             f"series for {u.name} at log r = {float(np.ravel(log_rs)[refused[0]]):.6g} "
             f"showed no certified decay within {cap} terms"
@@ -840,20 +838,19 @@ def l_sharp_growth_function(u: GrowthFunction) -> GrowthFunction:
 # the dual function
 
 
-def _dual_point(u: GrowthFunction, log_r: float) -> tuple[float, float, Optional[str]]:
+def _dual_point(u: GrowthFunction, log_r: float) -> float:
     """log of sup_{s>0} e^{2 sqrt(rs)}/u(s), searched in w = log sqrt(s).
 
-    Returns (log value, maximizer s, boundary flag).  The maximand
-    2 sqrt(r) y - log u(y^2) is concave in y = sqrt(s) whenever u is
-    (log, x^2)-convex, and stays unimodal under the log substitution.
+    The maximand 2 sqrt(r) y - log u(y^2) is concave in y = sqrt(s)
+    whenever u is (log, x^2)-convex, and stays unimodal under the log
+    substitution.
     """
     if u.in_c_plus_log is False:
         raise PreconditionViolated(
             f"{u.name} is flagged outside the admissible growth class"
         )
     if log_r == LOG_ZERO:
-        p = ell(u, 0.0)
-        return (-p.log_ell.log, 0.0, p.boundary)
+        return -ell(u, 0.0).log_ell.log
     sq = safe_exp(0.5 * log_r)
 
     def G(w: float) -> float:
@@ -880,12 +877,7 @@ def _dual_point(u: GrowthFunction, log_r: float) -> tuple[float, float, Optional
         step *= 2.0
     if not math.isfinite(G(seed)):
         raise PreconditionViolated(f"no representable region for the dual of {u.name}")
-    res = maximize_concave_1d(G, seed)
-    if res.boundary == "lo" and res.x <= -RANGE_CAP + 1e-9:
-        s_star = 0.0
-    else:
-        s_star = safe_exp(2.0 * res.x)
-    return (res.fx, s_star, res.boundary)
+    return maximize_concave_1d(G, seed).fx
 
 
 def dual(u: GrowthFunction, r: float) -> LogScalar:
@@ -898,7 +890,7 @@ def dual(u: GrowthFunction, r: float) -> LogScalar:
     if r < 0:
         raise ValueError("the dual needs r >= 0")
     log_r = LOG_ZERO if r == 0.0 else math.log(r)
-    return LogScalar(_dual_point(u, log_r)[0])
+    return LogScalar(_dual_point(u, log_r))
 
 
 def _bracket_rows(
@@ -921,20 +913,27 @@ def _bracket_rows(
     lo, hi, x, fx = xl, xr, x0.copy(), f0.copy()
     end = np.zeros(len(seed), dtype=int)
 
-    def on_cap(k, f_before, f_cap):
-        # numerics._on_cap: the cap holds the minimum once f has flattened out
+    def on_cap(k, x_cap, x_before, f_before, f_cap):
+        # numerics._on_cap: a probe inside the cap below both ends brackets
+        # a minimum; else the cap holds it once f has flattened out
+        if not k.size:
+            return
+        x_in = x_cap - np.copysign(1e-6, x_cap)
+        f_in = f(k, x_in)
+        inside = (f_in < f_cap) & (f_in <= f_before)
         flat = ~np.isinf(f_cap) & (np.abs(f_cap - f_before) <= 1e-8 * (1.0 + np.abs(f_cap)))
-        fx[k], end[k] = f_cap, np.where(flat, 1, 2)
+        lo[k], hi[k] = np.minimum(x_before, x_cap), np.maximum(x_before, x_cap)
+        x[k], fx[k] = np.where(inside, x_in, x_cap), np.where(inside, f_in, f_cap)
+        end[k] = np.where(inside, 0, np.where(flat, 1, 2))
 
     at_once = (f0 <= fr) & (f0 <= fl)
     up = fr < fl
     cap = np.where(up, RANGE_CAP, -RANGE_CAP)
     cur, f_cur = np.where(up, xr, xl), np.where(up, fr, fl)
     k = np.flatnonzero(at_once & (np.abs(x0) == RANGE_CAP))
-    on_cap(k, np.where(x0[k] > 0, fl[k], fr[k]), f0[k])
+    on_cap(k, x0[k], x0[k] - np.sign(x0[k]), np.where(x0[k] > 0, fl[k], fr[k]), f0[k])
     k = np.flatnonzero(~at_once & (cur == cap))
-    x[k] = cur[k]
-    on_cap(k, f0[k], f_cur[k])
+    on_cap(k, cur[k], x0[k], f0[k], f_cur[k])
     live = np.flatnonzero(~at_once & (cur != cap))
     prev, step = x0.copy(), 1.0
     while live.size:
@@ -949,8 +948,7 @@ def _bracket_rows(
         x[k], fx[k] = cur[k], f_cur[k]
         capped = ~rose & (nxt == cap[live])
         k = live[capped]
-        x[k] = nxt[capped]
-        on_cap(k, f_cur[k], f_nxt[capped])
+        on_cap(k, nxt[capped], cur[k], f_cur[k], f_nxt[capped])
         go = ~(rose | capped)
         k = live[go]
         prev[k], cur[k], f_cur[k] = cur[k], nxt[go], f_nxt[go]
@@ -1003,7 +1001,7 @@ def _dual_sample(u: GrowthFunction) -> _DualSample:
 def _dual_value(u: GrowthFunction, log_r: float) -> float:
     """log u*(r) with an escaping supremum mapped to +infinity."""
     try:
-        return _dual_point(u, log_r)[0]
+        return _dual_point(u, log_r)
     except NotBracketable:
         return math.inf
 
@@ -1535,11 +1533,8 @@ def _log_power_factorial_sums(p: float, log_rs: Sequence[float]) -> np.ndarray:
     the window doubled (up to 2^15 terms) for the radii it did not
     certify."""
 
-    def window(n: int) -> tuple[np.ndarray, np.ndarray]:
-        c = -p * _log_factorials(n)
-        return c, stored_ratio_bounds(c)
-
-    sums = sum_windowed_series(window, np.asarray(log_rs, dtype=float), 256, 1 << 15, 1e-12)
+    log_rs, sizes = np.asarray(log_rs, dtype=float), doubling(256, 1 << 15)
+    sums = sum_windowed_series(lambda n: -p * _log_factorials(n), log_rs, sizes, 1e-12)
     if np.isnan(sums).any():
         raise NoDecayCertificate(
             f"series ended at index {1 << 15} before its tail was certified"

@@ -16,9 +16,9 @@ Design rules baked in here:
   then a Brent polish (parabolic steps, else golden ones) to an absolute
   bracket width of 1e-12, capped at 300 steps,
 * every search runs over a logarithmic variable, so none needs a
-  domain clamp; a search that reaches the range cap |x| = 700 either
-  returns a converged boundary limit, flagged, or raises
-  :class:`NotBracketable`,
+  domain clamp; a search that reaches the range cap |x| = 700 brackets
+  a minimum that a probe just inside the cap shows, or returns a
+  converged boundary limit, flagged, or raises :class:`NotBracketable`,
 * reports render as strict RFC 8259 JSON: :func:`strict_json` writes
   every non-finite float as null.
 """
@@ -227,11 +227,20 @@ def _brent_min(
     return x, fx
 
 
-def _on_cap(side: str, x_cap: float, f_before: float, f_cap: float) -> OptResult:
-    """A descent reached the range cap: the cap holds the minimum once
-    f has flattened out there, and f still falling is an escape."""
+def _on_cap(
+    f: Callable[[float], float], x_cap: float, x_before: float, f_before: float, f_cap: float
+) -> Union[Bracket, OptResult]:
+    """A descent from x_before reached the range cap.  A probe 1e-6
+    inside the cap below f(cap) and f(x_before) brackets a minimum
+    between them; else the cap holds the minimum once f has flattened
+    out there, and f still falling is an escape."""
+    x_in = x_cap - math.copysign(1e-6, x_cap)
+    f_in = f(x_in)
+    if f_in < f_cap and f_in <= f_before:
+        (a, fa), (b, fb) = sorted([(x_before, f_before), (x_cap, f_cap)])
+        return Bracket(a, b, fa, fb, x_in, f_in)
     if not math.isinf(f_cap) and abs(f_cap - f_before) <= 1e-8 * (1.0 + abs(f_cap)):
-        return OptResult(x_cap, f_cap, side)
+        return OptResult(x_cap, f_cap, "hi" if x_cap > 0 else "lo")
     raise NotBracketable(
         f"descent still active at range cap x={x_cap:+.6g} "
         f"(f went {f_before:.6g} -> {f_cap:.6g})"
@@ -242,7 +251,8 @@ def bracket_minimum(f: Callable[[float], float], seed: float) -> Union[Bracket, 
     """Expand from ``seed`` by unit steps, doubling, until a minimum is
     bracketed.
 
-    The search is capped at +-RANGE_CAP; hitting the cap returns a
+    The search is capped at +-RANGE_CAP; hitting the cap brackets a
+    minimum that a probe just inside the cap shows, else returns a
     flagged boundary value when f has flattened out there and raises
     :class:`NotBracketable` when it is still falling.  A seed past the
     cap starts on it.  A seed on the cap, or a first step clipped to
@@ -260,19 +270,19 @@ def bracket_minimum(f: Callable[[float], float], seed: float) -> Union[Bracket, 
     if f0 <= fr and f0 <= fl:
         # a seed on the cap has nothing past it to rise
         if x0 == RANGE_CAP:
-            return _on_cap("hi", x0, fl, f0)
+            return _on_cap(f, x0, xl, fl, f0)
         if x0 == -RANGE_CAP:
-            return _on_cap("lo", x0, fr, f0)
+            return _on_cap(f, x0, xr, fr, f0)
         return Bracket(xl, xr, fl, fr, x0, f0)
 
     if fr < fl:
-        direction, x_cur, f_cur, side = 1.0, xr, fr, "hi"
+        direction, x_cur, f_cur = 1.0, xr, fr
     else:
-        direction, x_cur, f_cur, side = -1.0, xl, fl, "lo"
+        direction, x_cur, f_cur = -1.0, xl, fl
     cap = direction * RANGE_CAP
     if x_cur == cap:
         # the first step was clipped to the cap, still descending
-        return _on_cap(side, x_cur, f0, f_cur)
+        return _on_cap(f, x_cur, x0, f0, f_cur)
 
     x_prev, f_prev, step = x0, f0, 1.0
     while True:
@@ -284,7 +294,7 @@ def bracket_minimum(f: Callable[[float], float], seed: float) -> Union[Bracket, 
             fa, fb = (f_prev, f_next) if direction > 0 else (f_next, f_prev)
             return Bracket(a, b, fa, fb, x_cur, f_cur)
         if x_next == cap:
-            return _on_cap(side, x_next, f_cur, f_next)
+            return _on_cap(f, x_next, x_cur, f_cur, f_next)
         x_prev, f_prev, x_cur, f_cur = x_cur, f_cur, x_next, f_next
 
 

@@ -301,28 +301,35 @@ def sum_stored_series_batch(
     return sums_out, used, done
 
 
+def doubling(start: int, cap: int) -> list[int]:
+    """The window sizes start, 2 start, 4 start, ... up to cap, which
+    ends them (start alone when it reaches cap)."""
+    sizes = [start]
+    while sizes[-1] < cap:
+        sizes.append(min(2 * sizes[-1], cap))
+    return sizes
+
+
 def sum_windowed_series(
-    window: Callable[[int], tuple], log_rs: np.ndarray, start: int, cap: int, rel_tol=None
+    window: Callable[[int], np.ndarray], log_rs: np.ndarray, sizes: Sequence[int], rel_tol=None
 ) -> np.ndarray:
     """Certified sums at every log r (not LOG_ZERO) of a series whose
-    window(n) gives its stored coefficients c_0..c_m and their
-    stored_ratio_bounds: every radius is summed on window(start), and
-    those that do not certify move on to a window of twice the m just
-    read, up to ``cap`` (a window that reads to it or past it is the
-    last).  window(n) may read further or less far than n; the next
-    window doubles what it read.  NaN where no window certified."""
+    window(n) gives its stored coefficient logs c_0..c_n, certified by
+    their stored_ratio_bounds: every radius is summed on the window of
+    the first size, and those that do not certify move on to the next.
+    A window shorter than asked is the last.  NaN where no window
+    certified."""
     out = np.full(len(log_rs), math.nan)
     pending = np.arange(len(log_rs))
-    n = start
-    while pending.size:
-        c, bounds = window(n)
-        sums, _, done = sum_stored_series_batch(c, bounds, log_rs[pending], rel_tol)
+    for n in sizes:
+        if not pending.size:
+            break
+        c = window(n)
+        sums, _, done = sum_stored_series_batch(c, stored_ratio_bounds(c), log_rs[pending], rel_tol)
         out[pending[done]] = sums[done]
         pending = pending[~done]
-        n = len(c) - 1
-        if n >= cap:
+        if len(c) <= n:
             break
-        n = min(2 * n, cap)
     return out
 
 
@@ -521,14 +528,9 @@ def check_condition(
 
     fn = growthfn.from_series([la[n] - lf[n] for n in range(N + 1)], name="egf")
     n_hi = max(2, (2 * N) // 3)  # keep clear of the stored truncation
-    try:
-        legendre._integer_profile(fn, n_hi)
-    except NoDecayCertificate:
-        # the truncated series can no longer certify its tail at the
-        # radii an order probes; stop at the orders cached before that
-        pass
-    prof = legendre._PROFILE_CACHE[fn]
-    log_m = prof.log_ell[: len(prof)].tolist()
+    # the truncated series can no longer certify its tail at the radii
+    # an order probes: the profile stops at the orders before that
+    log_m = legendre._grown_profile(fn, n_hi).log_ell.tolist()
     q = [(lf[n] + la[n] + log_m[n]) / n for n in range(1, len(log_m))]
     n_hi = len(q)
     if n_hi < 4:
@@ -536,11 +538,7 @@ def check_condition(
             condition, "inconclusive", n_hi, {},
             "stored series too short to probe the transform",
         )
-    running_sup = []
-    cur = -math.inf
-    for val in q:
-        cur = max(cur, val)
-        running_sup.append(cur)
+    running_sup = list(itertools.accumulate(q, max))
     witness = {"limsup_bound": math.exp(running_sup[-1]), "n_used": n_hi}
     if _trend_is_rising(running_sup, rel=0.02):
         return ConditionVerdict(

@@ -553,6 +553,20 @@ class TestMembership:
         assert v.status == "fails"
         assert math.isclose(v.witness["ratio"], 2.0, rel_tol=1e-9)
 
+    def test_slow_growth_is_inconclusive(self):
+        # phi = x^2 - 2x: phi / x = x - 2 still rises at r = 1e6, below the
+        # threshold, so the probe shows neither growth past it nor a plateau
+        v = membership(log_square_example(), "c-plus-log")
+        assert v.status == "inconclusive"
+        assert math.isclose(v.witness["ratio"], 11.815510557964274, rel_tol=1e-12)
+
+    def test_overflow_on_the_probe_holds(self):
+        # u = +inf past r = e^5: the probe stops at the first infinite ratio
+        v = membership(from_phi(lambda x: math.inf if x > 5.0 else x * x, name="blowup"),
+                       "c-plus-log")
+        assert v.status == "holds-up-to-range" and v.witness["ratio"] == math.inf
+        assert 5.0 < math.log(v.witness["r_hi"]) < 5.2
+
     def test_bad_class(self):
         with pytest.raises(ValueError):
             membership(exponential(), "c-minus")
@@ -599,6 +613,14 @@ class TestRegistry:
         # tolerance, so compare one order looser
         direct = sum(math.exp(0.5 * math.lgamma(n + 1)) * 0.1 ** n for n in range(31))
         assert math.isclose(u.log_at(0.1), math.log(direct), rel_tol=1e-8)
+
+    def test_series_family_from_inline_coefficients(self):
+        # the coefficients of e^r, 40 of them: log u(0.1) = 0.1 to the
+        # default tolerance
+        logs = [-math.lgamma(n + 1.0) for n in range(40)]
+        u = make_growth_function("series", {"log_coeffs": logs, "name": "exp-series"})
+        assert u.name == "exp-series" and u.family == "series"
+        assert math.isclose(u.log_at(0.1), 0.1, rel_tol=1e-8)
 
     def test_registry_has_enough_families(self):
         fams = {u.family for u in registered_examples()}

@@ -168,6 +168,28 @@ scan_samples = st.lists(
 
 
 class TestTransformEdges:
+    def test_nowhere_finite_phi_is_a_precondition(self):
+        # no convexity hint: the scan finds no finite sample at all
+        u = from_phi(lambda x: math.inf, name="infinite")
+        with pytest.raises(PreconditionViolated, match="no finite values on the scan range"):
+            legendre.ell(u, 1.5)
+
+    def test_interior_minimum_past_a_step_to_the_cap(self):
+        # x^2 - (2 + t) x has its minimizer (2 + t)/2 inside the range up to
+        # t = 1398, where it sits on the cap: the doubling steps jump from
+        # x = 511 onto the cap past it, and a probe just inside brackets it
+        u = log_square_example()
+        for t in (1300.5, 1397.5):
+            got = legendre.ell(u, t)
+            want = -((t + 2.0) ** 2) / 4.0
+            assert got.boundary is None
+            assert abs(got.log_ell.log - want) <= 1e-13 * abs(want), t
+            # curvature 2 fixes the minimizer to about the root of an ulp
+            x_tol = 4.0 * math.sqrt(np.spacing(abs(want)))
+            assert abs(math.log(got.rho) - (t + 2.0) / 2.0) <= x_tol, t
+        with pytest.raises(NotBracketable, match=r"x=\+700"):
+            legendre.ell(u, 1398.5)
+
     def test_scan_refines_only_plateau_edges(self, monkeypatch):
         # exp[r^2]'s phi saturates at e^700 from x = 350 on, so phi - t x is
         # flat over half the scan grid; no plateau point inside is refined
@@ -903,13 +925,50 @@ class TestSeriesKernel:
         with pytest.raises(NotBracketable):
             legendre._integer_profile(u, 4096)
         assert seen["_ell_at"] == [1398.0] and len(legendre._PROFILE_CACHE[u]) == 1398
-        # a series reads those orders in one window; past them the walk's
-        # refusal is raised again
+        # a series reads those orders in one window; past them the recorded
+        # refusal is raised again, and order 1398 is not searched again
         seen["_ell_at"].clear()
         assert math.isfinite(gc.l_function(u, 650.0).log)
         with pytest.raises(NotBracketable):
-            gc.l_sharp(u, 0.0)  # diverges: the window doubles past 1397
-        assert seen["_ell_at"] == [1398.0, 1398.0, 1398.0]
+            gc.l_sharp(u, 0.0)  # diverges: it needs the orders past 1397
+        assert seen["_ell_at"] == []
+
+    def test_a_batch_answers_the_radii_before_a_refusal(self):
+        # ell of 0.1 x^2 is -2.5 n^2 with the minimizer 5n, on the cap from
+        # order 140: L at log r = 0 needs a few orders, at log r = 690 the
+        # ones past 139, which a batch reads as NaN and one point refuses
+        # with the walk's error
+        def make():
+            return from_phi(lambda x: 0.1 * x * x, phi_vec=lambda xs: 0.1 * xs * xs,
+                            name="tenth-square", log_exp_convex=True, increasing=False)
+
+        w = gc.l_growth_function(make())
+        got = w.phi_many([0.0, 690.0])
+        want = float(np.logaddexp.reduce(-2.5 * np.arange(140.0) ** 2))
+        # certified to 1e-9 relative in the sum, so absolute in its log
+        assert abs(got[0] - want) <= 1e-9 and np.isnan(got[1])
+        _, exc = _scalar_walk(make(), 200)
+        with pytest.raises(NotBracketable, match=re.escape(str(exc))):
+            w.phi_at(690.0)
+        # log_square's profile stops at order 1398: L at log r = 699 needs
+        # the orders past it
+        got = legendre._series_logs(log_square_example(), [0.0, 699.0], "l")
+        n = np.arange(1398.0)
+        assert abs(got[0] - float(np.logaddexp.reduce(-((n + 2.0) ** 2) / 4.0))) <= 1e-9
+        assert np.isnan(got[1])
+
+    def test_a_refused_order_is_not_searched_again(self, monkeypatch):
+        u = log_square_example()
+        prof = legendre._grown_profile(u, 4096)
+        assert len(prof) == 1398 and prof.refusal[0] is NotBracketable
+        seen = _count_calls(monkeypatch, "_ell_at", orders=True)
+        with pytest.raises(NotBracketable, match=re.escape(prof.refusal[1][0])):
+            gc.l_sharp(u, 0.0)
+        with pytest.raises(NotBracketable, match=re.escape(prof.refusal[1][0])):
+            gc.ell(u, 1398.0)
+        assert seen["_ell_at"] == [] and legendre._grown_profile(u, 4096) is prof
+        # the record holds the class and arguments, no error and no traceback
+        assert all(not isinstance(a, BaseException) for a in prof.refusal[1])
 
     def test_cold_refusal_reads_two_windows(self, monkeypatch):
         # 65 terms, then the profile grown to the cap in one block and read
@@ -1180,6 +1239,12 @@ class TestFunctionEquivalence:
             assert got.ok and want.ok
             for key in ("c1", "a1", "c2", "a2", "max_residual"):
                 assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12)
+
+    def test_too_few_evaluable_points_is_a_precondition(self):
+        # v is finite only for x <= -20, below every radius of the grid
+        v = from_phi(lambda x: x if x <= -20.0 else math.inf, name="low")
+        with pytest.raises(PreconditionViolated, match="too few evaluable grid points"):
+            gc.function_equivalent(exponential(), v, (0.0, 10.0))
 
     def test_checked_range_spans_the_radii_compared(self):
         # 41 stored Bell numbers certify only r < 0.06: 69 of the 96 grid

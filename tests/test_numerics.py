@@ -364,6 +364,21 @@ class TestRangeCap:
         assert res.boundary is None
         assert abs(res.x - 698.7) <= 1e-6
 
+    @pytest.mark.parametrize("x_min, seed", [
+        (651.25, 0.0),  # a doubling step jumps from 511 onto the cap
+        (-651.25, 0.0),  # the same on the left
+        (699.6, RANGE_CAP),  # a seed on the cap
+        (699.8, 699.5),  # a first step clipped to the cap
+    ])
+    def test_interior_minimum_past_the_last_step_is_bracketed(self, x_min, seed):
+        # f(cap) lies below the point before it, but a probe just inside the
+        # cap lies lower still: the minimum is between them, not an escape
+        got = bracket_minimum(lambda x: (x - x_min) ** 2, seed)
+        assert isinstance(got, Bracket) and got.lo < x_min < got.hi
+        assert abs(got.inner) == RANGE_CAP - 1e-6
+        res = minimize_convex_1d(lambda x: (x - x_min) ** 2, seed)
+        assert res.boundary is None and abs(res.x - x_min) <= 1e-6
+
 
 class TestBracketRows:
     """legendre._bracket_rows, the lockstep bracketing of the vectorised
@@ -385,6 +400,14 @@ class TestBracketRows:
         (lambda x: math.exp(x), -2.0 * RANGE_CAP),
         (lambda x: (x - 705.0) ** 2, 699.5),
         (lambda x: math.exp(-x), 699.5),
+        # minima that a probe just inside the cap brackets: past a doubling
+        # step, on each side, from a seed on the cap and past a first step
+        # clipped to it; and one on the cap itself, still an escape
+        (lambda x: (x - 651.25) ** 2, 0.0),
+        (lambda x: (x + 651.25) ** 2, 0.0),
+        (lambda x: (x - 699.6) ** 2, RANGE_CAP),
+        (lambda x: (x - 699.8) ** 2, 699.5),
+        (lambda x: (x - RANGE_CAP) ** 2, 0.0),
     ]
 
     @staticmethod
@@ -419,7 +442,7 @@ class TestBracketRows:
             elif kind == 1:
                 assert (x[k], fx[k]) == want, k
         # every case occurs
-        assert ends == [0, 0, 1, 1, 2, 2, 2, 1, 1, 2, 1]
+        assert ends == [0, 0, 1, 1, 2, 2, 2, 1, 1, 2, 1, 0, 0, 0, 0, 2]
 
     def test_rows_are_independent(self):
         together = self._rows(self.ROWS)

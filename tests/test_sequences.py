@@ -10,6 +10,7 @@ the module under test.
 """
 
 import decimal
+import gc as pygc
 import json
 import math
 import sys
@@ -31,6 +32,7 @@ from growthcalc.sequences import (
     _log_factorials,
     _series_exp,
     check_condition,
+    doubling,
     gen_bell,
     gen_power_factorial,
     seq_equivalent,
@@ -456,26 +458,26 @@ class TestTiledSeriesKernel:
 
 
 class TestWindowedSeries:
-    """The one loop that doubles a stored window: each radius is summed
-    on the first window that certifies it, and one that certifies on
-    none comes back NaN."""
+    """The one loop over a stored series' windows: each radius is summed
+    on the first window that certifies it, one that certifies on none
+    comes back NaN, and a window shorter than asked is the last."""
 
     @staticmethod
-    def harmonic_windows():
-        # sum r^n / (n + 1) = -log(1 - r) / r, radius 1
+    def harmonic_windows(stored=None):
+        # sum r^n / (n + 1) = -log(1 - r) / r, radius 1, with the
+        # coefficients c_0..c_stored when ``stored`` is given
         reads = []
 
         def window(n):
             reads.append(n)
-            c = -np.log(np.arange(1.0, n + 2.0))
-            return c, stored_ratio_bounds(c)
+            return -np.log(np.arange(1.0, min(n, stored or n) + 2.0))
 
         return window, reads
 
     def test_rows_move_to_doubled_windows_and_refuse_with_nan(self):
         window, reads = self.harmonic_windows()
         log_rs = np.array([-3.0, 0.0, -1.5])
-        sums = sum_windowed_series(window, log_rs, 8, 64)
+        sums = sum_windowed_series(window, log_rs, doubling(8, 64))
         assert reads == [8, 16, 32, 64]
         assert np.isnan(sums[1])
         for got, log_r in zip(sums[[0, 2]], log_rs[[0, 2]]):
@@ -484,24 +486,31 @@ class TestWindowedSeries:
             assert abs(got - math.log(-math.log1p(-r) / r)) <= 2e-9
         # a certified row holds what the kernel gives on its window
         for n, row in ((8, 0), (16, 2)):
-            c, bounds = window(n)
-            want, _, done = sum_stored_series_batch(c, bounds, log_rs[[row]])
+            c = window(n)
+            want, _, done = sum_stored_series_batch(c, stored_ratio_bounds(c), log_rs[[row]])
             assert done[0] and sums[row] == want[0]
 
     def test_nothing_certified_reads_to_the_cap(self):
         window, reads = self.harmonic_windows()
-        sums = sum_windowed_series(window, np.array([0.0]), 8, 48)
+        sums = sum_windowed_series(window, np.array([0.0]), doubling(8, 48))
         assert reads == [8, 16, 32, 48] and np.isnan(sums[0])
 
     def test_a_start_past_the_cap_reads_one_window(self):
         window, reads = self.harmonic_windows()
-        sums = sum_windowed_series(window, np.array([0.0, -3.0]), 128, 64)
+        sums = sum_windowed_series(window, np.array([0.0, -3.0]), doubling(128, 64))
         assert reads == [128]
+        assert np.isnan(sums[0]) and math.isfinite(sums[1])
+
+    def test_a_short_window_is_the_last(self):
+        # 41 stored coefficients: the window asked for 64 terms ends the reads
+        window, reads = self.harmonic_windows(stored=40)
+        sums = sum_windowed_series(window, np.array([0.0, -3.0]), doubling(8, 256))
+        assert reads == [8, 16, 32, 64]
         assert np.isnan(sums[0]) and math.isfinite(sums[1])
 
     def test_no_radius_reads_no_window(self):
         window, reads = self.harmonic_windows()
-        sums = sum_windowed_series(window, np.array([]), 8, 64)
+        sums = sum_windowed_series(window, np.array([]), doubling(8, 64))
         assert reads == [] and sums.size == 0
 
 
@@ -544,6 +553,11 @@ class TestConditionsOnStockFamilies:
 
 
 class TestConditionFailuresAndTrends:
+    def test_A1_on_alpha0_alone_holds(self):
+        v = check_condition(manual_seq([0.0]), "A1")
+        assert (v.status, v.n_checked) == ("holds-up-to-N", 0)
+        assert v.witness == {"sigma": 1.0, "inf_value": 1.0}
+
     def test_log_concave_weights_fail_B3(self):
         seq = manual_seq([-(n * n) * 0.5 for n in range(20)])
         v = check_condition(seq, "B3")
@@ -690,6 +704,21 @@ class TestB1Verdicts:
         v = check_condition(gen_bell(2, 40), "B1t")
         assert (v.status, v.n_checked) == ("holds-up-to-N", 10)
         assert v.witness == {"limsup_bound": 2.12275526046943, "n_used": 10}
+
+    def test_a_recorded_refusal_keeps_no_function_alive(self):
+        # the EGF of 41 Bell numbers refuses at order 1; its profile records
+        # the refusal's class and message, not the error, whose traceback
+        # would keep the EGF alive through the cache's weak key
+        from growthcalc import legendre
+
+        def egfs():
+            pygc.collect()
+            return sum(u.name == "egf" for u in legendre._PROFILE_CACHE.keys())
+
+        before = egfs()
+        for _ in range(300):
+            assert check_condition(gen_bell(2, 40), "B1").n_checked == 0
+        assert egfs() == before
 
     @pytest.mark.parametrize("terms", [1, 2])
     def test_refusal_stops_at_the_cached_orders(self, terms):
