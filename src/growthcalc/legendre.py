@@ -114,18 +114,22 @@ def _scan_candidates(vals: np.ndarray) -> np.ndarray:
 def _scan_minimize(
     g: Callable[[float], float],
     g_many: Callable[[np.ndarray], np.ndarray],
-    x_lo: float,
     x_hi: float,
 ):
-    """Global scan + Brent refinement for a possibly multi-basin g.
+    """Global scan + Brent refinement for a possibly multi-basin g on
+    [-RANGE_CAP, x_hi].
 
     The 4096 samples come from one ``g_many`` call on the whole grid;
     _scan_candidates picks the local minima by array masks, and each is
     polished through the scalar g in ascending grid order by _brent_min,
     which starts from the candidate's sample and its neighbours' (a
     non-finite or missing neighbour reads as +inf, an end candidate is
-    its bracket's end)."""
-    xs = np.linspace(x_lo, x_hi, _SCAN_POINTS)
+    its bracket's end).  A minimum within one sample of the first or
+    last finite sample is at that end, and one rule reads both ends: g
+    flat there is a limit, g still falling at the range cap raises
+    NotBracketable, and anything else (the evaluator stopped being
+    finite) is an attained edge."""
+    xs = np.linspace(-RANGE_CAP, x_hi, _SCAN_POINTS)
     vals = g_many(xs)
     finite = np.isfinite(vals)
     fin_idx = np.flatnonzero(finite)
@@ -143,27 +147,16 @@ def _scan_minimize(
         if fx < best_f:
             best_x, best_f = x, fx
     spacing = float(xs[1] - xs[0])
-    scale = 1.0 + abs(best_f)
     if best_x <= xs[j_lo] + spacing:
-        inner = float(vals[min(j_lo + 1, j_hi)])
-        if abs(float(vals[j_lo]) - inner) <= 1e-8 * scale:
-            return best_x, best_f, "lo"
-        if j_lo == 0 and x_lo <= -RANGE_CAP + 1e-9:
-            raise NotBracketable(
-                "scan minimum still descending at the left range cap"
-            )
-        return best_x, best_f, "lo"
-    if best_x >= xs[j_hi] - spacing:
-        inner = float(vals[max(j_hi - 1, j_lo)])
-        if abs(float(vals[j_hi]) - inner) <= 1e-8 * scale:
-            return best_x, best_f, "hi"
-        if j_hi == last and x_hi >= RANGE_CAP - 1e-9:
-            raise NotBracketable(
-                "scan minimum still descending at the right range cap"
-            )
-        # the evaluator stopped being finite here: an attained edge
-        return best_x, best_f, "hi"
-    return best_x, best_f, None
+        side, name, sign, j, j_in = "lo", "left", -1.0, j_lo, min(j_lo + 1, j_hi)
+    elif best_x >= xs[j_hi] - spacing:
+        side, name, sign, j, j_in = "hi", "right", 1.0, j_hi, max(j_hi - 1, j_lo)
+    else:
+        return best_x, best_f, None
+    flat = abs(float(vals[j]) - float(vals[j_in])) <= 1e-8 * (1.0 + abs(best_f))
+    if not flat and sign * float(xs[j]) >= RANGE_CAP - 1e-9:
+        raise NotBracketable(f"scan minimum still descending at the {name} range cap")
+    return best_x, best_f, side
 
 
 def _ell_at(u: GrowthFunction, t: float, seed_x: float = 0.0) -> LegendrePoint:
@@ -192,7 +185,7 @@ def _ell_at(u: GrowthFunction, t: float, seed_x: float = 0.0) -> LegendrePoint:
         res = minimize_convex_1d(g, seed_x)
         x, fx, boundary = res.x, res.fx, res.boundary
     else:
-        x, fx, boundary = _scan_minimize(g, g_many, -RANGE_CAP, min(u.x_max, RANGE_CAP))
+        x, fx, boundary = _scan_minimize(g, g_many, min(u.x_max, RANGE_CAP))
     rho = 0.0 if (boundary == "lo" and x <= -RANGE_CAP + 1e-9) else math.exp(x)
     return LegendrePoint(LogScalar(fx), rho, boundary)
 
@@ -896,10 +889,13 @@ def dual(u: GrowthFunction, r: float) -> LogScalar:
 def _bracket_rows(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray], seed: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """numerics.bracket_minimum(f, seed) on many rows in lockstep: the
-    same probes, doubling steps, range caps and stop rules, so row k
-    ends where the one-row search ends.  ``f(rows, xs)`` evaluates
-    row rows[j] at xs[j].
+    """numerics.bracket_minimum(f, seed) on many rows in lockstep: each
+    row probes the same points, with the same doubling steps, range caps
+    and stop rules, so row k ends where the one-row search ends.
+    ``f(rows, xs)`` evaluates row rows[j] at xs[j].  Each row keeps the
+    descent state (prev, f_prev, cur, f_cur); the loop only doubles and
+    brackets, and the rows whose descent ends on the cap make
+    numerics._on_cap's probe just inside it in one call after the loop.
 
     Returns (lo, hi, x, fx, end): end 0 is a Bracket [lo, hi] with inner
     point x, end 1 a limit that flattened out at the cap x, end 2 a
@@ -910,14 +906,32 @@ def _bracket_rows(
     xr, xl = np.minimum(x0 + 1.0, RANGE_CAP), np.maximum(x0 - 1.0, -RANGE_CAP)
     f0, fr, fl = np.split(f(np.tile(every, 3), np.concatenate([x0, xr, xl])), 3)
     fr, fl = np.where(xr > x0, fr, math.inf), np.where(xl < x0, fl, math.inf)
+    at_once, up, right = (f0 <= fr) & (f0 <= fl), fr < fl, x0 > 0
+    # a seed on the cap that is not undercut descends from its one neighbour
+    prev = np.where(at_once, np.where(right, xl, xr), x0)
+    f_prev = np.where(at_once, np.where(right, fl, fr), f0)
+    cur = np.where(at_once, x0, np.where(up, xr, xl))
+    f_cur = np.where(at_once, f0, np.where(up, fr, fl))
     lo, hi, x, fx = xl, xr, x0.copy(), f0.copy()
     end = np.zeros(len(seed), dtype=int)
-
-    def on_cap(k, x_cap, x_before, f_before, f_cap):
-        # numerics._on_cap: a probe inside the cap below both ends brackets
-        # a minimum; else the cap holds it once f has flattened out
-        if not k.size:
-            return
+    live = np.flatnonzero(~at_once & (np.abs(cur) < RANGE_CAP))
+    step = 1.0
+    while live.size:
+        step *= 2.0
+        nxt = np.clip(cur[live] + np.sign(cur[live] - prev[live]) * step, -RANGE_CAP, RANGE_CAP)
+        f_nxt = f(live, nxt)
+        rose = f_nxt >= f_cur[live]
+        k = live[rose]
+        lo[k], hi[k] = np.minimum(prev[k], nxt[rose]), np.maximum(prev[k], nxt[rose])
+        x[k], fx[k] = cur[k], f_cur[k]
+        k = live[~rose]
+        prev[k], f_prev[k], cur[k], f_cur[k] = cur[k], f_cur[k], nxt[~rose], f_nxt[~rose]
+        live = k[np.abs(cur[k]) < RANGE_CAP]
+    # numerics._on_cap: a probe inside the cap below both ends brackets a
+    # minimum; else the cap holds it once f has flattened out
+    k = np.flatnonzero(np.abs(cur) == RANGE_CAP)
+    if k.size:
+        x_cap, x_before, f_before, f_cap = cur[k], prev[k], f_prev[k], f_cur[k]
         x_in = x_cap - np.copysign(1e-6, x_cap)
         f_in = f(k, x_in)
         inside = (f_in < f_cap) & (f_in <= f_before)
@@ -925,34 +939,6 @@ def _bracket_rows(
         lo[k], hi[k] = np.minimum(x_before, x_cap), np.maximum(x_before, x_cap)
         x[k], fx[k] = np.where(inside, x_in, x_cap), np.where(inside, f_in, f_cap)
         end[k] = np.where(inside, 0, np.where(flat, 1, 2))
-
-    at_once = (f0 <= fr) & (f0 <= fl)
-    up = fr < fl
-    cap = np.where(up, RANGE_CAP, -RANGE_CAP)
-    cur, f_cur = np.where(up, xr, xl), np.where(up, fr, fl)
-    k = np.flatnonzero(at_once & (np.abs(x0) == RANGE_CAP))
-    on_cap(k, x0[k], x0[k] - np.sign(x0[k]), np.where(x0[k] > 0, fl[k], fr[k]), f0[k])
-    k = np.flatnonzero(~at_once & (cur == cap))
-    on_cap(k, cur[k], x0[k], f0[k], f_cur[k])
-    live = np.flatnonzero(~at_once & (cur != cap))
-    prev, step = x0.copy(), 1.0
-    while live.size:
-        step *= 2.0
-        nxt = np.clip(cur[live] + np.sign(cap[live]) * step, -RANGE_CAP, RANGE_CAP)
-        f_nxt = f_cur[live].copy()
-        moved = nxt != cur[live]
-        f_nxt[moved] = f(live[moved], nxt[moved])
-        rose = f_nxt >= f_cur[live]
-        k = live[rose]
-        lo[k], hi[k] = np.minimum(prev[k], nxt[rose]), np.maximum(prev[k], nxt[rose])
-        x[k], fx[k] = cur[k], f_cur[k]
-        capped = ~rose & (nxt == cap[live])
-        k = live[capped]
-        on_cap(k, nxt[capped], cur[k], f_cur[k], f_nxt[capped])
-        go = ~(rose | capped)
-        k = live[go]
-        prev[k], cur[k], f_cur[k] = cur[k], nxt[go], f_nxt[go]
-        live = k
     return lo, hi, x, fx, end
 
 

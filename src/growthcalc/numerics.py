@@ -251,13 +251,14 @@ def bracket_minimum(f: Callable[[float], float], seed: float) -> Union[Bracket, 
     """Expand from ``seed`` by unit steps, doubling, until a minimum is
     bracketed.
 
-    The search is capped at +-RANGE_CAP; hitting the cap brackets a
-    minimum that a probe just inside the cap shows, else returns a
-    flagged boundary value when f has flattened out there and raises
-    :class:`NotBracketable` when it is still falling.  A seed past the
-    cap starts on it.  A seed on the cap, or a first step clipped to
-    it, is a descent that reached the cap, so no bracket reaches past
-    the representable range.
+    The search is capped at +-RANGE_CAP.  A seed past the cap starts on
+    it, and a seed on the cap that its one neighbour does not undercut
+    is a descent from that neighbour.  Every descent that ends on the
+    cap leaves through _on_cap, so no bracket reaches past the
+    representable range: a probe just inside the cap brackets a minimum
+    it shows, else the cap is a flagged boundary value when f has
+    flattened out there and :class:`NotBracketable` when it is still
+    falling.
     """
     x0 = min(max(seed, -RANGE_CAP), RANGE_CAP)
     f0 = f(x0)
@@ -268,24 +269,15 @@ def bracket_minimum(f: Callable[[float], float], seed: float) -> Union[Bracket, 
     fl = f(xl) if xl < x0 else math.inf
 
     if f0 <= fr and f0 <= fl:
-        # a seed on the cap has nothing past it to rise
-        if x0 == RANGE_CAP:
-            return _on_cap(f, x0, xl, fl, f0)
-        if x0 == -RANGE_CAP:
-            return _on_cap(f, x0, xr, fr, f0)
-        return Bracket(xl, xr, fl, fr, x0, f0)
-
-    if fr < fl:
-        direction, x_cur, f_cur = 1.0, xr, fr
+        if abs(x0) < RANGE_CAP:
+            return Bracket(xl, xr, fl, fr, x0, f0)
+        x_prev, f_prev = (xl, fl) if x0 > 0 else (xr, fr)
+        x_cur, f_cur = x0, f0
     else:
-        direction, x_cur, f_cur = -1.0, xl, fl
-    cap = direction * RANGE_CAP
-    if x_cur == cap:
-        # the first step was clipped to the cap, still descending
-        return _on_cap(f, x_cur, x0, f0, f_cur)
-
-    x_prev, f_prev, step = x0, f0, 1.0
-    while True:
+        x_prev, f_prev = x0, f0
+        x_cur, f_cur = (xr, fr) if fr < fl else (xl, fl)
+    direction, step = math.copysign(1.0, x_cur - x_prev), 1.0
+    while abs(x_cur) < RANGE_CAP:
         step *= 2.0
         x_next = min(max(x_cur + direction * step, -RANGE_CAP), RANGE_CAP)
         f_next = f(x_next)
@@ -293,9 +285,8 @@ def bracket_minimum(f: Callable[[float], float], seed: float) -> Union[Bracket, 
             a, b = (x_prev, x_next) if direction > 0 else (x_next, x_prev)
             fa, fb = (f_prev, f_next) if direction > 0 else (f_next, f_prev)
             return Bracket(a, b, fa, fb, x_cur, f_cur)
-        if x_next == cap:
-            return _on_cap(f, x_next, x_cur, f_cur, f_next)
         x_prev, f_prev, x_cur, f_cur = x_cur, f_cur, x_next, f_next
+    return _on_cap(f, x_cur, x_prev, f_prev, f_cur)
 
 
 def minimize_convex_1d(f: Callable[[float], float], seed: float) -> OptResult:

@@ -379,6 +379,9 @@ class ConditionVerdict:
 _SLACK = 1e-12
 # the smallest climb that _trend_is_rising counts, whatever the scale
 _TREND_ABS_FLOOR = 1e-6
+# the fewest values a trend verdict reads: on fewer, the quarter, half and
+# last values cannot show a climb, and an unbounded constant would hold
+_SHORTEST_TREND = 8
 
 
 def _second_diff_check(values: Sequence[float], want: str) -> tuple[Optional[int], float]:
@@ -407,10 +410,10 @@ def _exact_second_diff_check(vals: Sequence[Fraction], want: str) -> Optional[in
 
 
 def _trend_is_rising(values: Sequence[float], rel: float = 0.05) -> bool:
-    """True when a quantity is still climbing materially near the end."""
+    """True when a quantity is still climbing materially near the end,
+    read at its quarter, half and last values; callers pass at least
+    _SHORTEST_TREND values."""
     n = len(values)
-    if n < 8:
-        return False
     a, b, c = values[n // 4], values[n // 2], values[-1]
     return (c - b) > max(_TREND_ABS_FLOOR, rel * max(1.0, abs(b))) and (b - a) > _TREND_ABS_FLOOR
 
@@ -418,9 +421,9 @@ def _trend_is_rising(values: Sequence[float], rel: float = 0.05) -> bool:
 # each of these is the named condition on the reciprocal weight 1/alpha
 _ON_RECIPROCAL = {"A2t": "A2", "B1t": "B1", "B2t": "B2", "C3": "C2"}
 
-# the smallest N at which a condition has anything to check: a fitted
-# constant needs one ratio, a root trend or a second difference three values
-_SHORTEST_RANGE = {"A2": 2, "B2": 2, "B3": 2, "C1": 1, "C2": 1}
+# the smallest N at which a condition has anything to check: a root trend
+# or a second difference needs three values
+_SHORTEST_RANGE = {"A2": 2, "B2": 2, "B3": 2}
 
 
 def check_condition(
@@ -436,7 +439,8 @@ def check_condition(
     (fails-at-index), or trends the wrong way near the end of the range
     (inconclusive).  Constant-type conditions (A1, C1, C2, C3) report
     the smallest constant that works on the range and go inconclusive
-    when that constant is still climbing at the end of the range.
+    when that constant is still climbing at the end of the range, or
+    when fewer than _SHORTEST_TREND values leave no trend to read.
 
     (A2~), (B1~), (B2~) and (C3) run as (A2), (B1), (B2) and (C2) on
     1/alpha; the report keeps the name asked for, witness keys included.
@@ -457,8 +461,8 @@ def check_condition(
     if base == "A1":
         if abs(la[0]) > 1e-12:
             return ConditionVerdict("A1", "fails-at-index", N, {"index": 0}, "alpha(0) != 1")
-        if N == 0:
-            return ConditionVerdict("A1", "holds-up-to-N", N, {"sigma": 1.0, "inf_value": 1.0})
+        if N < _SHORTEST_TREND:
+            return ConditionVerdict("A1", "inconclusive", N, {}, "range too short")
         s = [-la[n] / n for n in range(1, N + 1)]
         log_sigma = max(0.0, max(s))
         if _trend_is_rising(s):
@@ -503,6 +507,8 @@ def check_condition(
         )
 
     if base in ("C1", "C2"):
+        if N < _SHORTEST_TREND:
+            return ConditionVerdict(condition, "inconclusive", N, {}, "range too short")
         # the constant each order m = 1..N needs on its own, then its running
         # max: the constant needed on 0..m, whose last entry is the fit
         a = np.asarray(la, dtype=float)
@@ -533,7 +539,7 @@ def check_condition(
     log_m = legendre._grown_profile(fn, n_hi).log_ell.tolist()
     q = [(lf[n] + la[n] + log_m[n]) / n for n in range(1, len(log_m))]
     n_hi = len(q)
-    if n_hi < 4:
+    if n_hi < _SHORTEST_TREND:
         return ConditionVerdict(
             condition, "inconclusive", n_hi, {},
             "stored series too short to probe the transform",

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growthcalc import legendre
@@ -36,6 +36,7 @@ from growthcalc.numerics import (
     maximize_concave_1d,
     minimize_convex_1d,
 )
+from search_reference import bracket_minimum as reference_bracket_minimum
 from search_reference import golden_min
 from series_reference import log_sum_exp_series, logaddexp
 
@@ -449,6 +450,78 @@ class TestBracketRows:
         for k, row in enumerate(self.ROWS):
             alone = self._rows([row])
             assert [v[k] for v in together] == [v[0] for v in alone], k
+
+
+def _search_row(kind, c, s):
+    """One row of the range-cap property tests: (x - c)^2, s e^{+-x},
+    cosh(x - c) (+inf where it overflows) or +-s x."""
+    return {
+        "square": lambda x: (x - c) ** 2,
+        "exp": lambda x: s * math.exp(x),
+        "exp-": lambda x: s * math.exp(-x),
+        "cosh": lambda x: math.cosh(x - c) if abs(x - c) < 710.0 else math.inf,
+        "slope": lambda x: s * x,
+        "slope-": lambda x: -s * x,
+    }[kind]
+
+
+def _search_end(search, f, seed):
+    """(probes, end) of search(f, seed): the points f read, in order, and
+    the result's fields or the NotBracketable message, as float hex."""
+    probes = []
+
+    def counted(x):
+        probes.append(x.hex())
+        return f(x)
+
+    try:
+        got = search(counted, seed)
+    except NotBracketable as exc:
+        return probes, ("NotBracketable", str(exc))
+    return probes, (type(got).__name__,) + tuple(
+        v.hex() if isinstance(v, float) else v for v in got
+    )
+
+
+class TestOneCapExit:
+    """bracket_minimum, which leaves the range cap through one exit, and
+    _bracket_rows, its lockstep form, end every row as the search with
+    an exit per case (search_reference.bracket_minimum) does."""
+
+    rows = st.lists(
+        st.tuples(
+            st.sampled_from(["square", "exp", "exp-", "cosh", "slope", "slope-"]),
+            st.floats(-1500.0, 1500.0),
+            st.floats(1e-12, 1e3),
+            st.floats(-1500.0, 1500.0),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+    @given(rows)
+    # near-cap ends that random draws seldom hit: a minimum a probe inside
+    # the cap brackets from a seed on the cap and past a doubling step, a
+    # flat limit past a first step clipped to the cap, and a fall of
+    # 1.9e-8 to the cap, just past the flat rule's 1e-8
+    @example([("square", 699.6, 1.0, 700.0), ("square", -651.25, 1.0, 0.0),
+              ("exp-", 0.0, 1.0, 699.5), ("slope-", 0.0, 1e-10, 0.0)])
+    @settings(max_examples=40, deadline=None)
+    def test_same_probes_and_ends_as_the_reference(self, rows):
+        fs = [_search_row(kind, c, s) for kind, c, s, _ in rows]
+        lo, hi, x, fx, end = legendre._bracket_rows(
+            lambda k, xs: np.array([fs[r](v) for r, v in zip(k, xs)]),
+            np.array([seed for *_, seed in rows]),
+        )
+        for k, (f, (*_, seed)) in enumerate(zip(fs, rows)):
+            probes, got = _search_end(bracket_minimum, f, seed)
+            assert (probes, got) == _search_end(reference_bracket_minimum, f, seed), k
+            assert end[k] == ["Bracket", "OptResult", "NotBracketable"].index(got[0]), k
+            row = [float(v).hex() for v in (lo[k], hi[k], x[k], fx[k])]
+            if got[0] == "Bracket":  # lo, hi, f_lo, f_hi, inner, f_inner
+                assert row == [got[1], got[2], got[5], got[6]], k
+            elif got[0] == "OptResult":  # x, fx, boundary
+                assert row[2:] == list(got[1:3]), k
 
 
 class TestBrentMinRows:

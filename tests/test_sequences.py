@@ -553,10 +553,31 @@ class TestConditionsOnStockFamilies:
 
 
 class TestConditionFailuresAndTrends:
-    def test_A1_on_alpha0_alone_holds(self):
+    def test_A1_on_alpha0_alone_is_inconclusive(self):
+        # one value shows no trend of the required sigma
         v = check_condition(manual_seq([0.0]), "A1")
-        assert (v.status, v.n_checked) == ("holds-up-to-N", 0)
-        assert v.witness == {"sigma": 1.0, "inf_value": 1.0}
+        assert (v.status, v.n_checked, v.detail) == ("inconclusive", 0, "range too short")
+        assert v.witness == {}
+
+    @pytest.mark.parametrize("condition, log_alpha", [
+        # alpha = e^(n^2): c2 = e^(N/2) on 0..N, so no c2 holds for all n
+        ("C2", lambda n: float(n * n)),
+        # alpha = e^(-n^2): sigma and c1 = e^N on 0..N
+        ("A1", lambda n: -float(n * n)),
+        ("C1", lambda n: -float(n * n)),
+    ], ids=["C2", "A1", "C1"])
+    @pytest.mark.parametrize("N", [3, 7, 8])
+    def test_a_short_range_shows_no_trend(self, condition, log_alpha, N):
+        # below 8 values the trend cannot show a climb, so an unbounded
+        # constant is inconclusive for want of range; from 8 on the trend
+        # itself makes it inconclusive
+        v = check_condition(manual_seq([log_alpha(n) for n in range(N + 1)]), condition)
+        assert (v.status, v.n_checked) == ("inconclusive", N) and not v.holds
+        assert (v.detail == "range too short") == (N < 8)
+
+    def test_eight_values_are_enough_for_a_bounded_constant(self):
+        v = check_condition(gen_bell(2, 8), "C2")
+        assert (v.status, v.n_checked) == ("holds-up-to-N", 8)
 
     def test_log_concave_weights_fail_B3(self):
         seq = manual_seq([-(n * n) * 0.5 for n in range(20)])
@@ -699,6 +720,16 @@ class TestB1Verdicts:
         assert (v.status, v.n_checked) == ("inconclusive", 9)
         assert "running sup" in v.detail and "still growing" in v.detail
         assert math.isclose(v.witness["limsup_bound"], 0.8011276223343857, rel_tol=1e-12)
+
+    def test_five_orders_are_too_few_for_a_trend(self):
+        # at N = 40 the sup reads 5 orders, still short of a trend's 8; at
+        # N = 60 (above) the 9 it reads show it still growing
+        from growthcalc.growthfn import exponential
+        from growthcalc.sequences import from_legendre
+
+        v = check_condition(from_legendre(exponential(), 40), "B1")
+        assert (v.status, v.n_checked) == ("inconclusive", 5)
+        assert v.detail == "stored series too short to probe the transform"
 
     def test_reciprocal_bell_holds(self):
         v = check_condition(gen_bell(2, 40), "B1t")
