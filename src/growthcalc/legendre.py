@@ -365,6 +365,7 @@ class _Profile:
         self.log_ell, self.rho = np.empty(0), np.empty(0)
         self.boundary = np.empty(0, dtype=object)
         self.refusal = None
+        self.cap_ends = {}  # _cap_ends per cap
 
     def __len__(self) -> int:
         return len(self.log_ell)
@@ -383,18 +384,48 @@ _PROFILE_CACHE: "weakref.WeakKeyDictionary[GrowthFunction, _Profile]" = (
 )
 
 
+def _profile_sample(u: GrowthFunction, ts: np.ndarray) -> tuple:
+    """_profile_block's phi sample and the bracket of every order in ts."""
+    xs = np.linspace(-RANGE_CAP, min(u.x_max, RANGE_CAP), _SCAN_POINTS)
+    ph = u.phi_many(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.fmax.accumulate(np.diff(ph) / np.diff(xs))
+    i = np.clip(np.searchsorted(slopes, ts), 1, len(xs) - 2)
+    g_in = ph[i] - ts * xs[i]
+    tie = g_in - _FLAT_ULPS * np.maximum(1.0, np.abs(g_in))
+    kept = (
+        np.isfinite(ph[i - 1]) & np.isfinite(ph[i]) & np.isfinite(ph[i + 1])
+        & (tie <= ph[i - 1] - ts * xs[i - 1])
+        & (tie <= ph[i + 1] - ts * xs[i + 1])
+    )
+    return xs, ph, i, g_in, kept
+
+
+def _profile_polish(u: GrowthFunction, ts: np.ndarray, sample: tuple, rows) -> tuple:
+    """_profile_block's lockstep polish of the orders ts[rows], NaN elsewhere."""
+    xs, ph, i, g_in, _ = sample
+    t, i = ts[rows], i[rows]
+    x, fx = _brent_min_rows(
+        lambda k, x: u.phi_many(x) - t[k] * x, xs[i - 1], xs[i + 1], xs[i], g_in[rows],
+        ph[i - 1] - t * xs[i - 1], ph[i + 1] - t * xs[i + 1],
+    )
+    log_ell, rho = np.full(len(ts), math.nan), np.full(len(ts), math.nan)
+    log_ell[rows], rho[rows] = fx, np.exp(x)
+    return log_ell, rho
+
+
 def _profile_block(u: GrowthFunction, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log ell and rho at the orders ts from one sample of phi, for a
     (log, exp)-convex u with a vectorised phi.
 
-    phi is sampled once on the _SCAN_POINTS grid; the running maximum
-    of its chord slopes, searched for t, gives the interior grid point
-    x_i where g(x) = phi(x) - t x stops falling.  An order keeps
-    [x_{i-1}, x_{i+1}] only under Bracket's certificate (the three
-    values finite, g(x_i) <= g(x_{i-1}) + delta and
+    _profile_sample samples phi once on the _SCAN_POINTS grid; the
+    running maximum of its chord slopes, searched for t, gives the
+    interior grid point x_i where g(x) = phi(x) - t x stops falling.  An
+    order keeps [x_{i-1}, x_{i+1}] only under Bracket's certificate (the
+    three values finite, g(x_i) <= g(x_{i-1}) + delta and
     g(x_i) <= g(x_{i+1}) + delta, with delta = _FLAT_ULPS
     max(1, |g(x_i)|) as in _brent_min_rows' flat stop);
-    _brent_min_rows then polishes every kept order in lockstep from
+    _profile_polish then polishes every kept order in lockstep from
     x_i, one phi_many call per step.  Orders without the certificate
     come back as NaN.  No (order x grid) matrix is formed.
 
@@ -408,27 +439,8 @@ def _profile_block(u: GrowthFunction, ts: np.ndarray) -> tuple[np.ndarray, np.nd
     1:8 split.  The value is within 8 delta = 32 eps max(1, |log ell|)
     of the minimum, as for a strict bracket.
     """
-    xs = np.linspace(-RANGE_CAP, min(u.x_max, RANGE_CAP), _SCAN_POINTS)
-    ph = u.phi_many(xs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        slopes = np.fmax.accumulate(np.diff(ph) / np.diff(xs))
-    i = np.clip(np.searchsorted(slopes, ts), 1, len(xs) - 2)
-    g_in = ph[i] - ts * xs[i]
-    tie = g_in - _FLAT_ULPS * np.maximum(1.0, np.abs(g_in))
-    kept = (
-        np.isfinite(ph[i - 1]) & np.isfinite(ph[i]) & np.isfinite(ph[i + 1])
-        & (tie <= ph[i - 1] - ts * xs[i - 1])
-        & (tie <= ph[i + 1] - ts * xs[i + 1])
-    )
-    rows = np.flatnonzero(kept)
-    t, i = ts[rows], i[rows]
-    x, fx = _brent_min_rows(
-        lambda k, x: u.phi_many(x) - t[k] * x, xs[i - 1], xs[i + 1], xs[i], g_in[rows],
-        ph[i - 1] - t * xs[i - 1], ph[i + 1] - t * xs[i + 1],
-    )
-    log_ell, rho = np.full(len(ts), math.nan), np.full(len(ts), math.nan)
-    log_ell[rows], rho[rows] = fx, np.exp(x)
-    return log_ell, rho
+    sample = _profile_sample(u, ts)
+    return _profile_polish(u, ts, sample, np.flatnonzero(sample[-1]))
 
 
 # a block costs about 1-2.5 ms whatever its size: the phi sample and
@@ -466,7 +478,7 @@ def _grown_profile(u: GrowthFunction, n_max: int) -> _Profile:
     order it leaves, like every order of any other u, from _ell_at
     warm-started at the previous minimizer.  A block polishes each row
     on its own, so an order's value does not depend on which block
-    built it.
+    built it, nor on which of its rows were polished with it.
 
     The first order whose _ell_at raises NoDecayCertificate or
     NotBracketable ends the growth for good: the orders before it stay
@@ -713,13 +725,30 @@ _SERIES_START = 64
 _SERIES_CAP = 4096
 
 
-def _coeff_logs(u: GrowthFunction, n: int, tag: str) -> np.ndarray:
-    """log ell_u(k) for L_u ("l"), -log ell_u(k) - 2 log k! for L#_u
-    ("sharp"), k = 0..n."""
-    logs = _integer_profile(u, n).log_ell[: n + 1]
+def _as_coeffs(logs: np.ndarray, n: int, tag: str) -> np.ndarray:
+    """_coeff_logs' formula on logs = log ell_u(k), the last len(logs) k <= n."""
     if tag == "l":
         return logs.copy()
-    return -logs - 2.0 * _log_factorials(n)
+    return -logs - 2.0 * _log_factorials(n)[n + 1 - len(logs) :]
+
+
+def _coeff_logs(u: GrowthFunction, n: int, tag: str) -> np.ndarray:
+    """log ell_u(k) for L_u ("l"), -log ell_u(k) - 2 log k! for L#_u ("sharp"), k = 0..n."""
+    return _as_coeffs(_integer_profile(u, n).log_ell[: n + 1], n, tag)
+
+
+def _cap_ends(u: GrowthFunction, cap: int) -> Optional[np.ndarray]:
+    """log ell_u at orders cap - 1, cap as growing u's profile to ``cap`` gives
+    them, if that is one block keeping every order (no _ell_at, no refusal)."""
+    prof = _PROFILE_CACHE[u]
+    if prof.refusal is not None or cap + 1 - len(prof) < _BLOCK_MIN_ROWS:
+        return None
+    if cap not in prof.cap_ends:
+        ts = np.arange(len(prof), cap + 1, dtype=float)
+        sample = _profile_sample(u, ts)
+        ends = _profile_polish(u, ts, sample, [-2, -1])[0][-2:] if sample[-1].all() else None
+        prof.cap_ends[cap] = ends
+    return prof.cap_ends[cap]
 
 
 def _series_logs(
@@ -734,35 +763,46 @@ def _series_logs(
     the head coefficient.
 
     A u that _grown_profile builds in blocks reads the first window,
-    then the profile as far as it grows towards ``cap``; any other u
-    builds each order by a point search and doubles its windows.  A
-    window reads the profile only as far as it reaches, so past an order
-    that refused it comes back short and is the last: a radius that
-    needs the orders past it is NaN, and the other radii are answered.
+    then the profile as far as it grows towards ``cap``, but a radius
+    with e^(g + log r) >= 1 for the cap window's last gap g (_cap_ends)
+    is NaN without growing it: the window's ratio bounds, suffix maxima,
+    certify no index there.  Any other u doubles its windows.  A window
+    reads the profile only as far as it reaches, so past an order that
+    refused it comes back short and is the last: a radius that needs the
+    orders past it is NaN, and the other radii are answered.
     """
     log_rs = np.asarray(log_rs, dtype=float)
-    out = np.empty(log_rs.shape)
-    zero = log_rs == LOG_ZERO
-    if zero.any():
-        out[zero] = _coeff_logs(u, 0, tag)[0]
+    out = np.full(log_rs.shape, math.nan)
+    rest = log_rs != LOG_ZERO
+    if not rest.all():
+        out[~rest] = _coeff_logs(u, 0, tag)[0]
     first = min(_SERIES_START, cap)
-    sizes = (first, cap) if _in_blocks(u) else doubling(first, cap)
 
     def window(n: int) -> np.ndarray:
         return _coeff_logs(u, min(n, len(_grown_profile(u, n)) - 1), tag)
 
-    out[~zero] = sum_windowed_series(window, log_rs[~zero], sizes, rel_tol)
+    if not _in_blocks(u):
+        out[rest] = sum_windowed_series(window, log_rs[rest], doubling(first, cap), rel_tol)
+        return out
+    out[rest] = sum_windowed_series(window, log_rs[rest], (first,), rel_tol)
+    rest &= np.isnan(out)
+    if rest.any() and (ends := _cap_ends(u, cap)) is not None:
+        gap = np.diff(_as_coeffs(ends, cap, tag))  # c_cap - c_{cap-1}
+        rest &= ~(np.exp(np.minimum(gap + log_rs, 700.0)) >= 1.0)
+    if rest.any():
+        out[rest] = sum_windowed_series(window, log_rs[rest], (cap,), rel_tol)
     return out
 
 
 def _certified_logs(u: GrowthFunction, log_rs, tag: str, rel_tol=None, cap: int = _SERIES_CAP):
     """_series_logs, raising for the first radius in input order that
-    the series refuses: the profile's recorded refusal when the profile
-    stopped short of ``cap`` orders, NoDecayCertificate otherwise."""
+    the series refuses: the refusal recorded by a profile that stopped
+    short of ``cap`` orders, NoDecayCertificate otherwise."""
     out = _series_logs(u, log_rs, tag, rel_tol, cap)
     refused = np.flatnonzero(np.isnan(out))
     if refused.size:
-        _integer_profile(u, cap)  # a profile short of the cap raises its refusal
+        if (prof := _PROFILE_CACHE[u]).refusal is not None and len(prof) <= cap:
+            raise prof.refusal[0](*prof.refusal[1])
         raise NoDecayCertificate(
             f"series for {u.name} at log r = {float(np.ravel(log_rs)[refused[0]]):.6g} "
             f"showed no certified decay within {cap} terms"
@@ -776,8 +816,8 @@ def l_function(u: GrowthFunction, log_r: float, rel_tol: Optional[float] = None)
     The tail certificate is the largest stored term ratio from the
     stopping index on: the integer transform values are log-concave, so
     their ratios only fall.  A one-radius call of the batched kernel
-    ``_series_logs``, whose certificate is built once per stored
-    profile window; raises NoDecayCertificate where it refuses.
+    ``_series_logs`` (see there for the refusal from the cap window's
+    last gap); raises NoDecayCertificate where it refuses.
     """
     return LogScalar(float(_certified_logs(u, [float(log_r)], "l", rel_tol)[0]))
 

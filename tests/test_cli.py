@@ -4,6 +4,7 @@ import json
 import math
 import os
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -759,7 +760,7 @@ class TestCacheIntegrity:
         real = cli._source_hash()
         copies = [name for name in os.listdir(here) if name.endswith(".py")]
         for name in copies:
-            (tmp_path / name).write_bytes(open(os.path.join(here, name), "rb").read())
+            (tmp_path / name).write_bytes(Path(here, name).read_bytes())
         monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
         assert cli._source_hash() == real
         (tmp_path / "notes.txt").write_text("not a source")

@@ -898,14 +898,36 @@ class TestSeriesKernel:
         assert gc.l_sharp(u, -0.05).log == fresh
 
     def test_refusal_grows_a_cold_profile_in_one_block(self, monkeypatch):
-        # the window of 64 terms fails, and one block then grows the profile
-        # to the cap: 2 blocks and 1 point search in all, 7 and 7 when each
-        # doubled window was grown on its own
+        # the window of 64 terms fails at r = 4, past the radius 1 of L# of
+        # ks(1); the cap window's last gap refuses it from one sample and a
+        # polish of orders 4095 and 4096 alone: one 64-row block, one
+        # two-row polish and the point search of order 0, and the profile
+        # stays at 65 orders
+        calls = _count_calls(monkeypatch, "_profile_block", "_profile_sample", "_ell_at")
+        rows, polish = [], legendre._profile_polish
+        monkeypatch.setattr(
+            legendre, "_profile_polish", lambda u, ts, s, r: rows.append(len(r)) or polish(u, ts, s, r)
+        )
+        u = ks_family(1.0)
+        msg = "series for ks(beta=1) at log r = 1.38629 showed no certified decay within 4096 terms"
+        with pytest.raises(NoDecayCertificate, match=re.escape(msg)):
+            gc.l_sharp(u, math.log(4.0))
+        assert rows == [64, 2]
+        assert calls == {"_profile_block": 1, "_profile_sample": 2, "_ell_at": 1}
+        assert len(legendre._PROFILE_CACHE[u]) == 65
+        # a second refusal reads the memoised gap: no sample, no polish
+        with pytest.raises(NoDecayCertificate, match=re.escape(msg)):
+            gc.l_sharp(u, math.log(4.0))
+        assert calls["_profile_sample"] == 2 and rows == [64, 2]
+
+    def test_undecided_refusal_grows_the_profile_in_one_block(self, monkeypatch):
+        # at r = 1 the last gap, -2.44e-4, leaves q < 1: the profile grows to
+        # the cap in one block, and the full window refuses
         calls = _count_calls(monkeypatch, "_profile_block", "_ell_at")
         u = ks_family(1.0)
         with pytest.raises(NoDecayCertificate):
             gc.l_sharp(u, 0.0)
-        assert calls["_profile_block"] <= 2 and calls["_ell_at"] <= 2
+        assert calls["_profile_block"] == 2 and calls["_ell_at"] == 1
         monkeypatch.undo()
         # the orders that began each doubled window's growth (one _ell_at
         # each) now come from the block
@@ -971,14 +993,19 @@ class TestSeriesKernel:
         assert all(not isinstance(a, BaseException) for a in prof.refusal[1])
 
     def test_cold_refusal_reads_two_windows(self, monkeypatch):
-        # 65 terms, then the profile grown to the cap in one block and read
-        # in one window of 4097: no doubled window in between
+        # 65 terms, then the cap window's last gap refuses without reading
+        # that window; a radius the gap leaves open (r = 1) reads it as the
+        # second window, of 4097 terms, with no doubled window in between
         calls = _count_calls(monkeypatch, "_profile_block", "_ell_at")
         windows = _count_calls(monkeypatch, "_coeff_logs", orders=True)
+        u = ks_family(1.0)
         with pytest.raises(NoDecayCertificate):
-            gc.l_sharp(ks_family(1.0), 0.0)
-        assert calls["_profile_block"] == 2 and calls["_ell_at"] <= 2
-        assert windows["_coeff_logs"] == [64, 4096]
+            gc.l_sharp(u, math.log(4.0))
+        assert calls["_profile_block"] == 1 and calls["_ell_at"] == 1
+        assert windows["_coeff_logs"] == [64] and len(legendre._PROFILE_CACHE[u]) == 65
+        with pytest.raises(NoDecayCertificate):
+            gc.l_sharp(u, 0.0)
+        assert calls["_profile_block"] == 2 and windows["_coeff_logs"] == [64, 64, 4096]
 
     def test_a_refused_order_leaves_its_certified_run_to_the_series(self):
         # L(r) = sum_n e^(-(n + 2)^2 / 4) r^n for log_square, whose profile
@@ -1037,6 +1064,132 @@ class TestSeriesKernel:
         sums, used, done = sum_stored_series_batch(c, stored_ratio_bounds(c), [0.5])
         want = sum_stored_series(terms)
         assert done[0] and used[0] == want.terms_used and sums[0] == want.value.log
+
+
+# fresh instances of the families whose series outcomes are checked
+# against the full cap window (log_square's profile refuses at order
+# 1398, so its last gap at the cap decides nothing)
+GAP_FAMILIES = [
+    ("exp", exponential),
+    ("ks0.25", lambda: ks_family(0.25)),
+    ("ks0.5", lambda: ks_family(0.5)),
+    ("ks1", lambda: ks_family(1.0)),
+    ("gaussian", gaussian),
+    ("power-exp3", lambda: power_exp(3.0)),
+    ("expk2", lambda: iterated_exp(2)),
+    ("bump", bump_example),
+    ("log-square", log_square_example),
+]
+GAP_RADII = [0.1, 0.5, 0.99, 1.0, 1.0003, 1.01, 2.0, 4.0, 16.0, 50.0, 1e10, 1e100, 1e282]
+
+
+def _full(make):
+    """A fresh function whose profile was grown to the cap first, so every
+    series reads the full cap window."""
+    u = make()
+    legendre._grown_profile(u, 4096)
+    return u
+
+
+def _outcome(series, u, log_r):
+    """A series value as float bits, or its error's class and message."""
+    try:
+        return series(u, log_r).log.hex()
+    except (NoDecayCertificate, NotBracketable) as exc:
+        return type(exc), str(exc)
+
+
+class TestCapGapRefusal:
+    """A radius that the cap window's last gap refuses is decided without
+    growing the profile, with exactly the outcome the full window gives."""
+
+    @pytest.mark.parametrize("make", [m for _, m in GAP_FAMILIES],
+                             ids=[k for k, _ in GAP_FAMILIES])
+    def test_same_outcome_as_the_full_window(self, make):
+        full, warm = _full(make), make()
+        for r in GAP_RADII:
+            for series in (gc.l_function, gc.l_sharp):
+                want = _outcome(series, full, math.log(r))
+                # cold, then warm on a function that has answered the radii
+                # before it in both series (the memoised cap orders serve
+                # both, and earlier radii may have grown the profile)
+                assert _outcome(series, make(), math.log(r)) == want, (series, r)
+                assert _outcome(series, warm, math.log(r)) == want, (series, r)
+
+    @pytest.mark.parametrize("series, make, r, decided", [
+        (gc.l_sharp, lambda: ks_family(1.0), 1.0, False),  # last gap -2.44e-4
+        (gc.l_sharp, lambda: ks_family(1.0), 1.0003, True),
+        (gc.l_function, exponential, 50.0, False),
+        (gc.l_function, exponential, 1e10, True),
+    ])
+    def test_radii_that_straddle_the_decision(self, series, make, r, decided):
+        u = make()
+        got = _outcome(series, u, math.log(r))
+        assert got == _outcome(series, _full(make), math.log(r))
+        assert (len(legendre._PROFILE_CACHE[u]) == 65) == decided
+        if decided:
+            assert got[0] is NoDecayCertificate
+
+    @pytest.mark.parametrize("make", [lambda: ks_family(1.0), log_square_example],
+                             ids=["ks1", "log-square"])
+    @pytest.mark.parametrize("tag", ["l", "sharp"])
+    def test_growth_function_as_the_full_window(self, tag, make):
+        # cap 512: the grid crosses the radius 1 of L# of ks(1), and the
+        # radii where L needs more than 65 terms; log_square's full profile
+        # refused at order 1398, past this cap, so a refusal here is
+        # NoDecayCertificate all the same
+        xs = np.concatenate([np.linspace(-3.0, 3.0, 25), [-3e-4, -1e-4, 1e-4, 3e-4, 8.0, 30.0]])
+        fresh = legendre._series_growth_function(make(), tag)
+        full = legendre._series_growth_function(_full(make), tag)
+        got, want = fresh.phi_many(xs), full.phi_many(xs)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        # L# diverges past r = 1 for ks(1) and everywhere for log_square
+        assert np.isnan(want).any() or tag == "l"
+        # a second pass reads the memoised gap and the profile it left
+        assert [v.hex() for v in fresh.phi_many(xs)] == [v.hex() for v in want]
+        for x in xs[np.isnan(want)]:
+            for w in (full, legendre._series_growth_function(make(), tag)):
+                with pytest.raises(NoDecayCertificate, match="within 512 terms"):
+                    w.phi_at(x)
+
+    def test_a_profile_near_the_cap_grows_as_before(self, monkeypatch):
+        # 16 missing orders are walked by point searches, not one block: the
+        # last gap decides nothing, and the profile grows to the cap
+        u = ks_family(1.0)
+        legendre._integer_profile(u, 4080)
+        calls = _count_calls(monkeypatch, "_profile_sample", "_ell_at")
+        with pytest.raises(NoDecayCertificate):
+            gc.l_sharp(u, math.log(4.0))
+        assert calls == {"_profile_sample": 0, "_ell_at": 16}
+        assert len(legendre._PROFILE_CACHE[u]) == 4097
+
+    def test_a_recorded_refusal_takes_no_decision(self, monkeypatch):
+        # a profile that stopped short is read as it is, and its refusal
+        # raised; the last gap stands in only for a growth that can run
+        u = ks_family(1.0)
+        legendre._grown_profile(u, 64).refusal = (NotBracketable, ("stopped at order 65",))
+        calls = _count_calls(monkeypatch, "_profile_sample", "_ell_at")
+        with pytest.raises(NotBracketable, match="stopped at order 65"):
+            gc.l_sharp(u, math.log(4.0))
+        assert calls == {"_profile_sample": 0, "_ell_at": 0}
+
+    @pytest.mark.parametrize("make", [m for _, m in GAP_FAMILIES],
+                             ids=[k for k, _ in GAP_FAMILIES])
+    @pytest.mark.parametrize("cap", [512, 4096])
+    def test_two_rows_polished_alone_match_the_block(self, make, cap):
+        u = make()
+        legendre._integer_profile(u, 64)
+        ts = np.arange(65.0, cap + 1.0)
+        sample = legendre._profile_sample(u, ts)
+        if not sample[-1][-2:].all():
+            # log_square's minimizer passes the range cap from order 1398
+            assert make is log_square_example and cap == 4096
+            return
+        two = legendre._profile_polish(u, ts, sample, [-2, -1])
+        block = legendre._profile_block(u, ts)
+        for got, want in zip(two, block):
+            assert [v.hex() for v in got[-2:]] == [v.hex() for v in want[-2:]]
+            assert np.isnan(got[:-2]).all()
 
 
 class TestDual:
