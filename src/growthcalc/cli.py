@@ -524,11 +524,11 @@ def _series_files(registry: str, data: bytes) -> list:
 
 
 def _cache_key(args) -> Optional[str]:
-    """sha256 over the parsed arguments, the package sources and the
-    bytes of every input file the call reads (--registry, the files its
-    series entries load and each --*file flag); None when such a file
-    cannot be read, so the call skips the cache and its handler reports
-    the file."""
+    """sha256 over the parsed arguments, GROWTHCALC_TOL (the default
+    tolerance of every series sum), the package sources and the bytes of
+    every input file the call reads (--registry, the files its series
+    entries load and each --*file flag); None when such a file cannot be
+    read, so the call skips the cache and its handler reports the file."""
     payload = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -545,8 +545,8 @@ def _cache_key(args) -> Optional[str]:
         inputs[k] = hashlib.sha256(data).hexdigest()
         if k == "registry":
             files += [(f"registry:{name}", name) for name in _series_files(path, data)]
-    blob = json.dumps({"args": payload, "inputs": inputs, "sources": _source_hash()},
-                      sort_keys=True, default=str)
+    blob = json.dumps({"args": payload, "inputs": inputs, "sources": _source_hash(),
+                       "tol": env_rel_tol()}, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

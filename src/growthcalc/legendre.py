@@ -174,6 +174,8 @@ def _ell_at(u: GrowthFunction, t: float, seed_x: float = 0.0) -> LegendrePoint:
         return u.phi_at(x) - t * x
 
     def g_many(xs: np.ndarray) -> np.ndarray:
+        if u.phi_vec is None:  # point by point: phi_at raises the first refusal
+            return np.array([u.phi_at(x) for x in xs.tolist()]) - t * xs
         vals = u.phi_many(xs) - t * xs
         # phi_many reads NaN where phi refuses: phi_at raises the refusal,
         # at the first such sample, as a point-by-point scan did
@@ -975,7 +977,9 @@ def _bracket_rows(
         x_in = x_cap - np.copysign(1e-6, x_cap)
         f_in = f(k, x_in)
         inside = (f_in < f_cap) & (f_in <= f_before)
-        flat = ~np.isinf(f_cap) & (np.abs(f_cap - f_before) <= 1e-8 * (1.0 + np.abs(f_cap)))
+        fin = np.isfinite(f_cap)  # only a finite f_cap can be flat: inf - inf is no gap
+        flat = fin.copy()
+        flat[fin] = np.abs(f_cap[fin] - f_before[fin]) <= 1e-8 * (1.0 + np.abs(f_cap[fin]))
         lo[k], hi[k] = np.minimum(x_before, x_cap), np.maximum(x_before, x_cap)
         x[k], fx[k] = np.where(inside, x_in, x_cap), np.where(inside, f_in, f_cap)
         end[k] = np.where(inside, 0, np.where(flat, 1, 2))

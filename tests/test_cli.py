@@ -825,6 +825,19 @@ class TestCacheIntegrity:
             outputs.append(cached)
         assert outputs[0] != outputs[1]
 
+    def test_env_tolerance_is_in_the_key(self, capsys, tmp_path, monkeypatch):
+        # GROWTHCALC_TOL sets where every series sum stops: 1e-2 stops exp's
+        # L at r = 3 early, so its cached bytes must not answer the default
+        cache = tmp_path / "cache"
+        argv = ("lfn", "--family", "exp", "--r", "3", "--cache-dir", str(cache))
+        monkeypatch.setenv("GROWTHCALC_TOL", "1e-2")
+        loose = run(capsys, *argv)
+        assert run(capsys, *argv) == loose  # the same tolerance replays
+        monkeypatch.delenv("GROWTHCALC_TOL")
+        default = run(capsys, *argv)
+        assert default == run(capsys, *argv[:-2]) != loose
+        assert len(cache_entries(cache)) == 2
+
     def test_cache_dir_naming_a_file_is_a_usage_error(self, capsys, tmp_path):
         taken = tmp_path / "F"
         taken.write_text("not a directory")

@@ -235,6 +235,27 @@ class TestTransformEdges:
             gc.ell(u, 2.0)
         assert str(got.value) == first
 
+    def test_scan_without_phi_vec_stops_at_the_first_refusal(self):
+        # a wrapper with no phi_vec is read in grid order, and the scan
+        # raises phi's refusal at the first refused point, reading no
+        # point past it (L# of ks(1) refuses from grid index 2048 on)
+        base = gc.l_sharp_growth_function(ks_family(1.0))
+        read = []
+
+        def phi(x):
+            read.append(x)
+            return base.phi(x)
+
+        w = from_phi(phi, name="counted", log_u0=base.log_u0, x_max=base.x_max)
+        with pytest.raises(NoDecayCertificate) as got:
+            gc.ell(w, 2.0)
+        grid = np.linspace(-legendre.RANGE_CAP, min(w.x_max, legendre.RANGE_CAP),
+                           legendre._SCAN_POINTS)
+        assert read == grid[: len(read)].tolist() and len(read) == 2049
+        with pytest.raises(NoDecayCertificate) as first:
+            base.phi_at(read[-1])
+        assert str(got.value) == str(first.value)
+
     @pytest.mark.parametrize("t", [10.5, 20.5])
     def test_series_order_between_integers_answers(self, t):
         # the cold bracket search from x = 0 probes x = 7, where the

@@ -454,7 +454,8 @@ class TestBracketRows:
 
 def _search_row(kind, c, s):
     """One row of the range-cap property tests: (x - c)^2, s e^{+-x},
-    cosh(x - c) (+inf where it overflows) or +-s x."""
+    cosh(x - c) (+inf where it overflows), +-s x, or -s x up to c and
+    +inf past it."""
     return {
         "square": lambda x: (x - c) ** 2,
         "exp": lambda x: s * math.exp(x),
@@ -462,6 +463,7 @@ def _search_row(kind, c, s):
         "cosh": lambda x: math.cosh(x - c) if abs(x - c) < 710.0 else math.inf,
         "slope": lambda x: s * x,
         "slope-": lambda x: -s * x,
+        "wall": lambda x: math.inf if x > c else -s * x,
     }[kind]
 
 
@@ -490,7 +492,7 @@ class TestOneCapExit:
 
     rows = st.lists(
         st.tuples(
-            st.sampled_from(["square", "exp", "exp-", "cosh", "slope", "slope-"]),
+            st.sampled_from(["square", "exp", "exp-", "cosh", "slope", "slope-", "wall"]),
             st.floats(-1500.0, 1500.0),
             st.floats(1e-12, 1e3),
             st.floats(-1500.0, 1500.0),
@@ -502,10 +504,12 @@ class TestOneCapExit:
     @given(rows)
     # near-cap ends that random draws seldom hit: a minimum a probe inside
     # the cap brackets from a seed on the cap and past a doubling step, a
-    # flat limit past a first step clipped to the cap, and a fall of
-    # 1.9e-8 to the cap, just past the flat rule's 1e-8
+    # flat limit past a first step clipped to the cap, a fall of 1.9e-8 to
+    # the cap, just past the flat rule's 1e-8, and a seed past the cap
+    # where f is +inf on both sides of the cap
     @example([("square", 699.6, 1.0, 700.0), ("square", -651.25, 1.0, 0.0),
-              ("exp-", 0.0, 1.0, 699.5), ("slope-", 0.0, 1e-10, 0.0)])
+              ("exp-", 0.0, 1.0, 699.5), ("slope-", 0.0, 1e-10, 0.0),
+              ("wall", 600.0, 1.0, 800.0)])
     @settings(max_examples=40, deadline=None)
     def test_same_probes_and_ends_as_the_reference(self, rows):
         fs = [_search_row(kind, c, s) for kind, c, s, _ in rows]
