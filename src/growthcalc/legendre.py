@@ -367,7 +367,6 @@ class _Profile:
         self.log_ell, self.rho = np.empty(0), np.empty(0)
         self.boundary = np.empty(0, dtype=object)
         self.refusal = None
-        self.cap_ends = {}  # _cap_ends per cap
 
     def __len__(self) -> int:
         return len(self.log_ell)
@@ -403,19 +402,6 @@ def _profile_sample(u: GrowthFunction, ts: np.ndarray) -> tuple:
     return xs, ph, i, g_in, kept
 
 
-def _profile_polish(u: GrowthFunction, ts: np.ndarray, sample: tuple, rows) -> tuple:
-    """_profile_block's lockstep polish of the orders ts[rows], NaN elsewhere."""
-    xs, ph, i, g_in, _ = sample
-    t, i = ts[rows], i[rows]
-    x, fx = _brent_min_rows(
-        lambda k, x: u.phi_many(x) - t[k] * x, xs[i - 1], xs[i + 1], xs[i], g_in[rows],
-        ph[i - 1] - t * xs[i - 1], ph[i + 1] - t * xs[i + 1],
-    )
-    log_ell, rho = np.full(len(ts), math.nan), np.full(len(ts), math.nan)
-    log_ell[rows], rho[rows] = fx, np.exp(x)
-    return log_ell, rho
-
-
 def _profile_block(u: GrowthFunction, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log ell and rho at the orders ts from one sample of phi, for a
     (log, exp)-convex u with a vectorised phi.
@@ -426,10 +412,10 @@ def _profile_block(u: GrowthFunction, ts: np.ndarray) -> tuple[np.ndarray, np.nd
     order keeps [x_{i-1}, x_{i+1}] only under Bracket's certificate (the
     three values finite, g(x_i) <= g(x_{i-1}) + delta and
     g(x_i) <= g(x_{i+1}) + delta, with delta = _FLAT_ULPS
-    max(1, |g(x_i)|) as in _brent_min_rows' flat stop);
-    _profile_polish then polishes every kept order in lockstep from
-    x_i, one phi_many call per step.  Orders without the certificate
-    come back as NaN.  No (order x grid) matrix is formed.
+    max(1, |g(x_i)|) as in _brent_min_rows' flat stop); every kept
+    order is then polished in lockstep from x_i, one phi_many call per
+    step.  Orders without the certificate come back as NaN.  No
+    (order x grid) matrix is formed.
 
     delta forgives a tie: where t equals a chord slope to roundoff (the
     minimizer mid-cell), g(x_i) can exceed a neighbour's by an ulp
@@ -441,8 +427,16 @@ def _profile_block(u: GrowthFunction, ts: np.ndarray) -> tuple[np.ndarray, np.nd
     1:8 split.  The value is within 8 delta = 32 eps max(1, |log ell|)
     of the minimum, as for a strict bracket.
     """
-    sample = _profile_sample(u, ts)
-    return _profile_polish(u, ts, sample, np.flatnonzero(sample[-1]))
+    xs, ph, i, g_in, kept = _profile_sample(u, ts)
+    rows = np.flatnonzero(kept)
+    t, i = ts[rows], i[rows]
+    x, fx = _brent_min_rows(
+        lambda k, x: u.phi_many(x) - t[k] * x, xs[i - 1], xs[i + 1], xs[i], g_in[rows],
+        ph[i - 1] - t * xs[i - 1], ph[i + 1] - t * xs[i + 1],
+    )
+    log_ell, rho = np.full(len(ts), math.nan), np.full(len(ts), math.nan)
+    log_ell[rows], rho[rows] = fx, np.exp(x)
+    return log_ell, rho
 
 
 # a block costs about 1-2.5 ms whatever its size: the phi sample and
@@ -739,18 +733,46 @@ def _coeff_logs(u: GrowthFunction, n: int, tag: str) -> np.ndarray:
     return _as_coeffs(_integer_profile(u, n).log_ell[: n + 1], n, tag)
 
 
-def _cap_ends(u: GrowthFunction, cap: int) -> Optional[np.ndarray]:
-    """log ell_u at orders cap - 1, cap as growing u's profile to ``cap`` gives
-    them, if that is one block keeping every order (no _ell_at, no refusal)."""
+def _cap_gap(u: GrowthFunction, cap: int, tag: str) -> Optional[float]:
+    """The cap window's last coefficient gap c_cap - c_{cap-1}, less a
+    roundoff margin, if growing u's profile to ``cap`` would be one block
+    that keeps every order (no recorded refusal, at least _BLOCK_MIN_ROWS
+    orders missing, _profile_sample's certificate on all of them); else
+    None.  The two orders come from point searches, _ell_at warm-started
+    at the profile's last minimizer and then at rho(cap - 1); a search
+    that refuses or ends on a boundary gives None as well.
+
+    The margin bounds the distance from the gap the block would give.
+    Each order's two values, v = log ell at t with minimizer x = log rho,
+    are the least values two searches found of the same computed
+    g(x) = phi(x) - t x: the block's flat stop lies within
+    32 eps max(1, |v|) of its minimum, and the scalar Brent's 1e-12 width
+    stop within g''(x) 1e-24 / 2, below 32 eps wherever g'' < 1.4e10.
+    The rounding of phi(x) - t x adds a few ulps of |phi(x)| + t |x|
+    <= |v| + 2 t |x|.  Per order, 64 eps (1 + |v| + 2 t |x|) covers all
+    three, and the margin is its sum over the two orders.  A radius
+    within the margin of the gap's verdict takes the growth, as one the
+    gap leaves open does, so no radius is refused that the block's own
+    gap would leave open.
+    """
     prof = _PROFILE_CACHE[u]
     if prof.refusal is not None or cap + 1 - len(prof) < _BLOCK_MIN_ROWS:
         return None
-    if cap not in prof.cap_ends:
-        ts = np.arange(len(prof), cap + 1, dtype=float)
-        sample = _profile_sample(u, ts)
-        ends = _profile_polish(u, ts, sample, [-2, -1])[0][-2:] if sample[-1].all() else None
-        prof.cap_ends[cap] = ends
-    return prof.cap_ends[cap]
+    if not _profile_sample(u, np.arange(len(prof), cap + 1, dtype=float))[-1].all():
+        return None
+    try:
+        below = _ell_at(u, cap - 1.0, _warm_seed(prof.rho[-1]))
+        top = _ell_at(u, float(cap), _warm_seed(below.rho))
+    except (NoDecayCertificate, NotBracketable):
+        return None
+    if below.boundary or top.boundary:
+        return None
+    ends = np.array([below.log_ell.log, top.log_ell.log])
+    margin = sum(
+        1.0 + abs(p.log_ell.log) + 2.0 * t * abs(math.log(p.rho))
+        for t, p in ((cap - 1.0, below), (float(cap), top))
+    )
+    return float(np.diff(_as_coeffs(ends, cap, tag))[0]) - 64.0 * _EPS * margin
 
 
 def _series_logs(
@@ -766,8 +788,8 @@ def _series_logs(
 
     A u that _grown_profile builds in blocks reads the first window,
     then the profile as far as it grows towards ``cap``, but a radius
-    with e^(g + log r) >= 1 for the cap window's last gap g (_cap_ends)
-    is NaN without growing it: the window's ratio bounds, suffix maxima,
+    with e^(g + log r) >= 1 for the cap window's last gap g, less
+    _cap_gap's roundoff margin, is NaN without growing it: the window's ratio bounds, suffix maxima,
     certify no index there.  Any other u doubles its windows.  A window
     reads the profile only as far as it reaches, so past an order that
     refused it comes back short and is the last: a radius that needs the
@@ -788,8 +810,7 @@ def _series_logs(
         return out
     out[rest] = sum_windowed_series(window, log_rs[rest], (first,), rel_tol)
     rest &= np.isnan(out)
-    if rest.any() and (ends := _cap_ends(u, cap)) is not None:
-        gap = np.diff(_as_coeffs(ends, cap, tag))  # c_cap - c_{cap-1}
+    if rest.any() and (gap := _cap_gap(u, cap, tag)) is not None:
         rest &= ~(np.exp(np.minimum(gap + log_rs, 700.0)) >= 1.0)
     if rest.any():
         out[rest] = sum_windowed_series(window, log_rs[rest], (cap,), rel_tol)

@@ -920,26 +920,21 @@ class TestSeriesKernel:
 
     def test_refusal_grows_a_cold_profile_in_one_block(self, monkeypatch):
         # the window of 64 terms fails at r = 4, past the radius 1 of L# of
-        # ks(1); the cap window's last gap refuses it from one sample and a
-        # polish of orders 4095 and 4096 alone: one 64-row block, one
-        # two-row polish and the point search of order 0, and the profile
-        # stays at 65 orders
+        # ks(1); the cap window's last gap refuses it from one sample and
+        # point searches of orders 4095 and 4096: one 64-row block and three
+        # point searches (orders 0, 4095 and 4096), and the profile stays
+        # at 65 orders
         calls = _count_calls(monkeypatch, "_profile_block", "_profile_sample", "_ell_at")
-        rows, polish = [], legendre._profile_polish
-        monkeypatch.setattr(
-            legendre, "_profile_polish", lambda u, ts, s, r: rows.append(len(r)) or polish(u, ts, s, r)
-        )
         u = ks_family(1.0)
         msg = "series for ks(beta=1) at log r = 1.38629 showed no certified decay within 4096 terms"
         with pytest.raises(NoDecayCertificate, match=re.escape(msg)):
             gc.l_sharp(u, math.log(4.0))
-        assert rows == [64, 2]
-        assert calls == {"_profile_block": 1, "_profile_sample": 2, "_ell_at": 1}
+        assert calls == {"_profile_block": 1, "_profile_sample": 2, "_ell_at": 3}
         assert len(legendre._PROFILE_CACHE[u]) == 65
-        # a second refusal reads the memoised gap: no sample, no polish
+        # a second refusal decides again: one sample, two point searches
         with pytest.raises(NoDecayCertificate, match=re.escape(msg)):
             gc.l_sharp(u, math.log(4.0))
-        assert calls["_profile_sample"] == 2 and rows == [64, 2]
+        assert calls == {"_profile_block": 1, "_profile_sample": 3, "_ell_at": 5}
 
     def test_undecided_refusal_grows_the_profile_in_one_block(self, monkeypatch):
         # at r = 1 the last gap, -2.44e-4, leaves q < 1: the profile grows to
@@ -948,7 +943,7 @@ class TestSeriesKernel:
         u = ks_family(1.0)
         with pytest.raises(NoDecayCertificate):
             gc.l_sharp(u, 0.0)
-        assert calls["_profile_block"] == 2 and calls["_ell_at"] == 1
+        assert calls["_profile_block"] == 2 and calls["_ell_at"] == 3
         monkeypatch.undo()
         # the orders that began each doubled window's growth (one _ell_at
         # each) now come from the block
@@ -1022,7 +1017,7 @@ class TestSeriesKernel:
         u = ks_family(1.0)
         with pytest.raises(NoDecayCertificate):
             gc.l_sharp(u, math.log(4.0))
-        assert calls["_profile_block"] == 1 and calls["_ell_at"] == 1
+        assert calls["_profile_block"] == 1 and calls["_ell_at"] == 3
         assert windows["_coeff_logs"] == [64] and len(legendre._PROFILE_CACHE[u]) == 65
         with pytest.raises(NoDecayCertificate):
             gc.l_sharp(u, 0.0)
@@ -1132,8 +1127,8 @@ class TestCapGapRefusal:
             for series in (gc.l_function, gc.l_sharp):
                 want = _outcome(series, full, math.log(r))
                 # cold, then warm on a function that has answered the radii
-                # before it in both series (the memoised cap orders serve
-                # both, and earlier radii may have grown the profile)
+                # before it in both series (earlier radii may have grown
+                # the profile)
                 assert _outcome(series, make(), math.log(r)) == want, (series, r)
                 assert _outcome(series, warm, math.log(r)) == want, (series, r)
 
@@ -1166,7 +1161,7 @@ class TestCapGapRefusal:
         assert [v.hex() for v in got] == [v.hex() for v in want]
         # L# diverges past r = 1 for ks(1) and everywhere for log_square
         assert np.isnan(want).any() or tag == "l"
-        # a second pass reads the memoised gap and the profile it left
+        # a second pass decides again on the profile the first one left
         assert [v.hex() for v in fresh.phi_many(xs)] == [v.hex() for v in want]
         for x in xs[np.isnan(want)]:
             for w in (full, legendre._series_growth_function(make(), tag)):
@@ -1194,23 +1189,32 @@ class TestCapGapRefusal:
             gc.l_sharp(u, math.log(4.0))
         assert calls == {"_profile_sample": 0, "_ell_at": 0}
 
-    @pytest.mark.parametrize("make", [m for _, m in GAP_FAMILIES],
-                             ids=[k for k, _ in GAP_FAMILIES])
+    @pytest.mark.parametrize("make", [m for _, m in GAP_FAMILIES] + [
+        lambda: gc.dual_function(exponential()), lambda: gc.dual_function(ks_family(0.5))
+    ], ids=[k for k, _ in GAP_FAMILIES] + ["dual-exp", "dual-ks0.5"])
     @pytest.mark.parametrize("cap", [512, 4096])
-    def test_two_rows_polished_alone_match_the_block(self, make, cap):
+    def test_point_searches_give_the_block_gap_within_the_margin(self, make, cap):
         u = make()
-        legendre._integer_profile(u, 64)
-        ts = np.arange(65.0, cap + 1.0)
-        sample = legendre._profile_sample(u, ts)
-        if not sample[-1][-2:].all():
+        prof = legendre._integer_profile(u, 64)
+        log_ell, _ = legendre._profile_block(u, np.arange(65.0, cap + 1.0))
+        if np.isnan(log_ell[-2:]).any():
             # log_square's minimizer passes the range cap from order 1398
             assert make is log_square_example and cap == 4096
+            assert legendre._cap_gap(u, cap, "l") is None
             return
-        two = legendre._profile_polish(u, ts, sample, [-2, -1])
-        block = legendre._profile_block(u, ts)
-        for got, want in zip(two, block):
-            assert [v.hex() for v in got[-2:]] == [v.hex() for v in want[-2:]]
-            assert np.isnan(got[:-2]).all()
+        below = legendre._ell_at(u, cap - 1.0, legendre._warm_seed(prof.rho[-1]))
+        top = legendre._ell_at(u, float(cap), legendre._warm_seed(below.rho))
+        # _cap_gap's margin: 64 eps (1 + |log ell| + 2 t |log rho|) per order
+        margin = 64.0 * legendre._EPS * sum(
+            1.0 + abs(p.log_ell.log) + 2.0 * t * abs(math.log(p.rho))
+            for t, p in ((cap - 1.0, below), (float(cap), top))
+        )
+        for tag in ("l", "sharp"):
+            block = float(np.diff(legendre._as_coeffs(log_ell[-2:], cap, tag))[0])
+            point = legendre._as_coeffs(np.array([below.log_ell.log, top.log_ell.log]), cap, tag)
+            assert abs(float(np.diff(point)[0]) - block) <= margin
+            # the decision refuses no radius that the block's gap leaves open
+            assert legendre._cap_gap(u, cap, tag) <= block
 
 
 class TestDual:
