@@ -367,11 +367,16 @@ _VERIFY_PARAM_FLAGS = (
 
 
 def _cmd_verify(args) -> _Result:
-    from .legendre import verify_suite
+    from .legendre import _suite_keys, verify_suite
 
     given = {key: getattr(args, flag) for flag, key, _, _ in _VERIFY_PARAM_FLAGS}
     params = {key: val for key, val in given.items() if val is not None}
     try:
+        for flag, key, _, _ in _VERIFY_PARAM_FLAGS:
+            if key in params and key not in _suite_keys(args.suite, params):
+                with_family = key in _suite_keys(args.suite, {"family": None})  # lem35
+                raise _UsageError(f"--{flag}: suite {args.suite} does not read it"
+                                  + " without --family" * with_family)
         report = verify_suite(args.suite, params)
     except ValueError as exc:
         raise _UsageError(f"--suite: {exc}") from exc
@@ -620,10 +625,15 @@ def _common(parser, registry: bool = True):
                         help="reuse reports when inputs hash-match")
 
 
+# help and usage text wrap at one width, not at the terminal's COLUMNS,
+# so an argv prints the same bytes in every terminal
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
+
 def _sub(group, name: str, text: str):
     """Subparser whose one-line listing and own help page say the same
     thing: the object the subcommand computes."""
-    return group.add_parser(name, help=text, description=text)
+    return group.add_parser(name, help=text, description=text, formatter_class=_FORMATTER)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -632,6 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Calculus of growth functions: Legendre-type transforms,"
         " duality, series functions, convexity classification, and"
         " verification suites.",
+        formatter_class=_FORMATTER,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -39,29 +39,6 @@ from .numerics import (
 )
 from .sequences import PositiveSequence, sum_stored_series
 
-__all__ = [
-    "ConvexityVerdict",
-    "GrowthFunction",
-    "ProbeSpec",
-    "ProbeVerdict",
-    "bump_example",
-    "check_increasing",
-    "classify_convexity",
-    "exponential",
-    "from_phi",
-    "from_series",
-    "gaussian",
-    "iterated_exp",
-    "ks_family",
-    "load_registry",
-    "log_square_example",
-    "make_growth_function",
-    "membership",
-    "polynomial",
-    "power_exp",
-    "registered_examples",
-]
-
 
 @dataclass(frozen=True)
 class ProbeSpec:
@@ -707,6 +684,8 @@ def make_growth_function(family: str, params: Optional[Mapping] = None) -> Growt
     if family == "ks":
         return ks_family(float(params.get("beta", 0.0)))
     if family == "power-exp":
+        if "a" not in params:
+            raise ValueError("family 'power-exp' needs the parameter 'a'")
         return power_exp(float(params["a"]))
     if family == "expk":
         return iterated_exp(int(params.get("k", 2)))
@@ -722,6 +701,8 @@ def make_growth_function(family: str, params: Optional[Mapping] = None) -> Growt
         if "file" in params:
             seq = PositiveSequence.load(params["file"])
             return from_series(seq, name=f"series:{params['file']}")
+        if "log_coeffs" not in params:
+            raise ValueError("family 'series' needs the parameter 'file' or 'log_coeffs'")
         return from_series(params["log_coeffs"], name=params.get("name", "series"))
     raise ValueError(f"unknown growth-function family: {family!r}")
 

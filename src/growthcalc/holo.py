@@ -31,24 +31,6 @@ from .growthfn import GrowthFunction
 from .legendre import Check, _Rows, _certified_logs, _coeff_logs
 from .numerics import _INV_PHI2, PreconditionViolated, _brent_min, safe_exp
 
-__all__ = [
-    "BoundParams",
-    "ChaosPolynomial",
-    "GNormResult",
-    "NuclearScale",
-    "chaos_eval",
-    "coeff_bound_check",
-    "coeff_norm",
-    "dyadic_scale",
-    "embedding_check_51",
-    "embedding_check_52",
-    "hs_norm",
-    "norm_k",
-    "norm_g",
-    "pointwise_bound_check",
-    "random_chaos",
-    "series_chain_check",
-]
 
 MAX_DIM = 8
 MAX_DEGREE = 10

@@ -49,29 +49,6 @@ from .numerics import (
 )
 from .sequences import _log_factorials, doubling, sum_windowed_series
 
-__all__ = [
-    "Check",
-    "FunctionEquivalenceCounterexample",
-    "FunctionEquivalenceWitness",
-    "LegendrePoint",
-    "LogConcaveProfile",
-    "TauBounds",
-    "admissibility_report",
-    "dual",
-    "dual_function",
-    "ell",
-    "ell_profile",
-    "function_equivalent",
-    "inverse_legendre",
-    "l_function",
-    "l_growth_function",
-    "l_sharp",
-    "l_sharp_growth_function",
-    "suite_tags",
-    "tau_bounds",
-    "theta_function",
-    "verify_suite",
-]
 
 LOG2 = math.log(2.0)
 
@@ -750,15 +727,16 @@ def _cap_gap(u: GrowthFunction, cap: int, tag: str) -> Optional[float]:
     stop within g''(x) 1e-24 / 2, below 32 eps wherever g'' < 1.4e10.
     The rounding of phi(x) - t x adds a few ulps of |phi(x)| + t |x|
     <= |v| + 2 t |x|.  Per order, 64 eps (1 + |v| + 2 t |x|) covers all
-    three, and the margin is its sum over the two orders.  A radius
-    within the margin of the gap's verdict takes the growth, as one the
-    gap leaves open does, so no radius is refused that the block's own
-    gap would leave open.
+    three, and the margin is its sum over the two orders.  On the
+    families of the cap-gap tests and the duals of exp and ks(0.5), at
+    caps 512 and 4096, the two gaps differed by at most 1/250 of it.  A
+    radius within the margin of the gap's verdict takes the growth, as
+    one the gap leaves open does, so no radius is refused that the
+    block's own gap would leave open.
     """
     prof = _PROFILE_CACHE[u]
-    if prof.refusal is not None or cap + 1 - len(prof) < _BLOCK_MIN_ROWS:
-        return None
-    if not _profile_sample(u, np.arange(len(prof), cap + 1, dtype=float))[-1].all():
+    if (prof.refusal is not None or cap + 1 - len(prof) < _BLOCK_MIN_ROWS
+            or not _profile_sample(u, np.arange(len(prof), cap + 1.0))[-1].all()):
         return None
     try:
         below = _ell_at(u, cap - 1.0, _warm_seed(prof.rho[-1]))
@@ -768,10 +746,8 @@ def _cap_gap(u: GrowthFunction, cap: int, tag: str) -> Optional[float]:
     if below.boundary or top.boundary:
         return None
     ends = np.array([below.log_ell.log, top.log_ell.log])
-    margin = sum(
-        1.0 + abs(p.log_ell.log) + 2.0 * t * abs(math.log(p.rho))
-        for t, p in ((cap - 1.0, below), (float(cap), top))
-    )
+    margin = sum(1.0 + abs(p.log_ell.log) + 2.0 * t * abs(math.log(p.rho))
+                 for t, p in ((cap - 1.0, below), (float(cap), top)))
     return float(np.diff(_as_coeffs(ends, cap, tag))[0]) - 64.0 * _EPS * margin
 
 
@@ -788,9 +764,10 @@ def _series_logs(
 
     A u that _grown_profile builds in blocks reads the first window,
     then the profile as far as it grows towards ``cap``, but a radius
-    with e^(g + log r) >= 1 for the cap window's last gap g, less
-    _cap_gap's roundoff margin, is NaN without growing it: the window's ratio bounds, suffix maxima,
-    certify no index there.  Any other u doubles its windows.  A window
+    with e^(g + log r) >= 1 for the cap window's last gap g, less a
+    roundoff margin (_cap_gap), is NaN without growing it: the window's
+    ratio bounds, suffix maxima, certify no index there.  Any other u
+    doubles its windows.  A window
     reads the profile only as far as it reaches, so past an order that
     refused it comes back short and is the last: a radius that needs the
     orders past it is NaN, and the other radii are answered.
@@ -1546,6 +1523,7 @@ def _suite_thm43(params: dict) -> Check:
     u = _suite_u(params, "exp", {})
     r_max = float(params.get("r_max", 4.0))
     points = int(params.get("points", 48))
+    tol = float(params.get("tol", 0.0))
     a = l_growth_function(dual_function(u))
     b = l_sharp_growth_function(u)
     res = function_equivalent(a, b, (0.0, r_max), points=points)
@@ -1559,7 +1537,7 @@ def _suite_thm43(params: dict) -> Check:
         "thm43",
         {"family": u.family, "name": u.name, "r_max": r_max},
         {"r_min": 0.0, "r_max": r_max, "points": points},
-        0.0,
+        tol,
     )
 
 
@@ -1645,7 +1623,7 @@ def _suite_lem35(params: dict) -> Check:
             (make_growth_function("power-exp", {"a": 3.0}), 2),
         ]
     t_lo, t_hi, points = 0.25, 25.0, 60
-    tol = 1e-8
+    threshold = 1e-8
     results = []
     acc = _Rows()
     for u, k in cases:
@@ -1663,7 +1641,7 @@ def _suite_lem35(params: dict) -> Check:
         for i in range(1, points - 1):
             scale = max(1.0, abs(vals[i - 1]), abs(vals[i]), abs(vals[i + 1]))
             worst = max(worst, (2.0 * vals[i] - vals[i - 1] - vals[i + 1]) / scale)
-        through_ell = worst <= tol
+        through_ell = worst <= threshold
         agree = direct == through_ell
         results.append(
             {
@@ -1683,22 +1661,30 @@ def _suite_lem35(params: dict) -> Check:
         "lem35",
         {"cases": [c["name"] for c in results]},
         {"t_lo": t_lo, "t_hi": t_hi, "points": points},
-        0.0,
+        float(params.get("tol", 0.0)),
     )
 
 
+# the parameters that every suite run on a growth function reads, and a
+# radius grid's
+_FN_KEYS = ("family", "beta", "a", "p", "order")
+_GRID_KEYS = ("r_min", "r_max", "points")
+
+# each suite and the parameters it reads besides tol; lem35 reads its
+# function keys only together with "family" (without it, it runs its
+# stock cases)
 _SUITES = {
-    "a4": _suite_a4,
-    "stirling": _suite_stirling,
-    "lem-a1": _suite_lem_a1,
-    "lem-a2": _suite_lem_a2,
-    "thm31-upper": _suite_thm31_upper,
-    "thm31-lower": _suite_thm31_lower,
-    "thm42": _suite_thm42,
-    "thm43": _suite_thm43,
-    "involution": _suite_involution,
-    "ks-sandwich": _suite_ks_sandwich,
-    "lem35": _suite_lem35,
+    "a4": (_suite_a4, ("n_max",)),
+    "stirling": (_suite_stirling, ("n_max",)),
+    "lem-a1": (_suite_lem_a1, ("k", "n_max", *_FN_KEYS)),
+    "lem-a2": (_suite_lem_a2, ("k", *_GRID_KEYS, *_FN_KEYS)),
+    "thm31-upper": (_suite_thm31_upper, (*_GRID_KEYS, *_FN_KEYS)),
+    "thm31-lower": (_suite_thm31_lower, ("k", *_GRID_KEYS, *_FN_KEYS)),
+    "thm42": (_suite_thm42, ("t_max", *_FN_KEYS)),
+    "thm43": (_suite_thm43, ("r_max", "points", *_FN_KEYS)),
+    "involution": (_suite_involution, (*_GRID_KEYS, *_FN_KEYS)),
+    "ks-sandwich": (_suite_ks_sandwich, ("beta", *_GRID_KEYS)),
+    "lem35": (_suite_lem35, ("k", *_FN_KEYS)),
 }
 
 
@@ -1707,18 +1693,31 @@ def suite_tags() -> list[str]:
     return sorted(_SUITES)
 
 
+def _suite_keys(suite: str, params: Mapping) -> frozenset:
+    """The parameters ``suite`` reads when given ``params``: tol and its
+    own keys.  ValueError for an unknown suite."""
+    try:
+        _, keys = _SUITES[suite]
+    except KeyError:
+        raise ValueError(
+            f"unknown suite {suite!r}; known suites: {', '.join(suite_tags())}"
+        ) from None
+    if suite == "lem35" and "family" not in params:
+        keys = ()
+    return frozenset(("tol", *keys))
+
+
 def verify_suite(suite: str, params: Optional[Mapping] = None) -> Check:
     """Run one named verification suite and return its Check record.
 
     Each suite evaluates both sides of its target statement at every
     grid point; the record carries the largest log-scale violation, the
     first point attaining it as witness, and the verdict.  Violations
-    are findings, not exceptions.
+    are findings, not exceptions.  A parameter that the suite does not
+    read (_suite_keys) raises ValueError.
     """
-    try:
-        fn = _SUITES[suite]
-    except KeyError:
-        raise ValueError(
-            f"unknown suite {suite!r}; known suites: {', '.join(suite_tags())}"
-        ) from None
-    return fn(dict(params or {}))
+    params = dict(params or {})
+    unread = sorted(set(params) - _suite_keys(suite, params))
+    if unread:
+        raise ValueError(f"suite {suite} reads no {', '.join(unread)}")
+    return _SUITES[suite][0](params)

@@ -421,9 +421,12 @@ def _trend_is_rising(values: Sequence[float], rel: float = 0.05) -> bool:
 # each of these is the named condition on the reciprocal weight 1/alpha
 _ON_RECIPROCAL = {"A2t": "A2", "B1t": "B1", "B2t": "B2", "C3": "C2"}
 
-# the smallest N at which a condition has anything to check: a root trend
-# or a second difference needs three values
-_SHORTEST_RANGE = {"A2": 2, "B2": 2, "B3": 2}
+# the smallest N at which a verdict has anything to read: a trend of the
+# roots (A2) or of a fitted constant (C1, C2) reads _SHORTEST_TREND
+# values, a second difference (B2, B3) three; A1 tests its index 0 first,
+# and B1 counts the orders its transform reaches
+_SHORTEST_RANGE = {"A2": _SHORTEST_TREND, "B2": 2, "B3": 2,
+                   "C1": _SHORTEST_TREND, "C2": _SHORTEST_TREND}
 
 
 def check_condition(
@@ -507,8 +510,6 @@ def check_condition(
         )
 
     if base in ("C1", "C2"):
-        if N < _SHORTEST_TREND:
-            return ConditionVerdict(condition, "inconclusive", N, {}, "range too short")
         # the constant each order m = 1..N needs on its own, then its running
         # max: the constant needed on 0..m, whose last entry is the fit
         a = np.asarray(la, dtype=float)

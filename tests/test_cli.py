@@ -406,6 +406,28 @@ class TestVerify:
         assert code == 2
         assert "--tol" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("ks-sandwich", "--family", "gaussian", "--points", "3"), "--family"),
+        (("a4", "--beta", "0.5", "--nmax", "5"), "--beta"),
+        (("stirling", "--rmax", "3"), "--rmax"),
+        (("lem35", "--tol", "1e-3", "--nmax", "3"), "--nmax"),
+        (("lem35", "--beta", "0.5"), "--beta"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_a_flag_the_suite_does_not_read_is_a_usage_error(self, capsys, argv, flag):
+        # these ran the suite without the flag and passed; lem35 reads
+        # the function flags only with --family
+        code, out, err = run(capsys, "verify", "--suite", *argv)
+        why = " without --family" if argv[-2:] == ("--beta", "0.5") else ""
+        assert (code, out, err) == (2, "", f"error: {flag}: suite {argv[0]} does not read it{why}\n")
+
+    @pytest.mark.parametrize("suite", ["thm43", "lem35"])
+    def test_every_suite_reads_the_env_tolerance(self, capsys, monkeypatch, suite):
+        # GROWTHCALC_TOL sets --tol for every suite; a verdict tolerance
+        # that admits no failure keeps these two passing
+        monkeypatch.setenv("GROWTHCALC_TOL", "1e-3")
+        code, report = run_json(capsys, "verify", "--suite", suite)
+        assert (code, report["verdict"]) == (0, "pass")
+
     def test_family_override(self, capsys):
         code, report = run_json(
             capsys, "verify", "--suite", "thm42", "--family", "ks",
@@ -665,6 +687,33 @@ class TestBadFlags:
         *cmd, flag = command
         code, out, err = run(capsys, *cmd, "--family", "exp", flag, value)
         assert (code, out, err) == (2, "", f"error: {flag} must be finite\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("fn", "eval", "--family", "power-exp", "--r", "2"), "--family"),
+        (("ell", "--family", "series", "--t", "1"), "--family"),
+        (("equiv", "--a-family", "power-exp", "--b-family", "exp"), "--a-family"),
+        (("seq", "gen", "--family", "legendre", "--fn-family", "power-exp", "--n", "3"),
+         "--fn-family"),
+        (("verify", "--suite", "thm42", "--family", "power-exp"), "--suite"),
+        (("holo", "check", "--family", "series", "--count", "1"), "--family"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_a_family_without_its_parameter_is_a_usage_error(self, capsys, argv, flag):
+        # these ended in a KeyError traceback
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag}: family ") and err.count("\n") == 1
+        assert "needs the parameter" in err
+
+    def test_usage_text_ignores_the_terminal_width(self, capsys, monkeypatch):
+        # argparse wraps its usage text at COLUMNS unless given a width
+        errs = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as exc:
+                main(["ell", "--family", "exp"])
+            assert exc.value.code == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and "required: --t" in errs[0]
 
     @pytest.mark.parametrize("argv, flag", [
         (EQUIV + ("--r-min", "5", "--r-max", "1"), "--r-max"),

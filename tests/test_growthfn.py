@@ -582,6 +582,13 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_growth_function("mystery")
 
+    @pytest.mark.parametrize("family, missing", [
+        ("power-exp", "'a'"), ("series", "'file' or 'log_coeffs'"),
+    ])
+    def test_a_missing_parameter_is_named(self, family, missing):
+        with pytest.raises(ValueError, match=f"needs the parameter {missing}$"):
+            make_growth_function(family, {})
+
     def test_json_registry(self, tmp_path):
         cfg = {
             "mine": {"family": "ks", "params": {"beta": 0.25}},

@@ -1603,6 +1603,24 @@ class TestVerifySuites:
         assert rep.verdict == "fail"
         assert rep.max_violation > -1.0
 
+    @pytest.mark.parametrize("tag, params, unread", [
+        ("ks-sandwich", {"family": "gaussian", "points": 3}, "family"),
+        ("a4", {"beta": 0.5, "n_max": 5}, "beta"),
+        ("stirling", {"r_max": 3.0}, "r_max"),
+        ("thm42", {"r_max": 3.0}, "r_max"),
+        ("lem35", {"n_max": 3}, "n_max"),
+        ("lem35", {"beta": 0.5}, "beta"),  # function keys only with a family
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_a_parameter_the_suite_does_not_read_raises(self, tag, params, unread):
+        with pytest.raises(ValueError, match=f"^suite {tag} reads no {unread}$"):
+            gc.verify_suite(tag, params)
+
+    @pytest.mark.parametrize("tag", ["thm43", "lem35"])
+    def test_tol_is_the_verdict_tolerance(self, tag):
+        # both violate by 0.0 where they pass: a negative tolerance fails them
+        assert gc.verify_suite(tag, {"tol": 0.0}).verdict == "pass"
+        assert gc.verify_suite(tag, {"tol": -1.0}).verdict == "fail"
+
 
 def strict_loads(text):
     """json.loads that refuses the non-RFC constants NaN and +-Infinity."""

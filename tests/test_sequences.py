@@ -559,21 +559,23 @@ class TestConditionFailuresAndTrends:
         assert (v.status, v.n_checked, v.detail) == ("inconclusive", 0, "range too short")
         assert v.witness == {}
 
-    @pytest.mark.parametrize("condition, log_alpha", [
+    @pytest.mark.parametrize("condition, make, at_8", [
         # alpha = e^(n^2): c2 = e^(N/2) on 0..N, so no c2 holds for all n
-        ("C2", lambda n: float(n * n)),
+        ("C2", lambda N: manual_seq([float(n * n) for n in range(N + 1)]), "inconclusive"),
         # alpha = e^(-n^2): sigma and c1 = e^N on 0..N
-        ("A1", lambda n: -float(n * n)),
-        ("C1", lambda n: -float(n * n)),
-    ], ids=["C2", "A1", "C1"])
+        ("A1", lambda N: manual_seq([-float(n * n) for n in range(N + 1)]), "inconclusive"),
+        ("C1", lambda N: manual_seq([-float(n * n) for n in range(N + 1)]), "inconclusive"),
+        # the n-th roots of Bell order 2's alpha fall over the whole range
+        ("A2", lambda N: gen_bell(2, N), "holds-up-to-N"),
+    ], ids=["C2", "A1", "C1", "A2"])
     @pytest.mark.parametrize("N", [3, 7, 8])
-    def test_a_short_range_shows_no_trend(self, condition, log_alpha, N):
-        # below 8 values the trend cannot show a climb, so an unbounded
-        # constant is inconclusive for want of range; from 8 on the trend
-        # itself makes it inconclusive
-        v = check_condition(manual_seq([log_alpha(n) for n in range(N + 1)]), condition)
-        assert (v.status, v.n_checked) == ("inconclusive", N) and not v.holds
-        assert (v.detail == "range too short") == (N < 8)
+    def test_a_short_range_shows_no_trend(self, condition, make, at_8, N):
+        # below 8 values the trend cannot show a climb or a fall, so the
+        # verdict is inconclusive for want of range; from 8 on the trend
+        # itself decides
+        v = check_condition(make(N), condition)
+        assert v.n_checked == N and (v.detail == "range too short") == (N < 8)
+        assert v.status == ("inconclusive" if N < 8 else at_8)
 
     def test_eight_values_are_enough_for_a_bounded_constant(self):
         v = check_condition(gen_bell(2, 8), "C2")
