@@ -39,8 +39,8 @@ _EXPORTS = {
         "tau_bounds", "theta_function", "verify_suite",
     ),
     "numerics": (
-        "BadTolerance", "GrowthCalcError", "LogScalar", "NoDecayCertificate",
-        "NotBracketable", "PreconditionViolated", "SeriesSum", "default_rel_tol",
+        "GrowthCalcError", "LogScalar", "NoDecayCertificate", "NotBracketable",
+        "PreconditionViolated", "SeriesSum",
     ),
     "sequences": (
         "ConditionVerdict", "EquivalenceCounterexample", "PositiveSequence",

@@ -34,11 +34,9 @@ from typing import TYPE_CHECKING, Optional
 
 from .numerics import (
     LOG_ZERO,
-    BadTolerance,
     NoDecayCertificate,
     NotBracketable,
     PreconditionViolated,
-    env_rel_tol,
     strict_json,
 )
 
@@ -362,7 +360,7 @@ _VERIFY_PARAM_FLAGS = (
     ("rmin", "r_min", float, None),
     ("rmax", "r_max", float, None),
     ("points", "points", int, None),
-    ("tol", "tol", float, "tolerance override for the verdict (env GROWTHCALC_TOL)"),
+    ("tol", "tol", float, "verdict tolerance (default: the suite's own)"),
 )
 
 
@@ -529,8 +527,7 @@ def _series_files(registry: str, data: bytes) -> list:
 
 
 def _cache_key(args) -> Optional[str]:
-    """sha256 over the parsed arguments, GROWTHCALC_TOL (the default
-    tolerance of every series sum), the package sources and the bytes of
+    """sha256 over the parsed arguments, the package sources and the bytes of
     every input file the call reads (--registry, the files its series
     entries load and each --*file flag); None when such a file cannot be
     read, so the call skips the cache and its handler reports the file."""
@@ -550,8 +547,8 @@ def _cache_key(args) -> Optional[str]:
         inputs[k] = hashlib.sha256(data).hexdigest()
         if k == "registry":
             files += [(f"registry:{name}", name) for name in _series_files(path, data)]
-    blob = json.dumps({"args": payload, "inputs": inputs, "sources": _source_hash(),
-                       "tol": env_rel_tol()}, sort_keys=True, default=str)
+    blob = json.dumps({"args": payload, "inputs": inputs, "sources": _source_hash()},
+                      sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -761,9 +758,6 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        env_tol = env_rel_tol()
-        if "tol" in vars(args) and args.tol is None:
-            args.tol = env_tol
         for flag in ("tol", "rel_tol"):
             value = getattr(args, flag, None)
             if value is not None and not 0.0 < value < math.inf:
@@ -773,7 +767,7 @@ def main(argv: Optional[list] = None) -> int:
         ):
             raise _UsageError("--registry is read only with a --name flag")
         output, code = _run_with_cache(args)
-    except (_UsageError, BadTolerance) as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(output)

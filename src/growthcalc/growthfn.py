@@ -35,7 +35,6 @@ from .numerics import (
     NoDecayCertificate,
     NotBracketable,
     PreconditionViolated,
-    default_rel_tol,
 )
 from .sequences import PositiveSequence, sum_stored_series
 
@@ -361,9 +360,8 @@ def from_series(
     Entire functions with nonnegative coefficients are automatically
     (log, exp)-convex and increasing; evaluation streams the series in
     the log domain and needs the stored ratios to certify the tail, to
-    the library tolerance at construction, so sufficiently large r
-    raises NoDecayCertificate rather than returning a silently
-    truncated value.
+    the default series tolerance, so sufficiently large r raises
+    NoDecayCertificate rather than returning a silently truncated value.
     """
     params = {}
     if isinstance(coeffs, PositiveSequence):
@@ -375,11 +373,10 @@ def from_series(
         raise ValueError("series needs at least one coefficient")
     if all(v == LOG_ZERO for v in log_c):
         raise ValueError("series must be positive somewhere")
-    tol = default_rel_tol()
 
-    def phi(x: float, _lc=tuple(log_c), _tol=tol) -> float:
+    def phi(x: float, _lc=tuple(log_c)) -> float:
         terms = [lc if lc == LOG_ZERO else lc + n * x for n, lc in enumerate(_lc)]
-        return sum_stored_series(terms, rel_tol=_tol).value.log
+        return sum_stored_series(terms).value.log
 
     return GrowthFunction(
         phi=phi,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -36,6 +35,9 @@ LOG_ZERO = float("-inf")
 RANGE_CAP = 700.0
 GOLDEN_WIDTH = 1e-12
 GOLDEN_MAX_ITER = 300
+
+# where a series sum stops when its caller names no rel_tol
+DEFAULT_REL_TOL = 1e-9
 
 # the golden step's share of the larger side, 1 - 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -55,32 +57,6 @@ class NotBracketable(GrowthCalcError):
 
 class PreconditionViolated(GrowthCalcError):
     """A documented caller-side precondition failed a cheap runtime check."""
-
-
-class BadTolerance(GrowthCalcError):
-    """The GROWTHCALC_TOL environment variable is not a positive number."""
-
-
-def env_rel_tol() -> Optional[float]:
-    """GROWTHCALC_TOL as a float, None when unset; BadTolerance unless
-    it is a finite positive number."""
-    raw = os.environ.get("GROWTHCALC_TOL")
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise BadTolerance(f"GROWTHCALC_TOL must be a positive number, got {raw!r}")
-    return value
-
-
-def default_rel_tol() -> float:
-    """Library-wide relative tolerance: GROWTHCALC_TOL (read at the
-    call, not at import), else 1e-9."""
-    env = env_rel_tol()
-    return 1e-9 if env is None else env
 
 
 def json_finite(obj):

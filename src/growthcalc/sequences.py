@@ -37,11 +37,11 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .numerics import (
+    DEFAULT_REL_TOL,
     LOG_ZERO,
     LogScalar,
     NoDecayCertificate,
     SeriesSum,
-    default_rel_tol,
 )
 
 SEQ_SCHEMA = "growthcalc.seq/1"
@@ -240,10 +240,10 @@ def sum_stored_series_batch(
 
     Row by row: log-sum-exp partial sums, stopped at the first index
     whose certificate q = ratio bound * r < 1 makes the geometric tail
-    at most rel_tol times the running sum (or whose term is zero).
-    Returns the sums, the terms used and which rows certified; a row
-    that did not certify used every stored term, and its sum is the
-    log-sum of all of them.
+    at most rel_tol (DEFAULT_REL_TOL when None) times the running sum
+    (or whose term is zero).  Returns the sums, the terms used and which
+    rows certified; a row that did not certify used every stored term,
+    and its sum is the log-sum of all of them.
 
     Each chunk of radii walks the window in tiles of at most about
     _SERIES_CHUNK_CELLS cells, from 65 columns (an L-series' first
@@ -253,7 +253,7 @@ def sum_stored_series_batch(
     np.logaddexp.accumulate takes the same steps as over the whole row:
     every result is bit-identical to summing all stored terms at once."""
     log_rs = np.asarray(log_rs, dtype=float)
-    log_tol = math.log(default_rel_tol() if rel_tol is None else rel_tol)
+    log_tol = math.log(DEFAULT_REL_TOL if rel_tol is None else rel_tol)
     n_terms = len(log_c)
     sums_out = np.full(len(log_rs), LOG_ZERO)
     used = np.full(len(log_rs), n_terms)

@@ -3,11 +3,11 @@
     python tests/golden/make_corpus.py
 
 Each argv runs in-process through ``growthcalc.cli.main`` from this
-checkout's ``src/``, with the repo root as the working directory and
-GROWTHCALC_TOL unset.  The corpus's first line records the interpreter,
-numpy and libc versions the outputs came from; every other line is one
-argv with its exit code, stdout and stderr, sorted by argv.  The diff of
-the corpus after a rewrite is the list of output bytes a change moved.
+checkout's ``src/``, with the repo root as the working directory.  The
+corpus's first line records the interpreter, numpy and libc versions the
+outputs came from; every other line is one argv with its exit code,
+stdout and stderr, sorted by argv.  The diff of the corpus after a
+rewrite is the list of output bytes a change moved.
 """
 
 import contextlib
@@ -57,7 +57,6 @@ def argvs() -> list:
 def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
-    os.environ.pop("GROWTHCALC_TOL", None)
     (HERE / "inputs").mkdir(exist_ok=True)
     if run(INPUT)["exit"] != 0:
         sys.exit(f"could not write the input: {INPUT}")

@@ -17,11 +17,11 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 
 from growthcalc.numerics import (
+    DEFAULT_REL_TOL,
     LOG_ZERO,
     LogScalar,
     NoDecayCertificate,
     SeriesSum,
-    default_rel_tol,
 )
 
 SERIES_INDEX_CAP = 10 ** 6
@@ -66,7 +66,7 @@ def log_sum_exp_series(
     raised: the series gave no evidence of decay.
     """
     if rel_tol is None:
-        rel_tol = default_rel_tol()
+        rel_tol = DEFAULT_REL_TOL
     log_tol = math.log(rel_tol)
     log_sum = LOG_ZERO
     n = -1
@@ -113,7 +113,7 @@ def sum_stored_series_batch(
     Returns the sums, the terms used and which rows certified; a row
     that did not certify used every stored term."""
     log_rs = np.asarray(log_rs, dtype=float)
-    log_tol = math.log(default_rel_tol() if rel_tol is None else rel_tol)
+    log_tol = math.log(DEFAULT_REL_TOL if rel_tol is None else rel_tol)
     sums_out = np.full(len(log_rs), LOG_ZERO)
     used = np.full(len(log_rs), len(log_c))
     done = np.zeros(len(log_rs), dtype=bool)

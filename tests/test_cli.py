@@ -379,19 +379,6 @@ class TestVerify:
         assert code == 1
         assert report["verdict"] == "fail"
 
-    def test_env_tolerance(self, capsys, monkeypatch):
-        monkeypatch.setenv("GROWTHCALC_TOL", "1e-20")
-        code, report = run_json(capsys, "verify", "--suite", "thm42")
-        assert code == 1
-        assert report["params"]["tol"] == 1e-20
-
-    def test_bad_env_tolerance_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("GROWTHCALC_TOL", "abc")
-        code, out, err = run(capsys, "verify", "--suite", "a4")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: GROWTHCALC_TOL")
-
     def test_empty_grid_is_not_a_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "a4", "--nmax", "-1")
         assert code == 1
@@ -420,14 +407,6 @@ class TestVerify:
         why = " without --family" if argv[-2:] == ("--beta", "0.5") else ""
         assert (code, out, err) == (2, "", f"error: {flag}: suite {argv[0]} does not read it{why}\n")
 
-    @pytest.mark.parametrize("suite", ["thm43", "lem35"])
-    def test_every_suite_reads_the_env_tolerance(self, capsys, monkeypatch, suite):
-        # GROWTHCALC_TOL sets --tol for every suite; a verdict tolerance
-        # that admits no failure keeps these two passing
-        monkeypatch.setenv("GROWTHCALC_TOL", "1e-3")
-        code, report = run_json(capsys, "verify", "--suite", suite)
-        assert (code, report["verdict"]) == (0, "pass")
-
     def test_family_override(self, capsys):
         code, report = run_json(
             capsys, "verify", "--suite", "thm42", "--family", "ks",
@@ -435,6 +414,21 @@ class TestVerify:
         )
         assert code == 0
         assert report["params"]["family"] == "ks"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "involution"),
+    ("verify", "--suite", "thm42"),
+    ("lfn", "--family", "exp", "--r", "3"),
+], ids=" ".join)
+def test_no_environment_variable_sets_a_tolerance(capsys, monkeypatch, argv):
+    # every series sum stops at DEFAULT_REL_TOL and every suite judges at
+    # its own tolerance unless a flag says otherwise
+    monkeypatch.delenv("GROWTHCALC_TOL", raising=False)
+    unset = run(capsys, *argv)
+    for raw in ("1e-12", "1e-2", "abc"):
+        monkeypatch.setenv("GROWTHCALC_TOL", raw)
+        assert run(capsys, *argv) == unset, raw
 
 
 class TestHolo:
@@ -873,19 +867,6 @@ class TestCacheIntegrity:
             assert cached == run(capsys, *argv)
             outputs.append(cached)
         assert outputs[0] != outputs[1]
-
-    def test_env_tolerance_is_in_the_key(self, capsys, tmp_path, monkeypatch):
-        # GROWTHCALC_TOL sets where every series sum stops: 1e-2 stops exp's
-        # L at r = 3 early, so its cached bytes must not answer the default
-        cache = tmp_path / "cache"
-        argv = ("lfn", "--family", "exp", "--r", "3", "--cache-dir", str(cache))
-        monkeypatch.setenv("GROWTHCALC_TOL", "1e-2")
-        loose = run(capsys, *argv)
-        assert run(capsys, *argv) == loose  # the same tolerance replays
-        monkeypatch.delenv("GROWTHCALC_TOL")
-        default = run(capsys, *argv)
-        assert default == run(capsys, *argv[:-2]) != loose
-        assert len(cache_entries(cache)) == 2
 
     def test_cache_dir_naming_a_file_is_a_usage_error(self, capsys, tmp_path):
         taken = tmp_path / "F"

@@ -75,7 +75,6 @@ def check(want: dict, got: dict, exact: bool) -> None:
 @pytest.mark.parametrize("want", ENTRIES, ids=[e["argv"] for e in ENTRIES])
 def test_replay(want, monkeypatch):
     monkeypatch.chdir(make_corpus.ROOT)
-    monkeypatch.delenv("GROWTHCALC_TOL", raising=False)
     check(want, make_corpus.run(want["argv"]), EXACT)
 
 

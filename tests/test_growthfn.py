@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthcalc.numerics import (
+    DEFAULT_REL_TOL,
     LOG_ZERO,
     RANGE_CAP,
     NoDecayCertificate,
     PreconditionViolated,
-    default_rel_tol,
 )
 from growthcalc.growthfn import (
     GrowthFunction,
@@ -331,7 +331,7 @@ class TestImplicationChain:
         log_hi = min(
             math.log(10.0),
             math.log(0.5) + lc[-2] - lc[-1],
-            (math.log(0.5 * default_rel_tol()) + lc[0] + lc[-2] - 2.0 * lc[-1]) / (n + 1),
+            (math.log(0.5 * DEFAULT_REL_TOL) + lc[0] + lc[-2] - 2.0 * lc[-1]) / (n + 1),
         )
         probe = ProbeSpec(lo=1e-4, hi=math.exp(log_hi), points=64)
         assert classify_convexity(u, "log-exp-convex", probe=probe).passes

@@ -25,11 +25,11 @@ from growthcalc.growthfn import (
     power_exp,
 )
 from growthcalc.numerics import (
+    DEFAULT_REL_TOL,
     LOG_ZERO,
     NoDecayCertificate,
     NotBracketable,
     PreconditionViolated,
-    default_rel_tol,
 )
 from growthcalc.sequences import (
     _log_factorials,
@@ -800,7 +800,7 @@ def assert_same_sum(got, used, want, want_used):
     if used == want_used:
         assert got == want
     else:
-        assert abs(got - want) <= 2.0 * default_rel_tol(), (got, want)
+        assert abs(got - want) <= 2.0 * DEFAULT_REL_TOL, (got, want)
 
 
 def assert_kernel_matches(got, u, log_r, tag, n, doubling=True):

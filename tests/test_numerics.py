@@ -6,9 +6,6 @@ kernels under test.
 """
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -21,7 +18,6 @@ from growthcalc.legendre import _brent_min_rows
 from growthcalc.numerics import (
     LOG_ZERO,
     RANGE_CAP,
-    BadTolerance,
     Bracket,
     OptResult,
     GOLDEN_WIDTH,
@@ -31,7 +27,6 @@ from growthcalc.numerics import (
     _INV_PHI2,
     _brent_min,
     bracket_minimum,
-    default_rel_tol,
     geometric_grid,
     maximize_concave_1d,
     minimize_convex_1d,
@@ -648,28 +643,6 @@ class TestBrentMinRows:
             delta = 4.0 * np.finfo(float).eps * max(1.0, abs(fx[k]))
             assert fx[k] == f(xs[k]), k
             assert abs(fx[k] - low) <= 8.0 * delta, k
-
-
-class TestToleranceEnv:
-    def test_bad_value_does_not_break_the_import(self):
-        env = dict(os.environ, GROWTHCALC_TOL="abc")
-        done = subprocess.run(
-            [sys.executable, "-c", "import growthcalc"], env=env, capture_output=True
-        )
-        assert done.returncode == 0, done.stderr
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-1e-9", "inf", "nan", ""])
-    def test_bad_value_is_a_named_error_at_use(self, raw, monkeypatch):
-        monkeypatch.setenv("GROWTHCALC_TOL", raw)
-        with pytest.raises(BadTolerance, match="GROWTHCALC_TOL"):
-            default_rel_tol()
-
-    def test_good_value_and_override(self, monkeypatch):
-        # the variable overrides the 1e-9 default, read at each call
-        monkeypatch.delenv("GROWTHCALC_TOL", raising=False)
-        assert default_rel_tol() == 1e-9
-        monkeypatch.setenv("GROWTHCALC_TOL", "1e-6")
-        assert default_rel_tol() == 1e-6
 
 
 def power_ratio(a):
