@@ -217,7 +217,12 @@ def _cmd_seq_equiv(args) -> _Result:
 
     a = _build_sequence(args, "a_")
     b = _build_sequence(args, "b_")
-    res = seq_equivalent(a, b)
+    try:
+        res = seq_equivalent(a, b)
+    except ValueError as exc:
+        short = "a" if a.n_max <= b.n_max else "b"
+        flag = "file" if getattr(args, f"{short}_file") is not None else "n"
+        raise _UsageError(f"--{short}-{flag}: {exc}") from exc
     return _verdict_result(res, res.ok, equivalent=res.ok)
 
 

@@ -1535,7 +1535,7 @@ def _suite_thm43(params: dict) -> Check:
         acc.worse(res.spread, {"r": res.r, "spread": res.spread, "detail": res.detail})
     return acc.check(
         "thm43",
-        {"family": u.family, "name": u.name, "r_max": r_max},
+        {"family": u.family, "name": u.name, "r_max": r_max, "tol": tol},
         {"r_min": 0.0, "r_max": r_max, "points": points},
         tol,
     )
@@ -1657,11 +1657,12 @@ def _suite_lem35(params: dict) -> Check:
                          "slack": 0.0 if agree else -1.0})
         acc.worse(0.0 if agree else 1.0, {})
     acc.witness = {"cases": results}
+    tol = float(params.get("tol", 0.0))
     return acc.check(
         "lem35",
-        {"cases": [c["name"] for c in results]},
+        {"cases": [c["name"] for c in results], "tol": tol},
         {"t_lo": t_lo, "t_hi": t_hi, "points": points},
-        float(params.get("tol", 0.0)),
+        tol,
     )
 
 

@@ -599,26 +599,30 @@ def seq_equivalent(
     are then the minimal prefactors making the bounds hold everywhere.
     Rejection is evidence-based: if the slope is still drifting by a
     constant per doubling of n at the end of the range, the log ratio
-    grows without bound and no constants can exist.
+    grows without bound and no constants can exist.  ValueError when the
+    shorter sequence ends before n = _SHORTEST_TREND: its slopes show no
+    drift to reject on.
     """
     N = min(a.n_max, b.n_max)
-    if N < 1:
-        raise ValueError("need at least indices 0 and 1")
+    if N < _SHORTEST_TREND:
+        raise ValueError(
+            f"the shorter sequence ends at n = {N}; a verdict needs it through"
+            f" n = {_SHORTEST_TREND}"
+        )
     d = [b.log_alpha[n] - a.log_alpha[n] for n in range(N + 1)]
     s = [d[n] / n for n in range(1, N + 1)]
 
-    if N >= 8:
-        q1, q2, q3 = s[len(s) // 4], s[len(s) // 2], s[-1]
-        drift_late, drift_early = q3 - q2, q2 - q1
-        if abs(drift_late) > 0.25 and abs(drift_early) > 0.25 and drift_late * drift_early > 0:
-            return EquivalenceCounterexample(
-                index=N,
-                log_ratio=d[N],
-                drift=drift_late,
-                detail="per-index slope of log(b/a) still drifting at the range end",
-            )
+    q1, q2, q3 = s[len(s) // 4], s[len(s) // 2], s[-1]
+    drift_late, drift_early = q3 - q2, q2 - q1
+    if abs(drift_late) > 0.25 and abs(drift_early) > 0.25 and drift_late * drift_early > 0:
+        return EquivalenceCounterexample(
+            index=N,
+            log_ratio=d[N],
+            drift=drift_late,
+            detail="per-index slope of log(b/a) still drifting at the range end",
+        )
 
-    tail = s[len(s) // 2 :] if len(s) >= 2 else s
+    tail = s[len(s) // 2 :]
     log_c2 = max(tail)
     log_c1 = min(tail)
     log_K2 = max(d[n] - n * log_c2 for n in range(N + 1))

@@ -145,6 +145,17 @@ class TestSeq:
         assert code == 1
         assert report["equivalent"] is False
 
+    def test_equiv_on_a_short_range_names_the_shorter_sequence(self, capsys, tmp_path):
+        # the corpus holds --a-n at N = 0 and 7, and the verdict at N = 8
+        path = tmp_path / "short.json"
+        gen_bell(2, 7).save(path)
+        for a, flag in ((("--a-family", "bell", "--a-n", "40"), "--b-n"),
+                        (("--a-file", str(path)), "--a-file")):
+            code, out, err = run(capsys, "seq", "equiv", *a, "--b-family", "bell", "--b-n", "7")
+            assert (code, out) == (2, "")
+            assert err == (f"error: {flag}: the shorter sequence ends at n = 7;"
+                           " a verdict needs it through n = 8\n")
+
     def test_gen_rejects_bad_beta(self, capsys):
         code, _, err = run(
             capsys, "seq", "gen", "--family", "power-factorial",

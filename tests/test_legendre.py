@@ -285,6 +285,22 @@ class TestTransformEdges:
             gc.ell(u, 10.5)
         assert str(got.value) == str(first.value)
 
+    def test_unflagged_series_order_is_not_retried(self, monkeypatch):
+        # a wrapper that is not flagged (log, exp)-convex gets no retry from
+        # rho(floor(t)): the cold search's refusal is raised as it is
+        w = from_phi(gc.l_sharp_growth_function(ks_family(1.0)).phi, name="w")
+        real, searched = legendre._ell_at, []
+
+        def counted(u, t, seed_x=0.0):
+            if u is w:
+                searched.append((t, seed_x))
+            return real(u, t, seed_x)
+
+        monkeypatch.setattr(legendre, "_ell_at", counted)
+        with pytest.raises(NoDecayCertificate, match="within 512 terms$"):
+            gc.ell(w, 2.5)
+        assert searched == [(2.5, 0.0)]
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             gc.ell(exponential(), -0.5)
@@ -690,6 +706,16 @@ class TestSeries:
         oracle = float(np.log(np.sum(np.exp(terms - np.max(terms)))) + np.max(terms))
         got = gc.l_function(u, math.log(r)).log
         assert abs(got - oracle) <= 1e-8 * max(1.0, abs(oracle))
+
+    def test_a_scalar_phi_reads_doubling_windows(self):
+        # the same exp without phi_vec: no blocks and no cap gap, so the
+        # profile grows by point searches one doubled window at a time
+        u = exponential()
+        w = from_phi(u.phi, name="scalar-exp", log_u0=0.0, log_exp_convex=True)
+        for r, orders in ((0.5, 65), (4.0, 65), (20.0, 65), (60.0, 129)):
+            got, want = gc.l_function(w, math.log(r)).log, gc.l_function(u, math.log(r)).log
+            assert abs(got - want) <= 1e-14 * abs(want), r
+            assert len(legendre._PROFILE_CACHE[w]) == orders, r
 
     def test_sharp_matches_direct_sum(self):
         r = 0.8
@@ -1179,6 +1205,25 @@ class TestCapGapRefusal:
         assert calls == {"_profile_sample": 0, "_ell_at": 16}
         assert len(legendre._PROFILE_CACHE[u]) == 4097
 
+    @pytest.mark.parametrize("end", ["refuses", "on a boundary"])
+    def test_an_undecided_point_search_takes_the_growth(self, monkeypatch, end):
+        # the gap would refuse L# of ks(1) at r = 4 on 65 orders; without
+        # it the radius takes the growth and the full window's answer
+        real = legendre._ell_at
+
+        def at_cap(u, t, seed_x=0.0):
+            if t == 4096.0 and end == "refuses":
+                raise NoDecayCertificate("the search at the cap refused")
+            p = real(u, t, seed_x)
+            return p._replace(boundary="upper") if t == 4096.0 else p
+
+        monkeypatch.setattr(legendre, "_ell_at", at_cap)
+        u, log_r = ks_family(1.0), math.log(4.0)
+        got = _outcome(gc.l_sharp, u, log_r)
+        assert len(legendre._PROFILE_CACHE[u]) == 4097
+        monkeypatch.setattr(legendre, "_ell_at", real)
+        assert got == _outcome(gc.l_sharp, _full(lambda: ks_family(1.0)), log_r)
+
     def test_a_recorded_refusal_takes_no_decision(self, monkeypatch):
         # a profile that stopped short is read as it is, and its refusal
         # raised; the last gap stands in only for a growth that can run
@@ -1617,9 +1662,11 @@ class TestVerifySuites:
 
     @pytest.mark.parametrize("tag", ["thm43", "lem35"])
     def test_tol_is_the_verdict_tolerance(self, tag):
-        # both violate by 0.0 where they pass: a negative tolerance fails them
-        assert gc.verify_suite(tag, {"tol": 0.0}).verdict == "pass"
-        assert gc.verify_suite(tag, {"tol": -1.0}).verdict == "fail"
+        # both violate by 0.0 where they pass: a negative tolerance fails
+        # them, and the report names the tolerance that decided it
+        for tol, verdict in ((0.0, "pass"), (-1.0, "fail")):
+            rep = gc.verify_suite(tag, {"tol": tol})
+            assert (rep.verdict, rep.params["tol"]) == (verdict, tol)
 
 
 def strict_loads(text):

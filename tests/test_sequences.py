@@ -848,6 +848,17 @@ class TestSeqEquivalent:
         # and in the other direction too
         assert isinstance(seq_equivalent(b, a), EquivalenceCounterexample)
 
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_a_range_too_short_for_a_drift_is_an_error(self, n):
+        # fewer than 8 slopes leave the drift test nothing to read
+        with pytest.raises(ValueError, match=f"ends at n = {n}; a verdict needs it through n = 8$"):
+            seq_equivalent(gen_bell(2, 40), gen_power_factorial(0.0, n))
+
+    def test_the_shortest_range_gets_the_drift_verdict(self):
+        got = seq_equivalent(gen_bell(2, 8), gen_power_factorial(0.0, 8))
+        assert isinstance(got, EquivalenceCounterexample)
+        assert got.index == 8
+
     @given(
         st.lists(
             st.floats(min_value=-5.0, max_value=5.0),
