@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from math import exp
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -42,7 +43,6 @@ from .numerics import (
     _brent_min,
     geometric_grid,
     json_finite,
-    maximize_concave_1d,
     minimize_convex_1d,
     safe_exp,
     strict_json,
@@ -147,12 +147,14 @@ def _ell_at(u: GrowthFunction, t: float, seed_x: float = 0.0) -> LegendrePoint:
         # the infimum of an increasing u is its value at r = 0
         return LegendrePoint(LogScalar(u.log_u0), 0.0, "lo")
 
+    phi_at = u.phi_at
+
     def g(x: float) -> float:
-        return u.phi_at(x) - t * x
+        return phi_at(x) - t * x
 
     def g_many(xs: np.ndarray) -> np.ndarray:
         if u.phi_vec is None:  # point by point: phi_at raises the first refusal
-            return np.array([u.phi_at(x) for x in xs.tolist()]) - t * xs
+            return np.array([phi_at(x) for x in xs.tolist()]) - t * xs
         vals = u.phi_many(xs) - t * xs
         # phi_many reads NaN where phi refuses: phi_at raises the refusal,
         # at the first such sample, as a point-by-point scan did
@@ -643,13 +645,13 @@ def ell_profile(u: GrowthFunction) -> LogConcaveProfile:
 
 def _sup_log_f_rt(f: LogConcaveProfile, log_r: float, lf0: float) -> float:
     """sup over t >= 0 of log f(t) + t log r, searched in tau = log t."""
+    log_f = f.log_f
 
-    def H(tau: float) -> float:
-        t = safe_exp(tau)
-        return float(f.log_f(t)) + t * log_r
+    def neg_H(tau: float) -> float:
+        t = math.inf if tau > 709.0 else exp(tau)
+        return -(float(log_f(t)) + t * log_r)
 
-    res = maximize_concave_1d(H, max(0.0, log_r))
-    return max(res.fx, lf0)
+    return max(-minimize_convex_1d(neg_H, max(0.0, log_r)).fx, lf0)
 
 
 def inverse_legendre(f: LogConcaveProfile, r: float) -> LogScalar:
@@ -884,33 +886,37 @@ def _dual_point(u: GrowthFunction, log_r: float) -> float:
         )
     if log_r == LOG_ZERO:
         return -ell(u, 0.0).log_ell.log
-    sq = safe_exp(0.5 * log_r)
+    c = 2.0 * safe_exp(0.5 * log_r)
+    phi_at = u.phi_at
 
-    def G(w: float) -> float:
-        p = u.phi_at(2.0 * w)
+    def neg_G(w: float) -> float:
+        # minus the maximand; -(a - b), not b - a, keeps the sign of a zero
+        p = phi_at(2.0 * w)
         if not math.isfinite(p):
             # log u overflowed the double range: the denominator wins
-            return -math.inf
-        return 2.0 * sq * safe_exp(w) - p
+            return math.inf
+        return -(c * (math.inf if w > 709.0 else exp(w)) - p)
 
     # the seed walks down by doubling steps past an overflow, and past a
     # saturated phi: there 2 sqrt(r) y is lost in log u(y^2)'s roundoff,
     # so the search sees no slope; below the maximand's s -> 0 limit
     # -log u(0), its maximizer lies further down (the maximand is unimodal)
-    floor = -math.inf if u.log_u0 is None else -u.log_u0
-
-    def stuck(w: float) -> bool:
-        g = G(w)
-        return not math.isfinite(g) or (g < floor and g == -u.phi_at(2.0 * w))
-
-    seed = 0.5 * log_r
-    step = 1.0
-    while stuck(seed) and seed > -RANGE_CAP:
+    ceiling = math.inf if u.log_u0 is None else u.log_u0
+    seed, step = 0.5 * log_r, 1.0
+    while True:
+        # neg_G(seed), with phi at the seed kept for the saturation test
+        p = phi_at(2.0 * seed)
+        f_seed = math.inf
+        if math.isfinite(p):
+            f_seed = -(c * (math.inf if seed > 709.0 else exp(seed)) - p)
+        stuck = not math.isfinite(f_seed) or (f_seed > ceiling and f_seed == p)
+        if not (stuck and seed > -RANGE_CAP):
+            break
         seed -= step
         step *= 2.0
-    if not math.isfinite(G(seed)):
+    if not math.isfinite(f_seed):
         raise PreconditionViolated(f"no representable region for the dual of {u.name}")
-    return maximize_concave_1d(G, seed).fx
+    return -minimize_convex_1d(neg_G, seed, f_seed).fx
 
 
 def dual(u: GrowthFunction, r: float) -> LogScalar:

@@ -223,9 +223,12 @@ def _on_cap(
     )
 
 
-def bracket_minimum(f: Callable[[float], float], seed: float) -> Union[Bracket, OptResult]:
+def bracket_minimum(
+    f: Callable[[float], float], seed: float, f_seed: Optional[float] = None
+) -> Union[Bracket, OptResult]:
     """Expand from ``seed`` by unit steps, doubling, until a minimum is
-    bracketed.
+    bracketed.  ``f_seed``, when given, is f(seed), which a caller that
+    has already evaluated the seed passes to save the call.
 
     The search is capped at +-RANGE_CAP.  A seed past the cap starts on
     it, and a seed on the cap that its one neighbour does not undercut
@@ -237,7 +240,7 @@ def bracket_minimum(f: Callable[[float], float], seed: float) -> Union[Bracket, 
     falling.
     """
     x0 = min(max(seed, -RANGE_CAP), RANGE_CAP)
-    f0 = f(x0)
+    f0 = f_seed if f_seed is not None and x0 == seed else f(x0)
 
     xr = min(x0 + 1.0, RANGE_CAP)
     xl = max(x0 - 1.0, -RANGE_CAP)
@@ -253,9 +256,11 @@ def bracket_minimum(f: Callable[[float], float], seed: float) -> Union[Bracket, 
         x_prev, f_prev = x0, f0
         x_cur, f_cur = (xr, fr) if fr < fl else (xl, fl)
     direction, step = math.copysign(1.0, x_cur - x_prev), 1.0
-    while abs(x_cur) < RANGE_CAP:
+    while -RANGE_CAP < x_cur < RANGE_CAP:
         step *= 2.0
-        x_next = min(max(x_cur + direction * step, -RANGE_CAP), RANGE_CAP)
+        x_next = x_cur + direction * step
+        if not -RANGE_CAP < x_next < RANGE_CAP:  # clipped to the cap it heads for
+            x_next = direction * RANGE_CAP
         f_next = f(x_next)
         if f_next >= f_cur:
             a, b = (x_prev, x_next) if direction > 0 else (x_next, x_prev)
@@ -265,14 +270,17 @@ def bracket_minimum(f: Callable[[float], float], seed: float) -> Union[Bracket, 
     return _on_cap(f, x_cur, x_prev, f_prev, f_cur)
 
 
-def minimize_convex_1d(f: Callable[[float], float], seed: float) -> OptResult:
+def minimize_convex_1d(
+    f: Callable[[float], float], seed: float, f_seed: Optional[float] = None
+) -> OptResult:
     """Minimize a convex (or unimodal) function of one variable.
 
     Returns the interior minimizer found by bracketing plus a Brent
     polish from the bracket's inner point, or a flagged boundary result
-    when the infimum is approached at the numeric range cap.
+    when the infimum is approached at the numeric range cap.  ``f_seed``
+    is f(seed) when the caller has it (see bracket_minimum).
     """
-    got = bracket_minimum(f, seed)
+    got = bracket_minimum(f, seed, f_seed)
     if isinstance(got, OptResult):
         return got
     x, fx = _brent_min(f, got.lo, got.hi, got.inner, got.f_inner, got.f_lo, got.f_hi)

@@ -10,19 +10,35 @@ bracket_minimum here is the earlier form, with a separate exit for a
 seed on the cap, a first step clipped to it and a doubling step onto
 it; it makes the same probes in the same order and ends the same way.
 
-It is not collected as a test module; test_numerics.py imports it.
+The library's scalar transform searches minimise one closure each,
+negated in place, and evaluate each seed once.  dual_point,
+sup_log_f_rt and ell_point keep the objectives they replaced: the
+dual's maximand G and the inverse transform's H searched through
+maximize_concave_1d's negating wrapper, the dual's seed walk reading
+phi anew at each test, and the transform's g reading u.phi_at on every
+call.  Each returns the same floats as the library.
+
+It is not collected as a test module; test_numerics.py and
+test_legendre.py import it.
 """
 
 import math
 from typing import Callable, Union
 
+from growthcalc import legendre
 from growthcalc.numerics import (
     GOLDEN_MAX_ITER,
     GOLDEN_WIDTH,
+    LOG_ZERO,
     RANGE_CAP,
     Bracket,
+    LogScalar,
     OptResult,
+    PreconditionViolated,
     _on_cap,
+    maximize_concave_1d,
+    minimize_convex_1d,
+    safe_exp,
 )
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -95,3 +111,73 @@ def bracket_minimum(f: Callable[[float], float], seed: float) -> Union[Bracket, 
         if x_next == cap:
             return _on_cap(f, x_next, x_cur, f_cur, f_next)
         x_prev, f_prev, x_cur, f_cur = x_cur, f_cur, x_next, f_next
+
+
+def dual_point(u, log_r: float) -> float:
+    """legendre._dual_point with the maximand G searched through
+    maximize_concave_1d, the seed walk's test re-reading phi."""
+    if u.in_c_plus_log is False:
+        raise PreconditionViolated(f"{u.name} is flagged outside the admissible growth class")
+    if log_r == LOG_ZERO:
+        return -legendre.ell(u, 0.0).log_ell.log
+    sq = safe_exp(0.5 * log_r)
+
+    def G(w: float) -> float:
+        p = u.phi_at(2.0 * w)
+        if not math.isfinite(p):
+            return -math.inf
+        return 2.0 * sq * safe_exp(w) - p
+
+    floor = -math.inf if u.log_u0 is None else -u.log_u0
+
+    def stuck(w: float) -> bool:
+        g = G(w)
+        return not math.isfinite(g) or (g < floor and g == -u.phi_at(2.0 * w))
+
+    seed = 0.5 * log_r
+    step = 1.0
+    while stuck(seed) and seed > -RANGE_CAP:
+        seed -= step
+        step *= 2.0
+    if not math.isfinite(G(seed)):
+        raise PreconditionViolated(f"no representable region for the dual of {u.name}")
+    return maximize_concave_1d(G, seed).fx
+
+
+def sup_log_f_rt(f, log_r: float, lf0: float) -> float:
+    """legendre._sup_log_f_rt with the maximand H searched through
+    maximize_concave_1d."""
+
+    def H(tau: float) -> float:
+        t = safe_exp(tau)
+        return float(f.log_f(t)) + t * log_r
+
+    res = maximize_concave_1d(H, max(0.0, log_r))
+    return max(res.fx, lf0)
+
+
+def ell_point(u, t: float, seed_x: float = 0.0) -> legendre.LegendrePoint:
+    """legendre._ell_at with g reading u.phi_at on every call."""
+    import numpy as np
+
+    if t == 0.0 and u.increasing and u.defined_at_zero:
+        return legendre.LegendrePoint(LogScalar(u.log_u0), 0.0, "lo")
+
+    def g(x: float) -> float:
+        return u.phi_at(x) - t * x
+
+    def g_many(xs):
+        if u.phi_vec is None:
+            return np.array([u.phi_at(x) for x in xs.tolist()]) - t * xs
+        vals = u.phi_many(xs) - t * xs
+        for i in np.flatnonzero(np.isnan(vals)).tolist():
+            vals[i] = g(float(xs[i]))
+        return vals
+
+    if u.log_exp_convex:
+        res = minimize_convex_1d(g, seed_x)
+        x, fx, boundary = res.x, res.fx, res.boundary
+    else:
+        x, fx, boundary = legendre._scan_minimize(g, g_many, min(u.x_max, RANGE_CAP))
+    rho = 0.0 if (boundary == "lo" and x <= -RANGE_CAP + 1e-9) else math.exp(x)
+    return legendre.LegendrePoint(LogScalar(fx), rho, boundary)

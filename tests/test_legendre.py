@@ -27,6 +27,7 @@ from growthcalc.growthfn import (
 from growthcalc.numerics import (
     DEFAULT_REL_TOL,
     LOG_ZERO,
+    LogScalar,
     NoDecayCertificate,
     NotBracketable,
     PreconditionViolated,
@@ -38,6 +39,7 @@ from growthcalc.sequences import (
     sum_stored_series,
     sum_stored_series_batch,
 )
+import search_reference
 
 
 def power_exp_log_ell(a, t):
@@ -1419,6 +1421,76 @@ class TestDualFunction:
             sharp = gc.l_sharp(ks_family(1.0), math.log(r)).value
             upper = math.e ** 2 * gc.l_sharp(ks_family(1.0), math.log(2.0 * r)).value
             assert sharp - 1e-9 <= got <= upper + 1e-9
+
+
+# the benchmark's growth functions: (family, params)
+SEARCH_FAMILIES = [
+    ("exp", {}), ("ks", {"beta": 0.0}), ("ks", {"beta": 0.25}), ("ks", {"beta": 0.5}),
+    ("ks", {"beta": 1.0}), ("power-exp", {"a": 3.0}), ("gaussian", {}), ("expk", {"k": 2}),
+    ("bump", {}),
+]
+THETA_PROFILES = [
+    (lambda t: -2.0 * t * math.log(t) if t > 0 else 0.0, 1.0),
+    (lambda t: -t * t, 0.0),
+    (lambda t: 0.5 - 0.5 * t * t - 0.25 * t, 0.0),
+]
+
+
+def _hex_or_refusal(f, *args):
+    """f(*args) as float.hex, or the refusal it raised."""
+    try:
+        got = f(*args)
+    except (NotBracketable, NoDecayCertificate, PreconditionViolated) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, legendre.LegendrePoint):
+        return got.log_ell.log.hex(), got.rho.hex(), got.boundary
+    return (got.log if isinstance(got, LogScalar) else got).hex()
+
+
+class TestSearchObjectives:
+    """The transforms' scalar searches minimise one closure each, negated
+    in place, and read each seed once; they return the floats of the
+    objectives they replaced (search_reference), bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(SEARCH_FAMILIES),
+        st.just(0.0) | st.floats(1e-4, 1e4),
+        st.floats(0.05, 30.0).filter(lambda t: not t.is_integer()),
+    )
+    def test_transforms_equal_the_old_objectives(self, family, r, t):
+        u = make_growth_function(*family)
+        log_r = LOG_ZERO if r == 0.0 else math.log(r)
+        assert _hex_or_refusal(gc.dual, u, r) == _hex_or_refusal(
+            search_reference.dual_point, u, log_r
+        )
+        assert _hex_or_refusal(legendre._ell_at, u, t) == _hex_or_refusal(
+            search_reference.ell_point, u, t
+        )
+        if r > 0.0:
+            prof = gc.ell_profile(u)
+            lf0 = float(prof.log_f(0.0))
+            assert _hex_or_refusal(gc.inverse_legendre, prof, r) == _hex_or_refusal(
+                search_reference.sup_log_f_rt, prof, log_r, lf0
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(THETA_PROFILES), st.floats(-30.0, 30.0))
+    def test_theta_transform_equals_the_old_objective(self, profile, x):
+        f = gc.LogConcaveProfile(*profile)
+        assert _hex_or_refusal(gc.theta_function(f).phi_at, x) == _hex_or_refusal(
+            search_reference.sup_log_f_rt, f, x, float(f.log_f(0.0))
+        )
+
+    @pytest.mark.parametrize("family", SEARCH_FAMILIES[:5], ids=lambda f: str(f))
+    def test_a_cold_dual_reads_phi_at_its_seed_once(self, family):
+        calls = []
+        u = make_growth_function(*family)
+        w = GrowthFunction(phi=lambda x: calls.append(x) or u.phi(x), name="counted",
+                           log_u0=u.log_u0, in_c_plus_log=u.in_c_plus_log)
+        r = 0.5
+        assert gc.dual(w, r).log == gc.dual(u, r).log
+        assert calls.count(math.log(r)) == 1  # the seed is w = log(r) / 2
 
 
 class TestFunctionEquivalence:

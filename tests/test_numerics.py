@@ -190,6 +190,25 @@ class TestMinimizeConvex1d:
         assert math.isclose(math.exp(-res.fx), SUP_PRODUCT_SPLIT, rel_tol=1e-10)
         assert math.isclose(2.0 / (1.0 + math.exp(-res.x)), 1.0, abs_tol=1e-6)
 
+    @pytest.mark.parametrize("seed", [0.0, 3.5, -2.0, RANGE_CAP, -RANGE_CAP, 1000.0])
+    def test_a_given_seed_value_saves_its_call(self, seed):
+        # f(seed) is read only when the seed is not clipped to the cap
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return (x - 1.0) ** 2
+
+        want = minimize_convex_1d(f, seed)
+        cold = len(calls)
+        f_seed = f(seed)
+        calls.clear()
+        assert minimize_convex_1d(f, seed, f_seed) == want
+        clipped = abs(seed) > RANGE_CAP
+        assert len(calls) == cold - (not clipped)
+        if clipped:  # the clipped seed's own value is not read
+            assert minimize_convex_1d(f, seed, -math.inf) == want
+
     def test_monotone_increasing_gives_lo_boundary_limit(self):
         # f(x) = e^x decreases without an interior min as x -> -inf;
         # the limit 0 is returned flagged as a boundary value
