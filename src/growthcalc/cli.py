@@ -78,39 +78,45 @@ def _verdict_result(record, verdict: bool, **cli_keys) -> _Result:
 # function construction from flags
 
 
-def _build_function(args, prefix: str = "") -> GrowthFunction:
-    from .growthfn import load_registry, make_growth_function
+# the function flags' parameters: family parameter -> flag
+_FUNCTION_PARAM_FLAGS = {"beta": "beta", "a": "a", "k": "k", "p": "power", "file": "file"}
+
+
+def _build_function(
+    args, prefix: str = "", default_family: Optional[str] = None
+) -> GrowthFunction:
+    from .growthfn import UnreadParameter, load_registry, make_growth_function
 
     get = lambda name: getattr(args, prefix + name, None)
+    dash = prefix.replace("_", "-")
     registry = getattr(args, "registry", None)
     name = get("name")
+    params = {key: get(flag) for key, flag in _FUNCTION_PARAM_FLAGS.items()
+              if get(flag) is not None}
     if name is not None:
+        if params:
+            flag = _FUNCTION_PARAM_FLAGS[next(iter(params))]
+            raise _UsageError(f"--{dash}{flag}: a registry entry fixes its own parameters")
         if registry is None:
-            raise _UsageError(f"--{prefix.replace('_', '-')}name needs --registry")
+            raise _UsageError(f"--{dash}name needs --registry")
         try:
             table = load_registry(registry)
         except (OSError, ValueError, KeyError) as exc:
             raise _UsageError(f"--registry: {exc}") from exc
         if name not in table:
             known = ", ".join(sorted(table))
-            raise _UsageError(
-                f"--{prefix.replace('_', '-')}name: {name!r} not in registry"
-                f" (has: {known})"
-            )
+            raise _UsageError(f"--{dash}name: {name!r} not in registry (has: {known})")
         return table[name]
-    family = get("family")
+    family = get("family") if get("family") is not None else default_family
     if family is None:
-        raise _UsageError(f"--{prefix.replace('_', '-')}family is required")
-    params = {}
-    for key, flag in (("beta", "beta"), ("a", "a"), ("k", "k"), ("p", "power"),
-                      ("file", "file")):
-        val = get(flag)
-        if val is not None:
-            params[key] = val
+        raise _UsageError(f"--{dash}family is required")
     try:
         return make_growth_function(family, params)
+    except UnreadParameter as exc:
+        flag = _FUNCTION_PARAM_FLAGS[exc.key]
+        raise _UsageError(f"--{dash}{flag}: family {exc.family!r} does not read it") from exc
     except (ValueError, OSError) as exc:
-        raise _UsageError(f"--{prefix.replace('_', '-')}family: {exc}") from exc
+        raise _UsageError(f"--{dash}family: {exc}") from exc
 
 
 def _add_function_flags(parser, prefix: str = ""):
@@ -370,6 +376,7 @@ _VERIFY_PARAM_FLAGS = (
 
 
 def _cmd_verify(args) -> _Result:
+    from .growthfn import UnreadParameter
     from .legendre import _suite_keys, verify_suite
 
     given = {key: getattr(args, flag) for flag, key, _, _ in _VERIFY_PARAM_FLAGS}
@@ -381,6 +388,9 @@ def _cmd_verify(args) -> _Result:
                 raise _UsageError(f"--{flag}: suite {args.suite} does not read it"
                                   + " without --family" * with_family)
         report = verify_suite(args.suite, params)
+    except UnreadParameter as exc:
+        flag = next(flag for flag, key, _, _ in _VERIFY_PARAM_FLAGS if key == exc.key)
+        raise _UsageError(f"--{flag}: family {exc.family!r} does not read it") from exc
     except ValueError as exc:
         raise _UsageError(f"--suite: {exc}") from exc
     return _Result(report.to_json_dict(), 0 if report.passed else 1,
@@ -396,7 +406,6 @@ def _cmd_holo_check(args) -> _Result:
         raise _UsageError("--count must be positive")
     if args.samples < 1:
         raise _UsageError("--samples must be positive")
-    from .growthfn import make_growth_function
     from .holo import (
         MAX_DEGREE,
         MAX_DIM,
@@ -416,7 +425,7 @@ def _cmd_holo_check(args) -> _Result:
         raise _UsageError(f"--dim must be between 1 and {MAX_DIM}")
     if not 0 <= args.degree <= MAX_DEGREE:
         raise _UsageError(f"--degree must be between 0 and {MAX_DEGREE}")
-    u = _build_function(args) if args.family or args.name else make_growth_function("exp")
+    u = _build_function(args, default_family="exp")
     scale = dyadic_scale(args.dim)
     if args.chaos_file:
         try:

@@ -673,9 +673,31 @@ def membership(
 # registry
 
 
+# family -> the parameters it reads
+_FAMILY_PARAMS = {
+    "exp": (), "exponential": (), "ks": ("beta",), "power-exp": ("a",), "expk": ("k",),
+    "gaussian": (), "bump": (), "log-square": (), "polynomial": ("p",),
+    "series": ("file", "log_coeffs", "name"),
+}
+
+
+class UnreadParameter(ValueError):
+    """A parameter given to a family that does not read it."""
+
+    def __init__(self, family: str, key: str):
+        super().__init__(f"family {family!r} reads no parameter {key!r}")
+        self.family, self.key = family, key
+
+
 def make_growth_function(family: str, params: Optional[Mapping] = None) -> GrowthFunction:
-    """Resolve a (family, params) pair to a GrowthFunction."""
+    """Resolve a (family, params) pair to a GrowthFunction.  A parameter
+    the family does not read raises UnreadParameter."""
     params = dict(params or {})
+    if family not in _FAMILY_PARAMS:
+        raise ValueError(f"unknown growth-function family: {family!r}")
+    for key in params:
+        if key not in _FAMILY_PARAMS[family]:
+            raise UnreadParameter(family, key)
     if family in ("exp", "exponential"):
         return exponential()
     if family == "ks":
@@ -692,8 +714,6 @@ def make_growth_function(family: str, params: Optional[Mapping] = None) -> Growt
         return bump_example()
     if family == "log-square":
         return log_square_example()
-    if family == "polynomial":
-        return polynomial(float(params.get("p", 5.0)))
     if family == "series":
         if "file" in params:
             seq = PositiveSequence.load(params["file"])
@@ -701,7 +721,8 @@ def make_growth_function(family: str, params: Optional[Mapping] = None) -> Growt
         if "log_coeffs" not in params:
             raise ValueError("family 'series' needs the parameter 'file' or 'log_coeffs'")
         return from_series(params["log_coeffs"], name=params.get("name", "series"))
-    raise ValueError(f"unknown growth-function family: {family!r}")
+    # the remaining family, polynomial
+    return polynomial(float(params.get("p", 5.0)))
 
 
 def load_registry(path: str) -> dict:

@@ -29,7 +29,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .growthfn import GrowthFunction, make_growth_function
+from .growthfn import GrowthFunction, UnreadParameter, make_growth_function
 from .numerics import (
     GOLDEN_MAX_ITER,
     GOLDEN_WIDTH,
@@ -1067,9 +1067,9 @@ def _dual_rows(u: GrowthFunction, xs: np.ndarray) -> np.ndarray:
         c = 2.0 * np.where(0.5 * xs > 709.0, math.inf, np.exp(0.5 * xs))
 
         def neg_g(k: np.ndarray, ws: np.ndarray) -> np.ndarray:
-            # the scalar maximand with log u(y^2) past the double range as -inf
+            # _dual_point's neg_G, -(a - b) to match its sign of zero
             p = u.phi_many(2.0 * ws)
-            return np.where(np.isfinite(p), p - c[k] * np.exp(ws), math.inf)
+            return np.where(np.isfinite(p), -(c[k] * np.exp(ws) - p), math.inf)
 
         ceiling = math.inf if u.log_u0 is None else u.log_u0
 
@@ -1097,10 +1097,10 @@ def _dual_rows(u: GrowthFunction, xs: np.ndarray) -> np.ndarray:
             S = _dual_sample(u)
             last = len(S.w) - 2
             i = np.clip(np.searchsorted(S.slopes, c[rows]), 1, last)
-            g = [
-                np.where(np.isfinite(S.psi[i + d]), S.psi[i + d] - c[rows] * S.y[i + d], math.inf)
-                for d in (-1, 0, 1)
-            ]
+            g = []
+            for d in (-1, 0, 1):
+                psi = S.psi[i + d]
+                g.append(np.where(np.isfinite(psi), -(c[rows] * S.y[i + d] - psi), math.inf))
             # the cells from the bracket to the sample's cell, one more each side
             cells_lo = np.searchsorted(S.w, np.minimum(lo, S.w[i - 1]), "right") - 2
             cells_hi = np.searchsorted(S.w, np.maximum(hi, S.w[i + 1]))
@@ -1381,7 +1381,11 @@ def _suite_u(params: Mapping, default_family: str, default_params: Mapping) -> G
             kw[key] = params[key]
     if "order" in params:
         kw["k"] = params["order"]
-    return make_growth_function(family, kw)
+    try:
+        return make_growth_function(family, kw)
+    except UnreadParameter as exc:
+        # named as the suite's parameter: order, not k
+        raise UnreadParameter(family, "order" if exc.key == "k" else exc.key) from None
 
 
 def _xlogx(n: float) -> float:

@@ -418,6 +418,28 @@ class TestVerify:
         why = " without --family" if argv[-2:] == ("--beta", "0.5") else ""
         assert (code, out, err) == (2, "", f"error: {flag}: suite {argv[0]} does not read it{why}\n")
 
+    @pytest.mark.parametrize("argv, flag, family", [
+        (("verify", "--suite", "thm42", "--beta", "0.5"), "--beta", "exp"),
+        (("verify", "--suite", "lem35", "--family", "ks", "--order", "3"), "--order", "ks"),
+        (("fn", "eval", "--family", "exp", "--beta", "3", "--r", "2"), "--beta", "exp"),
+        (("holo", "check", "--beta", "3", "--count", "1"), "--beta", "exp"),
+        (("equiv", "--a-family", "ks", "--a-k", "2", "--b-family", "exp"), "--a-k", "ks"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_a_parameter_the_family_does_not_read_is_a_usage_error(
+        self, capsys, argv, flag, family
+    ):
+        # these answered for the family as if the flag were absent
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {flag}: family {family!r} does not read it\n")
+
+    def test_a_registry_entry_takes_no_parameter_flags(self, capsys, tmp_path):
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps({"mine": {"family": "ks", "params": {"beta": 0.25}}}))
+        code, out, err = run(capsys, "fn", "eval", "--name", "mine", "--registry", str(path),
+                             "--beta", "0.5", "--r", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: --beta: a registry entry fixes its own parameters\n"
+
     def test_family_override(self, capsys):
         code, report = run_json(
             capsys, "verify", "--suite", "thm42", "--family", "ks",

@@ -27,6 +27,7 @@ from growthcalc.numerics import (
 from growthcalc.growthfn import (
     GrowthFunction,
     ProbeSpec,
+    UnreadParameter,
     bump_example,
     check_increasing,
     classify_convexity,
@@ -588,6 +589,14 @@ class TestRegistry:
     def test_a_missing_parameter_is_named(self, family, missing):
         with pytest.raises(ValueError, match=f"needs the parameter {missing}$"):
             make_growth_function(family, {})
+
+    @pytest.mark.parametrize("family, params, key", [
+        ("exp", {"beta": 3.0}, "beta"), ("ks", {"beta": 0.5, "k": 2}, "k"),
+        ("polynomial", {"a": 1.0}, "a"),
+    ])
+    def test_a_parameter_the_family_does_not_read_is_refused(self, family, params, key):
+        with pytest.raises(UnreadParameter, match=f"^family '{family}' reads no parameter '{key}'$"):
+            make_growth_function(family, params)
 
     def test_json_registry(self, tmp_path):
         cfg = {

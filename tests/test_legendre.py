@@ -1492,6 +1492,18 @@ class TestSearchObjectives:
         assert gc.dual(w, r).log == gc.dual(u, r).log
         assert calls.count(math.log(r)) == 1  # the seed is w = log(r) / 2
 
+    @pytest.mark.parametrize("make", [exponential, lambda: ks_family(0.5),
+                                      lambda: ks_family(1.0), gaussian],
+                             ids=["exp", "ks0.5", "ks1", "gaussian"])
+    def test_lockstep_dual_keeps_the_scalar_sign_of_zero(self, make):
+        us = gc.dual_function(make())
+        xs = np.concatenate([[0.0, -0.0], np.linspace(-700.0, 700.0, 65)])
+        got = us.phi_many(xs)
+        want = [us.phi_at(float(x)) for x in xs]
+        assert [math.copysign(1.0, g) for g in got.tolist()] == [
+            math.copysign(1.0, v) for v in want
+        ]
+
 
 class TestFunctionEquivalence:
     def test_recovers_exact_dilation(self):

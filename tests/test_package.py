@@ -1,8 +1,10 @@
 """Lazy loading: ``import growthcalc`` loads no submodule, every public
 name resolves to its defining module's object, and a CLI cache replay
-answers without the numeric stack."""
+answers without the numeric stack.  Every name the benchmark's tracer
+wraps exists."""
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -100,3 +102,19 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         growthcalc.no_such_name
     assert not hasattr(growthcalc, "_brent_min_rows")
+
+
+def test_every_name_the_traced_benchmark_wraps_exists():
+    # perfbench/tracing.py wraps these by name: a missing one breaks the
+    # benchmark's traced run
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, names in tracing.SPANNED.items():
+        assert module in tracing.MODULES
+        mod = importlib.import_module(f"growthcalc.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"growthcalc.{module}.{name}"
+    assert callable(importlib.import_module("growthcalc.growthfn").GrowthFunction.phi_at)
