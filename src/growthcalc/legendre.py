@@ -700,57 +700,62 @@ _SERIES_START = 64
 _SERIES_CAP = 4096
 
 
-def _as_coeffs(logs: np.ndarray, n: int, tag: str) -> np.ndarray:
-    """_coeff_logs' formula on logs = log ell_u(k), the last len(logs) k <= n."""
-    if tag == "l":
-        return logs.copy()
-    return -logs - 2.0 * _log_factorials(n)[n + 1 - len(logs) :]
-
-
 def _coeff_logs(u: GrowthFunction, n: int, tag: str) -> np.ndarray:
     """log ell_u(k) for L_u ("l"), -log ell_u(k) - 2 log k! for L#_u ("sharp"), k = 0..n."""
-    return _as_coeffs(_integer_profile(u, n).log_ell[: n + 1], n, tag)
+    logs = _integer_profile(u, n).log_ell[: n + 1]
+    if tag == "l":
+        return logs.copy()
+    return -logs - 2.0 * _log_factorials(n)
 
 
 def _cap_gap(u: GrowthFunction, cap: int, tag: str) -> Optional[float]:
-    """The cap window's last coefficient gap c_cap - c_{cap-1}, less a
-    roundoff margin, if growing u's profile to ``cap`` would be one block
-    that keeps every order (no recorded refusal, at least _BLOCK_MIN_ROWS
-    orders missing, _profile_sample's certificate on all of them); else
-    None.  The two orders come from point searches, _ell_at warm-started
-    at the profile's last minimizer and then at rho(cap - 1); a search
-    that refuses or ends on a boundary gives None as well.
+    """A lower bound on the cap window's last coefficient gap
+    c_cap - c_{cap-1}, less a roundoff margin, if growing u's profile to
+    ``cap`` would be one block that keeps every order (no recorded
+    refusal, at least _BLOCK_MIN_ROWS orders missing, _profile_sample's
+    certificate on all of them); else None.
 
-    The margin bounds the distance from the gap the block would give.
-    Each order's two values, v = log ell at t with minimizer x = log rho,
-    are the least values two searches found of the same computed
-    g(x) = phi(x) - t x: the block's flat stop lies within
-    32 eps max(1, |v|) of its minimum, and the scalar Brent's 1e-12 width
-    stop within g''(x) 1e-24 / 2, below 32 eps wherever g'' < 1.4e10.
-    The rounding of phi(x) - t x adds a few ulps of |phi(x)| + t |x|
-    <= |v| + 2 t |x|.  Per order, 64 eps (1 + |v| + 2 t |x|) covers all
-    three, and the margin is its sum over the two orders.  On the
-    families of the cap-gap tests and the duals of exp and ks(0.5), at
-    caps 512 and 4096, the two gaps differed by at most 1/250 of it.  A
-    radius within the margin of the gap's verdict takes the growth, as
-    one the gap leaves open does, so no radius is refused that the
-    block's own gap would leave open.
+    log ell_u is concave in t, an infimum of the affine maps
+    t -> log u(r) - t log r, so the minimizer rho(t) of one order bounds
+    its neighbours: log ell_u(t -+ 1) <= log ell_u(t) +- log rho(t).  One
+    _ell_at, warm-started at the profile's last minimizer, gives the
+    bound -log rho(cap) for L, log rho(cap - 1) - 2 (log cap! -
+    log (cap-1)!) for L# (an exact difference of two table entries); a
+    search that refuses or ends on a boundary gives None.  Order cap - 1
+    cannot see order cap refuse, so the certificate stays: without it,
+    L# of log_square at cap 1398 is refused with NoDecayCertificate, not
+    the growth's NotBracketable.
+
+    The margin bounds the distance from the block's gap.  With G_s(x)
+    the computed phi(x) - s x, v = G_t(x) at x = log rho(t) and
+    s = t -+ 1, the block's value at t is at least
+    min G_t >= v - 32 eps max(1, |v|) (Brent's 1e-12 width stop is within
+    g''(x) 1e-24 / 2, below that where g'' < 1.4e10); at s it is within
+    32 eps max(1, |v| + |x|) of min G_s (its flat stop), and
+    min G_s <= G_s(x) = v +- x up to a few ulps of |v| + 2 t |x|; the
+    window's coefficients round by a few ulps of |v| + 2 log cap! (the
+    factorials for L# only).  128 eps (1 + |v| + 2 t |x|), plus
+    256 eps log cap! for L#, covers them all.  The bound is looser than
+    the gap by about half the coefficients' second difference (-4.9e-4
+    against -2.4e-4 for L# of ks(1)); a radius between takes the growth.
     """
     prof = _PROFILE_CACHE[u]
     if (prof.refusal is not None or cap + 1 - len(prof) < _BLOCK_MIN_ROWS
             or not _profile_sample(u, np.arange(len(prof), cap + 1.0))[-1].all()):
         return None
+    t = float(cap) if tag == "l" else cap - 1.0
     try:
-        below = _ell_at(u, cap - 1.0, _warm_seed(prof.rho[-1]))
-        top = _ell_at(u, float(cap), _warm_seed(below.rho))
+        p = _ell_at(u, t, _warm_seed(prof.rho[-1]))
     except (NoDecayCertificate, NotBracketable):
         return None
-    if below.boundary or top.boundary:
+    if p.boundary:
         return None
-    ends = np.array([below.log_ell.log, top.log_ell.log])
-    margin = sum(1.0 + abs(p.log_ell.log) + 2.0 * t * abs(math.log(p.rho))
-                 for t, p in ((cap - 1.0, below), (float(cap), top)))
-    return float(np.diff(_as_coeffs(ends, cap, tag))[0]) - 64.0 * _EPS * margin
+    x = math.log(p.rho)
+    scale = 1.0 + abs(p.log_ell.log) + 2.0 * t * abs(x)
+    if tag == "l":
+        return -x - 128.0 * _EPS * scale
+    below, top = _log_factorials(cap)[-2:].tolist()
+    return x - 2.0 * (top - below) - 128.0 * _EPS * (scale + 2.0 * top)
 
 
 def _series_logs(
@@ -766,13 +771,13 @@ def _series_logs(
 
     A u that _grown_profile builds in blocks reads the first window,
     then the profile as far as it grows towards ``cap``, but a radius
-    with e^(g + log r) >= 1 for the cap window's last gap g, less a
-    roundoff margin (_cap_gap), is NaN without growing it: the window's
-    ratio bounds, suffix maxima, certify no index there.  Any other u
-    doubles its windows.  A window
-    reads the profile only as far as it reaches, so past an order that
-    refused it comes back short and is the last: a radius that needs the
-    orders past it is NaN, and the other radii are answered.
+    with e^(g + log r) >= 1, for g a lower bound on the cap window's
+    last gap from one order's minimizer (_cap_gap), is NaN without
+    growing it: the window's ratio bounds, suffix maxima, certify no
+    index there.  Any other u doubles its windows.  A window reads the
+    profile only as far as it reaches, so past an order that refused it
+    comes back short and is the last: a radius that needs the orders
+    past it is NaN, and the other radii are answered.
     """
     log_rs = np.asarray(log_rs, dtype=float)
     out = np.full(log_rs.shape, math.nan)
@@ -818,8 +823,8 @@ def l_function(u: GrowthFunction, log_r: float, rel_tol: Optional[float] = None)
     The tail certificate is the largest stored term ratio from the
     stopping index on: the integer transform values are log-concave, so
     their ratios only fall.  A one-radius call of the batched kernel
-    ``_series_logs`` (see there for the refusal from the cap window's
-    last gap); raises NoDecayCertificate where it refuses.
+    ``_series_logs`` (see there for the refusal from one order's
+    minimizer); raises NoDecayCertificate where it refuses.
     """
     return LogScalar(float(_certified_logs(u, [float(log_r)], "l", rel_tol)[0]))
 

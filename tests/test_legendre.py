@@ -948,30 +948,32 @@ class TestSeriesKernel:
 
     def test_refusal_grows_a_cold_profile_in_one_block(self, monkeypatch):
         # the window of 64 terms fails at r = 4, past the radius 1 of L# of
-        # ks(1); the cap window's last gap refuses it from one sample and
-        # point searches of orders 4095 and 4096: one 64-row block and three
-        # point searches (orders 0, 4095 and 4096), and the profile stays
-        # at 65 orders
-        calls = _count_calls(monkeypatch, "_profile_block", "_profile_sample", "_ell_at")
+        # ks(1); the minimizer of order 4095 bounds the cap window's last
+        # gap and refuses it once a sample certifies the block: one 64-row
+        # block and two point searches (orders 0 and 4095), and the profile
+        # stays at 65 orders
+        calls = _count_calls(monkeypatch, "_profile_block", "_profile_sample", "_ell_at",
+                             orders=True)
         u = ks_family(1.0)
         msg = "series for ks(beta=1) at log r = 1.38629 showed no certified decay within 4096 terms"
         with pytest.raises(NoDecayCertificate, match=re.escape(msg)):
             gc.l_sharp(u, math.log(4.0))
-        assert calls == {"_profile_block": 1, "_profile_sample": 2, "_ell_at": 3}
-        assert len(legendre._PROFILE_CACHE[u]) == 65
-        # a second refusal decides again: one sample, two point searches
+        assert calls["_ell_at"] == [0.0, 4095.0] and len(calls["_profile_block"]) == 1
+        assert len(calls["_profile_sample"]) == 2 and len(legendre._PROFILE_CACHE[u]) == 65
+        # a second refusal decides again: one sample, one point search
         with pytest.raises(NoDecayCertificate, match=re.escape(msg)):
             gc.l_sharp(u, math.log(4.0))
-        assert calls == {"_profile_block": 1, "_profile_sample": 3, "_ell_at": 5}
+        assert calls["_ell_at"] == [0.0, 4095.0, 4095.0] and len(calls["_profile_block"]) == 1
+        assert len(calls["_profile_sample"]) == 3
 
     def test_undecided_refusal_grows_the_profile_in_one_block(self, monkeypatch):
-        # at r = 1 the last gap, -2.44e-4, leaves q < 1: the profile grows to
-        # the cap in one block, and the full window refuses
-        calls = _count_calls(monkeypatch, "_profile_block", "_ell_at")
+        # at r = 1 the bound from order 4095, -4.9e-4, leaves q < 1: the
+        # profile grows to the cap in one block, and the full window refuses
+        calls = _count_calls(monkeypatch, "_profile_block", "_ell_at", orders=True)
         u = ks_family(1.0)
         with pytest.raises(NoDecayCertificate):
             gc.l_sharp(u, 0.0)
-        assert calls["_profile_block"] == 2 and calls["_ell_at"] == 3
+        assert len(calls["_profile_block"]) == 2 and calls["_ell_at"] == [0.0, 4095.0]
         monkeypatch.undo()
         # the orders that began each doubled window's growth (one _ell_at
         # each) now come from the block
@@ -1037,19 +1039,20 @@ class TestSeriesKernel:
         assert all(not isinstance(a, BaseException) for a in prof.refusal[1])
 
     def test_cold_refusal_reads_two_windows(self, monkeypatch):
-        # 65 terms, then the cap window's last gap refuses without reading
-        # that window; a radius the gap leaves open (r = 1) reads it as the
-        # second window, of 4097 terms, with no doubled window in between
-        calls = _count_calls(monkeypatch, "_profile_block", "_ell_at")
+        # 65 terms, then the bound from order 4095 refuses without reading
+        # the cap window; a radius the bound leaves open (r = 1) reads it as
+        # the second window, of 4097 terms, with no doubled window in between
+        calls = _count_calls(monkeypatch, "_profile_block", "_ell_at", orders=True)
         windows = _count_calls(monkeypatch, "_coeff_logs", orders=True)
         u = ks_family(1.0)
         with pytest.raises(NoDecayCertificate):
             gc.l_sharp(u, math.log(4.0))
-        assert calls["_profile_block"] == 1 and calls["_ell_at"] == 3
+        assert len(calls["_profile_block"]) == 1 and calls["_ell_at"] == [0.0, 4095.0]
         assert windows["_coeff_logs"] == [64] and len(legendre._PROFILE_CACHE[u]) == 65
         with pytest.raises(NoDecayCertificate):
             gc.l_sharp(u, 0.0)
-        assert calls["_profile_block"] == 2 and windows["_coeff_logs"] == [64, 64, 4096]
+        assert len(calls["_profile_block"]) == 2 and calls["_ell_at"] == [0.0, 4095.0, 4095.0]
+        assert windows["_coeff_logs"] == [64, 64, 4096]
 
     def test_a_refused_order_leaves_its_certified_run_to_the_series(self):
         # L(r) = sum_n e^(-(n + 2)^2 / 4) r^n for log_square, whose profile
@@ -1127,6 +1130,20 @@ GAP_FAMILIES = [
 GAP_RADII = [0.1, 0.5, 0.99, 1.0, 1.0003, 1.01, 2.0, 4.0, 16.0, 50.0, 1e10, 1e100, 1e282]
 
 
+# the cap-gap families and two duals, whose phi is a search of its own
+BOUND_FAMILIES = GAP_FAMILIES + [
+    ("dual-exp", lambda: gc.dual_function(exponential())),
+    ("dual-ks0.5", lambda: gc.dual_function(ks_family(0.5))),
+]
+
+
+def _last_gap(log_ell, cap, tag):
+    """The last coefficient gap of a window whose orders end in log_ell
+    at ``cap``, formed as _coeff_logs forms the window's coefficients."""
+    c = log_ell[-2:] if tag == "l" else -log_ell[-2:] - 2.0 * _log_factorials(cap)[-2:]
+    return float(c[1] - c[0])
+
+
 def _full(make):
     """A fresh function whose profile was grown to the cap first, so every
     series reads the full cap window."""
@@ -1161,8 +1178,10 @@ class TestCapGapRefusal:
                 assert _outcome(series, warm, math.log(r)) == want, (series, r)
 
     @pytest.mark.parametrize("series, make, r, decided", [
-        (gc.l_sharp, lambda: ks_family(1.0), 1.0, False),  # last gap -2.44e-4
-        (gc.l_sharp, lambda: ks_family(1.0), 1.0003, True),
+        # L# of ks(1): last gap -2.44e-4, bound from order 4095 -4.9e-4
+        (gc.l_sharp, lambda: ks_family(1.0), 1.0, False),
+        (gc.l_sharp, lambda: ks_family(1.0), 1.0003, False),
+        (gc.l_sharp, lambda: ks_family(1.0), 1.001, True),
         (gc.l_function, exponential, 50.0, False),
         (gc.l_function, exponential, 1e10, True),
     ])
@@ -1197,8 +1216,8 @@ class TestCapGapRefusal:
                     w.phi_at(x)
 
     def test_a_profile_near_the_cap_grows_as_before(self, monkeypatch):
-        # 16 missing orders are walked by point searches, not one block: the
-        # last gap decides nothing, and the profile grows to the cap
+        # 16 missing orders are walked by point searches, not one block: no
+        # bound decides, and the profile grows to the cap
         u = ks_family(1.0)
         legendre._integer_profile(u, 4080)
         calls = _count_calls(monkeypatch, "_profile_sample", "_ell_at")
@@ -1209,15 +1228,15 @@ class TestCapGapRefusal:
 
     @pytest.mark.parametrize("end", ["refuses", "on a boundary"])
     def test_an_undecided_point_search_takes_the_growth(self, monkeypatch, end):
-        # the gap would refuse L# of ks(1) at r = 4 on 65 orders; without
+        # the bound would refuse L# of ks(1) at r = 4 on 65 orders; without
         # it the radius takes the growth and the full window's answer
         real = legendre._ell_at
 
         def at_cap(u, t, seed_x=0.0):
-            if t == 4096.0 and end == "refuses":
-                raise NoDecayCertificate("the search at the cap refused")
+            if t == 4095.0 and end == "refuses":
+                raise NoDecayCertificate("the search below the cap refused")
             p = real(u, t, seed_x)
-            return p._replace(boundary="upper") if t == 4096.0 else p
+            return p._replace(boundary="upper") if t == 4095.0 else p
 
         monkeypatch.setattr(legendre, "_ell_at", at_cap)
         u, log_r = ks_family(1.0), math.log(4.0)
@@ -1236,32 +1255,51 @@ class TestCapGapRefusal:
             gc.l_sharp(u, math.log(4.0))
         assert calls == {"_profile_sample": 0, "_ell_at": 0}
 
-    @pytest.mark.parametrize("make", [m for _, m in GAP_FAMILIES] + [
-        lambda: gc.dual_function(exponential()), lambda: gc.dual_function(ks_family(0.5))
-    ], ids=[k for k, _ in GAP_FAMILIES] + ["dual-exp", "dual-ks0.5"])
+    def test_the_certificate_keeps_a_refusal_at_the_cap(self):
+        # log_square's growth refuses at order 1398 and the search of order
+        # 1397 ends inside the range: at cap 1398 the bound from it would
+        # refuse L# everywhere, but the sample leaves order 1398 without a
+        # bracket, so the growth runs and its refusal is raised
+        log_rs = [0.0, 10.0]
+        u = log_square_example()
+        legendre._integer_profile(u, 64)
+        assert legendre._ell_at(u, 1397.0).boundary is None
+        with pytest.raises(NotBracketable) as cold:
+            legendre._certified_logs(u, log_rs, "sharp", cap=1398)
+        with pytest.raises(NotBracketable) as full:
+            legendre._certified_logs(_full(log_square_example), log_rs, "sharp", cap=1398)
+        assert str(cold.value) == str(full.value)
+
+    @pytest.mark.parametrize("make", [m for _, m in BOUND_FAMILIES],
+                             ids=[k for k, _ in BOUND_FAMILIES])
     @pytest.mark.parametrize("cap", [512, 4096])
     def test_point_searches_give_the_block_gap_within_the_margin(self, make, cap):
+        # the bound refuses no radius that the block's last gap leaves open
         u = make()
-        prof = legendre._integer_profile(u, 64)
+        legendre._integer_profile(u, 64)
         log_ell, _ = legendre._profile_block(u, np.arange(65.0, cap + 1.0))
-        if np.isnan(log_ell[-2:]).any():
-            # log_square's minimizer passes the range cap from order 1398
-            assert make is log_square_example and cap == 4096
-            assert legendre._cap_gap(u, cap, "l") is None
-            return
-        below = legendre._ell_at(u, cap - 1.0, legendre._warm_seed(prof.rho[-1]))
-        top = legendre._ell_at(u, float(cap), legendre._warm_seed(below.rho))
-        # _cap_gap's margin: 64 eps (1 + |log ell| + 2 t |log rho|) per order
-        margin = 64.0 * legendre._EPS * sum(
-            1.0 + abs(p.log_ell.log) + 2.0 * t * abs(math.log(p.rho))
-            for t, p in ((cap - 1.0, below), (float(cap), top))
-        )
         for tag in ("l", "sharp"):
-            block = float(np.diff(legendre._as_coeffs(log_ell[-2:], cap, tag))[0])
-            point = legendre._as_coeffs(np.array([below.log_ell.log, top.log_ell.log]), cap, tag)
-            assert abs(float(np.diff(point)[0]) - block) <= margin
-            # the decision refuses no radius that the block's gap leaves open
-            assert legendre._cap_gap(u, cap, tag) <= block
+            bound = legendre._cap_gap(u, cap, tag)
+            if np.isnan(log_ell[-2:]).any():
+                # log_square's minimizer passes the range cap from order 1398
+                assert make is log_square_example and cap == 4096 and bound is None
+            else:
+                assert bound <= _last_gap(log_ell, cap, tag)
+
+    @given(
+        st.integers(min_value=88, max_value=4096),
+        st.sampled_from(["l", "sharp"]),
+        st.sampled_from([m for _, m in BOUND_FAMILIES]),
+        st.one_of(st.none(), st.tuples(*[st.floats(min_value=0.25, max_value=4.0)] * 2)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_the_bound_is_at_most_the_block_gap(self, cap, tag, make, scale):
+        u = make() if scale is None else make().scaled(*scale)
+        legendre._integer_profile(u, 64)
+        bound = legendre._cap_gap(u, cap, tag)
+        log_ell, _ = legendre._profile_block(u, np.arange(65.0, cap + 1.0))
+        if bound is not None:
+            assert bound <= _last_gap(log_ell, cap, tag)
 
 
 class TestDual:
