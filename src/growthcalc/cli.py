@@ -136,23 +136,43 @@ def _add_function_flags(parser, prefix: str = ""):
     )
 
 
+# the flags each sequence family reads besides --family and --n
+_SEQUENCE_FLAGS = {
+    "bell": ("order",),
+    "power-factorial": ("beta",),
+    "legendre": tuple("fn_" + f for f in ("family", *_FUNCTION_PARAM_FLAGS.values(), "name")),
+}
+
+
 def _build_sequence(args, prefix: str = "") -> PositiveSequence:
     from .sequences import (
         GEN_BELL_MAX_N, PositiveSequence, from_legendre, gen_bell, gen_power_factorial,
     )
 
     get = lambda name: getattr(args, prefix + name, None)
-    path = get("file")
+    dash = prefix.replace("_", "-")
+    path, family = get("file"), get("family")
+    # a stored sequence reads none of the family flags
+    reads = () if path is not None else ("family", "n", *_SEQUENCE_FLAGS.get(family, ()))
+    flags = ("family", "n", "order", "beta", *_SEQUENCE_FLAGS["legendre"])
+    unread = [f"--{dash}{f.replace('_', '-')}" for f in flags
+              if get(f) is not None and f not in reads]
     if path is not None:
+        if unread:
+            raise _UsageError(f"{unread[0]}: a stored sequence fixes its own parameters")
         try:
             return PositiveSequence.load(path)
         except (OSError, ValueError, KeyError) as exc:
-            raise _UsageError(f"--{prefix.replace('_', '-')}file: {exc}") from exc
-    family = get("family")
+            raise _UsageError(f"--{dash}file: {exc}") from exc
     n_max = get("n") if get("n") is not None else 25
-    dash = prefix.replace("_", "-")
     if n_max < 0:
         raise _UsageError(f"--{dash}n must be nonnegative")
+    if family not in _SEQUENCE_FLAGS:
+        raise _UsageError(
+            f"--{dash}family must be bell, power-factorial, or legendre (got {family!r})"
+        )
+    if unread:
+        raise _UsageError(f"{unread[0]}: family {family!r} does not read it")
     if family == "bell":
         if n_max > GEN_BELL_MAX_N:
             raise _UsageError(f"--{dash}n must be at most {GEN_BELL_MAX_N} for bell")
@@ -165,12 +185,7 @@ def _build_sequence(args, prefix: str = "") -> PositiveSequence:
         if not 0.0 <= beta < 1.0:
             raise _UsageError(f"--{dash}beta must be in [0, 1)")
         return gen_power_factorial(beta, n_max)
-    if family == "legendre":
-        return from_legendre(_build_function(args, prefix + "fn_"), n_max)
-    raise _UsageError(
-        f"--{dash}family must be bell, power-factorial, or legendre"
-        f" (got {family!r})"
-    )
+    return from_legendre(_build_function(args, prefix + "fn_"), n_max)
 
 
 def _add_sequence_flags(parser, prefix: str = ""):

@@ -716,28 +716,25 @@ def _cap_gap(u: GrowthFunction, cap: int, tag: str) -> Optional[float]:
     certificate on all of them); else None.
 
     log ell_u is concave in t, an infimum of the affine maps
-    t -> log u(r) - t log r, so the minimizer rho(t) of one order bounds
-    its neighbours: log ell_u(t -+ 1) <= log ell_u(t) +- log rho(t).  One
-    _ell_at, warm-started at the profile's last minimizer, gives the
-    bound -log rho(cap) for L, log rho(cap - 1) - 2 (log cap! -
-    log (cap-1)!) for L# (an exact difference of two table entries); a
+    t -> log u(r) - t log r, so rho(t) bounds the neighbours of t:
+    log ell_u(t -+ 1) <= log ell_u(t) +- log rho(t).  One _ell_at,
+    warm-started at the profile's last minimizer, gives -log rho(cap)
+    for L and log rho(cap - 1) - 2 (log cap! - log (cap-1)!) for L#; a
     search that refuses or ends on a boundary gives None.  Order cap - 1
-    cannot see order cap refuse, so the certificate stays: without it,
-    L# of log_square at cap 1398 is refused with NoDecayCertificate, not
-    the growth's NotBracketable.
+    cannot see order cap refuse, so the certificate stays (L# of
+    log_square at cap 1398 would be NoDecayCertificate, not the growth's
+    NotBracketable).
 
-    The margin bounds the distance from the block's gap.  With G_s(x)
-    the computed phi(x) - s x, v = G_t(x) at x = log rho(t) and
-    s = t -+ 1, the block's value at t is at least
+    The margin: with G_s(x) the computed phi(x) - s x, v = G_t(x) at
+    x = log rho(t) and s = t -+ 1, the block's value at t is at least
     min G_t >= v - 32 eps max(1, |v|) (Brent's 1e-12 width stop is within
-    g''(x) 1e-24 / 2, below that where g'' < 1.4e10); at s it is within
-    32 eps max(1, |v| + |x|) of min G_s (its flat stop), and
-    min G_s <= G_s(x) = v +- x up to a few ulps of |v| + 2 t |x|; the
-    window's coefficients round by a few ulps of |v| + 2 log cap! (the
-    factorials for L# only).  128 eps (1 + |v| + 2 t |x|), plus
-    256 eps log cap! for L#, covers them all.  The bound is looser than
-    the gap by about half the coefficients' second difference (-4.9e-4
-    against -2.4e-4 for L# of ks(1)); a radius between takes the growth.
+    g''(x) 1e-24 / 2, below that where g'' < 1.4e10), at s within
+    32 eps max(1, |v| + |x|) of min G_s <= G_s(x) = v +- x, all up to a
+    few ulps of |v| + 2 t |x|, and the coefficients round by a few ulps
+    of |v| + 2 log cap! (L# only).  128 eps (1 + |v| + 2 t |x|), plus
+    256 eps log cap! for L#, covers them all.  The bound lies about half
+    a second difference below the gap (-4.9e-4 against -2.4e-4 for L# of
+    ks(1)); a radius in between takes the growth.
     """
     prof = _PROFILE_CACHE[u]
     if (prof.refusal is not None or cap + 1 - len(prof) < _BLOCK_MIN_ROWS
@@ -890,7 +887,7 @@ def _dual_point(u: GrowthFunction, log_r: float) -> float:
             f"{u.name} is flagged outside the admissible growth class"
         )
     if log_r == LOG_ZERO:
-        return -ell(u, 0.0).log_ell.log
+        return 0.0 - ell(u, 0.0).log_ell.log  # a zero comes out +0.0
     c = 2.0 * safe_exp(0.5 * log_r)
     phi_at = u.phi_at
 
@@ -1143,7 +1140,7 @@ def dual_function(u: GrowthFunction) -> GrowthFunction:
         name=f"dual[{u.name}]",
         family="dual",
         params={"base": u.name},
-        log_u0=-ell(u, 0.0).log_ell.log,
+        log_u0=0.0 - ell(u, 0.0).log_ell.log,
         increasing=True,
         log_exp_convex=True,
         log_x2_convex=True,

@@ -118,8 +118,8 @@ def dual_point(u, log_r: float) -> float:
     maximize_concave_1d, the seed walk's test re-reading phi."""
     if u.in_c_plus_log is False:
         raise PreconditionViolated(f"{u.name} is flagged outside the admissible growth class")
-    if log_r == LOG_ZERO:
-        return -legendre.ell(u, 0.0).log_ell.log
+    if log_r == LOG_ZERO:  # no search: -log u(0), a zero as +0.0
+        return 0.0 - legendre.ell(u, 0.0).log_ell.log
     sq = safe_exp(0.5 * log_r)
 
     def G(w: float) -> float:

@@ -156,6 +156,35 @@ class TestSeq:
             assert err == (f"error: {flag}: the shorter sequence ends at n = 7;"
                            " a verdict needs it through n = 8\n")
 
+    @pytest.mark.parametrize("argv, flag, family", [
+        (("gen", "--family", "bell", "--beta", "0.5", "--n", "3"), "--beta", "bell"),
+        (("gen", "--family", "power-factorial", "--order", "3"), "--order", "power-factorial"),
+        (("gen", "--family", "bell", "--fn-family", "exp"), "--fn-family", "bell"),
+        (("check", "--condition", "A1", "--family", "legendre", "--fn-family", "exp",
+          "--order", "2"), "--order", "legendre"),
+        (("equiv", "--a-family", "bell", "--a-beta", "0.5", "--b-family", "bell"),
+         "--a-beta", "bell"),
+        (("equiv", "--a-family", "bell", "--b-family", "power-factorial", "--b-fn-beta", "1"),
+         "--b-fn-beta", "power-factorial"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_a_flag_the_family_does_not_read_is_a_usage_error(self, capsys, argv, flag, family):
+        # these answered for the family as if the flag were absent
+        code, out, err = run(capsys, "seq", *argv)
+        assert (code, out, err) == (2, "", f"error: {flag}: family {family!r} does not read it\n")
+
+    @pytest.mark.parametrize("flags", [
+        ("--order", "3"), ("--family", "bell"), ("--n", "10"), ("--fn-family", "exp"),
+    ], ids=lambda v: v[0])
+    def test_a_stored_sequence_takes_no_family_flags(self, capsys, tmp_path, flags):
+        path = tmp_path / "seq.json"
+        gen_bell(2, 20).save(path)
+        for prefix, argv in (("--", ("check", "--condition", "A1", "--file", str(path))),
+                             ("--a-", ("equiv", "--a-file", str(path), "--b-family", "bell"))):
+            flag = prefix + flags[0][2:]
+            code, out, err = run(capsys, "seq", *argv, flag, flags[1])
+            assert (code, out) == (2, "")
+            assert err == f"error: {flag}: a stored sequence fixes its own parameters\n"
+
     def test_gen_rejects_bad_beta(self, capsys):
         code, _, err = run(
             capsys, "seq", "gen", "--family", "power-factorial",

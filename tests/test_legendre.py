@@ -1318,6 +1318,13 @@ class TestDual:
             got = gc.dual(u, float(r)).log
             assert abs(got - want) <= 1e-8 * max(1.0, want)
 
+    @pytest.mark.parametrize("make", [exponential, lambda: ks_family(0.5), gaussian, bump_example])
+    def test_a_zero_dual_at_the_origin_is_positive(self, make):
+        # log u*(0) = -log u(0) = 0 for these: +0.0, as every other dual zero
+        u = make()
+        assert math.copysign(1.0, gc.dual(u, 0.0).log) == 1.0
+        assert math.copysign(1.0, gc.dual_function(u).log_u0) == 1.0
+
     def test_steepest_family_cutoff(self):
         # for beta = 1 the dual is 1 up to r = 1 and infinite beyond
         u = ks_family(1.0)
