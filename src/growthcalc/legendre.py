@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from math import exp
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -568,7 +569,10 @@ def tau_bounds(u: GrowthFunction, r: float) -> TauBounds:
 @dataclass(frozen=True)
 class LogConcaveProfile:
     """A positive profile t >= 0 -> f(t) given through log f, with a
-    caller-asserted index t0 beyond which f is decreasing."""
+    caller-asserted index t0 beyond which f is decreasing.
+
+    Only admissibility_report (and so theta_function) reads t0, once,
+    before it samples log f; inverse_legendre reads log f alone."""
 
     log_f: Callable[[float], float]
     t0: float = 1.0
@@ -587,20 +591,25 @@ def admissibility_report(f: LogConcaveProfile) -> dict:
     concave on the grid.  The thresholds (final root value <= -1, a
     drop of at least 0.2 over the tail) are engineering choices; a
     profile that decays too gently to clear them reads as inadmissible
-    even if its limit is genuinely zero."""
+    even if its limit is genuinely zero.
+
+    t0 is read before log f is sampled: for an ell_profile that read
+    builds the orders 0..60 in one block, as the sample's integer
+    orders would otherwise be built one by one."""
+    t0 = f.t0
     ts = np.linspace(0.0, _ADMISSIBLE_T_HI, _ADMISSIBLE_POINTS)
     # log_f is a scalar callable; the three tests reduce its samples in numpy
     vals = np.array([float(f.log_f(float(t))) for t in ts])
 
     with np.errstate(invalid="ignore"):
-        at = ts >= max(f.t0, 1.0)
+        at = ts >= max(t0, 1.0)
         roots = vals[at] / ts[at]
         half = roots[len(roots) // 2 :]
         root_decreasing = bool(np.all(half[1:] <= half[:-1] + 1e-12))
         drop = float(half[0] - half[-1]) if len(half) >= 2 else 0.0
         decays = bool(root_decreasing and len(roots) and roots[-1] <= -1.0 and drop >= 0.2)
 
-        tail = vals[ts >= f.t0]
+        tail = vals[ts >= t0]
         slack = _ADMISSIBLE_TOL * np.maximum(1.0, np.abs(tail[:-1]))
         decreasing = bool(np.all(tail[1:] <= tail[:-1] + slack))
 
@@ -631,16 +640,30 @@ def _detect_n0(logs: Sequence[float]) -> int:
     return n0
 
 
+class _TransformProfile(LogConcaveProfile):
+    """ell_profile's result: log f = log ell_u, and t0 detected from u's
+    integer profile to order 60 the first time it is read."""
+
+    def __init__(self, u: GrowthFunction):
+        object.__setattr__(self, "log_f", lambda t: ell(u, t).log_ell.log)
+        object.__setattr__(self, "name", f"ell[{u.name}]")
+        object.__setattr__(self, "_u", u)
+
+    @cached_property
+    def t0(self) -> float:
+        """The last index of orders 0..60 where log ell_u still rises."""
+        return float(_detect_n0(_integer_profile(self._u, 60).log_ell[:61].tolist()))
+
+
 def ell_profile(u: GrowthFunction) -> LogConcaveProfile:
-    """The transform of u as an inverse-transform input, with t0
-    detected from the integer profile (the last index where the values
-    still rise)."""
-    t0 = _detect_n0(_integer_profile(u, 60).log_ell[:61].tolist())
-    return LogConcaveProfile(
-        log_f=lambda t: ell(u, t).log_ell.log,
-        t0=float(t0),
-        name=f"ell[{u.name}]",
-    )
+    """The transform of u as an inverse-transform input.
+
+    Its t0 (the last index where the integer profile still rises) is
+    detected the first time it is read, as admissibility_report and so
+    theta_function do, from one block of the orders 0..60.
+    inverse_legendre never reads it, and builds only the orders that
+    its integer probes read."""
+    return _TransformProfile(u)
 
 
 def _sup_log_f_rt(f: LogConcaveProfile, log_r: float, lf0: float) -> float:

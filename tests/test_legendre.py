@@ -1550,6 +1550,61 @@ class TestSearchObjectives:
         ]
 
 
+# the seven families of the benchmark's inverse requests
+INVERSE_FAMILIES = [
+    ("exp", {}), ("ks", {"beta": 0.25}), ("ks", {"beta": 0.5}), ("ks", {"beta": 1.0}),
+    ("gaussian", {}), ("expk", {"k": 2}), ("bump", {}),
+]
+
+
+def _eager_profile(u):
+    """ell_profile with t0 detected at construction, from the block of
+    orders 0..60, as it was built before t0 was read on demand."""
+    t0 = legendre._detect_n0(legendre._integer_profile(u, 60).log_ell[:61].tolist())
+    return gc.LogConcaveProfile(lambda t: gc.ell(u, t).log_ell.log, float(t0), f"ell[{u.name}]")
+
+
+class TestTransformProfileOnDemand:
+    """ell_profile detects t0 the first time it is read: an inverse
+    request builds no profile block, and every value keeps the bits of
+    the profile that detected t0 at construction."""
+
+    @pytest.mark.parametrize("r", [0.01, 5.0])
+    @pytest.mark.parametrize("family", INVERSE_FAMILIES, ids=lambda f: str(f))
+    def test_an_inverse_request_builds_no_block(self, monkeypatch, family, r):
+        u = make_growth_function(*family)
+        calls = _count_calls(monkeypatch, "_profile_block")
+        got = _hex_or_refusal(gc.inverse_legendre, gc.ell_profile(u), r)
+        assert calls["_profile_block"] == 0
+        assert len(legendre._PROFILE_CACHE[u]) < legendre._BLOCK_MIN_ROWS
+        want = _hex_or_refusal(gc.inverse_legendre, _eager_profile(make_growth_function(*family)), r)
+        assert got == want
+
+    @pytest.mark.parametrize("family", INVERSE_FAMILIES[:3] + INVERSE_FAMILIES[4:5],
+                             ids=lambda f: str(f))
+    def test_t0_is_detected_when_read(self, monkeypatch, family):
+        want = _eager_profile(make_growth_function(*family)).t0
+        u = make_growth_function(*family)
+        f = gc.ell_profile(u)
+        assert u not in legendre._PROFILE_CACHE  # constructing builds nothing
+        calls = _count_calls(monkeypatch, "_profile_block")
+        assert f.t0 == want and f.t0 == want
+        assert calls["_profile_block"] == 1  # the second read builds nothing
+
+    @pytest.mark.parametrize("family", [("exp", {}), ("ks", {"beta": 0.5}), ("gaussian", {})],
+                             ids=lambda f: str(f))
+    def test_reports_and_theta_keep_the_eager_bits(self, family):
+        lazy, eager = make_growth_function(*family), make_growth_function(*family)
+        assert json.dumps(gc.admissibility_report(gc.ell_profile(lazy))) == json.dumps(
+            gc.admissibility_report(_eager_profile(eager))
+        )
+        lazy, eager = make_growth_function(*family), make_growth_function(*family)
+        th_lazy = gc.theta_function(gc.ell_profile(lazy))
+        th_eager = gc.theta_function(_eager_profile(eager))
+        for t in (0.5, 1.0, 2.0, 2.5, 7.25):
+            assert _hex_or_refusal(gc.ell, th_lazy, t) == _hex_or_refusal(gc.ell, th_eager, t)
+
+
 class TestFunctionEquivalence:
     def test_recovers_exact_dilation(self):
         u = exponential()
