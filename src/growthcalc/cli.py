@@ -146,7 +146,8 @@ _SEQUENCE_FLAGS = {
 
 def _build_sequence(args, prefix: str = "") -> PositiveSequence:
     from .sequences import (
-        GEN_BELL_MAX_N, PositiveSequence, from_legendre, gen_bell, gen_power_factorial,
+        GEN_BELL_MAX_N, GEN_BELL_MAX_ORDER, PositiveSequence, from_legendre, gen_bell,
+        gen_power_factorial,
     )
 
     get = lambda name: getattr(args, prefix + name, None)
@@ -177,8 +178,8 @@ def _build_sequence(args, prefix: str = "") -> PositiveSequence:
         if n_max > GEN_BELL_MAX_N:
             raise _UsageError(f"--{dash}n must be at most {GEN_BELL_MAX_N} for bell")
         order = get("order") if get("order") is not None else 2
-        if order < 1:
-            raise _UsageError(f"--{dash}order must be at least 1")
+        if not 1 <= order <= GEN_BELL_MAX_ORDER:
+            raise _UsageError(f"--{dash}order must be in [1, {GEN_BELL_MAX_ORDER}] for bell")
         return gen_bell(order, n_max)
     if family == "power-factorial":
         beta = get("beta") if get("beta") is not None else 0.0
@@ -193,7 +194,7 @@ def _add_sequence_flags(parser, prefix: str = ""):
     parser.add_argument(
         f"--{dash}family", help="sequence family: bell, power-factorial, legendre"
     )
-    parser.add_argument(f"--{dash}order", type=int, help="bell order k")
+    parser.add_argument(f"--{dash}order", type=int, help="bell order k, 1-5")
     parser.add_argument(f"--{dash}beta", type=float, help="power-factorial exponent")
     parser.add_argument(f"--{dash}n", type=int, help="largest index to generate")
     parser.add_argument(f"--{dash}file", help="load a stored sequence instead")
@@ -677,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _sub(
         seq_sub, "gen",
-        "generate a sequence: Bell numbers of order k, n!^beta, or"
+        "generate a sequence: Bell numbers of order k = 1-5, n!^beta, or"
         " Legendre transform weights 1/(n! ell_u(n))",
     )
     _add_sequence_flags(p)

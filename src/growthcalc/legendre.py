@@ -1379,22 +1379,25 @@ class _Rows:
         self.checked += count
 
     def add(self, x, lhs: float, rhs: float, v: float, /, **witness) -> None:
-        self.rows.append({"x": x, "lhs": lhs, "rhs": rhs, "slack": -v})
+        # 0.0 - v, not -v: a zero slack comes out +0.0
+        self.rows.append({"x": x, "lhs": lhs, "rhs": rhs, "slack": 0.0 - v})
         self.worse(v, witness)
 
     def ineq(self, x, lhs: float, rhs: float, /, **witness) -> None:
         """The row lhs <= rhs (log scale); a zero left side (-inf)
         violates nothing.  Its witness also records the slack."""
         v = lhs - rhs if lhs != -math.inf else -math.inf
-        self.add(x, lhs, rhs, v, **witness, slack=-v)
+        self.add(x, lhs, rhs, v, **witness, slack=0.0 - v)
 
     def check(self, name: str, params: dict, grid: dict, tol: float) -> Check:
         if not self.checked:
             verdict = "inconclusive"
         else:
             verdict = "pass" if self.worst <= tol else "fail"
+        # + 0.0 writes a zero violation as +0.0: -0.0 - 0.0 is -0.0
         return Check(
-            name, params, grid, float(self.worst), self.witness, verdict, tuple(self.rows)
+            name, params, grid, float(self.worst) + 0.0, self.witness, verdict,
+            tuple(self.rows),
         )
 
 
@@ -1435,7 +1438,7 @@ def _suite_stirling(params: dict) -> Check:
     for n in range(n_max + 1):
         mid = n - _xlogx(n)  # log (e/n)^n with 0^0 = 1
         lg = math.lgamma(n + 1.0)
-        acc.ineq(f"{n}/lower", -lg, mid, n=n, side="lower")
+        acc.ineq(f"{n}/lower", 0.0 - lg, mid, n=n, side="lower")  # log 0! = 0 as +0.0
         acc.ineq(f"{n}/upper", mid, 1.0 + 0.5 * n * LOG2 - lg, n=n, side="upper")
     return acc.check("stirling", {"n_max": n_max, "tol": tol}, {"n_max": n_max}, tol)
 

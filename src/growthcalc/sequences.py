@@ -49,6 +49,10 @@ SEQ_SCHEMA = "growthcalc.seq/1"
 CONDITIONS = ("A1", "A2", "A2t", "B1", "B1t", "B2", "B2t", "B3", "C1", "C2", "C3")
 
 GEN_BELL_MAX_N = 200
+# order 6's last stage multiplies by e^(e^(e^e)) = e^(3.8e6), past the
+# 60-digit Decimal context's exponent range, and from order 7 on log b(1)
+# = e^(3.8e6) lies past the double range
+GEN_BELL_MAX_ORDER = 5
 
 
 _LOG_FACTORIALS = np.zeros(1)  # lgamma(k + 1) = log k! for k < len, grown on demand
@@ -165,10 +169,11 @@ def gen_bell(order: int, n_max: int) -> PositiveSequence:
     From order 3 on the values are polynomials in e, e^e, ... with
     integer coefficients (b(1) = e, b(2) = e^2 + 2e at order 3); the
     chain of _series_exp stages runs in 60-digit decimal arithmetic,
-    with one 60-digit ln per term.
+    with one 60-digit ln per term.  Its stages multiply by 1, e, e^e,
+    e^(e^e), ..., which bounds the order by GEN_BELL_MAX_ORDER.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if not 1 <= order <= GEN_BELL_MAX_ORDER:
+        raise ValueError(f"order must be in [1, {GEN_BELL_MAX_ORDER}]")
     if not 0 <= n_max <= GEN_BELL_MAX_N:
         raise ValueError(f"n_max must be in [0, {GEN_BELL_MAX_N}]")
     if order <= 2:
@@ -180,9 +185,10 @@ def gen_bell(order: int, n_max: int) -> PositiveSequence:
         ctx.prec = 60
         gamma = [Decimal(1) / Decimal(math.factorial(n)) for n in range(n_max + 1)]
         mult = Decimal(1)
-        for _ in range(order - 1):
-            gamma = _series_exp(mult, gamma)
+        gamma = _series_exp(mult, gamma)
+        for _ in range(order - 2):
             mult = mult.exp()
+            gamma = _series_exp(mult, gamma)
         log_alpha = tuple(
             float((gamma[n] * math.factorial(n)).ln()) for n in range(n_max + 1)
         )
@@ -199,7 +205,8 @@ def from_legendre(u, n_max: int) -> PositiveSequence:
     from . import legendre  # deferred: legendre depends on growthfn
 
     log_ell = legendre._integer_profile(u, n_max).log_ell[: n_max + 1]
-    log_alpha = tuple((-_log_factorials(n_max) - log_ell).tolist())
+    # 0.0 - log 0! - log ell(0), not -log 0! - ...: a zero comes out +0.0
+    log_alpha = tuple((0.0 - _log_factorials(n_max) - log_ell).tolist())
     return PositiveSequence("from-legendre", {"source": getattr(u, "name", "?")}, log_alpha)
 
 

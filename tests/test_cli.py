@@ -797,6 +797,11 @@ class TestBadFlags:
         (("seq", "equiv", "--a-family", "bell", "--a-n", "-1", "--b-family", "bell"), "--a-n"),
         (("seq", "equiv", "--a-family", "bell", "--b-family", "bell", "--b-n", "201"), "--b-n"),
         (("seq", "gen", "--family", "bell", "--order", "0"), "--order"),
+        (("seq", "gen", "--family", "bell", "--order", "6", "--n", "10"), "--order"),
+        (("seq", "check", "--family", "bell", "--order", "7", "--n", "10",
+          "--condition", "A1"), "--order"),
+        (("seq", "equiv", "--a-family", "bell", "--b-family", "bell", "--b-order", "6"),
+         "--b-order"),
         (("seq", "gen", "--family", "power-factorial", "--beta", "2"), "--beta"),
         (("seq", "equiv", "--a-family", "bell", "--a-order", "0", "--b-family", "bell"),
          "--a-order"),

@@ -1919,6 +1919,20 @@ class TestCheckRecord:
             assert rec.witness == {"i": k}
             assert rec.verdict != "inconclusive"
 
+    @pytest.mark.parametrize("lhs, rhs", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+                                          (1.5, 1.5)])
+    def test_a_zero_slack_and_violation_are_positive_zeros(self, lhs, rhs):
+        acc = legendre._Rows()
+        acc.ineq(0, lhs, rhs, i=0)
+        rec = acc.check("prop", {}, {}, 0.0)
+        zeros = (rec.max_violation, rec.rows[0]["slack"], rec.witness["slack"])
+        assert [math.copysign(1.0, z) for z in zeros] == [1.0, 1.0, 1.0]
+
+    def test_stirling_writes_no_negative_zero(self):
+        rec = gc.verify_suite("stirling")
+        floats = [rec.max_violation] + [row[k] for row in rec.rows for k in ("lhs", "rhs", "slack")]
+        assert not any(z == 0.0 and math.copysign(1.0, z) < 0 for z in floats)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(SIDES, st.integers(1, 1000)), max_size=5))
     def test_counted_points_without_rows_are_checked(self, points):

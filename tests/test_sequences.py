@@ -245,10 +245,11 @@ class TestGenerators:
         # truncation order must not affect earlier coefficients
         assert gen_bell(3, 40).log_alpha[:26] == gen_bell(3, 25).log_alpha
 
-    # the benchmark's Bell pool holds (3, 30) and (3, 40); orders 3 and 4
-    # run to GEN_BELL_MAX_N without overflow (order 5's chain overflows)
+    # the benchmark's Bell pool holds (3, 30) and (3, 40); orders 3 to 5
+    # run to GEN_BELL_MAX_N without overflow
     @pytest.mark.parametrize(
-        "order, n_max", [(3, 30), (3, 40), (3, GEN_BELL_MAX_N), (4, GEN_BELL_MAX_N)]
+        "order, n_max",
+        [(3, 30), (3, 40), (3, GEN_BELL_MAX_N), (4, GEN_BELL_MAX_N), (5, GEN_BELL_MAX_N)],
     )
     def test_bell_logs_match_the_two_ln_form(self, order, n_max):
         # one 60-digit ln of b(n) = n! gamma_n gives the doubles that
@@ -256,10 +257,11 @@ class TestGenerators:
         with decimal.localcontext() as ctx:
             ctx.prec = 60
             gamma = [Decimal(1) / Decimal(math.factorial(n)) for n in range(n_max + 1)]
-            mult = Decimal(1)
-            for _ in range(order - 1):
+            mults = [Decimal(1)]
+            while len(mults) < order - 1:
+                mults.append(mults[-1].exp())
+            for mult in mults:
                 gamma = _series_exp(mult, gamma)
-                mult = mult.exp()
             want = tuple(
                 float(gamma[n].ln() + Decimal(math.factorial(n)).ln())
                 for n in range(n_max + 1)
@@ -290,6 +292,21 @@ class TestGenerators:
             gen_bell(0, 10)
         with pytest.raises(ValueError):
             gen_bell(2, 201)
+        with pytest.raises(ValueError):
+            gen_bell(6, 10)
+
+    def test_bell_order_5_answers(self):
+        # b(1) is the product of the chain's multipliers 1, e, e^e and
+        # e^(e^e), so log b(1) = 1 + e + e^e
+        seq = gen_bell(5, 10)
+        assert math.isclose(seq.log_alpha[1], 1.0 + math.e + math.exp(math.e), rel_tol=1e-15)
+
+    def test_transform_weights_start_at_a_positive_zero(self):
+        # alpha(0) = 1/(0! ell_exp(0)) = 1: log 0! and log ell(0) are both 0
+        from growthcalc.growthfn import exponential
+        from growthcalc.sequences import from_legendre
+
+        assert math.copysign(1.0, from_legendre(exponential(), 2).log_alpha[0]) == 1.0
 
 
 # --------------------------------------------------------------------------
