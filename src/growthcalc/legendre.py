@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from math import exp
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -568,14 +567,15 @@ def tau_bounds(u: GrowthFunction, r: float) -> TauBounds:
 
 @dataclass(frozen=True)
 class LogConcaveProfile:
-    """A positive profile t >= 0 -> f(t) given through log f, with a
-    caller-asserted index t0 beyond which f is decreasing.
+    """A positive profile t >= 0 -> f(t) given through log f, with an
+    index t0 beyond which f is decreasing: asserted by the caller, or
+    None, and then detected by admissibility_report from its samples.
 
-    Only admissibility_report (and so theta_function) reads t0, once,
-    before it samples log f; inverse_legendre reads log f alone."""
+    Only admissibility_report (and so theta_function) reads t0;
+    inverse_legendre reads log f alone."""
 
     log_f: Callable[[float], float]
-    t0: float = 1.0
+    t0: Optional[float] = 1.0
     name: str = "profile"
 
 
@@ -593,13 +593,14 @@ def admissibility_report(f: LogConcaveProfile) -> dict:
     profile that decays too gently to clear them reads as inadmissible
     even if its limit is genuinely zero.
 
-    t0 is read before log f is sampled: for an ell_profile that read
-    builds the orders 0..60 in one block, as the sample's integer
-    orders would otherwise be built one by one."""
-    t0 = f.t0
+    log f is sampled at t = 200 down to 0, so an ell_profile grows its
+    integer orders to 200 in one block.  A t0 of None is taken as the
+    last of the orders 0..60 where the samples still rise; the report
+    records the t0 it used."""
     ts = np.linspace(0.0, _ADMISSIBLE_T_HI, _ADMISSIBLE_POINTS)
     # log_f is a scalar callable; the three tests reduce its samples in numpy
-    vals = np.array([float(f.log_f(float(t))) for t in ts])
+    vals = np.array([float(f.log_f(float(t))) for t in ts[::-1]])[::-1]
+    t0 = f.t0 if f.t0 is not None else float(_detect_n0(vals[:61].tolist()))
 
     with np.errstate(invalid="ignore"):
         at = ts >= max(t0, 1.0)
@@ -625,6 +626,7 @@ def admissibility_report(f: LogConcaveProfile) -> dict:
         "final_root": float(roots[-1]) if len(roots) else math.nan,
         "root_drop": drop,
         "concavity_violation": worst,
+        "t0": t0,
         "t_hi": _ADMISSIBLE_T_HI,
     }
 
@@ -640,30 +642,12 @@ def _detect_n0(logs: Sequence[float]) -> int:
     return n0
 
 
-class _TransformProfile(LogConcaveProfile):
-    """ell_profile's result: log f = log ell_u, and t0 detected from u's
-    integer profile to order 60 the first time it is read."""
-
-    def __init__(self, u: GrowthFunction):
-        object.__setattr__(self, "log_f", lambda t: ell(u, t).log_ell.log)
-        object.__setattr__(self, "name", f"ell[{u.name}]")
-        object.__setattr__(self, "_u", u)
-
-    @cached_property
-    def t0(self) -> float:
-        """The last index of orders 0..60 where log ell_u still rises."""
-        return float(_detect_n0(_integer_profile(self._u, 60).log_ell[:61].tolist()))
-
-
 def ell_profile(u: GrowthFunction) -> LogConcaveProfile:
-    """The transform of u as an inverse-transform input.
-
-    Its t0 (the last index where the integer profile still rises) is
-    detected the first time it is read, as admissibility_report and so
-    theta_function do, from one block of the orders 0..60.
-    inverse_legendre never reads it, and builds only the orders that
-    its integer probes read."""
-    return _TransformProfile(u)
+    """The transform of u as an inverse-transform input, with t0 None:
+    admissibility_report (and so theta_function) detects it from the
+    integer orders 0..60 it samples.  inverse_legendre builds only the
+    orders that its integer probes read."""
+    return LogConcaveProfile(lambda t: ell(u, t).log_ell.log, None, f"ell[{u.name}]")
 
 
 def _sup_log_f_rt(f: LogConcaveProfile, log_r: float, lf0: float) -> float:
@@ -1690,10 +1674,8 @@ def _suite_lem35(params: dict) -> Check:
                 "agree": agree,
             }
         )
-        # a disagreement violates by 1; an agreeing row's slack is +0.0
-        acc.rows.append({"x": u.name, "lhs": float(direct), "rhs": float(through_ell),
-                         "slack": 0.0 if agree else -1.0})
-        acc.worse(0.0 if agree else 1.0, {})
+        # a disagreement violates by 1
+        acc.add(u.name, float(direct), float(through_ell), 0.0 if agree else 1.0)
     acc.witness = {"cases": results}
     tol = float(params.get("tol", 0.0))
     return acc.check(

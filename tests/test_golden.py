@@ -9,13 +9,16 @@ need only agree to 1e-9 (``rho`` to 1e-7, the accuracy ``ell`` gives
 it), while every key, string and verdict still matches exactly.
 """
 
+import argparse
 import json
 import math
 import re
+import shlex
 
 import pytest
 
 from golden import make_corpus
+from growthcalc import cli
 
 # a decimal or exponent number, as a CSV or text report prints it
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
@@ -81,6 +84,46 @@ def test_replay(want, monkeypatch):
 def test_corpus_records_each_argv_once():
     argvs = make_corpus.argvs()
     assert [e["argv"] for e in ENTRIES] == argvs == sorted(set(argvs))
+
+
+def _leaves(parser, path=()) -> dict:
+    """The leaf subcommands under parser: their names' tuple -> parser."""
+    subs = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {path: parser}
+    return {leaf: p for name, sub in subs[0].items()
+            for leaf, p in _leaves(sub, path + (name,)).items()}
+
+
+def _choices(parser, dest: str) -> tuple:
+    (action,) = [a for a in parser._actions if a.dest == dest]
+    return tuple(action.choices)
+
+
+def _answers(entry) -> bool:
+    """A report: no usage error (exit 2) and no kernel refusal."""
+    out = entry["stdout"]
+    refused = out.startswith("{") and json.loads(out).keys() == {"error", "detail"}
+    return entry["exit"] in (0, 1) and not refused
+
+
+def test_corpus_answers_every_subcommand_kind_and_format():
+    """Every leaf subcommand, every fn classify --kind, the panel (no
+    --kind) and every --format has an entry that answers."""
+    parser = cli.build_parser()
+    leaves = _leaves(parser)
+    classify = leaves["fn", "classify"]
+    want = ({("command", leaf) for leaf in leaves}
+            | {("kind", kind) for kind in (None, *_choices(classify, "kind"))}
+            | {("format", fmt) for fmt in _choices(classify, "format")})
+    have = set()
+    for entry in filter(_answers, ENTRIES):
+        args = parser.parse_args(shlex.split(entry["argv"]))
+        leaf = tuple(filter(None, (args.command, getattr(args, "subcommand", None))))
+        have |= {("command", leaf), ("format", args.format)}
+        if leaf == ("fn", "classify"):
+            have.add(("kind", args.kind))
+    assert want - have == set()
 
 
 def _scale(factor):

@@ -668,10 +668,11 @@ class TestAdmissibility:
             rep = gc.admissibility_report(gc.ell_profile(u))
             assert rep["decays"] and rep["decreasing_beyond_t0"] and rep["log_concave"]
 
-    def test_detected_descent_start(self):
-        assert gc.ell_profile(exponential()).t0 == 1.0
-        assert gc.ell_profile(ks_family(0.5)).t0 == 1.0
-        assert gc.ell_profile(gaussian()).t0 == 2.0
+    def test_asserted_t0_is_echoed(self):
+        f = gc.LogConcaveProfile(lambda t: -2.0 * t * math.log(t) if t > 0 else 0.0, 3, "t^-2t")
+        rep = gc.admissibility_report(f)
+        assert rep["t0"] == 3 and type(rep["t0"]) is int
+        assert gc.ell_profile(exponential()).t0 is None  # not asserted
 
     def test_constant_root_rejected(self):
         f = gc.LogConcaveProfile(log_f=lambda t: -2.0 * t, t0=0.0, name="flat-root")
@@ -1558,16 +1559,22 @@ INVERSE_FAMILIES = [
 
 
 def _eager_profile(u):
-    """ell_profile with t0 detected at construction, from the block of
-    orders 0..60, as it was built before t0 was read on demand."""
+    """ell_profile with an asserted t0, detected from a block of the
+    orders 0..60 built before log f is read."""
     t0 = legendre._detect_n0(legendre._integer_profile(u, 60).log_ell[:61].tolist())
     return gc.LogConcaveProfile(lambda t: gc.ell(u, t).log_ell.log, float(t0), f"ell[{u.name}]")
 
 
+# the families of the inverse requests and power-exp 3, with the t0 that
+# admissibility_report detects on their transforms
+REPORT_FAMILIES = INVERSE_FAMILIES + [("power-exp", {"a": 3.0})]
+REPORT_T0 = [1, 1, 1, 1, 2, 3, 3, 1]
+
+
 class TestTransformProfileOnDemand:
-    """ell_profile detects t0 the first time it is read: an inverse
-    request builds no profile block, and every value keeps the bits of
-    the profile that detected t0 at construction."""
+    """ell_profile asserts no t0: an inverse request builds no profile
+    block, and admissibility_report reads its samples from order 200
+    down, so one block builds them and t0 comes from the orders 0..60."""
 
     @pytest.mark.parametrize("r", [0.01, 5.0])
     @pytest.mark.parametrize("family", INVERSE_FAMILIES, ids=lambda f: str(f))
@@ -1580,16 +1587,22 @@ class TestTransformProfileOnDemand:
         want = _hex_or_refusal(gc.inverse_legendre, _eager_profile(make_growth_function(*family)), r)
         assert got == want
 
-    @pytest.mark.parametrize("family", INVERSE_FAMILIES[:3] + INVERSE_FAMILIES[4:5],
-                             ids=lambda f: str(f))
-    def test_t0_is_detected_when_read(self, monkeypatch, family):
-        want = _eager_profile(make_growth_function(*family)).t0
+    @pytest.mark.parametrize("family", REPORT_FAMILIES, ids=lambda f: str(f))
+    def test_a_report_builds_one_block(self, monkeypatch, family):
         u = make_growth_function(*family)
         f = gc.ell_profile(u)
         assert u not in legendre._PROFILE_CACHE  # constructing builds nothing
-        calls = _count_calls(monkeypatch, "_profile_block")
-        assert f.t0 == want and f.t0 == want
-        assert calls["_profile_block"] == 1  # the second read builds nothing
+        calls = _count_calls(monkeypatch, "_profile_block", "_ell_at")
+        gc.admissibility_report(f)
+        assert calls == {"_profile_block": 1, "_ell_at": 1}  # _ell_at for order 0
+
+    @pytest.mark.parametrize("family, t0", zip(REPORT_FAMILIES, REPORT_T0),
+                             ids=[str(f) for f in REPORT_FAMILIES])
+    def test_a_report_detects_t0_from_orders_0_to_60(self, family, t0):
+        block = legendre._integer_profile(make_growth_function(*family), 60)
+        assert legendre._detect_n0(block.log_ell[:61].tolist()) == t0
+        rep = gc.admissibility_report(gc.ell_profile(make_growth_function(*family)))
+        assert rep["t0"] == t0 and type(rep["t0"]) is float
 
     @pytest.mark.parametrize("family", [("exp", {}), ("ks", {"beta": 0.5}), ("gaussian", {})],
                              ids=lambda f: str(f))
@@ -1603,6 +1616,23 @@ class TestTransformProfileOnDemand:
         th_eager = gc.theta_function(_eager_profile(eager))
         for t in (0.5, 1.0, 2.0, 2.5, 7.25):
             assert _hex_or_refusal(gc.ell, th_lazy, t) == _hex_or_refusal(gc.ell, th_eager, t)
+
+    @pytest.mark.parametrize("family", REPORT_FAMILIES, ids=lambda f: str(f))
+    def test_a_report_agrees_with_an_ascending_walk(self, family):
+        """Orders 61..200 from the block, not from a walk of one _ell_at
+        each, move the report's roots by at most 4 ulps of the roots."""
+        rep = gc.admissibility_report(gc.ell_profile(make_growth_function(*family)))
+        u = make_growth_function(*family)
+        walked = _eager_profile(u)  # orders 0..60 in a block, then one by one
+        vals = [walked.log_f(float(t)) for t in range(201)]
+        want = gc.admissibility_report(gc.LogConcaveProfile(lambda t: vals[int(t)], walked.t0))
+        ulp = math.ulp(want["final_root"])
+        for key in ("final_root", "root_drop", "concavity_violation"):
+            assert abs(rep[key] - want[key]) <= 4 * ulp
+        assert {k: v for k, v in rep.items() if type(v) is not float} == {
+            k: v for k, v in want.items() if type(v) is not float
+        }
+        assert rep["t0"] == want["t0"]
 
 
 class TestFunctionEquivalence:
