@@ -337,15 +337,18 @@ def _brent_min_rows(
 
 class _Profile:
     """log ell_u(n), rho(n) and the boundary flag of one function for
-    n < len(self), each array exactly the profile, and the refusal that
+    n < len(self), each array exactly the profile; the refusal that
     stopped its growth: the class and arguments of the error, None while
-    it can still grow.  Not the error itself, whose traceback would keep
-    the function alive through the cache's weak key."""
+    it can still grow; and the phi sample that its blocks and series
+    bounds read (_profile_sample), None until one reads it.  Neither
+    holds the function or an error, whose traceback would keep the
+    function alive through the cache's weak key."""
 
     def __init__(self):
         self.log_ell, self.rho = np.empty(0), np.empty(0)
         self.boundary = np.empty(0, dtype=object)
         self.refusal = None
+        self.sample = None
 
     def __len__(self) -> int:
         return len(self.log_ell)
@@ -364,37 +367,60 @@ _PROFILE_CACHE: "weakref.WeakKeyDictionary[GrowthFunction, _Profile]" = (
 )
 
 
-def _profile_sample(u: GrowthFunction, ts: np.ndarray) -> tuple:
-    """_profile_block's phi sample and the bracket of every order in ts."""
-    xs = np.linspace(-RANGE_CAP, min(u.x_max, RANGE_CAP), _SCAN_POINTS)
-    ph = u.phi_many(xs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        slopes = np.fmax.accumulate(np.diff(ph) / np.diff(xs))
-    i = np.clip(np.searchsorted(slopes, ts), 1, len(xs) - 2)
-    g_in = ph[i] - ts * xs[i]
-    tie = g_in - _FLAT_ULPS * np.maximum(1.0, np.abs(g_in))
-    kept = (
-        np.isfinite(ph[i - 1]) & np.isfinite(ph[i]) & np.isfinite(ph[i + 1])
-        & (tie <= ph[i - 1] - ts * xs[i - 1])
-        & (tie <= ph[i + 1] - ts * xs[i + 1])
-    )
-    return xs, ph, i, g_in, kept
+def _profile_of(u: GrowthFunction) -> _Profile:
+    """u's cached _Profile, an empty one on first use."""
+    prof = _PROFILE_CACHE.get(u)
+    if prof is None:
+        prof = _PROFILE_CACHE[u] = _Profile()
+    return prof
+
+
+def _profile_sample(u: GrowthFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid of _SCAN_POINTS points on [-RANGE_CAP, min(x_max,
+    RANGE_CAP)], phi on it and the running maximum of its chord slopes:
+    one phi_many call per function, kept on its _Profile, which every
+    _profile_block, _cap_gap's guard and _first_gap read."""
+    prof = _profile_of(u)
+    if prof.sample is None:
+        xs = np.linspace(-RANGE_CAP, min(u.x_max, RANGE_CAP), _SCAN_POINTS)
+        ph = u.phi_many(xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = np.fmax.accumulate(np.diff(ph) / np.diff(xs))
+        prof.sample = xs, ph, slopes
+    return prof.sample
+
+
+# the offsets of a grid point's cell: the points before, at and after it
+_CELL = np.array([[-1], [0], [1]])
+
+
+def _sample_cells(u: GrowthFunction, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cell of every order t in ts in u's phi sample: the interior
+    grid index i where the running maximum of the chord slopes reaches
+    t, g(x) = phi(x) - t x at x_{i-1}, x_i and x_{i+1} (rows 0-2), and
+    whether Bracket's certificate keeps [x_{i-1}, x_{i+1}] (see
+    _profile_block)."""
+    xs, ph, slopes = _profile_sample(u)
+    at = np.minimum(np.maximum(np.searchsorted(slopes, ts), 1), len(xs) - 2) + _CELL
+    g = ph[at] - ts * xs[at]
+    tie = g[1] - _FLAT_ULPS * np.maximum(1.0, np.abs(g[1]))
+    kept = np.isfinite(ph[at]).all(axis=0) & (tie <= g[0]) & (tie <= g[2])
+    return at[1], g, kept
 
 
 def _profile_block(u: GrowthFunction, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log ell and rho at the orders ts from one sample of phi, for a
+    """log ell and rho at the orders ts from the phi sample, for a
     (log, exp)-convex u with a vectorised phi.
 
-    _profile_sample samples phi once on the _SCAN_POINTS grid; the
-    running maximum of its chord slopes, searched for t, gives the
-    interior grid point x_i where g(x) = phi(x) - t x stops falling.  An
-    order keeps [x_{i-1}, x_{i+1}] only under Bracket's certificate (the
-    three values finite, g(x_i) <= g(x_{i-1}) + delta and
-    g(x_i) <= g(x_{i+1}) + delta, with delta = _FLAT_ULPS
-    max(1, |g(x_i)|) as in _brent_min_rows' flat stop); every kept
-    order is then polished in lockstep from x_i, one phi_many call per
-    step.  Orders without the certificate come back as NaN.  No
-    (order x grid) matrix is formed.
+    The running maximum of the sample's chord slopes, searched for t,
+    gives the interior grid point x_i where g(x) = phi(x) - t x stops
+    falling (_sample_cells).  An order keeps [x_{i-1}, x_{i+1}] only
+    under Bracket's certificate (the three values finite,
+    g(x_i) <= g(x_{i-1}) + delta and g(x_i) <= g(x_{i+1}) + delta, with
+    delta = _FLAT_ULPS max(1, |g(x_i)|) as in _brent_min_rows' flat
+    stop); every kept order is then polished in lockstep from x_i, one
+    phi_many call per step.  Orders without the certificate come back
+    as NaN.  No (order x grid) matrix is formed.
 
     delta forgives a tie: where t equals a chord slope to roundoff (the
     minimizer mid-cell), g(x_i) can exceed a neighbour's by an ulp
@@ -406,12 +432,12 @@ def _profile_block(u: GrowthFunction, ts: np.ndarray) -> tuple[np.ndarray, np.nd
     1:8 split.  The value is within 8 delta = 32 eps max(1, |log ell|)
     of the minimum, as for a strict bracket.
     """
-    xs, ph, i, g_in, kept = _profile_sample(u, ts)
+    xs = _profile_sample(u)[0]
+    i, g, kept = _sample_cells(u, ts)
     rows = np.flatnonzero(kept)
-    t, i = ts[rows], i[rows]
+    t, i, g = ts[rows], i[rows], g[:, rows]
     x, fx = _brent_min_rows(
-        lambda k, x: u.phi_many(x) - t[k] * x, xs[i - 1], xs[i + 1], xs[i], g_in[rows],
-        ph[i - 1] - t * xs[i - 1], ph[i + 1] - t * xs[i + 1],
+        lambda k, x: u.phi_many(x) - t[k] * x, xs[i - 1], xs[i + 1], xs[i], g[1], g[0], g[2]
     )
     log_ell, rho = np.full(len(ts), math.nan), np.full(len(ts), math.nan)
     log_ell[rows], rho[rows] = fx, np.exp(x)
@@ -461,9 +487,7 @@ def _grown_profile(u: GrowthFunction, n_max: int) -> _Profile:
     searches that order again.  Other errors (the class precondition)
     pass through and record nothing.
     """
-    prof = _PROFILE_CACHE.get(u)
-    if prof is None:
-        prof = _PROFILE_CACHE[u] = _Profile()
+    prof = _profile_of(u)
     n = len(prof)
     if n > n_max or prof.refusal is not None:
         return prof
@@ -715,22 +739,36 @@ def _coeff_logs(u: GrowthFunction, n: int, tag: str) -> np.ndarray:
     return -logs - 2.0 * _log_factorials(n)
 
 
+def _gap_bound(x: float, v: float, n: int, tag: str) -> float:
+    """The lower bound on a window's last coefficient gap c_n - c_{n-1}
+    that x, the log of a minimizer of order n for L ("l") or n - 1 for
+    L# ("sharp"), gives: -x for L, x - 2 (log n! - log (n-1)!) for L#,
+    less _cap_gap's roundoff margin, for |v| at least |log ell| there."""
+    t = float(n) if tag == "l" else n - 1.0
+    scale = 1.0 + abs(v) + 2.0 * t * abs(x)
+    if tag == "l":
+        return -x - 128.0 * _EPS * scale
+    below, top = _log_factorials(n)[-2:].tolist()
+    return x - 2.0 * (top - below) - 128.0 * _EPS * (scale + 2.0 * top)
+
+
 def _cap_gap(u: GrowthFunction, cap: int, tag: str) -> Optional[float]:
     """A lower bound on the cap window's last coefficient gap
     c_cap - c_{cap-1}, less a roundoff margin, if growing u's profile to
     ``cap`` would be one block that keeps every order (no recorded
-    refusal, at least _BLOCK_MIN_ROWS orders missing, _profile_sample's
+    refusal, at least _BLOCK_MIN_ROWS orders missing, _sample_cells'
     certificate on all of them); else None.
 
     log ell_u is concave in t, an infimum of the affine maps
     t -> log u(r) - t log r, so rho(t) bounds the neighbours of t:
     log ell_u(t -+ 1) <= log ell_u(t) +- log rho(t).  One _ell_at,
-    warm-started at the profile's last minimizer, gives -log rho(cap)
-    for L and log rho(cap - 1) - 2 (log cap! - log (cap-1)!) for L#; a
-    search that refuses or ends on a boundary gives None.  Order cap - 1
-    cannot see order cap refuse, so the certificate stays (L# of
-    log_square at cap 1398 would be NoDecayCertificate, not the growth's
-    NotBracketable).
+    seeded at the order's cell in the phi sample, gives -log rho(cap)
+    for L and log rho(cap - 1) - 2 (log cap! - log (cap-1)!) for L#
+    (_gap_bound); a search that refuses or ends on a boundary gives
+    None.  Order cap - 1 cannot see order cap refuse, so the certificate
+    stays (L# of log_square at cap 1398 would be NoDecayCertificate, not
+    the growth's NotBracketable).  The guard and the blocks read one phi
+    sample, kept on the profile.
 
     The margin: with G_s(x) the computed phi(x) - s x, v = G_t(x) at
     x = log rho(t) and s = t -+ 1, the block's value at t is at least
@@ -744,22 +782,62 @@ def _cap_gap(u: GrowthFunction, cap: int, tag: str) -> Optional[float]:
     ks(1)); a radius in between takes the growth.
     """
     prof = _PROFILE_CACHE[u]
-    if (prof.refusal is not None or cap + 1 - len(prof) < _BLOCK_MIN_ROWS
-            or not _profile_sample(u, np.arange(len(prof), cap + 1.0))[-1].all()):
+    if prof.refusal is not None or cap + 1 - len(prof) < _BLOCK_MIN_ROWS:
         return None
-    t = float(cap) if tag == "l" else cap - 1.0
+    i, _, kept = _sample_cells(u, np.arange(len(prof), cap + 1.0))
+    if not kept.all():
+        return None
+    t, at = (float(cap), -1) if tag == "l" else (cap - 1.0, -2)
     try:
-        p = _ell_at(u, t, _warm_seed(prof.rho[-1]))
+        p = _ell_at(u, t, float(_profile_sample(u)[0][i[at]]))
     except (NoDecayCertificate, NotBracketable):
         return None
     if p.boundary:
         return None
-    x = math.log(p.rho)
-    scale = 1.0 + abs(p.log_ell.log) + 2.0 * t * abs(x)
-    if tag == "l":
-        return -x - 128.0 * _EPS * scale
-    below, top = _log_factorials(cap)[-2:].tolist()
-    return x - 2.0 * (top - below) - 128.0 * _EPS * (scale + 2.0 * top)
+    return _gap_bound(math.log(p.rho), p.log_ell.log, cap, tag)
+
+
+def _first_gap(u: GrowthFunction, n: int, tag: str) -> Optional[float]:
+    """A lower bound on the last coefficient gap c_n - c_{n-1} of the
+    window of orders 0..n, read off the phi sample before the profile
+    holds order n; None once it does, after a recorded refusal, for a u
+    flagged outside the class (the window raises the precondition before
+    any sample is taken), or where the sample leaves the order its cell.
+
+    _gap_bound's witness, from the cell of order n (L) or n - 1 (L#)
+    that _sample_cells certifies (here in floats, for one order): the
+    convex g = phi - t x has its minimizer in [x_{i-1}, x_{i+1}], and a
+    block's polish keeps its point there; the bound takes the far end of
+    the cell widened by one grid step (x_{i+1} + h for L, x_{i-1} - h
+    for L#), which also holds an order the walk's _ell_at finds, up to
+    roundoff in the slopes.
+    |log ell| is at most |g(x_i)| + max(g(x_{i-1}), g(x_{i+1})) - g(x_i),
+    since the chords through the cell's ends bound the convex g from
+    below.  The step (a third of a unit in x) costs the bound little
+    where it decides: L# of ks(1) and power-exp 3 from r = 1.87 and 0.03
+    on, L of exp from r = 142.
+    """
+    prof = _profile_of(u)
+    if len(prof) > n or prof.refusal is not None or u.in_c_plus_log is False:
+        return None
+    t = float(n) if tag == "l" else n - 1.0
+    xs, ph, slopes = _profile_sample(u)
+    i = min(max(int(slopes.searchsorted(t)), 1), len(xs) - 2)
+    x3, p3 = xs[i - 1 : i + 2].tolist(), ph[i - 1 : i + 2].tolist()
+    g_lo, g_in, g_hi = (p - t * x for p, x in zip(p3, x3))
+    tie = g_in - _FLAT_ULPS * max(1.0, abs(g_in))
+    if not (all(map(math.isfinite, p3)) and tie <= g_lo and tie <= g_hi):
+        return None
+    h = x3[1] - x3[0]
+    x = x3[2] + h if tag == "l" else x3[0] - h
+    return _gap_bound(x, abs(g_in) + max(g_lo, g_hi) - g_in, n, tag)
+
+
+def _refused(gap: float, log_rs: np.ndarray) -> np.ndarray:
+    """The radii with e^(gap + log r) >= 1, which a window whose last
+    coefficient gap is at least ``gap`` cannot certify: its ratio
+    bounds, suffix maxima, are at least that gap at every index."""
+    return np.exp(np.minimum(gap + log_rs, 700.0)) >= 1.0
 
 
 def _series_logs(
@@ -773,15 +851,20 @@ def _series_logs(
     _log_power_factorial_sums builds its windows.  LOG_ZERO radii give
     the head coefficient.
 
-    A u that _grown_profile builds in blocks reads the first window,
-    then the profile as far as it grows towards ``cap``, but a radius
-    with e^(g + log r) >= 1, for g a lower bound on the cap window's
-    last gap from one order's minimizer (_cap_gap), is NaN without
-    growing it: the window's ratio bounds, suffix maxima, certify no
-    index there.  Any other u doubles its windows.  A window reads the
-    profile only as far as it reaches, so past an order that refused it
-    comes back short and is the last: a radius that needs the orders
-    past it is NaN, and the other radii are answered.
+    A u that _grown_profile builds in blocks reads two windows, the
+    first and the cap window, and decides before each read which radii
+    it cannot certify: a radius with e^(g + log r) >= 1 (_refused), for
+    g a lower bound on the window's last gap from one order's minimizer,
+    skips the window.  Before the first window g comes from the order's
+    cell in the phi sample (_first_gap), so a radius it decides goes to
+    the cap decision on a profile of one order; before the cap window it
+    comes from a point search (_cap_gap), and a radius it decides is NaN
+    without growing the profile.  Every other radius reads the window,
+    so a decision moves no value and no refusal.  Any other u doubles
+    its windows.  A window reads the profile only as far as it reaches,
+    so past an order that refused it comes back short and is the last:
+    a radius that needs the orders past it is NaN, and the other radii
+    are answered.
     """
     log_rs = np.asarray(log_rs, dtype=float)
     out = np.full(log_rs.shape, math.nan)
@@ -796,10 +879,17 @@ def _series_logs(
     if not _in_blocks(u):
         out[rest] = sum_windowed_series(window, log_rs[rest], doubling(first, cap), rel_tol)
         return out
-    out[rest] = sum_windowed_series(window, log_rs[rest], (first,), rel_tol)
+    read = rest
+    if rest.any() and (gap := _first_gap(u, first, tag)) is not None:
+        skip = _refused(gap, log_rs)
+        # order 0 first, as the window would build it: the cap decision
+        # reads the profile from there, and a refused order 0 skips nothing
+        if skip.any() and _grown_profile(u, 0).refusal is None:
+            read = rest & ~skip
+    out[read] = sum_windowed_series(window, log_rs[read], (first,), rel_tol)
     rest &= np.isnan(out)
     if rest.any() and (gap := _cap_gap(u, cap, tag)) is not None:
-        rest &= ~(np.exp(np.minimum(gap + log_rs, 700.0)) >= 1.0)
+        rest &= ~_refused(gap, log_rs)
     if rest.any():
         out[rest] = sum_windowed_series(window, log_rs[rest], (cap,), rel_tol)
     return out

@@ -467,6 +467,22 @@ def _count_calls(monkeypatch, *names, orders=False):
     return seen
 
 
+def _count_samples(monkeypatch):
+    """Count, per function name, the phi_many calls on a whole phi
+    sample grid (_SCAN_POINTS points from -RANGE_CAP)."""
+    seen = {}
+    real = GrowthFunction.phi_many
+
+    def counted(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        if xs.shape == (legendre._SCAN_POINTS,) and xs[0] == -legendre.RANGE_CAP:
+            seen[self.name] = seen.get(self.name, 0) + 1
+        return real(self, xs)
+
+    monkeypatch.setattr(GrowthFunction, "phi_many", counted)
+    return seen
+
+
 # fresh instances of every family with a vectorised phi (the profile is
 # cached per instance)
 BLOCK_FAMILIES = [
@@ -947,25 +963,25 @@ class TestSeriesKernel:
         gc.l_sharp(u, -0.005)
         assert gc.l_sharp(u, -0.05).log == fresh
 
-    def test_refusal_grows_a_cold_profile_in_one_block(self, monkeypatch):
-        # the window of 64 terms fails at r = 4, past the radius 1 of L# of
-        # ks(1); the minimizer of order 4095 bounds the cap window's last
-        # gap and refuses it once a sample certifies the block: one 64-row
-        # block and two point searches (orders 0 and 4095), and the profile
-        # stays at 65 orders
-        calls = _count_calls(monkeypatch, "_profile_block", "_profile_sample", "_ell_at",
-                             orders=True)
+    def test_a_cold_refusal_builds_no_block(self, monkeypatch):
+        # r = 4 is past the radius 1 of L# of ks(1): the phi sample's cell
+        # of order 63 bounds the first window's last gap and skips it, and
+        # the minimizer of order 4095 refuses the cap window: no block, two
+        # point searches (orders 0 and 4095), one phi sample, and the
+        # profile holds order 0 alone
+        calls = _count_calls(monkeypatch, "_profile_block", "_ell_at", orders=True)
+        samples = _count_samples(monkeypatch)
         u = ks_family(1.0)
         msg = "series for ks(beta=1) at log r = 1.38629 showed no certified decay within 4096 terms"
         with pytest.raises(NoDecayCertificate, match=re.escape(msg)):
             gc.l_sharp(u, math.log(4.0))
-        assert calls["_ell_at"] == [0.0, 4095.0] and len(calls["_profile_block"]) == 1
-        assert len(calls["_profile_sample"]) == 2 and len(legendre._PROFILE_CACHE[u]) == 65
-        # a second refusal decides again: one sample, one point search
+        assert calls["_ell_at"] == [0.0, 4095.0] and calls["_profile_block"] == []
+        assert samples == {u.name: 1} and len(legendre._PROFILE_CACHE[u]) == 1
+        # a second refusal decides again on the kept sample: one point search
         with pytest.raises(NoDecayCertificate, match=re.escape(msg)):
             gc.l_sharp(u, math.log(4.0))
-        assert calls["_ell_at"] == [0.0, 4095.0, 4095.0] and len(calls["_profile_block"]) == 1
-        assert len(calls["_profile_sample"]) == 3
+        assert calls["_ell_at"] == [0.0, 4095.0, 4095.0] and calls["_profile_block"] == []
+        assert samples == {u.name: 1} and len(legendre._PROFILE_CACHE[u]) == 1
 
     def test_undecided_refusal_grows_the_profile_in_one_block(self, monkeypatch):
         # at r = 1 the bound from order 4095, -4.9e-4, leaves q < 1: the
@@ -1039,20 +1055,26 @@ class TestSeriesKernel:
         # the record holds the class and arguments, no error and no traceback
         assert all(not isinstance(a, BaseException) for a in prof.refusal[1])
 
-    def test_cold_refusal_reads_two_windows(self, monkeypatch):
-        # 65 terms, then the bound from order 4095 refuses without reading
-        # the cap window; a radius the bound leaves open (r = 1) reads it as
-        # the second window, of 4097 terms, with no doubled window in between
+    def test_cold_refusals_read_the_windows_the_bounds_leave_open(self, monkeypatch):
+        # r = 4 is past the first window's bound and the cap's: no window;
+        # r = 1.8 is inside the first bound (1.869), so it reads 65 terms
+        # before the cap's bound refuses it; r = 1, which neither bound
+        # decides, reads the cap window of 4097 terms as the second window,
+        # with no doubled window in between
         calls = _count_calls(monkeypatch, "_profile_block", "_ell_at", orders=True)
         windows = _count_calls(monkeypatch, "_coeff_logs", orders=True)
         u = ks_family(1.0)
         with pytest.raises(NoDecayCertificate):
             gc.l_sharp(u, math.log(4.0))
-        assert len(calls["_profile_block"]) == 1 and calls["_ell_at"] == [0.0, 4095.0]
+        assert calls["_profile_block"] == [] and calls["_ell_at"] == [0.0, 4095.0]
+        assert windows["_coeff_logs"] == [] and len(legendre._PROFILE_CACHE[u]) == 1
+        with pytest.raises(NoDecayCertificate):
+            gc.l_sharp(u, math.log(1.8))
+        assert len(calls["_profile_block"]) == 1 and calls["_ell_at"] == [0.0] + [4095.0] * 2
         assert windows["_coeff_logs"] == [64] and len(legendre._PROFILE_CACHE[u]) == 65
         with pytest.raises(NoDecayCertificate):
             gc.l_sharp(u, 0.0)
-        assert len(calls["_profile_block"]) == 2 and calls["_ell_at"] == [0.0, 4095.0, 4095.0]
+        assert len(calls["_profile_block"]) == 2 and calls["_ell_at"] == [0.0] + [4095.0] * 3
         assert windows["_coeff_logs"] == [64, 64, 4096]
 
     def test_a_refused_order_leaves_its_certified_run_to_the_series(self):
@@ -1187,10 +1209,12 @@ class TestCapGapRefusal:
         (gc.l_function, exponential, 1e10, True),
     ])
     def test_radii_that_straddle_the_decision(self, series, make, r, decided):
+        # a decided radius leaves the profile short of the cap: 65 orders,
+        # or 1 where the first window's bound decided it too (exp at 1e10)
         u = make()
         got = _outcome(series, u, math.log(r))
         assert got == _outcome(series, _full(make), math.log(r))
-        assert (len(legendre._PROFILE_CACHE[u]) == 65) == decided
+        assert (len(legendre._PROFILE_CACHE[u]) < 4097) == decided
         if decided:
             assert got[0] is NoDecayCertificate
 
@@ -1301,6 +1325,96 @@ class TestCapGapRefusal:
         log_ell, _ = legendre._profile_block(u, np.arange(65.0, cap + 1.0))
         if bound is not None:
             assert bound <= _last_gap(log_ell, cap, tag)
+
+
+class TestFirstWindowDecision:
+    """A radius that the first window's last gap refuses, bounded from
+    the phi sample's cell of one order, skips that window, with exactly
+    the outcome the full window gives; the sample is taken once per
+    function."""
+
+    @pytest.mark.parametrize("series, make, r, decided, length", [
+        # L# of ks(1): the first bound is -0.6255, so r = 1.869 decides;
+        # the cap's bound refuses both radii
+        (gc.l_sharp, lambda: ks_family(1.0), 1.8, False, 65),
+        (gc.l_sharp, lambda: ks_family(1.0), 1.9, True, 1),
+        # L# of power-exp 3: from r = 0.0309 on
+        (gc.l_sharp, lambda: power_exp(3.0), 0.03, False, 65),
+        (gc.l_sharp, lambda: power_exp(3.0), 0.032, True, 1),
+        # L of exp: from r = 142.2 on; the cap window answers both radii
+        (gc.l_function, exponential, 140.0, False, 4097),
+        (gc.l_function, exponential, 145.0, True, 4097),
+    ])
+    def test_radii_that_straddle_the_first_bound(self, series, make, r, decided, length,
+                                                 monkeypatch):
+        u = make()
+        windows = _count_calls(monkeypatch, "_coeff_logs", orders=True)
+        got = _outcome(series, u, math.log(r))
+        assert (64 not in windows["_coeff_logs"]) == decided
+        assert len(legendre._PROFILE_CACHE[u]) == length
+        monkeypatch.undo()
+        assert got == _outcome(series, _full(make), math.log(r))
+
+    @pytest.mark.parametrize("make", [m for _, m in BOUND_FAMILIES],
+                             ids=[k for k, _ in BOUND_FAMILIES])
+    def test_a_batch_is_decided_radius_by_radius(self, make):
+        # the radii a bound decides and the ones it leaves come out as each
+        # alone on a fresh function, and as the full window gives them
+        log_rs = [math.log(r) for r in GAP_RADII] + [LOG_ZERO, -700.0, 700.0]
+        full = _full(make)
+        for tag in ("l", "sharp"):
+            got = legendre._series_logs(make(), log_rs, tag)
+            want = legendre._series_logs(full, log_rs, tag)
+            alone = [legendre._series_logs(make(), [lr], tag)[0] for lr in log_rs]
+            assert [v.hex() for v in got] == [v.hex() for v in want] == [v.hex() for v in alone]
+
+    @given(
+        st.integers(min_value=2, max_value=600),
+        st.sampled_from(["l", "sharp"]),
+        st.sampled_from([m for _, m in BOUND_FAMILIES]),
+        st.one_of(st.none(), st.tuples(*[st.floats(min_value=0.25, max_value=4.0)] * 2)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_the_first_bound_is_at_most_the_window_gap(self, n, tag, make, scale):
+        u = make() if scale is None else make().scaled(*scale)
+        bound = legendre._first_gap(u, n, tag)
+        log_ell = legendre._grown_profile(u, n).log_ell[: n + 1]
+        if bound is not None and len(log_ell) == n + 1:
+            assert bound <= _last_gap(log_ell, n, tag)
+
+    def test_a_cold_cap_window_answer_samples_phi_once(self, monkeypatch):
+        # r = 100 reads the first window, is left open by the cap's bound
+        # and reads the cap window: two blocks and the guard on one sample
+        calls = _count_calls(monkeypatch, "_profile_block")
+        samples = _count_samples(monkeypatch)
+        u = exponential()
+        got = gc.l_function(u, math.log(100.0)).log
+        assert calls == {"_profile_block": 2} and samples == {u.name: 1}
+        assert len(legendre._PROFILE_CACHE[u]) == 4097
+        monkeypatch.undo()
+        assert got == gc.l_function(_full(exponential), math.log(100.0)).log
+
+    def test_a_repeated_refusal_reads_no_new_sample(self, monkeypatch):
+        u = power_exp(3.0)
+        with pytest.raises(NoDecayCertificate):
+            gc.l_sharp(u, math.log(0.5))
+        sample = legendre._PROFILE_CACHE[u].sample
+        samples = _count_samples(monkeypatch)
+        for r in (0.5, 4.0, 16.0):
+            with pytest.raises(NoDecayCertificate):
+                gc.l_sharp(u, math.log(r))
+        assert samples == {} and legendre._PROFILE_CACHE[u].sample is sample
+        assert len(legendre._PROFILE_CACHE[u]) == 1
+
+    def test_a_function_outside_the_class_raises_before_any_sample(self, monkeypatch):
+        # the window raises the class precondition from order 0, as before
+        # the decision, and no phi sample is taken
+        samples = _count_samples(monkeypatch)
+        u = from_phi(lambda x: math.exp(x), phi_vec=np.exp, name="flagged-out",
+                     log_exp_convex=True, in_c_plus_log=False)
+        with pytest.raises(PreconditionViolated, match="outside the admissible"):
+            gc.l_sharp(u, math.log(4.0))
+        assert samples == {}
 
 
 class TestDual:
