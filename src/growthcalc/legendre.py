@@ -1165,27 +1165,31 @@ def _dual_rows(u: GrowthFunction, xs: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         c = 2.0 * np.where(0.5 * xs > 709.0, math.inf, np.exp(0.5 * xs))
 
-        def neg_g(k: np.ndarray, ws: np.ndarray) -> np.ndarray:
-            # _dual_point's neg_G, -(a - b) to match its sign of zero
+        def psi_neg_g(k: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # phi at 2w and _dual_point's neg_G, -(a - b) to match its sign of zero
             p = u.phi_many(2.0 * ws)
-            return np.where(np.isfinite(p), -(c[k] * np.exp(ws) - p), math.inf)
+            return p, np.where(np.isfinite(p), -(c[k] * np.exp(ws) - p), math.inf)
+
+        def neg_g(k: np.ndarray, ws: np.ndarray) -> np.ndarray:
+            return psi_neg_g(k, ws)[1]
 
         ceiling = math.inf if u.log_u0 is None else u.log_u0
 
-        def stuck(ws: np.ndarray, g: np.ndarray) -> np.ndarray:
+        def stuck(p: np.ndarray, g: np.ndarray) -> np.ndarray:
             # _dual_point's stuck: overflowed, or saturated below the s -> 0 limit
-            return ~np.isfinite(g) | ((g > ceiling) & (g == u.phi_many(2.0 * ws)))
+            return ~np.isfinite(g) | ((g > ceiling) & (g == p))
 
-        # _dual_point's seed walk, down by doubling steps
+        # _dual_point's seed walk, down by doubling steps; each round reads
+        # phi once, for the maximand and the saturation test
         seed = 0.5 * xs
-        g_seed = neg_g(np.arange(len(xs)), seed)
-        walk = np.flatnonzero(stuck(seed, g_seed) & (seed > -RANGE_CAP))
+        p, g_seed = psi_neg_g(np.arange(len(xs)), seed)
+        walk = np.flatnonzero(stuck(p, g_seed) & (seed > -RANGE_CAP))
         step = 1.0
         while walk.size:
             seed[walk] -= step
             step *= 2.0
-            g_seed[walk] = neg_g(walk, seed[walk])
-            walk = walk[stuck(seed[walk], g_seed[walk]) & (seed[walk] > -RANGE_CAP)]
+            p, g_seed[walk] = psi_neg_g(walk, seed[walk])
+            walk = walk[stuck(p, g_seed[walk]) & (seed[walk] > -RANGE_CAP)]
         scalar = ~np.isfinite(g_seed) | (xs == LOG_ZERO)
         rows = np.flatnonzero(~scalar)
         lo, hi, _, f_in, end = _bracket_rows(lambda k, ws: neg_g(rows[k], ws), seed[rows])
