@@ -799,24 +799,21 @@ def _cap_gap(u: GrowthFunction, cap: int, tag: str) -> Optional[float]:
 
 def _first_gap(u: GrowthFunction, n: int, tag: str) -> Optional[float]:
     """A lower bound on the last coefficient gap c_n - c_{n-1} of the
-    window of orders 0..n, read off the phi sample before the profile
-    holds order n; None once it does, after a recorded refusal, for a u
-    flagged outside the class (the window raises the precondition before
-    any sample is taken), or where the sample leaves the order its cell.
+    window of orders 0..n from the phi sample, before the profile holds
+    order n: None once it does, after a recorded refusal, for a u
+    flagged outside the class (the window raises that before any
+    sample), or without _sample_cells' certificate on the order's cell.
 
-    _gap_bound's witness, from the cell of order n (L) or n - 1 (L#)
-    that _sample_cells certifies: the convex g = phi - t x has its
-    minimizer in [x_{i-1}, x_{i+1}], and a block's polish keeps its
-    point there; the bound takes the far end of the cell widened by one
-    grid step (x_{i+1} + h for L, x_{i-1} - h for L#), which also holds
-    an order the walk's _ell_at finds, up to roundoff in the slopes.
-    |log ell| is at most |g(x_i)| + max(g(x_{i-1}), g(x_{i+1})) - g(x_i),
-    since the chords through the cell's ends bound the convex g from
-    below.  The step (a third of a unit in x) costs the bound little
-    where it decides: L# of ks(1) and power-exp 3 from r = 1.87 and 0.03
-    on, L of exp from r = 142.  The certificate is taken here in floats:
-    for one order, _sample_cells' arrays cost about 20 us more, 2% of a
-    cold answer from the first window.
+    The convex g = phi - t x of order n (L) or n - 1 (L#) has its
+    minimizer in the cell [x_{i-1}, x_{i+1}], where a block's polish
+    keeps it; widened by one grid step h for roundoff in the slopes, the
+    cell also holds the walk's _ell_at.  _gap_bound takes its far end
+    (x_{i+1} + h for L, x_{i-1} - h for L#) with |log ell| at most
+    |g(x_i)| + max(g(x_{i-1}), g(x_{i+1})) - g(x_i) (the chords through
+    the cell's ends bound g from below).  L# of ks(1) and power-exp 3
+    refuse by it from r = 1.87 and 0.031, L of exp from r = 142.  The
+    certificate is taken in floats: _sample_cells' arrays cost about
+    20 us more for one order, 2% of a cold answer from the first window.
     """
     prof = _profile_of(u)
     if len(prof) > n or prof.refusal is not None or u.in_c_plus_log is False:
@@ -852,16 +849,14 @@ def _series_logs(
     _log_power_factorial_sums builds its windows.  LOG_ZERO radii give
     the head coefficient.
 
-    A u that _grown_profile builds in blocks reads two windows, the
-    first and the cap window, and decides before each read which radii
-    it cannot certify: a radius with e^(g + log r) >= 1 (_refused), for
-    g a lower bound on the window's last gap from one order's minimizer,
-    skips the window.  Before the first window g comes from the order's
-    cell in the phi sample (_first_gap), so a radius it decides goes to
-    the cap decision on a profile of one order; before the cap window it
-    comes from a point search (_cap_gap), and a radius it decides is NaN
+    A u that _grown_profile builds in blocks reads the first window and
+    then the cap window, and before each read a radius with
+    e^(g + log r) >= 1 (_refused) skips it, for g a lower bound on the
+    window's last gap from one order's minimizer: from its cell in the
+    phi sample before the first window (_first_gap), from a point search
+    before the cap window (_cap_gap), where a radius it decides is NaN
     without growing the profile.  Every other radius reads the window,
-    so a decision moves no value and no refusal.  Any other u doubles
+    so no value or refusal depends on a decision.  Any other u doubles
     its windows.  A window reads the profile only as far as it reaches,
     so past an order that refused it comes back short and is the last:
     a radius that needs the orders past it is NaN, and the other radii
@@ -881,8 +876,8 @@ def _series_logs(
         out[rest] = sum_windowed_series(window, log_rs[rest], doubling(first, cap), rel_tol)
         return out
     read = rest
-    if rest.any() and (gap := _first_gap(u, first, tag)) is not None:
-        skip = _refused(gap, log_rs)
+    if (gap := _first_gap(u, first, tag)) is not None:
+        skip = rest & _refused(gap, log_rs)
         # order 0 first, as the window would build it: the cap decision
         # reads the profile from there, and a refused order 0 skips nothing
         if skip.any() and _grown_profile(u, 0).refusal is None:
