@@ -340,8 +340,8 @@ class _Profile:
     n < len(self), each array exactly the profile; the refusal that
     stopped its growth: the class and arguments of the error, None while
     it can still grow; and the phi sample that its blocks and series
-    bounds read (_profile_sample), None until one reads it.  Neither
-    holds the function or an error, whose traceback would keep the
+    bounds read (_profile_sample), None until one reads it.  None of
+    them holds the function or an error, whose traceback would keep the
     function alive through the cache's weak key."""
 
     def __init__(self):
