@@ -488,13 +488,14 @@ def classify_convexity(
     not certify there, a search that escapes the range); with fewer
     than 200 triples left the probe raises PreconditionViolated.
 
-    The triples are built as arrays and read in their order, 64 at a
-    time: each block's (s1, s2, midpoint) points go through one
-    u.phi_many call, and numpy reduces the block to its finite triples,
-    the first failing one and the worst margin.  A
-    fails-at verdict reads at most the rest of its block past the
-    failing triple.  A phi without phi_vec reads each distinct point
-    once per call (_probe_reader), however many triples share it.
+    The triples are built as arrays and read in their order, in blocks:
+    each block's (s1, s2, midpoint) points go through one u.phi_many
+    call, and numpy reduces the block to its finite triples, the first
+    failing one and the worst margin.  A vectorised phi reads every
+    triple in one block.  A phi without phi_vec reads 64 triples a
+    block, so a fails-at verdict reads at most the rest of its block
+    past the failing triple, and each distinct point once per call
+    (_probe_reader), however many triples share it.
     """
     probe = probe or ProbeSpec()
     to_x, positive_domain = _composed_args(kind, k)
@@ -525,7 +526,7 @@ def classify_convexity(
 
     checked = 0
     worst = 0.0
-    per_block = _PROBE_BLOCK // 3
+    per_block = len(s1) if u.phi_vec is not None else _PROBE_BLOCK // 3
     read = _probe_reader(u)
     for at in range(0, len(s1), per_block):
         b = slice(at, at + per_block)

@@ -39,10 +39,13 @@ from .numerics import (
     NoDecayCertificate,
     NotBracketable,
     PreconditionViolated,
+    _FLAT_SPLIT,
+    _FLAT_ULPS,
     _INV_PHI2,
     _brent_min,
     geometric_grid,
     json_finite,
+    maximize_concave_1d,
     minimize_convex_1d,
     safe_exp,
     strict_json,
@@ -175,11 +178,6 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 # the square root of the double epsilon: Brent's relative step floor
 _SQRT_EPS = math.sqrt(_EPS)
-# _brent_min_rows' flat stop: the values at the bracket ends within four
-# ulps of the best value, the best point splitting the bracket no worse
-# than 1:8 (the docstring derives the bound these give)
-_FLAT_ULPS = 4.0 * _EPS
-_FLAT_SPLIT = 8.0
 # how far past x a golden step reaches, in lengths of the smaller side,
 # once an end is flat: a flat probe there completes a 1:4 bracket
 _FLAT_REACH = 4.0
@@ -528,15 +526,19 @@ def ell(u: GrowthFunction, t: float) -> LegendrePoint:
     flag when the infimum was attained or approached on a boundary.
     Integer t values are cached per function, since the series builders
     walk them densely; _grown_profile grows that cache in vectorised
-    blocks for (log, exp)-convex functions with a vectorised phi.  Their
-    Brent polish fixes log ell to roundoff: where its flat stop ends it,
-    within 32 eps max(1, |log ell|) of the minimum of the computed
-    phi(x) - t x, which is convex there.  rho is the argmin of a minimum
-    flat to that level, fixed to about sqrt(eps) relative; the point
-    search, a scalar Brent polish to a bracket of 1e-12 in x, agrees with
-    both to these accuracies.  A NoDecayCertificate of the point search
-    for a (log, exp)-convex u and t <= _SERIES_CAP is retried once from
-    rho(floor(t)); if that fails too, the first refusal is raised.
+    blocks for (log, exp)-convex functions with a vectorised phi.  One
+    precision covers the blocks and the point search of a
+    (log, exp)-convex u: both Brent polishes stop on their width rule
+    or on the flat rule, so log ell is within
+    32 eps max(1, |log ell|) of the minimum of the computed
+    phi(x) - t x, which is convex there, and rho, the argmin of a
+    minimum flat to that level, is fixed to within
+    sqrt(64 eps max(1, |log ell|) / phi''(log rho)) relative: 1.2e-7
+    where both are of order one, 5.5e-5 on log-square at t = 1300.5.
+    The scan of any other u polishes to the 1e-12 bracket alone.  A
+    NoDecayCertificate of the point search for a (log, exp)-convex u
+    and t <= _SERIES_CAP is retried once from rho(floor(t)); if that
+    fails too, the first refusal is raised.
     """
     t = float(t)
     if t < 0:
@@ -772,8 +774,9 @@ def _cap_gap(u: GrowthFunction, cap: int, tag: str) -> Optional[float]:
 
     The margin: with G_s(x) the computed phi(x) - s x, v = G_t(x) at
     x = log rho(t) and s = t -+ 1, the block's value at t is at least
-    min G_t >= v - 32 eps max(1, |v|) (Brent's 1e-12 width stop is within
-    g''(x) 1e-24 / 2, below that where g'' < 1.4e10), at s within
+    min G_t >= v - 32 eps max(1, |v|) (the flat rule's certificate, or
+    the width stop's g''(x) 1e-24 / 2, below it where g'' < 1.4e10;
+    minimize_convex_1d stops on the first), at s within
     32 eps max(1, |v| + |x|) of min G_s <= G_s(x) = v +- x, all up to a
     few ulps of |v| + 2 t |x|, and the coefficients round by a few ulps
     of |v| + 2 log cap! (L# only).  128 eps (1 + |v| + 2 t |x|), plus
@@ -807,8 +810,13 @@ def _first_gap(u: GrowthFunction, n: int, tag: str) -> Optional[float]:
     The convex g = phi - t x of order n (L) or n - 1 (L#) has its
     minimizer in the cell [x_{i-1}, x_{i+1}], where a block's polish
     keeps it; widened by one grid step h for roundoff in the slopes, the
-    cell also holds the walk's _ell_at.  _gap_bound takes its far end
-    (x_{i+1} + h for L, x_{i-1} - h for L#) with |log ell| at most
+    cell holds a minimizer of the computed g.  The bound rests on that
+    minimizer, not on the point a polish returns: the block and the
+    walk's _ell_at both return a value within 32 eps max(1, |log ell|)
+    of min g (see ell), wherever in a bracket flat to that level their
+    point ends, and _gap_bound's margin covers it.  _gap_bound takes
+    the cell's far end (x_{i+1} + h for L, x_{i-1} - h for L#) with
+    |log ell| at most
     |g(x_i)| + max(g(x_{i-1}), g(x_{i+1})) - g(x_i) (the chords through
     the cell's ends bound g from below).  L# of ks(1) and power-exp 3
     refuse by it from r = 1.87 and 0.031, L of exp from r = 142.  The
@@ -984,13 +992,12 @@ def _dual_point(u: GrowthFunction, log_r: float) -> float:
     c = 2.0 * safe_exp(0.5 * log_r)
     phi_at = u.phi_at
 
-    def neg_G(w: float) -> float:
-        # minus the maximand; -(a - b), not b - a, keeps the sign of a zero
+    def G(w: float) -> float:
         p = phi_at(2.0 * w)
         if not math.isfinite(p):
             # log u overflowed the double range: the denominator wins
-            return math.inf
-        return -(c * (math.inf if w > 709.0 else exp(w)) - p)
+            return -math.inf
+        return c * (math.inf if w > 709.0 else exp(w)) - p
 
     # the seed walks down by doubling steps past an overflow, and past a
     # saturated phi: there 2 sqrt(r) y is lost in log u(y^2)'s roundoff,
@@ -999,19 +1006,20 @@ def _dual_point(u: GrowthFunction, log_r: float) -> float:
     ceiling = math.inf if u.log_u0 is None else u.log_u0
     seed, step = 0.5 * log_r, 1.0
     while True:
-        # neg_G(seed), with phi at the seed kept for the saturation test
+        # G(seed), with phi at the seed kept for the saturation test
         p = phi_at(2.0 * seed)
-        f_seed = math.inf
+        g_seed = -math.inf
         if math.isfinite(p):
-            f_seed = -(c * (math.inf if seed > 709.0 else exp(seed)) - p)
-        stuck = not math.isfinite(f_seed) or (f_seed > ceiling and f_seed == p)
+            g_seed = c * (math.inf if seed > 709.0 else exp(seed)) - p
+        stuck = not math.isfinite(g_seed) or (-g_seed > ceiling and -g_seed == p)
         if not (stuck and seed > -RANGE_CAP):
             break
         seed -= step
         step *= 2.0
-    if not math.isfinite(f_seed):
+    if not math.isfinite(g_seed):
         raise PreconditionViolated(f"no representable region for the dual of {u.name}")
-    return -minimize_convex_1d(neg_G, seed, f_seed).fx
+    # -(-G) is G's own float, so a zero keeps its sign
+    return maximize_concave_1d(G, seed, g_seed).fx
 
 
 def dual(u: GrowthFunction, r: float) -> LogScalar:
@@ -1151,9 +1159,9 @@ def _dual_rows(u: GrowthFunction, xs: np.ndarray) -> np.ndarray:
     in the offset from w_i, so its step floor fixes the value to
     roundoff as the scalar search does.  The maximand is concave
     in y = e^w, so the flat stop's chord runs in y; the polish bracket
-    spans two sample cells, under 0.7 in w, so the value is within
-    8 e^0.7 < 16 times delta of the maximum.  Other rows go through
-    _dual_value.  No (row x grid) matrix is formed.
+    spans two sample cells, 0.684 in w, under log 2, so the value is
+    within 8 e^0.684 < 16 times delta of the maximum.  Other rows go
+    through _dual_value.  No (row x grid) matrix is formed.
     """
     shape = np.shape(xs)
     xs = np.ravel(np.asarray(xs, dtype=float))

@@ -14,7 +14,8 @@ Design rules baked in here:
   truncation),
 * 1-D minimization is bracket expansion by step doubling from a seed,
   then a Brent polish (parabolic steps, else golden ones) to an absolute
-  bracket width of 1e-12, capped at 300 steps,
+  bracket width of 1e-12 or, for a convex objective, until its value is
+  flat to roundoff, capped at 300 steps,
 * every search runs over a logarithmic variable, so none needs a
   domain clamp; a search that reaches the range cap |x| = 700 brackets
   a minimum that a probe just inside the cap shows, or returns a
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -41,6 +43,13 @@ DEFAULT_REL_TOL = 1e-9
 
 # the golden step's share of the larger side, 1 - 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+# the flat stop of a convex polish (_brent_min; legendre._brent_min_rows
+# takes the first two): the values at the bracket ends within four ulps
+# of the best value, split no worse than 1:8, on a bracket under log 2
+_FLAT_ULPS = 4.0 * sys.float_info.epsilon
+_FLAT_SPLIT = 8.0
+_FLAT_WIDTH = math.log(2.0)
 
 
 class GrowthCalcError(Exception):
@@ -139,6 +148,7 @@ def _brent_min(
     fa: float,
     fb: float,
     width: float = GOLDEN_WIDTH,
+    flat: bool = False,
 ) -> tuple[float, float]:
     """Brent's minimisation of a unimodal f on [a, b] from a point
     a <= x <= b with fx = f(x) <= fa = f(a), fb = f(b); an end value not
@@ -151,11 +161,19 @@ def _brent_min(
     start as w and v, so a certified bracket's first step is its
     parabola; with both end values +inf the first steps are golden.  A
     step shorter than tol = width / 3, or a vertex within 2 tol of an
-    end, becomes a step of tol towards the larger side.  The search stops
-    once b - a <= width, absolute, or after GOLDEN_MAX_ITER steps; the
-    kernel's relative step floor and flat stop are left out, so every
-    search is fixed to the same absolute width.  Returns the best point
-    found and its value (R. P. Brent, Algorithms for Minimization
+    end, becomes a step of tol towards the larger side.  The kernel's
+    relative step floor is left out.  The search stops at the first of
+    the width rule b - a <= width, absolute; with ``flat`` set, the
+    kernel's flat rule, max(f(a), f(b)) - f(x) <= delta =
+    _FLAT_ULPS max(1, |f(x)|) with x splitting [a, b] no worse than
+    1:8, on a bracket no wider than _FLAT_WIDTH = log 2; and
+    GOLDEN_MAX_ITER steps.  For f convex the flat rule puts f(x) within
+    8 delta of the minimum (the chord bound in _brent_min_rows); for f
+    convex in e^x the chord runs in e^x, within 8 e^(b - a) delta <=
+    16 delta.  Only a convex search sets it: a unimodal f (holo.norm_g's
+    ray, function_equivalent's shift, _scan_minimize's candidates) has
+    no chord bound and keeps the width rule alone.  Returns the best
+    point found and its value (R. P. Brent, Algorithms for Minimization
     without Derivatives, 1973).
     """
     tol = width / 3.0
@@ -165,6 +183,9 @@ def _brent_min(
         if b - a <= width:
             break
         lo, hi = a - x, b - x
+        if flat and b - a <= _FLAT_WIDTH and _FLAT_SPLIT * min(-lo, hi) >= max(-lo, hi):
+            if max(fa, fb) - fx <= _FLAT_ULPS * max(1.0, abs(fx)):
+                break
         # the larger side's offset from x, and a tol step into it
         wide, to_mid = (hi, tol) if hi >= -lo else (lo, -tol)
         # the vertex of the parabola through x, w and v is x + num / den
@@ -187,15 +208,15 @@ def _brent_min(
         # that starts past a right edge of f's domain walks back into it
         if fu < fx or (fu == fx and (fu < math.inf or u < x)):
             if u > x:
-                a = x
+                a, fa = x, fx
             else:
-                b = x
+                b, fb = x, fx
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
             if u > x:
-                b = u
+                b, fb = u, fu
             else:
-                a = u
+                a, fa = u, fu
             if fu <= fw:
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == w:
@@ -273,28 +294,44 @@ def bracket_minimum(
 def minimize_convex_1d(
     f: Callable[[float], float], seed: float, f_seed: Optional[float] = None
 ) -> OptResult:
-    """Minimize a convex (or unimodal) function of one variable.
+    """Minimize a convex function of x, or of e^x, of one variable.
 
     Returns the interior minimizer found by bracketing plus a Brent
     polish from the bracket's inner point, or a flagged boundary result
-    when the infimum is approached at the numeric range cap.  ``f_seed``
-    is f(seed) when the caller has it (see bracket_minimum).
+    when the infimum is approached at the numeric range cap.  The polish
+    stops on the width rule or the flat rule (_brent_min): the value is
+    within 32 eps max(1, |f|) of the minimum of the computed f (64 eps
+    for f convex in e^x), the minimizer to the span of a minimum flat
+    to that level, as in legendre._brent_min_rows.  ``f_seed`` is f(seed)
+    when the caller has it (see bracket_minimum).
     """
     got = bracket_minimum(f, seed, f_seed)
     if isinstance(got, OptResult):
         return got
-    x, fx = _brent_min(f, got.lo, got.hi, got.inner, got.f_inner, got.f_lo, got.f_hi)
+    x, fx = _brent_min(f, got.lo, got.hi, got.inner, got.f_inner, got.f_lo, got.f_hi, flat=True)
     return OptResult(x, fx, None)
 
 
-def maximize_concave_1d(f: Callable[[float], float], seed: float) -> OptResult:
-    """Maximize a concave (or unimodal) function; see minimize_convex_1d.
-
+def maximize_concave_1d(
+    f: Callable[[float], float], seed: float, f_seed: Optional[float] = None
+) -> OptResult:
+    """Maximize a concave (or unimodal) function: minimize_convex_1d's
+    search of -f, its polish stopped by the width rule alone, for a
+    maximand with more roundoff than the flat stop's four ulps: the
+    dual's 2 sqrt(r) y - log u(y^2), a difference of two large terms,
+    read 1.1e-13 relative low on a scaled ks(0.5) with the flat stop.
     A search over t >= 0 runs in log t: the substitution keeps a
     concave maximand unimodal and needs no domain clamp.
     """
-    res = minimize_convex_1d(lambda x: -f(x), seed)
-    return OptResult(res.x, -res.fx, res.boundary)
+
+    def neg(x: float) -> float:
+        return -f(x)
+
+    got = bracket_minimum(neg, seed, None if f_seed is None else -f_seed)
+    if isinstance(got, Bracket):
+        x, fx = _brent_min(neg, got.lo, got.hi, got.inner, got.f_inner, got.f_lo, got.f_hi)
+        got = OptResult(x, fx, None)
+    return OptResult(got.x, -got.fx, got.boundary)
 
 
 def geometric_grid(lo: float, hi: float, points: int) -> list[float]:

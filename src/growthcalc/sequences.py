@@ -169,8 +169,10 @@ def gen_bell(order: int, n_max: int) -> PositiveSequence:
     From order 3 on the values are polynomials in e, e^e, ... with
     integer coefficients (b(1) = e, b(2) = e^2 + 2e at order 3); the
     chain of _series_exp stages runs in 60-digit decimal arithmetic,
-    with one 60-digit ln per term.  Its stages multiply by 1, e, e^e,
-    e^(e^e), ..., which bounds the order by GEN_BELL_MAX_ORDER.
+    with one 25-digit ln per term, which rounds to the double of the
+    60-digit ln at every order and n this accepts.  Its stages multiply
+    by 1, e, e^e, e^(e^e), ..., which bounds the order by
+    GEN_BELL_MAX_ORDER.
     """
     if not 1 <= order <= GEN_BELL_MAX_ORDER:
         raise ValueError(f"order must be in [1, {GEN_BELL_MAX_ORDER}]")
@@ -189,8 +191,9 @@ def gen_bell(order: int, n_max: int) -> PositiveSequence:
         for _ in range(order - 2):
             mult = mult.exp()
             gamma = _series_exp(mult, gamma)
+        ln_ctx = decimal.Context(prec=25)
         log_alpha = tuple(
-            float((gamma[n] * math.factorial(n)).ln()) for n in range(n_max + 1)
+            float((gamma[n] * math.factorial(n)).ln(ln_ctx)) for n in range(n_max + 1)
         )
     return PositiveSequence("bell-order-k", {"k": order}, log_alpha)
 

@@ -10,13 +10,14 @@ bracket_minimum here is the earlier form, with a separate exit for a
 seed on the cap, a first step clipped to it and a doubling step onto
 it; it makes the same probes in the same order and ends the same way.
 
-The library's scalar transform searches minimise one closure each,
-negated in place, and evaluate each seed once.  dual_point,
-sup_log_f_rt and ell_point keep the objectives they replaced: the
-dual's maximand G and the inverse transform's H searched through
-maximize_concave_1d's negating wrapper, the dual's seed walk reading
-phi anew at each test, and the transform's g reading u.phi_at on every
-call.  Each returns the same floats as the library.
+The library's scalar transform searches evaluate each seed once, and
+the inverse transform's minimises one closure, negated in place.
+dual_point, sup_log_f_rt and ell_point keep the objectives they
+replaced: the dual's maximand G searched through maximize_concave_1d,
+its seed walk reading phi anew at each test, the inverse transform's H
+through a negating wrapper of minimize_convex_1d (maximize_concave_1d's
+polish has no flat stop), and the transform's g reading u.phi_at on
+every call.  Each returns the same floats as the library.
 
 It is not collected as a test module; test_numerics.py and
 test_legendre.py import it.
@@ -145,15 +146,15 @@ def dual_point(u, log_r: float) -> float:
 
 
 def sup_log_f_rt(f, log_r: float, lf0: float) -> float:
-    """legendre._sup_log_f_rt with the maximand H searched through
-    maximize_concave_1d."""
+    """legendre._sup_log_f_rt with the maximand H searched through a
+    negating wrapper of minimize_convex_1d."""
 
     def H(tau: float) -> float:
         t = safe_exp(tau)
         return float(f.log_f(t)) + t * log_r
 
-    res = maximize_concave_1d(H, max(0.0, log_r))
-    return max(res.fx, lf0)
+    res = minimize_convex_1d(lambda tau: -H(tau), max(0.0, log_r))
+    return max(-res.fx, lf0)
 
 
 def ell_point(u, t: float, seed_x: float = 0.0) -> legendre.LegendrePoint:

@@ -6,7 +6,8 @@ every JSON stdout must be strict RFC 8259 JSON.  Under the interpreter,
 numpy and libc of the corpus header, stdout must match byte for byte;
 under others a series sum may stop a term earlier or later, so numbers
 need only agree to 1e-9 (``rho`` to 1e-7, the accuracy ``ell`` gives
-it), while every key, string and verdict still matches exactly.
+it where log ell and phi'' are of order one), while every key, string
+and verdict still matches exactly.
 """
 
 import argparse

@@ -24,6 +24,7 @@ from growthcalc.numerics import (
     LogScalar,
     NoDecayCertificate,
     NotBracketable,
+    _FLAT_ULPS,
     _INV_PHI2,
     _brent_min,
     bracket_minimum,
@@ -343,15 +344,84 @@ class TestBrentPolish:
         assert abs(x - 0.5) <= GOLDEN_WIDTH and fx == f(x)
 
     def test_ell_on_a_fresh_function_takes_few_phi_reads(self):
-        # bracket_minimum's 5 reads plus the polish; golden's polish of
-        # the same bracket made 64
+        # bracket_minimum's 5 reads plus the polish, which the flat stop
+        # ends once the value is fixed; golden's polish of the same
+        # bracket made 64, the width rule alone 29
         calls = []
         u = ks_family(0.5)
         w = GrowthFunction(phi=lambda x: calls.append(x) or u.phi(x), name="counted",
                            log_u0=u.log_u0, log_exp_convex=True)
         got = legendre.ell(w, 13.75)
-        assert got.boundary is None and len(calls) <= 35
+        assert got.boundary is None and len(calls) <= 20
         assert math.isclose(got.log_ell.log, legendre.ell(u, 13.75).log_ell.log, abs_tol=1e-13)
+
+
+def flat_delta(v):
+    """The flat stop's delta at the value v."""
+    return _FLAT_ULPS * max(1.0, abs(v))
+
+
+class TestFlatStop:
+    """minimize_convex_1d's polish stops on the width rule or on the flat
+    rule of legendre._brent_min_rows, on a bracket no wider than log 2:
+    its value lies within 8 delta of the minimum of an objective convex
+    in x, 16 delta of one convex in e^x."""
+
+    @given(
+        st.sampled_from(["quadratic", "power", "expm1", "exp", "theta"]),
+        st.floats(min_value=-690.0, max_value=690.0),
+        st.floats(min_value=-40.0, max_value=40.0),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @example("exp", 322.74, 0.0, 0.0)  # the quantised slope beside a flat minimum
+    @settings(max_examples=300, deadline=None)
+    def test_value_within_sixteen_deltas_of_the_minimum(self, kind, c, offset, q):
+        if kind == "theta":
+            # t log t - c t in x = log t, as the inverse transform's
+            # maximand: convex in t, not in x; minimum -e^(c-1) at x = c-1
+            c = min(c, 30.0)
+            f, want = (lambda x: math.exp(x) * (x - c)), -math.exp(c - 1.0)
+        else:
+            p = {"quadratic": 10.0 ** (6.0 * q - 3.0), "power": 1.5 + q}.get(kind, 0.0)
+            f, want = polish_family(kind, c, p), 1.0 if kind == "exp" else 0.0
+        seed = min(max(c + offset, -RANGE_CAP), RANGE_CAP)
+        res = minimize_convex_1d(f, seed)
+        assert res.boundary is None
+        assert want - flat_delta(want) <= res.fx <= want + 16.0 * flat_delta(want)
+
+    @pytest.mark.parametrize("c, split, length", [
+        (-242.3871126268503, 0.49981438623853014, 0.006108503079295672),
+        (442.42532315349695, 0.3092710069130224, 0.00938150964689701),
+        (-591.8795381877579, 0.6910185994045565, 0.018111374732214774),
+        (-497.0456093777586, 0.5006436998957859, 0.004962838068653175),
+    ])
+    def test_a_quantised_slope_beside_a_flat_minimum(self, c, split, length):
+        # from the golden point with both end values +inf, as the
+        # width-rule polishes start, these end 17, 14, 190 and 8 ulps high
+        # (a quantised slope closes the bracket beside the minimum); from
+        # a certified bracket, as minimize_convex_1d hands one over, the
+        # flat polish ends within 8 delta
+        f = polish_family("exp", c, 0.0)
+        a = c - split * length
+        b = a + length
+        x = a + _INV_PHI2 * (b - a)
+        assert f(x) <= min(f(a), f(b))
+        _, fx = _brent_min(f, a, b, x, f(x), f(a), f(b), flat=True)
+        assert fx <= 1.0 + 8.0 * flat_delta(1.0)
+
+    @pytest.mark.parametrize("a, b, x, most", [(-0.3, 0.3, 0.01, 0), (-2.0, 2.0, 0.5, 8)])
+    def test_the_flat_stop_waits_for_a_narrow_bracket(self, a, b, x, most):
+        # f is 1.0 in floats everywhere: the flat polish stops once its
+        # bracket is no wider than log 2, at once on [-0.3, 0.3]; the
+        # width rule alone, as holo.norm_g and function_equivalent polish,
+        # runs on to 1e-12
+        f = lambda x: 1.0 + 1e-20 * x * x
+        h, calls = counted(f)
+        _brent_min(h, a, b, x, 1.0, 1.0, 1.0, flat=True)
+        assert (len(calls) == 0) == (most == 0) and len(calls) <= most
+        h, calls = counted(f)
+        _brent_min(h, a, b, x, 1.0, 1.0, 1.0)
+        assert len(calls) > 40
 
 
 class TestRangeCap:

@@ -252,8 +252,10 @@ class TestGenerators:
         [(3, 30), (3, 40), (3, GEN_BELL_MAX_N), (4, GEN_BELL_MAX_N), (5, GEN_BELL_MAX_N)],
     )
     def test_bell_logs_match_the_two_ln_form(self, order, n_max):
-        # one 60-digit ln of b(n) = n! gamma_n gives the doubles that
-        # ln gamma_n + ln n! gave, bit for bit
+        # the 25-digit ln of b(n) = n! gamma_n gives the doubles of its
+        # 60-digit ln and of ln gamma_n + ln n!, bit for bit: at n_max =
+        # GEN_BELL_MAX_N every order and n gen_bell accepts (a smaller
+        # n_max is a prefix)
         with decimal.localcontext() as ctx:
             ctx.prec = 60
             gamma = [Decimal(1) / Decimal(math.factorial(n)) for n in range(n_max + 1)]
@@ -266,7 +268,8 @@ class TestGenerators:
                 float(gamma[n].ln() + Decimal(math.factorial(n)).ln())
                 for n in range(n_max + 1)
             )
-        assert gen_bell(order, n_max).log_alpha == want
+            one_ln = tuple(float((gamma[n] * math.factorial(n)).ln()) for n in range(n_max + 1))
+        assert gen_bell(order, n_max).log_alpha == want == one_ln
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("n_max", [0, 1, 2, 40, 200])
@@ -753,7 +756,7 @@ class TestB1Verdicts:
     def test_reciprocal_bell_holds(self):
         v = check_condition(gen_bell(2, 40), "B1t")
         assert (v.status, v.n_checked) == ("holds-up-to-N", 10)
-        assert v.witness == {"limsup_bound": 2.12275526046943, "n_used": 10}
+        assert v.witness == {"limsup_bound": 2.122755260469431, "n_used": 10}
 
     def test_a_recorded_refusal_keeps_no_function_alive(self):
         # the EGF of 41 Bell numbers refuses at order 1; its profile records
