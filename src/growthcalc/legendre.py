@@ -12,7 +12,11 @@ objectives stay unimodal wherever the originals are convex/concave, and
 the searched variable stays representable even when the linear-scale
 optimizer runs to 1e12.  Escapes past the numeric range raise
 NotBracketable; dual_function converts that escape into the value
-+infinity, which is what the supremum actually is there.
++infinity, which is what the supremum actually is there.  A dual whose
+supremum escapes past some x has a right edge there, found once, at
+its first escape (_dual_edge); its phi is +infinity past the edge
+without a search, and every search over it stops at the edge
+(_edge_search).
 
 verify_suite packages the quantitative statements of the calculus as
 named report generators.  Reports serialize with sorted keys so the
@@ -38,6 +42,7 @@ from .numerics import (
     LogScalar,
     NoDecayCertificate,
     NotBracketable,
+    OptResult,
     PreconditionViolated,
     _FLAT_SPLIT,
     _FLAT_ULPS,
@@ -166,8 +171,12 @@ def _ell_at(u: GrowthFunction, t: float, seed_x: float = 0.0) -> LegendrePoint:
         return vals
 
     if u.log_exp_convex:
-        res = minimize_convex_1d(g, seed_x)
-        x, fx, boundary = res.x, res.fx, res.boundary
+
+        def point(edge: float, phi_at: Callable[[float], float]) -> OptResult:
+            edge = min(edge, RANGE_CAP)
+            return minimize_convex_1d(lambda x: phi_at(x) - t * x, seed_x, edge=edge)
+
+        x, fx, boundary = _edge_search(u, point, phi_at)
     else:
         x, fx, boundary = _scan_minimize(g, g_many, min(u.x_max, RANGE_CAP))
     rho = 0.0 if (boundary == "lo" and x <= -RANGE_CAP + 1e-9) else math.exp(x)
@@ -337,16 +346,24 @@ class _Profile:
     """log ell_u(n), rho(n) and the boundary flag of one function for
     n < len(self), each array exactly the profile; the refusal that
     stopped its growth: the class and arguments of the error, None while
-    it can still grow; and the phi sample that its blocks and series
-    bounds read (_profile_sample), None until one reads it.  None of
-    them holds the function or an error, whose traceback would keep the
-    function alive through the cache's weak key."""
+    it can still grow; the phi sample that its blocks and series bounds
+    read (_profile_sample) and the psi sample that its dual's lockstep
+    search and edge estimate read (_dual_sample), each None until one
+    reads it; and the right edge of its domain, which its searches stop
+    at (_edge_search): +inf but for a dual, whose edge is None until one
+    of its searches escapes (dual_function), with phi there, which every
+    search that stops on the edge reads.  None of them holds the
+    function or an error, whose traceback would keep the function alive
+    through the cache's weak key."""
 
     def __init__(self):
         self.log_ell, self.rho = np.empty(0), np.empty(0)
         self.boundary = np.empty(0, dtype=object)
         self.refusal = None
         self.sample = None
+        self.dual_sample = None
+        self.edge: Optional[float] = math.inf
+        self.edge_phi = None
 
     def __len__(self) -> int:
         return len(self.log_ell)
@@ -371,6 +388,41 @@ def _profile_of(u: GrowthFunction) -> _Profile:
     if prof is None:
         prof = _PROFILE_CACHE[u] = _Profile()
     return prof
+
+
+class _EdgeMet(Exception):
+    """A search read +inf from a dual after a search of the dual found
+    its edge: _edge_search runs it again, stopped at the edge."""
+
+
+def _edge_search(u: GrowthFunction, search: Callable, read: Callable):
+    """search(edge, read): a search whose objective reads u's phi
+    through ``read`` (u.phi_at or u.phi_many) and stops at x = edge, the
+    right edge of u's domain.
+
+    The edge is +inf (no edge) for all but a dual, whose edge is unknown
+    until the first of its searches to escape finds it (_dual_value).  A
+    search over a dual with no edge yet reads through a wrapper that
+    raises _EdgeMet at a +inf read once the edge is known, found by this
+    read or an earlier one; the search then runs again from its start,
+    stopped at the edge.  A search that meets no +inf runs once, as it
+    runs over any other function."""
+    # only dual_function's duals have a profile with an edge
+    prof = _PROFILE_CACHE.get(u) if u.family == "dual" else None
+    edge = math.inf if prof is None else prof.edge
+    if edge is not None:
+        return search(edge, read)
+
+    def met(x):
+        p = read(x)
+        if prof.edge is not None and prof.edge < math.inf and np.any(p == math.inf):
+            raise _EdgeMet
+        return p
+
+    try:
+        return search(math.inf, met)
+    except _EdgeMet:
+        return search(prof.edge, read)
 
 
 def _profile_sample(u: GrowthFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -981,7 +1033,8 @@ def _dual_point(u: GrowthFunction, log_r: float) -> float:
 
     The maximand 2 sqrt(r) y - log u(y^2) is concave in y = sqrt(s)
     whenever u is (log, x^2)-convex, and stays unimodal under the log
-    substitution.
+    substitution.  A u with a right edge x_e (a dual, _edge_search) has
+    its search stop at w = x_e / 2, past which log u(y^2) is +inf.
     """
     if u.in_c_plus_log is False:
         raise PreconditionViolated(
@@ -990,36 +1043,39 @@ def _dual_point(u: GrowthFunction, log_r: float) -> float:
     if log_r == LOG_ZERO:
         return 0.0 - ell(u, 0.0).log_ell.log  # a zero comes out +0.0
     c = 2.0 * safe_exp(0.5 * log_r)
-    phi_at = u.phi_at
-
-    def G(w: float) -> float:
-        p = phi_at(2.0 * w)
-        if not math.isfinite(p):
-            # log u overflowed the double range: the denominator wins
-            return -math.inf
-        return c * (math.inf if w > 709.0 else exp(w)) - p
-
-    # the seed walks down by doubling steps past an overflow, and past a
-    # saturated phi: there 2 sqrt(r) y is lost in log u(y^2)'s roundoff,
-    # so the search sees no slope; below the maximand's s -> 0 limit
-    # -log u(0), its maximizer lies further down (the maximand is unimodal)
     ceiling = math.inf if u.log_u0 is None else u.log_u0
-    seed, step = 0.5 * log_r, 1.0
-    while True:
-        # G(seed), with phi at the seed kept for the saturation test
-        p = phi_at(2.0 * seed)
-        g_seed = -math.inf
-        if math.isfinite(p):
-            g_seed = c * (math.inf if seed > 709.0 else exp(seed)) - p
-        stuck = not math.isfinite(g_seed) or (-g_seed > ceiling and -g_seed == p)
-        if not (stuck and seed > -RANGE_CAP):
-            break
-        seed -= step
-        step *= 2.0
-    if not math.isfinite(g_seed):
-        raise PreconditionViolated(f"no representable region for the dual of {u.name}")
-    # -(-G) is G's own float, so a zero keeps its sign
-    return maximize_concave_1d(G, seed, g_seed).fx
+
+    def search(edge: float, phi_at: Callable[[float], float]) -> float:
+        def G(w: float) -> float:
+            p = phi_at(2.0 * w)
+            if not math.isfinite(p):
+                # log u overflowed the double range: the denominator wins
+                return -math.inf
+            return c * (math.inf if w > 709.0 else exp(w)) - p
+
+        # the seed walks down by doubling steps past an overflow, and past
+        # a saturated phi: there 2 sqrt(r) y is lost in log u(y^2)'s
+        # roundoff, so the search sees no slope; below the maximand's
+        # s -> 0 limit -log u(0), its maximizer lies further down (the
+        # maximand is unimodal)
+        seed, step = min(0.5 * log_r, 0.5 * edge), 1.0
+        while True:
+            # G(seed), with phi at the seed kept for the saturation test
+            p = phi_at(2.0 * seed)
+            g_seed = -math.inf
+            if math.isfinite(p):
+                g_seed = c * (math.inf if seed > 709.0 else exp(seed)) - p
+            stuck = not math.isfinite(g_seed) or (-g_seed > ceiling and -g_seed == p)
+            if not (stuck and seed > -RANGE_CAP):
+                break
+            seed -= step
+            step *= 2.0
+        if not math.isfinite(g_seed):
+            raise PreconditionViolated(f"no representable region for the dual of {u.name}")
+        # -(-G) is G's own float, so a zero keeps its sign
+        return maximize_concave_1d(G, seed, g_seed, min(0.5 * edge, RANGE_CAP)).fx
+
+    return _edge_search(u, search, u.phi_at)
 
 
 def dual(u: GrowthFunction, r: float) -> LogScalar:
@@ -1036,38 +1092,40 @@ def dual(u: GrowthFunction, r: float) -> LogScalar:
 
 
 def _bracket_rows(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray], seed: np.ndarray
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], seed: np.ndarray, edge: float = RANGE_CAP
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """numerics.bracket_minimum(f, seed) on many rows in lockstep: each
-    row probes the same points, with the same doubling steps, range caps
-    and stop rules, so row k ends where the one-row search ends.
-    ``f(rows, xs)`` evaluates row rows[j] at xs[j].  Each row keeps the
-    descent state (prev, f_prev, cur, f_cur); the loop only doubles and
-    brackets, and the rows whose descent ends on the cap make
-    numerics._on_cap's probe just inside it in one call after the loop.
+    """numerics.bracket_minimum(f, seed, edge=edge) on many rows in
+    lockstep: each row probes the same points, with the same doubling
+    steps, ends of the range and stop rules, so row k ends where the
+    one-row search ends.  ``f(rows, xs)`` evaluates row rows[j] at
+    xs[j].  Each row keeps the descent state (prev, f_prev, cur, f_cur);
+    the loop only doubles and brackets, and the rows whose descent ends
+    on an end make numerics._on_cap's probe just inside it in one call
+    after the loop.
 
     Returns (lo, hi, x, fx, end): end 0 is a Bracket [lo, hi] with inner
-    point x, end 1 a limit that flattened out at the cap x, end 2 a
-    descent still active at the cap (NotBracketable).
+    point x, end 1 a boundary value at x, an edge short of the cap or a
+    limit that flattened out at the cap, end 2 a descent still active at
+    the cap (NotBracketable).
     """
     every = np.arange(len(seed))
-    x0 = np.clip(seed, -RANGE_CAP, RANGE_CAP)
-    xr, xl = np.minimum(x0 + 1.0, RANGE_CAP), np.maximum(x0 - 1.0, -RANGE_CAP)
+    x0 = np.clip(seed, -RANGE_CAP, edge)
+    xr, xl = np.minimum(x0 + 1.0, edge), np.maximum(x0 - 1.0, -RANGE_CAP)
     f0, fr, fl = np.split(f(np.tile(every, 3), np.concatenate([x0, xr, xl])), 3)
     fr, fl = np.where(xr > x0, fr, math.inf), np.where(xl < x0, fl, math.inf)
-    at_once, up, right = (f0 <= fr) & (f0 <= fl), fr < fl, x0 > 0
-    # a seed on the cap that is not undercut descends from its one neighbour
+    at_once, up, right = (f0 <= fr) & (f0 <= fl), fr < fl, x0 == edge
+    # a seed on an end that is not undercut descends from its one neighbour
     prev = np.where(at_once, np.where(right, xl, xr), x0)
     f_prev = np.where(at_once, np.where(right, fl, fr), f0)
     cur = np.where(at_once, x0, np.where(up, xr, xl))
     f_cur = np.where(at_once, f0, np.where(up, fr, fl))
     lo, hi, x, fx = xl, xr, x0.copy(), f0.copy()
     end = np.zeros(len(seed), dtype=int)
-    live = np.flatnonzero(~at_once & (np.abs(cur) < RANGE_CAP))
+    live = np.flatnonzero(~at_once & (-RANGE_CAP < cur) & (cur < edge))
     step = 1.0
     while live.size:
         step *= 2.0
-        nxt = np.clip(cur[live] + np.sign(cur[live] - prev[live]) * step, -RANGE_CAP, RANGE_CAP)
+        nxt = np.clip(cur[live] + np.sign(cur[live] - prev[live]) * step, -RANGE_CAP, edge)
         f_nxt = f(live, nxt)
         rose = f_nxt >= f_cur[live]
         k = live[rose]
@@ -1075,18 +1133,20 @@ def _bracket_rows(
         x[k], fx[k] = cur[k], f_cur[k]
         k = live[~rose]
         prev[k], f_prev[k], cur[k], f_cur[k] = cur[k], f_cur[k], nxt[~rose], f_nxt[~rose]
-        live = k[np.abs(cur[k]) < RANGE_CAP]
-    # numerics._on_cap: a probe inside the cap below both ends brackets a
-    # minimum; else the cap holds it once f has flattened out
-    k = np.flatnonzero(np.abs(cur) == RANGE_CAP)
+        live = k[(-RANGE_CAP < cur[k]) & (cur[k] < edge)]
+    # numerics._on_cap: a probe inside the end below both ends brackets a
+    # minimum; else an edge holds it, and the cap once f has flattened out
+    k = np.flatnonzero((cur == -RANGE_CAP) | (cur == edge))
     if k.size:
         x_cap, x_before, f_before, f_cap = cur[k], prev[k], f_prev[k], f_cur[k]
-        x_in = x_cap - np.copysign(1e-6, x_cap)
+        at_edge = x_cap == edge
+        x_in = np.where(at_edge, x_cap - 1e-6, x_cap + 1e-6)
         f_in = f(k, x_in)
         inside = (f_in < f_cap) & (f_in <= f_before)
         fin = np.isfinite(f_cap)  # only a finite f_cap can be flat: inf - inf is no gap
         flat = fin.copy()
         flat[fin] = np.abs(f_cap[fin] - f_before[fin]) <= 1e-8 * (1.0 + np.abs(f_cap[fin]))
+        flat |= at_edge & (edge < RANGE_CAP)
         lo[k], hi[k] = np.minimum(x_before, x_cap), np.maximum(x_before, x_cap)
         x[k], fx[k] = np.where(inside, x_in, x_cap), np.where(inside, f_in, f_cap)
         end[k] = np.where(inside, 0, np.where(flat, 1, 2))
@@ -1106,17 +1166,12 @@ class _DualSample(NamedTuple):
     breaks: np.ndarray
 
 
-_DUAL_SAMPLES: "weakref.WeakKeyDictionary[GrowthFunction, _DualSample]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _dual_sample(u: GrowthFunction) -> _DualSample:
-    """The sample of u that its duals' vectorised phi reads, taken at
-    the first use and cached per function instance."""
-    got = _DUAL_SAMPLES.get(u)
-    if got is not None:
-        return got
+    """The sample of u that its duals' vectorised phi and edge estimate
+    read, taken at the first use and kept on u's _Profile."""
+    prof = _profile_of(u)
+    if prof.dual_sample is not None:
+        return prof.dual_sample
     w = np.linspace(-RANGE_CAP, RANGE_CAP, _SCAN_POINTS)
     psi, y = u.phi_many(2.0 * w), np.exp(w)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1129,49 +1184,88 @@ def _dual_sample(u: GrowthFunction) -> _DualSample:
         resolved = (np.abs(step) > 4.0 * _EPS * scale) & (scale >= _TINY)
     bad = np.isnan(s)
     bad[1:] |= (s[1:] < s[:-1]) & resolved[1:] & resolved[:-1]
-    got = _DUAL_SAMPLES[u] = _DualSample(
+    prof.dual_sample = _DualSample(
         w, psi, y, np.fmax.accumulate(s), np.concatenate([[0], np.cumsum(bad)])
     )
-    return got
+    return prof.dual_sample
 
 
-def _dual_value(u: GrowthFunction, log_r: float) -> float:
-    """log u*(r) with an escaping supremum mapped to +infinity."""
+# how close _dual_edge brackets the edge, relative to max(1, |x|): 4 ulps
+_EDGE_ULPS = 4.0 * _EPS
+
+
+def _dual_edge(u: GrowthFunction, x_esc: float) -> tuple[float, float]:
+    """The right edge of u's dual below x_esc, where its search escaped:
+    the largest x whose search (_dual_point) does not escape, to within
+    4 ulps of max(1, |x|), and the dual's log there; or +inf, no edge,
+    where the dual's value overflows first.
+
+    The supremum of 2 sqrt(r) y - psi(y), psi(y) = log u(y^2), is finite
+    while 2 sqrt(r) stays below the top slope of psi (R. T. Rockafellar,
+    Convex Analysis, 1970, sec. 12), so the edge lies near
+    x = 2 log(L/2), with L the top finite chord slope of u's dual
+    sample where y >= 1.  Every chord slope of ks(1)'s psi(y) = 2y is 2
+    exactly, so its estimate is x = 0.  Scalar duals confirm an
+    estimate: its search holds and one 4 ulps above escapes.  Else the
+    probes step on from the last one, in steps growing fourfold but
+    never past the middle of the bracket [lo, hi] left, which then
+    closes by bisection.  A dual value that overflows to +inf on the way
+    is +inf past there anyway, so the dual gets no edge: ks(0.5)'s
+    estimate is such a point.
+    """
+    S = _dual_sample(u)
+    # chords where y >= 1 only: below, psi's steps can sink into its roundoff
+    up = S.w >= 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.diff(S.psi[up]) / np.diff(S.y[up])
+    top = np.fmax.reduce(np.where(np.isfinite(slopes), slopes, np.nan))
+    x = 2.0 * math.log(0.5 * float(top)) if top > 0.0 else x_esc
+    # a dual whose search escapes on the whole range is +inf from its cap
+    (lo, at_lo), hi = (-RANGE_CAP, math.inf), x_esc
+    x, step = min(max(x, lo), hi), _EDGE_ULPS * max(1.0, abs(x))
+    while hi - lo > _EDGE_ULPS * max(1.0, abs(lo), abs(hi)):
+        try:
+            v = _dual_point(u, x)
+            if v == math.inf:
+                return math.inf, math.inf
+            (lo, at_lo), x = (x, v), min(x + step, 0.5 * (x + hi))
+        except NotBracketable:
+            hi, x = x, max(x - step, 0.5 * (lo + x))
+        step *= 4.0
+    return lo, at_lo
+
+
+def _dual_value(u: GrowthFunction, log_r: float, prof: _Profile) -> float:
+    """log u*(r) for the dual of u whose _Profile is ``prof``: +inf past
+    the dual's edge and the value found there on it, without a search,
+    and +inf where the supremum escapes, the first escape finding the
+    edge (_dual_edge)."""
+    edge = prof.edge
+    if edge is not None and log_r >= edge:
+        return math.inf if log_r > edge else prof.edge_phi
     try:
         return _dual_point(u, log_r)
     except NotBracketable:
+        if prof.edge is None:
+            prof.edge, prof.edge_phi = _dual_edge(u, log_r)
         return math.inf
 
 
-def _dual_rows(u: GrowthFunction, xs: np.ndarray) -> np.ndarray:
-    """_dual_value at every x = log r, for a (log, x^2)-convex u with a
-    vectorised phi.
-
-    _dual_point's seed walk and _bracket_rows run the scalar search's
-    bracketing in lockstep, so escapes, limits at the range cap and +inf
-    suprema come out as they do there.  A bracketed row is then polished
-    under the sample's certificate: the chord slopes of psi, searched
-    for c = 2 sqrt(r), give the grid cell [w_{i-1}, w_{i+1}] where
-    c y - psi(y) stops rising.  The row keeps it when the inner value is
-    finite and highest and psi's chord slopes rise on every cell from
-    the bracket to the cell, so the maximand has one maximum there: the
-    one the scalar search finds.  _brent_min_rows polishes the kept rows
-    in the offset from w_i, so its step floor fixes the value to
-    roundoff as the scalar search does.  The maximand is concave
-    in y = e^w, so the flat stop's chord runs in y; the polish bracket
-    spans two sample cells, 0.684 in w, under log 2, so the value is
-    within 8 e^0.684 < 16 times delta of the maximum.  Other rows go
-    through _dual_value.  No (row x grid) matrix is formed.
-    """
-    shape = np.shape(xs)
-    xs = np.ravel(np.asarray(xs, dtype=float))
+def _dual_lockstep(
+    u: GrowthFunction, xs: np.ndarray, edge: float, read: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lockstep search of _dual_rows over the x = log r in xs, with
+    phi of u read through ``read`` and stopped at u's right edge
+    (_edge_search).  Returns the values, the rows that escaped and the
+    rows left to the scalar search."""
     out = np.empty(len(xs))
+    escaped = np.zeros(len(xs), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         c = 2.0 * np.where(0.5 * xs > 709.0, math.inf, np.exp(0.5 * xs))
 
         def psi_neg_g(k: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # phi at 2w and _dual_point's neg_G, -(a - b) to match its sign of zero
-            p = u.phi_many(2.0 * ws)
+            p = read(2.0 * ws)
             return p, np.where(np.isfinite(p), -(c[k] * np.exp(ws) - p), math.inf)
 
         def neg_g(k: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -1185,7 +1279,7 @@ def _dual_rows(u: GrowthFunction, xs: np.ndarray) -> np.ndarray:
 
         # _dual_point's seed walk, down by doubling steps; each round reads
         # phi once, for the maximand and the saturation test
-        seed = 0.5 * xs
+        seed = np.minimum(0.5 * xs, 0.5 * edge)
         p, g_seed = psi_neg_g(np.arange(len(xs)), seed)
         walk = np.flatnonzero(stuck(p, g_seed) & (seed > -RANGE_CAP))
         step = 1.0
@@ -1196,8 +1290,11 @@ def _dual_rows(u: GrowthFunction, xs: np.ndarray) -> np.ndarray:
             walk = walk[stuck(p, g_seed[walk]) & (seed[walk] > -RANGE_CAP)]
         scalar = ~np.isfinite(g_seed) | (xs == LOG_ZERO)
         rows = np.flatnonzero(~scalar)
-        lo, hi, _, f_in, end = _bracket_rows(lambda k, ws: neg_g(rows[k], ws), seed[rows])
+        lo, hi, _, f_in, end = _bracket_rows(
+            lambda k, ws: neg_g(rows[k], ws), seed[rows], min(0.5 * edge, RANGE_CAP)
+        )
         out[rows] = np.where(end == 2, math.inf, -f_in)
+        escaped[rows] = end == 2
         polish = (end == 0) & np.isfinite(f_in)
         rows, lo, hi = rows[polish], lo[polish], hi[polish]
         if rows.size:
@@ -1213,7 +1310,7 @@ def _dual_rows(u: GrowthFunction, xs: np.ndarray) -> np.ndarray:
             cells_hi = np.searchsorted(S.w, np.maximum(hi, S.w[i + 1]))
             cells_lo, cells_hi = np.clip(cells_lo, 0, last), np.clip(cells_hi, 0, last)
             kept = (
-                np.isfinite(g[1]) & (g[1] <= g[0]) & (g[1] <= g[2])
+                np.isfinite(g).all(axis=0) & (g[1] <= g[0]) & (g[1] <= g[2])
                 & (S.breaks[cells_hi + 1] == S.breaks[cells_lo])
             )
             scalar[rows[~kept]] = True
@@ -1225,8 +1322,44 @@ def _dual_rows(u: GrowthFunction, xs: np.ndarray) -> np.ndarray:
                 g[0][kept], g[2][kept],
             )
             out[rows] = -fx
-    for k in np.flatnonzero(scalar):
-        out[k] = _dual_value(u, float(xs[k]))
+    return out, escaped, scalar
+
+
+def _dual_rows(u: GrowthFunction, xs: np.ndarray, prof: _Profile) -> np.ndarray:
+    """_dual_value at every x = log r, for a (log, x^2)-convex u with a
+    vectorised phi, where ``prof`` is the dual's _Profile.
+
+    x past the dual's edge is +inf without a search.  _dual_point's seed
+    walk and _bracket_rows run the scalar search's bracketing in
+    lockstep, so escapes, limits at the range cap, stops at u's own edge
+    and +inf suprema come out as they do there, and the first escape
+    finds the dual's edge from the lowest x that escaped.  A bracketed
+    row is then polished under the sample's certificate: the chord
+    slopes of psi, searched for c = 2 sqrt(r), give the grid cell
+    [w_{i-1}, w_{i+1}] where c y - psi(y) stops rising.  The row keeps
+    it when the inner value is finite and highest and psi's chord slopes
+    rise on every cell from the bracket to the cell, so the maximand has
+    one maximum there: the one the scalar search finds.  _brent_min_rows
+    polishes the kept rows in the offset from w_i, so its step floor
+    fixes the value to roundoff as the scalar search does.  The maximand
+    is concave in y = e^w, so the flat stop's chord runs in y; the
+    polish bracket spans two sample cells, 0.684 in w, under log 2, so
+    the value is within 8 e^0.684 < 16 times delta of the maximum.
+    Other rows go through _dual_value.  No (row x grid) matrix is formed.
+    """
+    shape = np.shape(xs)
+    xs = np.ravel(np.asarray(xs, dtype=float))
+    out = np.full(len(xs), math.inf)
+    rows = np.arange(len(xs)) if prof.edge is None else np.flatnonzero(~(xs > prof.edge))
+    if rows.size:
+        vals, escaped, scalar = _edge_search(
+            u, lambda edge, read: _dual_lockstep(u, xs[rows], edge, read), u.phi_many
+        )
+        out[rows] = vals
+        if escaped.any() and prof.edge is None:
+            prof.edge, prof.edge_phi = _dual_edge(u, float(xs[rows[escaped]].min()))
+        for k in rows[scalar].tolist():
+            out[k] = _dual_value(u, float(xs[k]), prof)
     return out.reshape(shape)
 
 
@@ -1238,10 +1371,21 @@ def dual_function(u: GrowthFunction) -> GrowthFunction:
     squared argument is a supremum of affine maps -- so the hint flags
     are unconditional.  When u has a vectorised phi and is flagged
     (log, x^2)-convex, the dual gets one too (_dual_rows).
+
+    Where the supremum escapes, past the top slope of log u(y^2), the
+    dual's effective domain ends (R. T. Rockafellar, Convex Analysis,
+    1970, sec. 12): ks(1)'s dual is 1 on [0, 1] and +inf beyond.  The
+    first evaluation that escapes finds that right edge (_dual_edge) and
+    keeps it on the dual's _Profile; past it the dual is +inf without a
+    search, and the dual's transform and its own dual stop their
+    searches there (_edge_search), flagged "hi".  A dual that only
+    overflows, or never meets +inf, finds no edge.
     """
-    return GrowthFunction(
-        phi=lambda x: _dual_value(u, x),
-        phi_vec=(lambda xs: _dual_rows(u, xs)) if u.phi_vec and u.log_x2_convex else None,
+    prof = _Profile()
+    prof.edge = None
+    us = GrowthFunction(
+        phi=lambda x: _dual_value(u, x, prof),
+        phi_vec=(lambda xs: _dual_rows(u, xs, prof)) if u.phi_vec and u.log_x2_convex else None,
         name=f"dual[{u.name}]",
         family="dual",
         params={"base": u.name},
@@ -1251,6 +1395,8 @@ def dual_function(u: GrowthFunction) -> GrowthFunction:
         log_x2_convex=True,
         in_c_plus_log=True,
     )
+    _PROFILE_CACHE[us] = prof
+    return us
 
 
 # --------------------------------------------------------------------------

@@ -16,10 +16,13 @@ Design rules baked in here:
   then a Brent polish (parabolic steps, else golden ones) to an absolute
   bracket width of 1e-12 or, for a convex objective, until its value is
   flat to roundoff, capped at 300 steps,
-* every search runs over a logarithmic variable, so none needs a
-  domain clamp; a search that reaches the range cap |x| = 700 brackets
-  a minimum that a probe just inside the cap shows, or returns a
-  converged boundary limit, flagged, or raises :class:`NotBracketable`,
+* every search runs over a logarithmic variable, between the range
+  cap -700 and a right end, the cap 700 unless the caller names an
+  edge nearer, past which f is +inf (the dual of a function of bounded
+  slope); a search that reaches an end brackets a minimum that a probe
+  just inside it shows; else at an edge it returns the edge's value,
+  flagged "hi", and at the cap a converged boundary limit, flagged, or
+  raises :class:`NotBracketable`,
 * reports render as strict RFC 8259 JSON: :func:`strict_json` writes
   every non-finite float as null.
 """
@@ -132,7 +135,8 @@ class Bracket(NamedTuple):
 
 class OptResult(NamedTuple):
     """Result of a 1-D search.  ``boundary`` is None for an interior
-    optimum, else "lo"/"hi" naming the range cap where the optimum sits."""
+    optimum, else "lo"/"hi" naming the end of the search range (a range
+    cap, or the right edge of f's domain) where the optimum sits."""
 
     x: float
     fx: float
@@ -225,19 +229,29 @@ def _brent_min(
 
 
 def _on_cap(
-    f: Callable[[float], float], x_cap: float, x_before: float, f_before: float, f_cap: float
+    f: Callable[[float], float],
+    x_cap: float,
+    x_before: float,
+    f_before: float,
+    f_cap: float,
+    edge: float = RANGE_CAP,
 ) -> Union[Bracket, OptResult]:
-    """A descent from x_before reached the range cap.  A probe 1e-6
-    inside the cap below f(cap) and f(x_before) brackets a minimum
-    between them; else the cap holds the minimum once f has flattened
-    out there, and f still falling is an escape."""
-    x_in = x_cap - math.copysign(1e-6, x_cap)
+    """A descent from x_before reached an end of the search range: the
+    cap -RANGE_CAP or the right end ``edge``.  A probe 1e-6 inside the
+    end below f(end) and f(x_before) brackets a minimum between them.
+    Else an edge short of the cap holds the minimum, f being +inf past
+    it; the cap holds it once f has flattened out there, and f still
+    falling at the cap is an escape."""
+    right = x_cap == edge
+    x_in = x_cap - 1e-6 if right else x_cap + 1e-6
     f_in = f(x_in)
     if f_in < f_cap and f_in <= f_before:
         (a, fa), (b, fb) = sorted([(x_before, f_before), (x_cap, f_cap)])
         return Bracket(a, b, fa, fb, x_in, f_in)
+    if right and edge < RANGE_CAP:
+        return OptResult(x_cap, f_cap, "hi")
     if not math.isinf(f_cap) and abs(f_cap - f_before) <= 1e-8 * (1.0 + abs(f_cap)):
-        return OptResult(x_cap, f_cap, "hi" if x_cap > 0 else "lo")
+        return OptResult(x_cap, f_cap, "hi" if right else "lo")
     raise NotBracketable(
         f"descent still active at range cap x={x_cap:+.6g} "
         f"(f went {f_before:.6g} -> {f_cap:.6g})"
@@ -245,67 +259,76 @@ def _on_cap(
 
 
 def bracket_minimum(
-    f: Callable[[float], float], seed: float, f_seed: Optional[float] = None
+    f: Callable[[float], float],
+    seed: float,
+    f_seed: Optional[float] = None,
+    edge: float = RANGE_CAP,
 ) -> Union[Bracket, OptResult]:
     """Expand from ``seed`` by unit steps, doubling, until a minimum is
     bracketed.  ``f_seed``, when given, is f(seed), which a caller that
     has already evaluated the seed passes to save the call.
 
-    The search is capped at +-RANGE_CAP.  A seed past the cap starts on
-    it, and a seed on the cap that its one neighbour does not undercut
-    is a descent from that neighbour.  Every descent that ends on the
-    cap leaves through _on_cap, so no bracket reaches past the
-    representable range: a probe just inside the cap brackets a minimum
-    it shows, else the cap is a flagged boundary value when f has
-    flattened out there and :class:`NotBracketable` when it is still
-    falling.
+    The search runs on [-RANGE_CAP, edge]: ``edge`` is the right end of
+    f's domain, at most RANGE_CAP, past which f is +inf.  A seed past an
+    end starts on it, and a seed on an end that its one neighbour does
+    not undercut is a descent from that neighbour.  Every descent that
+    ends on an end leaves through _on_cap, so no bracket reaches past
+    it: a probe just inside the end brackets a minimum it shows; else
+    an edge short of the cap is a boundary value, flagged "hi"; the cap
+    is a flagged boundary value when f has flattened out there and
+    :class:`NotBracketable` when it is still falling.  A search that
+    stays inside the ends probes the points it probes without an edge.
     """
-    x0 = min(max(seed, -RANGE_CAP), RANGE_CAP)
+    x0 = min(max(seed, -RANGE_CAP), edge)
     f0 = f_seed if f_seed is not None and x0 == seed else f(x0)
 
-    xr = min(x0 + 1.0, RANGE_CAP)
+    xr = min(x0 + 1.0, edge)
     xl = max(x0 - 1.0, -RANGE_CAP)
     fr = f(xr) if xr > x0 else math.inf
     fl = f(xl) if xl < x0 else math.inf
 
     if f0 <= fr and f0 <= fl:
-        if abs(x0) < RANGE_CAP:
+        if -RANGE_CAP < x0 < edge:
             return Bracket(xl, xr, fl, fr, x0, f0)
-        x_prev, f_prev = (xl, fl) if x0 > 0 else (xr, fr)
+        x_prev, f_prev = (xl, fl) if x0 == edge else (xr, fr)
         x_cur, f_cur = x0, f0
     else:
         x_prev, f_prev = x0, f0
         x_cur, f_cur = (xr, fr) if fr < fl else (xl, fl)
     direction, step = math.copysign(1.0, x_cur - x_prev), 1.0
-    while -RANGE_CAP < x_cur < RANGE_CAP:
+    while -RANGE_CAP < x_cur < edge:
         step *= 2.0
         x_next = x_cur + direction * step
-        if not -RANGE_CAP < x_next < RANGE_CAP:  # clipped to the cap it heads for
-            x_next = direction * RANGE_CAP
+        if not -RANGE_CAP < x_next < edge:  # clipped to the end it heads for
+            x_next = edge if direction > 0 else -RANGE_CAP
         f_next = f(x_next)
         if f_next >= f_cur:
             a, b = (x_prev, x_next) if direction > 0 else (x_next, x_prev)
             fa, fb = (f_prev, f_next) if direction > 0 else (f_next, f_prev)
             return Bracket(a, b, fa, fb, x_cur, f_cur)
         x_prev, f_prev, x_cur, f_cur = x_cur, f_cur, x_next, f_next
-    return _on_cap(f, x_cur, x_prev, f_prev, f_cur)
+    return _on_cap(f, x_cur, x_prev, f_prev, f_cur, edge)
 
 
 def minimize_convex_1d(
-    f: Callable[[float], float], seed: float, f_seed: Optional[float] = None
+    f: Callable[[float], float],
+    seed: float,
+    f_seed: Optional[float] = None,
+    edge: float = RANGE_CAP,
 ) -> OptResult:
     """Minimize a convex function of x, or of e^x, of one variable.
 
     Returns the interior minimizer found by bracketing plus a Brent
     polish from the bracket's inner point, or a flagged boundary result
-    when the infimum is approached at the numeric range cap.  The polish
+    when the infimum is approached at the numeric range cap or sits on
+    the right ``edge`` of f's domain (see bracket_minimum).  The polish
     stops on the width rule or the flat rule (_brent_min): the value is
     within 32 eps max(1, |f|) of the minimum of the computed f (64 eps
     for f convex in e^x), the minimizer to the span of a minimum flat
     to that level, as in legendre._brent_min_rows.  ``f_seed`` is f(seed)
     when the caller has it (see bracket_minimum).
     """
-    got = bracket_minimum(f, seed, f_seed)
+    got = bracket_minimum(f, seed, f_seed, edge)
     if isinstance(got, OptResult):
         return got
     x, fx = _brent_min(f, got.lo, got.hi, got.inner, got.f_inner, got.f_lo, got.f_hi, flat=True)
@@ -313,21 +336,24 @@ def minimize_convex_1d(
 
 
 def maximize_concave_1d(
-    f: Callable[[float], float], seed: float, f_seed: Optional[float] = None
+    f: Callable[[float], float],
+    seed: float,
+    f_seed: Optional[float] = None,
+    edge: float = RANGE_CAP,
 ) -> OptResult:
     """Maximize a concave (or unimodal) function: minimize_convex_1d's
-    search of -f, its polish stopped by the width rule alone, for a
-    maximand with more roundoff than the flat stop's four ulps: the
-    dual's 2 sqrt(r) y - log u(y^2), a difference of two large terms,
-    read 1.1e-13 relative low on a scaled ks(0.5) with the flat stop.
-    A search over t >= 0 runs in log t: the substitution keeps a
-    concave maximand unimodal and needs no domain clamp.
+    search of -f on [-RANGE_CAP, edge], its polish stopped by the width
+    rule alone, for a maximand with more roundoff than the flat stop's
+    four ulps: the dual's 2 sqrt(r) y - log u(y^2), a difference of two
+    large terms, read 1.1e-13 relative low on a scaled ks(0.5) with the
+    flat stop.  A search over t >= 0 runs in log t: the substitution
+    keeps a concave maximand unimodal.
     """
 
     def neg(x: float) -> float:
         return -f(x)
 
-    got = bracket_minimum(neg, seed, None if f_seed is None else -f_seed)
+    got = bracket_minimum(neg, seed, None if f_seed is None else -f_seed, edge)
     if isinstance(got, Bracket):
         x, fx = _brent_min(neg, got.lo, got.hi, got.inner, got.f_inner, got.f_lo, got.f_hi)
         got = OptResult(x, fx, None)

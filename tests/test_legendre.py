@@ -1,5 +1,6 @@
 """Tests for the transform calculus: ell, tau, theta, series, duals."""
 
+import dataclasses
 import json
 import math
 import re
@@ -1498,16 +1499,43 @@ class TestDualFunction:
         assert us.increasing and us.log_x2_convex and us.in_c_plus_log
 
     def test_transform_of_cutoff_dual_is_one(self):
+        # the infimum sits on the dual's edge at r = 1, where the search stops
         us = gc.dual_function(ks_family(1.0))
         for n in range(31):
-            assert abs(gc.ell(us, float(n)).log_ell.log) <= 1e-7
+            p = gc.ell(us, float(n))
+            assert abs(p.log_ell.log) <= 1e-12
+            if n:
+                assert p.boundary == "hi" and p.rho == 1.0
+
+    def test_cutoff_dual_edge_is_found_once(self, monkeypatch):
+        # ks(1)'s dual is 1 on [0, 1] and +inf beyond: its edge is x = 0
+        u = ks_family(1.0)
+        reads = []
+        base = dataclasses.replace(u, phi=lambda x: reads.append(x) or u.phi(x))
+        us = gc.dual_function(base)
+        found = []
+        dual_edge = legendre._dual_edge
+        monkeypatch.setattr(
+            legendre, "_dual_edge", lambda v, x: found.append(x) or dual_edge(v, x)
+        )
+        first = gc.ell(us, 2.5)
+        edge = legendre._PROFILE_CACHE[us].edge
+        assert len(found) == 1 and abs(edge) <= 4.0 * math.ulp(1.0)
+        assert first == gc.ell(us, 2.5) and first.boundary == "hi"
+        # past the edge the dual is +inf without reading u
+        reads.clear()
+        assert us.phi_at(1e-9) == math.inf and us.phi_many(np.array([0.5, 3.0]))[1] == math.inf
+        assert not reads
+        gc.ell(us, 7.25)
+        gc.dual(us, 3.0)
+        assert len(found) == 1 and legendre._PROFILE_CACHE[us].edge == edge
 
     def test_involution_on_steepest_family(self):
         u = ks_family(1.0)
         uss = gc.dual_function(gc.dual_function(u))
         for r in np.geomspace(1.0, 1e4, 15):
             want = u.log_at(float(r))
-            assert abs(uss.log_at(float(r)) - want) <= 1e-6 * max(1.0, abs(want))
+            assert abs(uss.log_at(float(r)) - want) <= 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize(
         "u,r_lo,r_hi",
@@ -1531,8 +1559,9 @@ class TestDualFunction:
 
     @pytest.mark.parametrize(
         "make",
-        [m for _, m in BLOCK_FAMILIES if m().log_x2_convex],
-        ids=[k for k, m in BLOCK_FAMILIES if m().log_x2_convex],
+        [m for _, m in BLOCK_FAMILIES if m().log_x2_convex]
+        + [lambda: gc.dual_function(ks_family(1.0)), lambda: gc.dual_function(exponential())],
+        ids=[k for k, m in BLOCK_FAMILIES if m().log_x2_convex] + ["dual-ks1", "dual-exp"],
     )
     def test_vectorised_dual_matches_scalar(self, make):
         us = gc.dual_function(make())

@@ -612,6 +612,81 @@ class TestOneCapExit:
                 assert row[2:] == list(got[1:3]), k
 
 
+class TestEdge:
+    """A right edge short of the range cap, past which f is +inf: a
+    descent still active there returns the edge's value, flagged "hi",
+    and a search that stays inside it probes as it does without one."""
+
+    @staticmethod
+    def _wall(edge):
+        return lambda x: math.inf if x > edge else -x
+
+    @pytest.mark.parametrize("edge", [0.0, -3.25, 41.5])
+    @pytest.mark.parametrize("seed", [0.0, 500.0])
+    def test_active_descent_returns_the_edge(self, edge, seed):
+        f = self._wall(edge)
+        want = OptResult(edge, f(edge), "hi")
+        assert bracket_minimum(f, seed, edge=edge) == want
+        assert minimize_convex_1d(f, seed, edge=edge) == want
+        got = maximize_concave_1d(lambda x: -f(x), seed, edge=edge)
+        assert got == OptResult(edge, -f(edge), "hi")
+        # without the edge the descent runs to the range cap and escapes
+        with pytest.raises(NotBracketable):
+            bracket_minimum(lambda x: -x, seed)
+
+    def test_minimum_next_to_the_edge_is_bracketed(self):
+        # a probe just inside the edge shows a minimum below both ends
+        got = minimize_convex_1d(lambda x: (x - 4.9999993) ** 2, 0.0, edge=5.0)
+        assert got.boundary is None and abs(got.x - 4.9999993) <= 1e-9
+
+    @pytest.mark.parametrize("c", [-20.5, 3.7, 9.3])
+    @pytest.mark.parametrize("edge", [15.0, 40.0])
+    def test_interior_minimum_keeps_its_floats(self, c, edge):
+        def f(x):
+            return (x - c) ** 2
+
+        def g(x):
+            return -f(x)
+
+        assert bracket_minimum(f, 0.0, edge=edge) == bracket_minimum(f, 0.0)
+        assert minimize_convex_1d(f, 0.0, edge=edge) == minimize_convex_1d(f, 0.0)
+        assert maximize_concave_1d(g, 0.0, edge=edge) == maximize_concave_1d(g, 0.0)
+
+    def test_rows_end_as_the_scalar_search(self):
+        edge = 2.5
+        rows = [
+            (self._wall(edge), 0.0),
+            (self._wall(edge), 9.0),
+            (lambda x: (x - 1.0) ** 2, 0.0),
+            (lambda x: (x - 2.4999993) ** 2, 0.0),
+            (lambda x: x, 0.0),
+            (lambda x: math.exp(x), 0.0),
+            (lambda x: -x, -RANGE_CAP),
+        ]
+        fs = [f for f, _ in rows]
+        lo, hi, x, fx, end = legendre._bracket_rows(
+            lambda k, xs: np.array([fs[r](v) for r, v in zip(k, xs)]),
+            np.array([seed for _, seed in rows]),
+            edge,
+        )
+        kinds = []
+        for k, (f, seed) in enumerate(rows):
+            try:
+                got = bracket_minimum(f, seed, edge=edge)
+            except NotBracketable:  # at the left cap
+                kinds.append(2)
+                assert end[k] == 2, k
+                continue
+            if isinstance(got, OptResult):
+                kinds.append(1)
+                assert (end[k], x[k], fx[k]) == (1, got.x, got.fx), k
+            else:
+                kinds.append(0)
+                assert (end[k], lo[k], hi[k], x[k], fx[k]) == (
+                    0, got.lo, got.hi, got.inner, got.f_inner), k
+        assert kinds == [1, 1, 0, 0, 2, 1, 1]
+
+
 class TestBrentMinRows:
     # (f, a, inner, b) with f(inner) <= f(a), f(b): smooth, kinked, flat
     # and +inf-edged rows
