@@ -204,7 +204,7 @@ def _brent_bracket(s: np.ndarray):
     gap_lo = -off[0]
     wide, narrow = np.maximum(gap_lo, off[1]), np.minimum(gap_lo, off[1])
     tol1 = _SQRT_EPS * np.abs(s[4]) + GOLDEN_WIDTH / 3.0
-    flat_ends = rise <= _FLAT_ULPS * np.maximum(1.0, np.abs(s[5]))
+    flat_ends = rise <= _FLAT_ULPS * np.maximum(s[14], np.abs(s[5]))
     flat = flat_ends[0] & flat_ends[1] & (_FLAT_SPLIT * narrow >= wide)
     run = (wide > 2.0 * tol1) > flat  # wide and not flat
     golden = _INV_PHI2 * wide
@@ -231,6 +231,7 @@ def _brent_min_rows(
     fx: np.ndarray,
     fa: np.ndarray,
     fb: np.ndarray,
+    scale: np.ndarray | float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Brent's bounded minimisation on many rows in lockstep.
 
@@ -250,8 +251,9 @@ def _brent_min_rows(
 
     * width: both ends lie within 2 tol of x, which is fminbound's
       |x - mid| <= 2 tol - (b - a)/2;
-    * flat: max(f(a), f(b)) - f(x) <= delta = 4 eps max(1, |f(x)|) and
-      x splits [a, b] no worse than 1:8;
+    * flat: max(f(a), f(b)) - f(x) <= delta =
+      4 eps max(1, |f(x)|, scale_k) and x splits [a, b] no worse than
+      1:8;
     * GOLDEN_MAX_ITER steps.
 
     The width rule alone cannot be met where f is flat to roundoff over
@@ -263,11 +265,16 @@ def _brent_min_rows(
     f(x) <= ((b - x) f(z) + (x - z) f(b)) / (b - z), that is
     f(z) >= f(x) - (x - z)/(b - x) (f(b) - f(x)) >= f(x) - 8 delta, and
     likewise for z in [x, b].  The returned value is therefore within
-    8 delta = 32 eps max(1, |f(x)|) of the minimum of f, on top of the
-    rounding of f itself.  delta is four ulps, the rounding of the few
-    operations an objective like phi(x) - t x makes; a smaller delta
-    would leave the roundoff-bound rows stepping, a larger one would
-    loosen the bound.  The 1:8 split keeps the chord factor
+    8 delta = 32 eps max(1, |f(x)|, scale_k) of the minimum of f, on
+    top of the rounding of f itself.  delta is four ulps, the rounding
+    of the few operations an objective like phi(x) - t x makes; a
+    smaller delta would leave the roundoff-bound rows stepping, a larger
+    one would loosen the bound.  ``scale`` (0 by default) is the size of
+    the terms whose difference f is, where they are larger than f: the
+    dual's maximand c y - psi(y) rounds to about 8 eps (|c y| + |psi|),
+    above 4 eps |f|, so its rows pass |c y| + |psi| at the cell's
+    centre, and the bound is then 32 eps of that scale, the maximand's
+    own rounding.  The 1:8 split keeps the chord factor
     (x - z)/(b - x) at most 8.  Where f is convex in y = e^x rather than
     in x, the same chord runs in y, whose split is within a factor
     e^(b - a) of the split in x: the bound is 8 e^(b - a) delta.
@@ -287,9 +294,10 @@ def _brent_min_rows(
     # the state, one row per column: the bracket ends a, b, the best,
     # second and third best points x, w, v and the probe u (rows 0, 2,
     # ..., 10), each with its value in the row below, then the last step
-    # d and the step before it e
-    s = np.empty((14, len(x)))
+    # d, the step before it e and the flat rule's floor max(1, scale)
+    s = np.empty((15, len(x)))
     s[0], s[1], s[2], s[3], s[4], s[5] = a, fa, b, fb, x, fx
+    s[14] = np.maximum(1.0, scale)
     lower = s[3] <= s[1]
     s[6:8] = np.where(lower, s[2:4], s[0:2])
     s[8:10] = np.where(lower, s[0:2], s[2:4])
@@ -347,22 +355,25 @@ class _Profile:
     n < len(self), each array exactly the profile; the refusal that
     stopped its growth: the class and arguments of the error, None while
     it can still grow; the phi sample that its blocks and series bounds
-    read (_profile_sample) and the psi sample that its dual's lockstep
+    read (_profile_sample: all of phi, or for a dual only the grid
+    points a cell has read) and the psi sample that its dual's lockstep
     search and edge estimate read (_dual_sample), each None until one
-    reads it; and the right edge of its domain, which its searches stop
-    at (_edge_search): +inf but for a dual, whose edge is None until one
-    of its searches escapes (dual_function), with phi there, which every
-    search that stops on the edge reads.  None of them holds the
-    function or an error, whose traceback would keep the function alive
-    through the cache's weak key."""
+    reads it; the base u of a dual, whose psi sample locates the dual's
+    cells, else None; and the right edge of its domain, which its
+    searches stop at (_edge_search): +inf but for a dual, whose edge is
+    None until one of its searches escapes (dual_function), with phi
+    there, which every search that stops on the edge reads.  None of
+    them holds the function itself or an error, whose traceback would
+    keep the function alive through the cache's weak key."""
 
-    def __init__(self):
+    def __init__(self, base: Optional[GrowthFunction] = None):
         self.log_ell, self.rho = np.empty(0), np.empty(0)
         self.boundary = np.empty(0, dtype=object)
         self.refusal = None
         self.sample = None
         self.dual_sample = None
-        self.edge: Optional[float] = math.inf
+        self.base = base
+        self.edge: Optional[float] = math.inf if base is None else None
         self.edge_phi = None
 
     def __len__(self) -> int:
@@ -425,46 +436,108 @@ def _edge_search(u: GrowthFunction, search: Callable, read: Callable):
         return search(prof.edge, read)
 
 
-def _profile_sample(u: GrowthFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid of _SCAN_POINTS points on [-RANGE_CAP, min(x_max,
-    RANGE_CAP)], phi on it and the running maximum of its chord slopes:
-    one phi_many call per function, kept on its _Profile, which every
-    _profile_block, _cap_gap's guard and _first_gap read."""
+class _PhiSample(NamedTuple):
+    """phi on the grid of _SCAN_POINTS points x on [-RANGE_CAP,
+    min(x_max, RANGE_CAP)], NaN at a point not read yet; which points
+    are read, None where phi was read on the whole grid at once; and the
+    nondecreasing slopes that locate an order's cell, one a grid step."""
+
+    x: np.ndarray
+    phi: np.ndarray
+    read: Optional[np.ndarray]
+    slopes: np.ndarray
+
+
+def _profile_sample(u: GrowthFunction) -> _PhiSample:
+    """u's phi sample, taken at the first use and kept on its _Profile,
+    which every _profile_block, _cap_gap's guard and _first_gap read.
+
+    For most u it is one phi_many call on the whole grid, with the
+    running maximum of phi's chord slopes.  A dual's phi is a nested
+    search at every point, so its sample starts unread: its slopes are
+    phi's own slope at each step's midpoint x, c y* / 2 with
+    c = 2 e^(x/2) by the envelope theorem and y* the y_i of the base's
+    psi cell where psi's chord slopes reach c, as _dual_lockstep takes
+    it (Y. Lucet, Faster than the Fast Legendre Transform, 1997).  They
+    locate a cell to within a step or two (_dual_cells)."""
     prof = _profile_of(u)
     if prof.sample is None:
         xs = np.linspace(-RANGE_CAP, min(u.x_max, RANGE_CAP), _SCAN_POINTS)
-        ph = u.phi_many(xs)
-        with np.errstate(over="ignore", invalid="ignore"):
-            slopes = np.fmax.accumulate(np.diff(ph) / np.diff(xs))
-        prof.sample = xs, ph, slopes
+        if prof.base is None:
+            ph, read = u.phi_many(xs), None
+            with np.errstate(over="ignore", invalid="ignore"):
+                slopes = np.fmax.accumulate(np.diff(ph) / np.diff(xs))
+        else:
+            S = _dual_sample(prof.base)
+            ph, read = np.full(len(xs), math.nan), np.zeros(len(xs), dtype=bool)
+            with np.errstate(over="ignore"):
+                c = 2.0 * np.exp(0.25 * (xs[:-1] + xs[1:]))
+                slopes = 0.5 * c * S.y[np.clip(np.searchsorted(S.slopes, c), 1, len(S.w) - 2)]
+        prof.sample = _PhiSample(xs, ph, read, slopes)
     return prof.sample
 
 
 # the offsets of a grid point's cell: the points before, at and after it
 _CELL = np.array([[-1], [0], [1]])
+# the offsets a dual's cell reads: its cell and the cells one step away
+_NEAR = np.arange(-2, 3)[:, None]
+# how many steps a cell located by a dual's estimated slopes may move
+_CELL_MOVES = 4
+
+
+def _dual_cells(u: GrowthFunction, S: _PhiSample, ts: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The cells of the orders ts in a dual's sample S, from the cells i
+    that its estimated slopes locate.  Each round reads phi, in one
+    phi_many call kept on S, at the cells' points not read yet (in the
+    first round one step past them too, so a first move reads nothing);
+    then a cell whose first chord reaches t, or whose second does not,
+    moves one step towards the neighbour with the lower g.  The chords
+    are formed as a full sample forms them, so a cell that stops moving
+    is the full sample's cell.  One still moving after _CELL_MOVES
+    rounds is left to the certificate, NaN where it was not read."""
+    last = len(S.x) - 2
+    reach = _NEAR
+    for _ in range(_CELL_MOVES):
+        near = np.clip(i + reach, 0, last + 1)
+        new = np.unique(near[~S.read[near]])
+        if new.size:
+            S.phi[new], S.read[new] = u.phi_many(S.x[new]), True
+        at, reach = i + _CELL, _CELL
+        with np.errstate(over="ignore", invalid="ignore"):
+            chord = np.diff(S.phi[at], axis=0) / np.diff(S.x[at], axis=0)
+        moved = np.clip(i - (chord[0] >= ts) + (chord[1] < ts), 1, last)
+        if (moved == i).all():
+            break
+        i = moved
+    return i
 
 
 def _sample_cells(u: GrowthFunction, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cell of every order t in ts in u's phi sample: the interior
-    grid index i where the running maximum of the chord slopes reaches
-    t, g(x) = phi(x) - t x at x_{i-1}, x_i and x_{i+1} (rows 0-2), and
-    whether Bracket's certificate keeps [x_{i-1}, x_{i+1}] (see
-    _profile_block)."""
-    xs, ph, slopes = _profile_sample(u)
-    at = np.minimum(np.maximum(np.searchsorted(slopes, ts), 1), len(xs) - 2) + _CELL
-    g = ph[at] - ts * xs[at]
+    grid index i of the first chord of phi whose slope reaches t (for a
+    dual, _dual_cells), g(x) = phi(x) - t x at x_{i-1}, x_i and x_{i+1}
+    (rows 0-2), and whether Bracket's certificate keeps
+    [x_{i-1}, x_{i+1}] (see _profile_block)."""
+    S = _profile_sample(u)
+    i = np.clip(np.searchsorted(S.slopes, ts), 1, len(S.x) - 2)
+    if S.read is not None:
+        i = _dual_cells(u, S, ts, i)
+    at = i + _CELL
+    ph = S.phi[at]
+    g = ph - ts * S.x[at]
     tie = g[1] - _FLAT_ULPS * np.maximum(1.0, np.abs(g[1]))
-    kept = np.isfinite(ph[at]).all(axis=0) & (tie <= g[0]) & (tie <= g[2])
-    return at[1], g, kept
+    kept = np.isfinite(ph).all(axis=0) & (tie <= g[0]) & (tie <= g[2])
+    return i, g, kept
 
 
 def _profile_block(u: GrowthFunction, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log ell and rho at the orders ts from the phi sample, for a
     (log, exp)-convex u with a vectorised phi.
 
-    The running maximum of the sample's chord slopes, searched for t,
-    gives the interior grid point x_i where g(x) = phi(x) - t x stops
-    falling (_sample_cells).  An order keeps [x_{i-1}, x_{i+1}] only
+    The first chord of the sample whose slope reaches t gives the
+    interior grid point x_i where g(x) = phi(x) - t x stops falling
+    (_sample_cells; a dual's sample reads phi only at those cells).  An
+    order keeps [x_{i-1}, x_{i+1}] only
     under Bracket's certificate (the three values finite,
     g(x_i) <= g(x_{i-1}) + delta and g(x_i) <= g(x_{i+1}) + delta, with
     delta = _FLAT_ULPS max(1, |g(x_i)|) as in _brent_min_rows' flat
@@ -872,15 +945,18 @@ def _first_gap(u: GrowthFunction, n: int, tag: str) -> Optional[float]:
     |g(x_i)| + max(g(x_{i-1}), g(x_{i+1})) - g(x_i) (the chords through
     the cell's ends bound g from below).  L# of ks(1) and power-exp 3
     refuse by it from r = 1.87 and 0.031, L of exp from r = 142.  The
-    certificate is taken in floats: _sample_cells' arrays cost about
-    20 us more for one order, 2% of a cold answer from the first window.
+    cell is _sample_cells' cell and the certificate is taken in floats:
+    _sample_cells' arrays cost about 20 us more for one order, 2% of a
+    cold answer from the first window.
     """
     prof = _profile_of(u)
     if len(prof) > n or prof.refusal is not None or u.in_c_plus_log is False:
         return None
     t = float(n) if tag == "l" else n - 1.0
-    xs, ph, slopes = _profile_sample(u)
+    S = xs, ph, read, slopes = _profile_sample(u)
     i = min(max(int(slopes.searchsorted(t)), 1), len(xs) - 2)
+    if read is not None:
+        i = int(_dual_cells(u, S, np.array([t]), np.array([i]))[0])
     x3, p3 = xs[i - 1 : i + 2].tolist(), ph[i - 1 : i + 2].tolist()
     g_lo, g_in, g_hi = (p - t * x for p, x in zip(p3, x3))
     tie = g_in - _FLAT_ULPS * max(1.0, abs(g_in))
@@ -1319,7 +1395,7 @@ def _dual_lockstep(
             _, fx = _brent_min_rows(
                 lambda k, d: neg_g(rows[k], base[k] + d),
                 S.w[i - 1] - base, S.w[i + 1] - base, np.zeros(len(rows)), g_in,
-                g[0][kept], g[2][kept],
+                g[0][kept], g[2][kept], c[rows] * S.y[i] + np.abs(S.psi[i]),
             )
             out[rows] = -fx
     return out, escaped, scalar
@@ -1345,6 +1421,11 @@ def _dual_rows(u: GrowthFunction, xs: np.ndarray, prof: _Profile) -> np.ndarray:
     is concave in y = e^w, so the flat stop's chord runs in y; the
     polish bracket spans two sample cells, 0.684 in w, under log 2, so
     the value is within 8 e^0.684 < 16 times delta of the maximum.
+    delta is 4 eps max(1, |G|, |c y_i| + |psi(y_i)|), with y_i the
+    cell's centre: the maximand is the difference of those two terms
+    and rounds to about 8 eps of their size, so a flat stop at 4 eps |G|
+    alone left the rows stepping on noise, 15-23 steps on ks(0.5) in
+    thm42's block; the bound is 64 eps of the terms, their own rounding.
     Other rows go through _dual_value.  No (row x grid) matrix is formed.
     """
     shape = np.shape(xs)
@@ -1381,8 +1462,7 @@ def dual_function(u: GrowthFunction) -> GrowthFunction:
     searches there (_edge_search), flagged "hi".  A dual that only
     overflows, or never meets +inf, finds no edge.
     """
-    prof = _Profile()
-    prof.edge = None
+    prof = _Profile(u)
     us = GrowthFunction(
         phi=lambda x: _dual_value(u, x, prof),
         phi_vec=(lambda xs: _dual_rows(u, xs, prof)) if u.phi_vec and u.log_x2_convex else None,

@@ -1449,6 +1449,15 @@ class TestDual:
         with pytest.raises(NotBracketable):
             gc.dual(u, 2.0)
 
+    def test_an_exactly_flat_maximand_stops_on_its_bracket(self, monkeypatch):
+        # ks(1)'s maximand 2 y - 2 y is 0 for every y at r = 1: the search
+        # stops on its first bracket, 3 reads of phi against 62 polishing it
+        u, reads, real = ks_family(1.0), [], GrowthFunction.phi_at
+        monkeypatch.setattr(GrowthFunction, "phi_at",
+                            lambda self, x: reads.append(x) or real(self, x))
+        assert gc.dual(u, 1.0).log == 0.0
+        assert len(reads) <= 20
+
     def test_iterated_exponential_against_grid(self):
         u = iterated_exp(2)
         sq = math.sqrt(1e6)
@@ -1610,6 +1619,80 @@ class TestDualFunction:
             sharp = gc.l_sharp(ks_family(1.0), math.log(r)).value
             upper = math.e ** 2 * gc.l_sharp(ks_family(1.0), math.log(2.0 * r)).value
             assert sharp - 1e-9 <= got <= upper + 1e-9
+
+
+def _full_sample_dual(make):
+    """The dual of a fresh make(), its phi sample read on the whole grid
+    at once, as a function without a base's psi sample takes it."""
+    us = gc.dual_function(make())
+    prof = legendre._PROFILE_CACHE[us]
+    base, prof.base = prof.base, None
+    legendre._profile_sample(us)
+    prof.base = base
+    assert prof.sample.read is None
+    return us
+
+
+# the duals whose profile blocks locate their cells from the base's psi sample
+FILL_ON_READ_DUALS = [
+    ("exp", exponential), ("ks0", lambda: ks_family(0.0)), ("ks0.25", lambda: ks_family(0.25)),
+    ("ks0.5", lambda: ks_family(0.5)), ("gaussian", gaussian), ("expk2", lambda: iterated_exp(2)),
+]
+
+
+class TestDualProfileSample:
+    """A dual's phi sample reads the dual only at the grid points its
+    cells need, and its blocks come out as from the whole sample."""
+
+    @pytest.mark.parametrize("n", [30, 60])
+    @pytest.mark.parametrize("make", [m for _, m in FILL_ON_READ_DUALS],
+                             ids=[k for k, _ in FILL_ON_READ_DUALS])
+    def test_blocks_match_the_full_sample_bit_for_bit(self, make, n):
+        got = legendre._integer_profile(gc.dual_function(make()), n)
+        want = legendre._integer_profile(_full_sample_dual(make), n)
+        assert [v.hex() for v in got.log_ell] == [v.hex() for v in want.log_ell]
+        assert [v.hex() for v in got.rho] == [v.hex() for v in want.rho]
+        assert list(got.boundary) == list(want.boundary)
+
+    def test_the_block_reads_few_grid_points(self, monkeypatch):
+        # 4096 points before; 15 now, in one phi_many call
+        us = gc.dual_function(exponential())
+        grid = np.linspace(-legendre.RANGE_CAP, legendre.RANGE_CAP, legendre._SCAN_POINTS)
+        reads = []
+        real = GrowthFunction.phi_many
+
+        def counted(self, xs):
+            if self is us:
+                reads.append(int(np.isin(xs, grid).sum()))
+            return real(self, xs)
+
+        monkeypatch.setattr(GrowthFunction, "phi_many", counted)
+        legendre._integer_profile(us, 30)
+        assert 0 < sum(reads) <= 64
+        assert sum(reads) == legendre._PROFILE_CACHE[us].sample.read.sum()
+
+    def test_inner_polishes_stop_at_the_maximands_rounding(self, monkeypatch):
+        # the dual rows' flat stop at 4 eps of |c y| + |psi|, the terms of
+        # the maximand: ks(0.5)'s 30-order block took 204 inner lockstep
+        # steps at 4 eps |G|, 133 now
+        real, depth, steps = legendre._brent_min_rows, [0], {"inner": 0}
+
+        def spy(f, *args):
+            nested = depth[0] > 0
+            depth[0] += 1
+
+            def counted(k, x):
+                steps["inner"] += nested
+                return f(k, x)
+
+            try:
+                return real(counted, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(legendre, "_brent_min_rows", spy)
+        legendre._integer_profile(gc.dual_function(ks_family(0.5)), 30)
+        assert 0 < steps["inner"] <= 150
 
 
 # the benchmark's growth functions: (family, params)
